@@ -1,21 +1,20 @@
-"""End-to-end sweep benchmarks: classic lane vs batched fast lane.
+"""End-to-end sweep benchmarks: the fused point executor.
 
 Replication ``r`` of a point is the ``r``-th ``batches``-sized segment
-of one seeded trajectory, so the classic lane — one ``run_simulation``
-per replication — re-simulates the trajectory prefix as warmup and
-spends ``R*w + B*R*(R+1)/2`` batch-units per point, while the batched
-lane simulates ``w + R*B`` once and carves every replication from it.
-The wall-clock ratio is therefore bounded by that unit ratio: about
-``(R+1)/2`` when measurement dominates warmup and ``R`` when warmup
-dominates — roughly **3x at R=4** on the acceptance grid below, and
-growing without bound in ``R`` (>=5x from R~=8, >=10x from R~=18).
+of one seeded trajectory. A sweep simulates each point's ``w + R*B``
+batch-units once and carves every replication from it, where one
+``run_simulation`` per replication would re-simulate the trajectory
+prefix as warmup and spend ``R*w + B*R*(R+1)/2`` batch-units per point
+— about ``(R+1)/2`` times the work when measurement dominates warmup.
 Tape sharing adds a few percent on top by drawing each workload
-sequence once per sweep instead of once per replication run.
+sequence once per process instead of once per point.
 
-``check_bench_regression.py`` gates the two ``batched`` benchmarks
-against ``BENCH_sweep.json`` and reports the measured classic/batched
-speedups; the classic-lane runs exist as the speedup denominators and
-as a canary for regressions in the ordinary sequential driver.
+``check_bench_regression.py`` gates the two single-process benchmarks
+against ``BENCH_sweep.json``; their names predate the one-lane runner
+and are kept so the gate's baseline still applies. The ``workers=2``
+run on the many-replication grid (points spread over processes,
+replications fused within each point) is reported, not gated: its wall
+time depends on how many cores the runner has.
 """
 
 from repro.core import RunConfig, SimulationParameters
@@ -33,7 +32,7 @@ MPLS = (2, 4, 6, 8, 10)
 RUN = RunConfig(batches=2, batch_time=5.0, warmup_batches=1, seed=31)
 
 #: The many-replication shape (variance studies): 12 segments per
-#: point on a narrower grid, where the fused lane's asymptotics show.
+#: point on a narrower grid, where fusion's asymptotics show.
 DEEP_MPLS = (8,)
 DEEP_REPLICATIONS = 12
 
@@ -41,7 +40,7 @@ DEEP_REPLICATIONS = 12
 def _config():
     return ExperimentConfig(
         experiment_id="bench-sweep",
-        title="Sweep backend benchmark",
+        title="Sweep benchmark",
         figures=(0,),
         params=PARAMS,
         algorithms=ALGORITHMS,
@@ -50,10 +49,10 @@ def _config():
     )
 
 
-def _sweep(backend, replications, mpls=MPLS):
+def _sweep(replications, mpls=MPLS, workers=1):
     sweep = run_sweep(
         _config(), run=RUN, mpls=mpls,
-        backend=backend, replications=replications,
+        replications=replications, workers=workers,
     )
     assert all(
         status.status == "ok"
@@ -62,31 +61,24 @@ def _sweep(backend, replications, mpls=MPLS):
     return sweep
 
 
-def test_sweep_classic_lane_r4(benchmark):
-    sweep = benchmark.pedantic(
-        lambda: _sweep("classic", 4), rounds=1, iterations=1
-    )
-    assert len(sweep.replicate_statuses) == 3 * 5 * 4
-
-
 def test_sweep_batched_lane_r4(benchmark):
     sweep = benchmark.pedantic(
-        lambda: _sweep("batched", 4), rounds=1, iterations=1
+        lambda: _sweep(4), rounds=1, iterations=1
     )
     assert len(sweep.replicate_statuses) == 3 * 5 * 4
 
 
-def test_sweep_classic_lane_r12(benchmark):
+def test_sweep_batched_lane_r12(benchmark):
     sweep = benchmark.pedantic(
-        lambda: _sweep("classic", DEEP_REPLICATIONS, mpls=DEEP_MPLS),
+        lambda: _sweep(DEEP_REPLICATIONS, mpls=DEEP_MPLS),
         rounds=1, iterations=1,
     )
     assert len(sweep.replicate_statuses) == 3 * DEEP_REPLICATIONS
 
 
-def test_sweep_batched_lane_r12(benchmark):
+def test_sweep_workers2_r12(benchmark):
     sweep = benchmark.pedantic(
-        lambda: _sweep("batched", DEEP_REPLICATIONS, mpls=DEEP_MPLS),
+        lambda: _sweep(DEEP_REPLICATIONS, mpls=DEEP_MPLS, workers=2),
         rounds=1, iterations=1,
     )
     assert len(sweep.replicate_statuses) == 3 * DEEP_REPLICATIONS

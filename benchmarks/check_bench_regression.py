@@ -10,15 +10,11 @@ the pinned baseline (``BENCH_engine.json`` / ``BENCH_sweep.json`` /
 repository root) and **fails** when a
 gated benchmark is more than ``--threshold`` slower than the
 baseline. Gated are the end-to-end runs — the full-model engine
-benchmark, the two batched-lane sweep benchmarks, the surrogate
+benchmark, the two single-process sweep benchmarks, the surrogate
 exploration block, and the four-node 2PC distributed run
 — which average over enough work to be stable on
-shared runners; the narrower microbenchmarks and the classic-lane
-speedup denominators are reported but only warn.
-
-For the sweep benchmarks the script also reports the measured
-classic/batched speedup per grid shape, so the fast lane's advantage
-is visible (and its erosion detectable) in every CI log.
+shared runners; the narrower microbenchmarks and the multi-worker
+sweep are reported but only warn.
 
 Usage::
 
@@ -46,15 +42,6 @@ GATED_BENCHMARKS = (
     "test_sweep_batched_lane_r12",
     "test_surrogate_explore_block",
     "test_distributed_four_node_2pc",
-)
-
-#: (classic, batched, label) benchmark pairs whose wall-clock ratio is
-#: reported as a speedup when both sides appear in the current run.
-SPEEDUP_PAIRS = (
-    ("test_sweep_classic_lane_r4", "test_sweep_batched_lane_r4",
-     "3 algorithms x 5 mpls x 4 replications"),
-    ("test_sweep_classic_lane_r12", "test_sweep_batched_lane_r12",
-     "3 algorithms x 1 mpl x 12 replications"),
 )
 
 #: Default: fail on a >10% slowdown of a gated benchmark.
@@ -103,20 +90,6 @@ def compare(current, baseline, gated=GATED_BENCHMARKS,
     return failures, lines
 
 
-def speedup_lines(current, pairs=SPEEDUP_PAIRS):
-    """Classic/batched wall-clock ratios for the pairs present."""
-    lines = []
-    for classic, batched, label in pairs:
-        if classic in current and batched in current:
-            ratio = current[classic] / current[batched]
-            lines.append(
-                f"  batched-lane speedup [{label}]: {ratio:.2f}x "
-                f"({current[classic]:.3f}s classic / "
-                f"{current[batched]:.3f}s batched)"
-            )
-    return lines
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Gate CI on benchmark regressions vs a pinned baseline."
@@ -154,8 +127,6 @@ def main(argv=None):
     print(f"bench-gate: current={args.current} baseline={args.baseline} "
           f"threshold={args.threshold:.0%}")
     print("\n".join(lines))
-    for line in speedup_lines(current):
-        print(line)
     if failures:
         print(
             f"bench-gate: FAIL — {', '.join(failures)} regressed more "

@@ -183,8 +183,8 @@ def run_simulation(params, algorithm="blocking", run=None, seed=None,
     ``workload`` substitutes the model's transaction source (anything
     with a ``new_transaction(terminal_id)`` method and a ``generated``
     counter); None builds the default seeded
-    :class:`~repro.core.workload.WorkloadGenerator`. The fast lane
-    passes a :class:`~repro.fastlane.TapeWorkload` here, which replays
+    :class:`~repro.core.workload.WorkloadGenerator`. Sweeps pass a
+    :class:`~repro.fastlane.TapeWorkload` to the model, which replays
     the byte-identical transaction sequence from a shared precomputed
     tape.
 

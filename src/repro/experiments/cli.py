@@ -195,9 +195,9 @@ def build_parser():
             "audit every run's event stream with the runtime "
             "invariant checker: strict raises at the violating "
             "event, warn records violations in the diagnostics, off "
-            "disables it; spot (batched backend only) audits the "
-            "first point of each algorithm strictly and leaves the "
-            "rest unchecked (default: the REPRO_INVARIANTS "
+            "disables it; spot (sweeps only) audits the first point "
+            "of each algorithm strictly and leaves the rest "
+            "unchecked (default: the REPRO_INVARIANTS "
             "environment variable, else off)"
         ),
     )
@@ -210,23 +210,12 @@ def build_parser():
         ),
     )
     parser.add_argument(
-        "--backend", choices=["classic", "batched"], default="classic",
-        help=(
-            "sweep execution backend: classic runs every (algorithm, "
-            "mpl, replication) as an independent simulation; batched "
-            "fuses each point's replications into one trajectory and "
-            "shares precomputed workload tapes across points — "
-            "bit-identical per replication, much faster for "
-            "--replications > 1 (default: classic)"
-        ),
-    )
-    parser.add_argument(
         "--replications", type=int, default=1, metavar="R",
         help=(
             "measure every grid point R times; replication r is the "
             "r-th batches-sized segment of one deterministic "
-            "trajectory, so R=1 (the default) is the classic "
-            "single-measurement sweep"
+            "trajectory, simulated once per point, so R=1 (the "
+            "default) is the classic single-measurement sweep"
         ),
     )
     # --inject and --resource-model take registry names; they are NOT
@@ -435,27 +424,10 @@ def main(argv=None):
         parser.error(
             f"--replications must be >= 1, got {args.replications}"
         )
-    if args.backend == "batched":
-        if args.workers > 1:
-            parser.error(
-                "--backend batched is single-process; drop --workers "
-                "or use --backend classic"
-            )
-        if args.trace or args.timeseries is not None:
-            parser.error(
-                "--backend batched fuses each point's replications "
-                "into one trajectory; per-point --trace/--timeseries "
-                "require --backend classic"
-            )
-        if args.single is not None:
-            parser.error(
-                "--single runs one diagnostic simulation; --backend "
-                "batched applies to sweeps only"
-            )
-    elif args.invariants == "spot":
+    if args.single is not None and args.invariants == "spot":
         parser.error(
-            "--invariants spot requires --backend batched "
-            "(use strict/warn/off with the classic backend)"
+            "--invariants spot audits sweeps; use strict/warn/off "
+            "with --single"
         )
     if args.trace_out is not None and not args.trace:
         parser.error("--trace-out requires --trace")
@@ -677,7 +649,6 @@ def _dispatch(args):
         timeseries=args.timeseries,
         trace=_trace_option(args),
         invariants=args.invariants,
-        backend=args.backend,
         replications=args.replications,
     )
     configs = experiment_configs()

@@ -324,18 +324,10 @@ class SweepCheckpoint:
     start on a clean line boundary.
     """
 
-    def __init__(self, path, config, run, backend="classic",
-                 replications=1):
+    def __init__(self, path, config, run, replications=1):
         self.path = path
         self.config = config
         self.run = run
-        #: Execution backend writing this checkpoint. Both lanes
-        #: produce bit-identical per-replication results, but their
-        #: retry semantics differ (classic reseeds one replication,
-        #: batched reseeds the whole fused point), so a checkpoint
-        #: never silently mixes lanes: the header binds the backend
-        #: and a mismatch on resume raises CheckpointMismatchError.
-        self.backend = backend
         #: Replications per grid point this sweep was launched with.
         self.replications = replications
         #: Lines dropped by the last load_into's salvage (0 = clean).
@@ -398,7 +390,6 @@ class SweepCheckpoint:
             "resource_model": self._resource_model(),
             "workload_model": self._workload_model(),
             "topology": self._topology(),
-            "backend": self.backend,
             "replications": self.replications,
         }
         atomic_write_text(self.path, encode_checkpoint_line(header))
@@ -481,18 +472,6 @@ class SweepCheckpoint:
                 f"does not match {self._workload_model()!r}; a sweep "
                 f"never resumes under a different arrival process"
             )
-        # Same convention for execution backends: headers written
-        # before the fast lane existed default to the classic backend
-        # explicitly, and any disagreement with the resuming sweep is
-        # an error — the lanes are result-identical but not
-        # retry-identical, so one checkpoint never mixes them.
-        if header.get("backend", "classic") != self.backend:
-            raise CheckpointMismatchError(
-                f"{self.path}: checkpoint was written by the "
-                f"{header.get('backend', 'classic')!r} backend, not "
-                f"{self.backend!r}; resume with the same --backend or "
-                f"start a fresh checkpoint"
-            )
         if header.get("replications", 1) != self.replications:
             raise CheckpointMismatchError(
                 f"{self.path}: checkpoint has "
@@ -500,6 +479,21 @@ class SweepCheckpoint:
                 f"point, the resuming sweep wants {self.replications}; "
                 f"replications define the trajectory segmentation, so "
                 f"they must match exactly"
+            )
+        # Headers written while sweeps had two execution lanes carry a
+        # "backend". Results were identical across lanes, retries were
+        # not: the "classic" lane reseeded retried replications one by
+        # one, where every sweep now reseeds the whole point. Those
+        # retry rules coincide only for "batched" headers and for
+        # single-replication sweeps.
+        backend = header.get("backend")
+        if backend not in (None, "batched") and self.replications != 1:
+            raise CheckpointMismatchError(
+                f"{self.path}: checkpoint header field 'backend' is "
+                f"{backend!r}; a {backend!r} sweep with "
+                f"{self.replications} replications per point retried "
+                f"replications one by one, so it cannot be resumed "
+                f"under whole-point retries; start a fresh checkpoint"
             )
 
     def load_into(self, sweep, repair=True):

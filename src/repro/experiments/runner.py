@@ -24,17 +24,24 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.cc.registry import algorithm_names
-from repro.core import RestartLivelockError, RunConfig, run_simulation
+from repro.core import RestartLivelockError, RunConfig
 from repro.experiments.errors import (
     PointCancelledError,
     PointDeadlineExceeded,
     PointExecutionError,
     SimulationStalledError,
 )
+# The fused executor is called through its module, so a wrapper
+# installed on ``repro.fastlane.backend`` (benchmark tracing, tests)
+# sees every call.
+from repro.fastlane import backend as fastlane
+from repro.fastlane.tapes import TapeStore
 from repro.obs import JsonlSink, TimeSeriesSampler
+from repro.workloads import create_workload_model
 
 #: Run controls sized for a laptop. The paper used 20 batches with a
 #: "large batch time" on a VAX cluster; these defaults produce the same
@@ -76,17 +83,18 @@ MAX_POOL_RESTARTS = 3
 _sleep = time.sleep
 
 
-def point_seed(seed, algorithm, mpl, attempt, rep=0):
+def point_seed(seed, algorithm, mpl, attempt):
     """The RNG seed of one attempt of one grid point.
 
-    Attempt 0 uses the sweep seed unchanged for *every* point and
-    *every* replication — the common-random-numbers discipline the
-    sequential runner has always used (shared randomness across
-    algorithms, mpls and replications reduces the variance of their
-    differences, which is what the paper's curves compare).
-    Replications don't need their own attempt-0 seeds because a
-    replication is a *segment* of the shared trajectory, selected by
-    extending the warmup, not by reseeding (see :func:`run_sweep`).
+    Attempt 0 uses the sweep seed unchanged for *every* point — the
+    common-random-numbers discipline the sequential runner has always
+    used (shared randomness across algorithms, mpls and replications
+    reduces the variance of their differences, which is what the
+    paper's curves compare).  Replications don't need seeds of their
+    own because a replication is a *segment* of the point's trajectory,
+    selected by extending the warmup, not by reseeding (see
+    :func:`run_sweep`); a retry reseeds the whole point, every
+    replication with it.
 
     Retry attempts (``attempt >= 1``) take the first 8 bytes of
     ``sha256(seed:algorithm:mpl:attempt)`` — a full-width stable hash
@@ -94,38 +102,32 @@ def point_seed(seed, algorithm, mpl, attempt, rep=0):
     seed.  (An earlier scheme offset by ``crc32(key) % 7919``, which
     collides whenever two grid keys are congruent modulo the stride —
     colliding points replayed identical retry trajectories, silently
-    correlating their results.)  A retried replication ``rep > 0``
-    appends ``:rep<r>`` to the hashed key, so two replications of one
-    point retrying after a shared failure cannot collide either;
-    ``rep == 0`` hashes the original key unchanged, preserving every
-    seed minted by earlier versions.
+    correlating their results.)
 
-    The value is a pure function of ``(seed, algorithm, mpl, attempt,
-    rep)``: submission order, completion order and worker count never
-    enter, which is what makes parallel sweeps reproducible.  Negative
-    attempts are a caller bug and raise ``ValueError`` (an earlier
-    version silently hashed them into valid-looking seeds).
+    The value is a pure function of ``(seed, algorithm, mpl,
+    attempt)``: submission order, completion order and worker count
+    never enter, which is what makes parallel sweeps reproducible.
+    Negative attempts are a caller bug and raise ``ValueError`` (an
+    earlier version silently hashed them into valid-looking seeds).
     """
     if attempt < 0:
         raise ValueError(f"attempt must be >= 0, got {attempt}")
     if attempt == 0:
         return seed
     key = f"{seed}:{algorithm}:{mpl}:{attempt}"
-    if rep:
-        key += f":rep{rep}"
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
-def retry_backoff(seed, algorithm, mpl, attempt, rep=0):
+def retry_backoff(seed, algorithm, mpl, attempt):
     """Seconds to wait before retry ``attempt`` of one grid point.
 
     Capped exponential with *deterministic* jitter: the jitter factor
     (uniform-ish in [0.5, 1.5)) is derived from
-    :func:`point_seed` — a pure function of the grid key, attempt and
-    replication — so two runs of the same sweep back off identically,
-    and distinct points retrying after a shared failure burst don't
-    thunder in lockstep. Attempt 0 (the initial try, the only attempt
-    a clean point ever makes) returns 0.0: first attempts never wait.
+    :func:`point_seed` — a pure function of the grid key and attempt —
+    so two runs of the same sweep back off identically, and distinct
+    points retrying after a shared failure burst don't thunder in
+    lockstep. Attempt 0 (the initial try, the only attempt a clean
+    point ever makes) returns 0.0: first attempts never wait.
     Negative attempts raise ``ValueError`` (an earlier version
     returned 0.0 for them, hiding caller bugs as missing backoffs).
     """
@@ -134,9 +136,7 @@ def retry_backoff(seed, algorithm, mpl, attempt, rep=0):
     if attempt == 0:
         return 0.0
     base = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 1)))
-    jitter = 0.5 + (
-        point_seed(seed, algorithm, mpl, attempt, rep) % 1024
-    ) / 1024.0
+    jitter = 0.5 + (point_seed(seed, algorithm, mpl, attempt) % 1024) / 1024.0
     return min(BACKOFF_CAP, base * jitter)
 
 
@@ -146,10 +146,13 @@ class PointTrace:
 
     Each grid point streams its instrumentation-bus events to
     ``<directory>/<experiment>.<algorithm>.mpl<NNN>.jsonl`` through a
-    :class:`~repro.obs.JsonlSink`.  ``kinds`` restricts the subscribed
-    event kinds (None = every kind, including high-volume resource and
-    CC-grant events).  Frozen and built from plain values so it pickles
-    cleanly into sweep worker processes.
+    :class:`~repro.obs.JsonlSink` — one file per point, written once
+    along the point's whole trajectory, so replication ``r``'s trace
+    is the file's first ``diagnostics["trace"]["events"]`` lines (as
+    recorded in ``r``'s diagnostics).  ``kinds`` restricts the
+    subscribed event kinds (None = every kind, including high-volume
+    resource and CC-grant events).  Frozen and built from plain values
+    so it pickles cleanly into sweep worker processes.
     """
 
     directory: str
@@ -185,7 +188,11 @@ def _point_subscribers(config, algorithm, mpl, timeseries, trace):
 
 
 def _point_diagnostics(timeseries, sampler, sink):
-    """The JSON-serializable diagnostics payload of a successful point."""
+    """The JSON-serializable observability payload, as of now.
+
+    Read at each replication's end boundary, so the series holds the
+    rows sampled so far and the event count is the trace's prefix.
+    """
     diagnostics = {}
     if sampler is not None:
         diagnostics["timeseries"] = {
@@ -298,8 +305,8 @@ class SweepResult:
     def record_replicate(self, algorithm, mpl, rep, result, status):
         """Fold one finished replication into the sweep's containers.
 
-        The single write path shared by the runner, the batched
-        backend, and checkpoint restore, so the replication-0 aliasing
+        The single write path shared by the runner and checkpoint
+        restore, so the replication-0 aliasing
         into ``results``/``statuses`` and the per-point aggregation
         cannot drift between them.
         """
@@ -443,94 +450,146 @@ def _validate_algorithms(algorithms, workers=1):
             )
 
 
-def _rep_run(run, rep):
-    """The RunConfig measuring replication ``rep`` of a grid point.
+class _Point(NamedTuple):
+    """One unit of sweep work: a grid point and its pending replications."""
 
-    Replication ``r`` is the ``r``-th ``run.batches``-sized segment of
-    the single trajectory seeded by ``run.seed``: the preceding
-    segments become extra warmup, nothing is reseeded.  ``rep == 0``
-    returns ``run`` itself, so non-replicated sweeps build the exact
-    same RunConfig objects as before.
+    algorithm: object
+    mpl: int
+    #: Replication indexes still to record, ascending.
+    reps: Tuple[int, ...]
+    #: This point's invariant mode (``"spot"`` already resolved).
+    invariants: Optional[str]
+
+
+@dataclass(frozen=True)
+class _PointPlan:
+    """The settings every point of one sweep runs under.
+
+    Plain values only, so it pickles into sweep worker processes (a
+    :class:`~repro.chaos.ChaosSpec` is a frozen dataclass of plain
+    values too — which is how one SIGKILLs a *worker* mid-sweep).
     """
-    if rep == 0:
-        return run
-    return run.with_changes(
-        warmup_batches=run.warmup_batches + rep * run.batches
-    )
+
+    config: object
+    run: RunConfig
+    deadline: Optional[float] = None
+    stall_timeout: Optional[float] = None
+    retries: int = 0
+    timeseries: Optional[float] = None
+    trace: Optional[PointTrace] = None
+    chaos: object = None
 
 
-def _execute_point(config, algorithm, mpl, run, deadline, stall_timeout,
-                   retries, progress=None, timeseries=None, trace=None,
-                   chaos=None, invariants=None, sleep=None, rep=0):
-    """Run one grid point to a (result, status) pair.
+def _pending_points(sweep, algorithms, mpls, replications, invariants):
+    """The grid points with unrecorded replications, in grid order.
 
-    This is the unit of work of both execution modes: the sequential
-    loop calls it inline (``progress`` reports per-attempt failures);
-    parallel workers call it via :func:`_point_task` with ``progress``
-    disabled, since only the parent talks to the user.  ``rep``
-    selects the replication (see :func:`_rep_run`); in this classic
-    lane each replication is an independent simulation that re-runs
-    its trajectory prefix as warmup — the batched backend
-    (:mod:`repro.fastlane`) carves all replications from one
-    trajectory instead.
+    ``invariants="spot"`` audits the first pending point of each
+    algorithm strictly and runs the rest unchecked: the checker's
+    invariants are structural (conservation, pairing, exclusivity), so
+    one strictly audited trajectory per algorithm catches a broken
+    engine while the bulk of the sweep keeps the observer-free fast
+    path.  Any other mode applies to every point.
+    """
+    points = []
+    audited = set()
+    for algorithm in algorithms:
+        for mpl in mpls:
+            reps = tuple(
+                rep for rep in range(replications)
+                if (algorithm, mpl, rep) not in sweep.replicate_statuses
+            )
+            if not reps:
+                continue
+            mode = invariants
+            if invariants == "spot":
+                mode = "off" if algorithm in audited else "strict"
+                audited.add(algorithm)
+            points.append(_Point(algorithm, mpl, reps, mode))
+    return points
 
-    ``timeseries``/``trace`` attach per-point observability subscribers
-    (fresh per attempt); a successful point carries their output in
-    ``result.diagnostics``.  ``invariants`` is forwarded to
-    :func:`~repro.core.run_simulation` (a strict violation is an
-    ``AssertionError`` subclass, so it is *never* degraded to a failed
-    status — a broken engine must not be retried into silence).
-    ``chaos`` (a :class:`~repro.chaos.ChaosSpec`) is consulted at the
-    top of every attempt, before any simulation work.
 
-    Retry attempts wait :func:`retry_backoff` seconds first (``sleep``
-    overrides the module seam for tests); the first attempt never
-    waits, so zero-retry sweeps are timing-identical to before.
+def _run_point(plan, point, store, progress=None):
+    """Run one grid point's pending replications to their outcomes.
 
+    The unit of work of every sweep: the sequential loop calls it
+    inline (``progress`` reports per-attempt failures); parallel
+    workers call it via :func:`_point_task` with ``progress``
+    disabled, since only the parent talks to the user.  Each attempt
+    simulates the point's trajectory once, through its last pending
+    replication, and carves every replication from it
+    (:func:`repro.fastlane.backend.run_point_replications`).
+    ``store`` shares workload tapes between the points one process
+    runs.
+
+    A retry reseeds the *whole point* with
+    ``point_seed(seed, algorithm, mpl, attempt)``, after
+    :func:`retry_backoff` seconds; the first attempt never waits.
     Only supervised failures — watchdog trips and the engine's restart
     livelock detector — are degraded to a failed status; anything else
-    is a programming error and propagates.
+    is a programming error and propagates.  A strict invariant
+    violation is an ``AssertionError`` subclass, so it is never
+    degraded either: a broken engine must not be retried into silence.
+    ``plan.chaos`` is consulted at the top of every attempt, before
+    any simulation work.
+
+    Per-point ``timeseries``/``trace`` subscribers are fresh per
+    attempt (a retry starts from empty series and a truncated trace
+    file) and observe the whole trajectory; replication ``r`` reports
+    the series sampled and the events written up to its end boundary.
+
+    Returns ``[(rep, result, status)]`` over the pending replications;
+    ``result`` is None when the point failed.
     """
-    supervised = deadline is not None or stall_timeout is not None
-    point_started = time.perf_counter()
-    result = None
+    config, run = plan.config, plan.run
+    algorithm, mpl, reps, invariants = point
+    params = config.params_for(mpl)
+    # Non-tapeable workload models (trace playback) build their own
+    # content source inside the model; everything else replays a
+    # shared tape.
+    tapeable = create_workload_model(params).tapeable
+    supervised = plan.deadline is not None or plan.stall_timeout is not None
+    started = time.perf_counter()
+    results = None
     failure = None
     attempts = 0
-    sampler = sink = None
-    base_run = _rep_run(run, rep)
-    for attempt in range(retries + 1):
+    for attempt in range(plan.retries + 1):
         attempts += 1
         if attempt > 0:
-            delay = retry_backoff(run.seed, algorithm, mpl, attempt, rep)
+            delay = retry_backoff(run.seed, algorithm, mpl, attempt)
             if delay > 0.0:
-                (sleep if sleep is not None else _sleep)(delay)
-        if chaos is not None:
-            chaos.on_point_start(algorithm, mpl)
-        attempt_run = base_run if attempt == 0 else base_run.with_changes(
-            seed=point_seed(run.seed, algorithm, mpl, attempt, rep)
+                _sleep(delay)
+        if plan.chaos is not None:
+            plan.chaos.on_point_start(algorithm, mpl)
+        attempt_run = run if attempt == 0 else run.with_changes(
+            seed=point_seed(run.seed, algorithm, mpl, attempt)
         )
         watchdog = (
-            _PointWatchdog(deadline, stall_timeout)
+            _PointWatchdog(plan.deadline, plan.stall_timeout)
             if supervised else None
         )
         sampler, sink, subscribers = _point_subscribers(
-            config, algorithm, mpl, timeseries, trace
+            config, algorithm, mpl, plan.timeseries, plan.trace
         )
         try:
-            result = run_simulation(
-                config.params_for(mpl),
-                algorithm=algorithm,
-                run=attempt_run,
+            results = fastlane.run_point_replications(
+                params, algorithm, attempt_run, reps[-1] + 1,
+                workload=(
+                    store.workload(params, attempt_run.seed)
+                    if tapeable else None
+                ),
                 batch_callback=watchdog,
-                subscribers=subscribers,
                 invariants=invariants,
+                subscribers=subscribers,
+                boundary_diagnostics=partial(
+                    _point_diagnostics, plan.timeseries, sampler, sink
+                ),
             )
             break
         except (PointExecutionError, RestartLivelockError) as error:
             failure = error
             if progress is not None:
                 outcome = (
-                    "retrying" if attempt < retries else "giving up"
+                    "retrying" if attempt < plan.retries else "giving up"
                 )
                 progress(
                     f"  {config.experiment_id}: {algorithm} "
@@ -540,52 +599,81 @@ def _execute_point(config, algorithm, mpl, run, deadline, stall_timeout,
         finally:
             if sink is not None:
                 sink.close()
-    wall = time.perf_counter() - point_started
-    if result is not None:
-        # Merge with anything the run itself produced (buffer-pool
-        # statistics from the buffered resource model), never overwrite.
-        extra = _point_diagnostics(timeseries, sampler, sink)
-        if extra:
-            result.diagnostics = {**(result.diagnostics or {}), **extra}
+    wall = time.perf_counter() - started
     error_text = (
         f"{type(failure).__name__}: {failure}"
         if failure is not None else None
     )
-    if result is not None:
-        status = PointStatus(
-            status=STATUS_OK if attempts == 1 else STATUS_RETRIED,
-            attempts=attempts,
-            error=error_text,
-            wall_seconds=wall,
+    status = (
+        STATUS_FAILED if results is None
+        else STATUS_OK if attempts == 1
+        else STATUS_RETRIED
+    )
+    # Every replication of a point shares its attempt history; the
+    # wall clock is split evenly so per-point aggregates still sum to
+    # the real elapsed time.
+    return [
+        (
+            rep,
+            None if results is None else results[rep],
+            PointStatus(
+                status=status,
+                attempts=attempts,
+                error=error_text,
+                wall_seconds=wall / len(reps),
+            ),
         )
-    else:
-        status = PointStatus(
-            status=STATUS_FAILED,
-            attempts=attempts,
-            error=error_text,
-            wall_seconds=wall,
-        )
-    return result, status
+        for rep in reps
+    ]
 
 
-def _point_task(config, algorithm, mpl, run, deadline, stall_timeout,
-                retries, timeseries, trace, chaos=None, invariants=None,
-                rep=0):
+#: This worker process's tape store (see :func:`_init_worker`).
+_worker_tapes = None
+
+
+def _init_worker():
+    """Pool initializer: one tape store per worker process.
+
+    Tapes never cross processes; the points one worker runs share its
+    store, just as the points of a sequential sweep share theirs.
+    """
+    global _worker_tapes
+    _worker_tapes = TapeStore()
+
+
+def _point_task(plan, point):
     """Worker-process entry point: one point, no parent-side chatter.
 
     Module-level (picklable) by construction; everything it needs
     travels in its arguments, everything it produces travels back in
-    the (result, status) return value.  Observability subscribers are
-    constructed *inside* the worker (live sinks don't pickle); only the
-    plain-data diagnostics ride back on the result.  ``chaos`` is a
-    frozen dataclass of plain values, so it pickles into workers too —
-    which is how a ChaosSpec SIGKILLs a *worker* process mid-sweep.
+    the returned outcomes.  Observability subscribers are constructed
+    *inside* the worker (live sinks don't pickle); only the plain-data
+    diagnostics ride back on the results.
     """
-    return _execute_point(
-        config, algorithm, mpl, run, deadline, stall_timeout, retries,
-        timeseries=timeseries, trace=trace, chaos=chaos,
-        invariants=invariants, rep=rep,
-    )
+    return _run_point(plan, point, _worker_tapes)
+
+
+def _finish_point(sweep, config, point, outcomes, ckpt, progress,
+                  counter=""):
+    """Record one finished point and report it (parent only)."""
+    for rep, result, status in outcomes:
+        _record_point(
+            sweep, (point.algorithm, point.mpl, rep), result, status, ckpt
+        )
+    if progress is None:
+        return
+    _, result, status = outcomes[0]
+    tag = f" [{len(point.reps)} rep(s)]" if point.reps != (0,) else ""
+    if result is not None:
+        progress(
+            f"  {counter}{config.experiment_id}: {result.describe()}{tag}"
+        )
+    else:
+        progress(
+            f"  {counter}{config.experiment_id}: {point.algorithm} "
+            f"mpl={point.mpl}{tag} failed after {status.attempts} "
+            f"attempt(s) ({status.error})"
+        )
 
 
 def _hard_backstop(deadline, retries):
@@ -628,19 +716,18 @@ def _terminate_workers(executor):
             )
 
 
-def _run_parallel(sweep, pending, config, run, deadline, stall_timeout,
-                  retries, workers, progress, ckpt, timeseries, trace,
-                  chaos=None, invariants=None):
+def _run_parallel(sweep, points, plan, workers, progress, ckpt):
     """Submit/drain executor for the pending grid points.
 
+    Whole points are the unit of submission: a worker simulates a
+    point's fused trajectory and returns all its replications' outcomes.
     The parent is the only process that touches the checkpoint or the
-    progress sink: workers return (result, status) pairs and the
-    parent flushes each to the checkpoint as its future completes, so
-    PR 1's resume semantics survive unchanged (the JSONL line order is
-    completion order, which the loader never relied on).
+    progress sink, flushing each point to the checkpoint as its future
+    completes, so PR 1's resume semantics survive unchanged (the JSONL
+    line order is completion order, which the loader never relied on).
 
-    Returns the grid keys left *unrecorded* because the worker pool
-    broke (a worker SIGKILLed or segfaulted poisons the whole
+    Returns the points left *unrecorded* because the worker pool broke
+    (a worker SIGKILLed or segfaulted poisons the whole
     ``ProcessPoolExecutor``): the supervisor re-runs exactly those —
     with their untouched attempt-0 seeds, so recovery is
     byte-identical to a crash-free sweep. An empty list means the
@@ -648,29 +735,27 @@ def _run_parallel(sweep, pending, config, run, deadline, stall_timeout,
     (backstop cancellations are recorded failed, and never-started
     points deliberately left unattempted for ``--resume``).
     """
-    total = len(pending)
+    total = len(points)
     completed = 0
-    backstop = _hard_backstop(deadline, retries)
-    executor = ProcessPoolExecutor(max_workers=min(workers, total))
+    backstop = _hard_backstop(plan.deadline, plan.retries)
+    executor = ProcessPoolExecutor(
+        max_workers=min(workers, total), initializer=_init_worker
+    )
     broken = False
     try:
         futures = {}
         unsubmitted = []
-        for algorithm, mpl, rep in pending:
+        for point in points:
             if broken:
-                unsubmitted.append((algorithm, mpl, rep))
+                unsubmitted.append(point)
                 continue
             try:
-                future = executor.submit(
-                    _point_task, config, algorithm, mpl, run,
-                    deadline, stall_timeout, retries, timeseries,
-                    trace, chaos, invariants, rep,
-                )
+                future = executor.submit(_point_task, plan, point)
             except BrokenProcessPool:
                 broken = True
-                unsubmitted.append((algorithm, mpl, rep))
+                unsubmitted.append(point)
                 continue
-            futures[future] = (algorithm, mpl, rep)
+            futures[future] = point
         crashed = []
         outstanding = set(futures)
         while outstanding and not broken:
@@ -686,42 +771,27 @@ def _run_parallel(sweep, pending, config, run, deadline, stall_timeout,
                 # it), fail what was in flight, and kill the pool.
                 _cancel_outstanding(
                     sweep, futures, outstanding, backstop, ckpt,
-                    progress, config,
+                    progress, plan.config,
                 )
                 _terminate_workers(executor)
                 return []
             for future in done:
-                algorithm, mpl, rep = futures[future]
+                point = futures[future]
                 try:
-                    result, status = future.result()
+                    outcomes = future.result()
                 except BrokenProcessPool:
                     # Don't record anything: a recorded failure would
                     # survive into the checkpoint and a resumed sweep
                     # would keep it, losing the point forever. The
                     # supervisor re-runs it instead.
                     broken = True
-                    crashed.append((algorithm, mpl, rep))
+                    crashed.append(point)
                     continue
                 completed += 1
-                _record_point(
-                    sweep, (algorithm, mpl, rep), result, status, ckpt
+                _finish_point(
+                    sweep, plan.config, point, outcomes, ckpt, progress,
+                    counter=f"[{completed}/{total}] ",
                 )
-                if progress is not None:
-                    tag = f" rep={rep}" if rep else ""
-                    if result is not None:
-                        progress(
-                            f"  [{completed}/{total}] "
-                            f"{config.experiment_id}: "
-                            f"{result.describe()}{tag}"
-                        )
-                    else:
-                        progress(
-                            f"  [{completed}/{total}] "
-                            f"{config.experiment_id}: {algorithm} "
-                            f"mpl={mpl}{tag} failed after "
-                            f"{status.attempts} attempt(s) "
-                            f"({status.error})"
-                        )
         if not broken:
             return []
         unfinished = set(crashed) | set(unsubmitted)
@@ -729,14 +799,12 @@ def _run_parallel(sweep, pending, config, run, deadline, stall_timeout,
         _terminate_workers(executor)
         # Original grid order, so the supervisor's re-submission (and
         # any sequential degradation) visits points deterministically.
-        return [key for key in pending if key in unfinished]
+        return [point for point in points if point in unfinished]
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
 
 
-def _supervise_parallel(sweep, pending, config, run, deadline,
-                        stall_timeout, retries, workers, progress, ckpt,
-                        timeseries, trace, chaos=None, invariants=None):
+def _supervise_parallel(sweep, points, plan, workers, progress, ckpt):
     """Parallel execution with pool-crash supervision.
 
     Each :func:`_run_parallel` drain that ends in a broken pool hands
@@ -748,14 +816,13 @@ def _supervise_parallel(sweep, pending, config, run, deadline,
     sequential loop is the degradation path. Returns ``[]`` when the
     parallel drain finished everything.
     """
-    remaining = list(pending)
+    remaining = list(points)
     streak = 0
+    experiment_id = plan.config.experiment_id
     while remaining:
         before = len(remaining)
         remaining = _run_parallel(
-            sweep, remaining, config, run, deadline, stall_timeout,
-            retries, workers, progress, ckpt, timeseries, trace,
-            chaos=chaos, invariants=invariants,
+            sweep, remaining, plan, workers, progress, ckpt
         )
         if not remaining:
             return []
@@ -763,7 +830,7 @@ def _supervise_parallel(sweep, pending, config, run, deadline,
         if streak >= MAX_POOL_RESTARTS:
             if progress is not None:
                 progress(
-                    f"  {config.experiment_id}: worker pool crashed "
+                    f"  {experiment_id}: worker pool crashed "
                     f"{MAX_POOL_RESTARTS} times without progress; "
                     f"degrading {len(remaining)} remaining point(s) "
                     f"to sequential in-process execution"
@@ -771,7 +838,7 @@ def _supervise_parallel(sweep, pending, config, run, deadline,
             return remaining
         if progress is not None:
             progress(
-                f"  {config.experiment_id}: worker pool crashed; "
+                f"  {experiment_id}: worker pool crashed; "
                 f"restarting it for {len(remaining)} remaining "
                 f"point(s)"
             )
@@ -782,29 +849,32 @@ def _cancel_outstanding(sweep, futures, outstanding, backstop, ckpt,
                         progress, config):
     """Backstop trip: fail in-flight points, drop never-started ones."""
     for future in outstanding:
-        algorithm, mpl, rep = futures[future]
+        point = futures[future]
         if future.cancel():
             # Never started; leave it unattempted (no status), so a
             # --resume run knows to simulate it.
             continue
-        error = PointCancelledError(algorithm, mpl, backstop)
-        status = PointStatus(
-            status=STATUS_FAILED,
-            attempts=1,
-            error=f"PointCancelledError: {error}",
-            wall_seconds=backstop,
-        )
-        _record_point(sweep, (algorithm, mpl, rep), None, status, ckpt)
+        error = PointCancelledError(point.algorithm, point.mpl, backstop)
+        for rep in point.reps:
+            status = PointStatus(
+                status=STATUS_FAILED,
+                attempts=1,
+                error=f"PointCancelledError: {error}",
+                wall_seconds=backstop / len(point.reps),
+            )
+            _record_point(
+                sweep, (point.algorithm, point.mpl, rep), None, status,
+                ckpt,
+            )
         if progress is not None:
-            tag = f" rep={rep}" if rep else ""
             progress(
-                f"  {config.experiment_id}: {algorithm} mpl={mpl}{tag} "
-                f"cancelled ({error})"
+                f"  {config.experiment_id}: {point.algorithm} "
+                f"mpl={point.mpl} cancelled ({error})"
             )
 
 
 def _record_point(sweep, key, result, status, ckpt):
-    """Single-writer bookkeeping for one finished point (parent only).
+    """Single-writer bookkeeping for one finished replication (parent only).
 
     ``key`` is ``(algorithm, mpl, rep)``; the sweep containers and the
     checkpoint line both carry the replication index (omitted from the
@@ -817,15 +887,11 @@ def _record_point(sweep, key, result, status, ckpt):
         ckpt.record(algorithm, mpl, result, status, rep=rep)
 
 
-#: Execution backends run_sweep understands.
-BACKENDS = ("classic", "batched")
-
-
 def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
               progress=None, deadline=None, stall_timeout=None,
               retries=0, checkpoint=None, resume=False, workers=1,
               timeseries=None, trace=None, invariants=None, chaos=None,
-              backend="classic", replications=1):
+              replications=1):
     """Run every (algorithm, mpl) point of ``config``.
 
     ``mpls``/``algorithms`` restrict the sweep (benchmarks use a subset
@@ -844,29 +910,17 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
     byte-identical to the single result a non-replicated sweep
     produces and keeps its historical home in ``SweepResult.results``.
 
-    ``backend`` selects how those points are computed:
+    Every point is computed the same way: one trajectory of ``warmup +
+    R * batches`` batches, simulated once, with all ``R`` replication
+    results carved from it (:mod:`repro.fastlane`); ``R = 1`` is the
+    ordinary single-measurement sweep. Points sharing a workload
+    signature also share one precomputed transaction tape per process
+    (see :class:`repro.fastlane.TapeStore`).
 
-    * ``"classic"`` (default) — every (algorithm, mpl, replication) is
-      an independent ``run_simulation`` call (sequential or fanned out
-      over ``workers``). Replication ``r`` re-simulates its trajectory
-      prefix as warmup, so the cost of ``R`` replications grows
-      quadratically with ``R``.
-    * ``"batched"`` — the :mod:`repro.fastlane` backend: one process
-      simulates each point's trajectory **once** (``warmup +
-      R * batches`` batches) and carves all replication results from
-      it, bit-identical per replication to the classic lane; grid
-      points sharing a workload signature additionally share one
-      precomputed transaction tape (see
-      :class:`repro.fastlane.TapeStore`). Requires ``workers=1`` and
-      no per-point ``timeseries``/``trace`` observability (fused
-      trajectories would misattribute their events); accepts
-      ``invariants="spot"``, which audits the first point of each
-      algorithm strictly and leaves the rest unchecked.
+    ``workers`` selects where the points run:
 
-    ``workers`` selects the execution mode of the classic backend:
-
-    * ``1`` (default) — the classic in-process sequential loop.
-    * ``N > 1`` — the grid fans out over ``N`` worker processes; the
+    * ``1`` (default) — in-process, one point after another.
+    * ``N > 1`` — whole points fan out over ``N`` worker processes; the
       parent remains the single checkpoint writer and progress
       reporter.  Results are **identical** to the sequential run for
       the same seeds (per-point seeds derive from ``run.seed`` and the
@@ -887,9 +941,10 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
     * ``stall_timeout`` — *simulated* seconds without a single commit
       before the attempt fails with :class:`SimulationStalledError`.
     * ``retries`` — extra attempts per point after a supervised
-      failure, each reseeded per :func:`point_seed`. A point that
-      exhausts its attempts is recorded as ``failed`` in
-      ``SweepResult.statuses`` and the sweep continues.
+      failure, each reseeding the whole point (every replication with
+      it) per :func:`point_seed`. A point that exhausts its attempts
+      is recorded as ``failed`` in ``SweepResult.statuses`` and the
+      sweep continues.
     * ``checkpoint`` — path of a JSONL checkpoint file; every completed
       point (failed ones included) is flushed to it immediately. With
       ``resume=True`` an existing checkpoint's points are loaded and
@@ -904,9 +959,12 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
       the sampled trajectories in ``result.diagnostics`` (persisted by
       checkpoints/save_sweep; export with
       :func:`~repro.experiments.export.write_timeseries_csv`).
+      Replication ``r`` carries the rows sampled up to its end.
     * ``trace`` — a :class:`PointTrace` (or a directory path, which
       becomes ``PointTrace(directory)``); each point streams its
       instrumentation-bus events to one JSONL file in that directory.
+      Replication ``r`` records the number of events written up to its
+      end, so its trace is that prefix of the file.
 
     Robustness controls:
 
@@ -914,7 +972,9 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
       point attaches an :class:`~repro.obs.InvariantChecker` auditing
       the engine's event stream (None defers to ``REPRO_INVARIANTS``,
       then off). Strict violations raise — they are AssertionErrors,
-      exempt from retry/degradation by design.
+      exempt from retry/degradation by design. ``"spot"`` audits the
+      first point of each algorithm strictly and leaves the rest
+      unchecked.
     * ``chaos`` — a :class:`~repro.chaos.ChaosSpec` of harness-level
       faults (SIGKILL / hang a process at a named grid point, one-shot
       each), consulted at the top of every attempt. Test machinery:
@@ -940,32 +1000,9 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
     run = run or DEFAULT_RUN
     if seed is not None:
         run = run.with_changes(seed=seed)
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
     if replications < 1:
         raise ValueError(
             f"replications must be >= 1, got {replications}"
-        )
-    if backend == "batched":
-        if workers > 1:
-            raise ValueError(
-                "the batched backend is single-process (grid points "
-                "share in-process tapes); use workers=1 or "
-                "backend='classic'"
-            )
-        if timeseries is not None or trace is not None:
-            raise ValueError(
-                "per-point timeseries/trace observability requires "
-                "backend='classic': the batched backend fuses each "
-                "point's replications into one trajectory, which "
-                "would misattribute their events"
-            )
-    elif invariants == "spot":
-        raise ValueError(
-            "invariants='spot' is a batched-backend mode; use "
-            "'strict'/'warn'/'off' with the classic backend"
         )
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
@@ -1001,8 +1038,7 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
         from repro.experiments.persistence import SweepCheckpoint
 
         ckpt = SweepCheckpoint(
-            checkpoint, config, run,
-            backend=backend, replications=replications,
+            checkpoint, config, run, replications=replications
         )
         if resume and ckpt.exists():
             restored = ckpt.load_into(sweep)
@@ -1014,47 +1050,26 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
         else:
             ckpt.start_fresh()
 
-    pending = [
-        (algorithm, mpl, rep)
-        for algorithm in algorithms
-        for mpl in mpls
-        for rep in range(replications)
-        if (algorithm, mpl, rep) not in sweep.replicate_statuses  # restored
-    ]
+    plan = _PointPlan(
+        config=config, run=run, deadline=deadline,
+        stall_timeout=stall_timeout, retries=retries,
+        timeseries=timeseries, trace=trace, chaos=chaos,
+    )
+    points = _pending_points(
+        sweep, algorithms, mpls, replications, invariants
+    )
     started = time.perf_counter()
-    if backend == "batched":
-        # Imported lazily: the fast lane is an optional second backend
-        # layered on this module's containers and helpers.
-        from repro.fastlane import run_batched_points
-
-        run_batched_points(
-            sweep, pending, config, run, deadline, stall_timeout,
-            retries, progress, ckpt, chaos=chaos, invariants=invariants,
-        )
-        sweep.wall_seconds = time.perf_counter() - started
-        return sweep
-    if workers > 1 and len(pending) > 1:
+    if workers > 1 and len(points) > 1:
         # Whatever the supervisor could not finish in parallel (pool
         # crashing repeatedly) falls through to the sequential loop —
         # one code path for normal runs and degraded ones.
-        pending = _supervise_parallel(
-            sweep, pending, config, run, deadline, stall_timeout,
-            retries, workers, progress, ckpt, timeseries, trace,
-            chaos=chaos, invariants=invariants,
+        points = _supervise_parallel(
+            sweep, points, plan, workers, progress, ckpt
         )
-    for algorithm, mpl, rep in pending:
-        result, status = _execute_point(
-            config, algorithm, mpl, run, deadline, stall_timeout,
-            retries, progress=progress,
-            timeseries=timeseries, trace=trace,
-            chaos=chaos, invariants=invariants, rep=rep,
-        )
-        if result is not None and progress is not None:
-            tag = f" rep={rep}" if rep else ""
-            progress(
-                f"  {config.experiment_id}: {result.describe()}{tag}"
-            )
-        _record_point(sweep, (algorithm, mpl, rep), result, status, ckpt)
+    store = TapeStore()
+    for point in points:
+        outcomes = _run_point(plan, point, store, progress)
+        _finish_point(sweep, config, point, outcomes, ckpt, progress)
     sweep.wall_seconds = time.perf_counter() - started
     return sweep
 

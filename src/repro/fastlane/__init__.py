@@ -1,16 +1,13 @@
-"""The batched-replication fast lane (``run_sweep(backend="batched")``).
+"""The fused point executor every sweep runs on.
 
-A second execution backend for sweeps that is bit-identical per
-replication to the classic lane but simulates each grid point's
-trajectory once instead of once per replication, and shares
-precomputed workload tapes across points.  See
-:mod:`repro.fastlane.backend` for the execution model and its parity
-argument, :mod:`repro.fastlane.tapes` for tape sharing, and
-:mod:`repro.fastlane.kernel` for the direct event-heap drain.
+:mod:`repro.fastlane.backend` simulates each grid point's trajectory
+once and carves all of its replications from it, bit-identical per
+replication to stand-alone ``run_simulation`` calls;
+:mod:`repro.fastlane.tapes` shares precomputed workload tapes across
+the points of a sweep.
 """
 
-from repro.fastlane.backend import run_batched_points, run_point_replications
-from repro.fastlane.kernel import drain_until, peek_time
+from repro.fastlane.backend import run_point_replications
 from repro.fastlane.tapes import (
     TapeStore,
     TapeWorkload,
@@ -22,9 +19,6 @@ __all__ = [
     "TapeStore",
     "TapeWorkload",
     "WorkloadTape",
-    "drain_until",
-    "peek_time",
-    "run_batched_points",
     "run_point_replications",
     "workload_signature",
 ]

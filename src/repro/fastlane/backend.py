@@ -1,47 +1,35 @@
-"""The batched-replication execution backend (``backend="batched"``).
+"""The fused point executor: one trajectory per grid point.
 
-The classic lane treats every (algorithm, mpl, replication) as an
-independent ``run_simulation`` call.  Because a replication is defined
-as a *segment* of one deterministic trajectory (replication ``r`` runs
-with ``warmup_batches = w + r*B``), the classic lane re-simulates the
-whole prefix of the trajectory for every replication: ``R``
-replications cost ``R*w + B*R*(R+1)/2`` batch-units.  This backend
-simulates each point's trajectory **once** (``w + R*B`` batch-units)
-and carves all ``R`` replication results from it:
+A replication is defined as a *segment* of one deterministic
+trajectory (replication ``r`` runs with ``warmup_batches = w + r*B``),
+so running every replication as its own ``run_simulation`` call would
+re-simulate the whole trajectory prefix each time: ``R`` replications
+would cost ``R*w + B*R*(R+1)/2`` batch-units.  This module simulates
+each point's trajectory **once** (``w + R*B`` batch-units) and carves
+all ``R`` replication results from it:
 
 * one :class:`~repro.core.engine.SystemModel` advances through every
   batch boundary;
 * ``R`` :class:`~repro.stats.BatchMeansAnalyzer` instances — one per
   replication, with the replication's warmup — record the *same*
   per-batch values, so analyzer ``r`` retains exactly the batches the
-  classic lane's replication ``r`` would retain;
+  stand-alone run of replication ``r`` would retain;
 * cumulative totals and diagnostics are snapshotted at each
-  replication's end boundary, where they equal the classic lane's
+  replication's end boundary, where they equal the stand-alone run's
   end-of-run collection (every totals source is cumulative and
   non-mutating by construction).
 
-Bit-identity per replication follows from determinism: both lanes run
-the same model, same seed, same event order, and read it at the same
-boundaries.  The parity suite (``tests/fastlane/``) pins this against
-the golden sha256 fingerprints on all three paper algorithms, finite
-and infinite resources.
+Bit-identity per replication follows from determinism: both ways of
+computing a replication run the same model, same seed, same event
+order, and read it at the same boundaries.  The parity suite
+(``tests/fastlane/``) pins this against the golden sha256 fingerprints
+on all three paper algorithms, finite and infinite resources.
 
-On top of the fused trajectory, grid points whose workload signatures
-coincide share one precomputed transaction tape
-(:class:`~repro.fastlane.tapes.TapeStore`), so the sweep draws each
-transaction sequence once instead of once per point.
-
-Retry semantics differ deliberately from the classic lane: a
-supervised failure retries the *whole fused point* under a reseeded
-trajectory (``point_seed(seed, algorithm, mpl, attempt)``), re-deriving
-every replication from it, while the classic lane reseeds single
-replications.  Checkpoints therefore bind the backend in their header
-and refuse to resume across lanes.
+The sweep runner (:func:`repro.experiments.run_sweep`) calls
+:func:`run_point_replications` once per attempt of every grid point,
+with ``replications=1`` for an ordinary sweep.
 """
 
-import time
-
-from repro.core import RestartLivelockError
 from repro.core.engine import SystemModel
 from repro.core.simulation import (
     SimulationResult,
@@ -50,41 +38,33 @@ from repro.core.simulation import (
     _merge_invariant_diagnostics,
     _resolve_checker,
 )
-from repro.experiments.errors import PointExecutionError
-from repro.experiments.runner import (
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_RETRIED,
-    PointStatus,
-    _PointWatchdog,
-    _record_point,
-    _rep_run,
-    _sleep,
-    point_seed,
-    retry_backoff,
-)
-from repro.fastlane.kernel import drain_until
-from repro.fastlane.tapes import TapeStore
 from repro.stats import BatchMeansAnalyzer
-from repro.workloads import create_workload_model
 
-__all__ = ["run_batched_points", "run_point_replications"]
+__all__ = ["run_point_replications"]
 
 
 def run_point_replications(params, algorithm, run, replications,
                            workload=None, batch_callback=None,
-                           invariants=None):
+                           invariants=None, subscribers=(),
+                           boundary_diagnostics=None):
     """One fused trajectory; all ``replications`` results carved from it.
 
     Returns a list of ``replications`` :class:`SimulationResult`\\ s;
-    element ``r`` is bit-identical to
-    ``run_simulation(params, algorithm, run=_rep_run(run, r))``.
-    ``batch_callback`` fires after every batch boundary of the fused
-    trajectory (the sweep watchdog rides there, exactly as in the
-    classic driver); ``workload`` is forwarded to the model (the
-    batched sweep passes a tape-backed source).
+    element ``r`` is bit-identical to ``run_simulation(params,
+    algorithm, run=run.with_changes(warmup_batches=run.warmup_batches
+    + r * run.batches))``.  ``batch_callback`` fires after every batch
+    boundary of the fused trajectory (the sweep watchdog rides there,
+    exactly as in ``run_simulation``); ``workload`` is forwarded to the
+    model (the sweep runner passes a tape-backed source).
+
+    ``subscribers`` observe the whole trajectory.  ``boundary_diagnostics``
+    (a zero-argument callable returning a dict or None) is read at each
+    replication's end boundary and merged into that replication's
+    diagnostics — the sweep runner reports its time series and trace
+    file there, so replication ``r`` sees exactly what a stand-alone run
+    of it would have observed.
     """
-    checker, subscribers = _resolve_checker(invariants, ())
+    checker, subscribers = _resolve_checker(invariants, subscribers)
     model = SystemModel(
         params,
         algorithm=algorithm,
@@ -106,30 +86,34 @@ def run_point_replications(params, algorithm, run, replications,
     batch_time = run.batch_time
     total_batches = warmup + replications * batches
     # Replication r's run ends at batch w + (r+1)*B: its analyzer must
-    # not see later batches (the classic run has stopped by then), so
-    # analyzers retire in order as their end boundaries pass.
+    # not see later batches (the stand-alone run has stopped by then),
+    # so analyzers retire in order as their end boundaries pass.
     first_active = 0
     for batch_index in range(total_batches):
         snapshot = metrics.snapshot()
-        drain_until(env, (batch_index + 1) * batch_time)
+        env.run(until=(batch_index + 1) * batch_time)
         values = metrics.batch_values(snapshot)
         for analyzer in analyzers[first_active:]:
             analyzer.record(values)
         if batch_callback is not None:
             batch_callback(model)
         # At a replication's end boundary the cumulative totals (and
-        # the checker/buffer reports) equal what the classic lane
-        # collects at that replication's end of run.
+        # the checker/buffer reports) equal what a stand-alone run of
+        # that replication collects at its end of run.
         boundary = batch_index + 1 - warmup
         if boundary > 0 and boundary % batches == 0:
             rep = boundary // batches - 1
             if rep < replications:
-                carved[rep] = (
-                    _collect_totals(model),
-                    _merge_invariant_diagnostics(
-                        _buffer_diagnostics(model), checker
-                    ),
+                diagnostics = _merge_invariant_diagnostics(
+                    _buffer_diagnostics(model), checker
                 )
+                extra = (
+                    boundary_diagnostics()
+                    if boundary_diagnostics is not None else None
+                )
+                if extra:
+                    diagnostics = {**(diagnostics or {}), **extra}
+                carved[rep] = (_collect_totals(model), diagnostics)
                 first_active = rep + 1
     results = []
     for rep in range(replications):
@@ -137,139 +121,11 @@ def run_point_replications(params, algorithm, run, replications,
         results.append(SimulationResult(
             algorithm=model.cc.name,
             params=params,
-            run=_rep_run(run, rep),
+            run=run if rep == 0 else run.with_changes(
+                warmup_batches=warmup + rep * batches
+            ),
             analyzer=analyzers[rep],
             totals=totals,
             diagnostics=diagnostics,
         ))
     return results
-
-
-def _spot_modes(pending, invariants):
-    """Per-(algorithm, mpl) invariant modes for ``invariants="spot"``.
-
-    Spot-checking audits the first grid point of each algorithm
-    strictly and runs the rest unchecked: the checker's invariants are
-    structural (conservation, pairing, exclusivity), so one strictly
-    audited trajectory per algorithm catches a broken engine while the
-    bulk of the sweep keeps the observer-free fast path.  For any
-    other mode the mapping is constant.
-    """
-    if invariants != "spot":
-        return {}, invariants
-    modes = {}
-    seen = set()
-    for algorithm, mpl, _ in pending:
-        pair = (algorithm, mpl)
-        if pair in modes:
-            continue
-        modes[pair] = "off" if algorithm in seen else "strict"
-        seen.add(algorithm)
-    return modes, None
-
-
-def run_batched_points(sweep, pending, config, run, deadline,
-                       stall_timeout, retries, progress, ckpt,
-                       chaos=None, invariants=None, sleep=None):
-    """Execute the pending (algorithm, mpl, rep) grid in one process.
-
-    The sweep-side contract matches the classic sequential loop: every
-    pending key is recorded exactly once (result + status, flushed to
-    the checkpoint as each fused point finishes), supervised failures
-    degrade to failed statuses after ``retries`` reseeded attempts,
-    and strict invariant violations propagate unretried.
-    """
-    supervised = deadline is not None or stall_timeout is not None
-    store = TapeStore()
-    spot_modes, invariants = _spot_modes(pending, invariants)
-    # Group the pending reps under their fused point, preserving grid
-    # order (all reps of a point share one trajectory).
-    groups = {}
-    for algorithm, mpl, rep in pending:
-        groups.setdefault((algorithm, mpl), []).append(rep)
-    for (algorithm, mpl), reps in groups.items():
-        params = config.params_for(mpl)
-        point_invariants = spot_modes.get((algorithm, mpl), invariants)
-        # Non-tapeable workload models (trace playback) build their own
-        # content source inside the model; everything else replays a
-        # shared tape.
-        tapeable = create_workload_model(params).tapeable
-        # A partially resumed point still needs the whole trajectory
-        # prefix up to its last missing replication.
-        replications = max(reps) + 1
-        point_started = time.perf_counter()
-        results = None
-        failure = None
-        attempts = 0
-        for attempt in range(retries + 1):
-            attempts += 1
-            if attempt > 0:
-                delay = retry_backoff(run.seed, algorithm, mpl, attempt)
-                if delay > 0.0:
-                    (sleep if sleep is not None else _sleep)(delay)
-            if chaos is not None:
-                chaos.on_point_start(algorithm, mpl)
-            attempt_run = run if attempt == 0 else run.with_changes(
-                seed=point_seed(run.seed, algorithm, mpl, attempt)
-            )
-            watchdog = (
-                _PointWatchdog(deadline, stall_timeout)
-                if supervised else None
-            )
-            try:
-                results = run_point_replications(
-                    params, algorithm, attempt_run, replications,
-                    workload=(
-                        store.workload(params, attempt_run.seed)
-                        if tapeable else None
-                    ),
-                    batch_callback=watchdog,
-                    invariants=point_invariants,
-                )
-                break
-            except (PointExecutionError, RestartLivelockError) as error:
-                failure = error
-                if progress is not None:
-                    outcome = (
-                        "retrying" if attempt < retries else "giving up"
-                    )
-                    progress(
-                        f"  {config.experiment_id}: {algorithm} "
-                        f"mpl={mpl} (batched, {replications} rep(s)) "
-                        f"attempt {attempts} failed ({error}); {outcome}"
-                    )
-        wall = time.perf_counter() - point_started
-        error_text = (
-            f"{type(failure).__name__}: {failure}"
-            if failure is not None else None
-        )
-        status_kind = (
-            STATUS_FAILED if results is None
-            else STATUS_OK if attempts == 1
-            else STATUS_RETRIED
-        )
-        for rep in reps:
-            # Every rep of a fused point shares its attempt history;
-            # the wall clock is split evenly so per-point aggregates
-            # still sum to the real elapsed time.
-            status = PointStatus(
-                status=status_kind,
-                attempts=attempts,
-                error=error_text,
-                wall_seconds=wall / len(reps),
-            )
-            result = results[rep] if results is not None else None
-            _record_point(sweep, (algorithm, mpl, rep), result, status,
-                          ckpt)
-        if progress is not None:
-            if results is not None:
-                progress(
-                    f"  {config.experiment_id}: "
-                    f"{results[reps[0]].describe()} "
-                    f"[batched x{len(reps)} rep(s)]"
-                )
-            else:
-                progress(
-                    f"  {config.experiment_id}: {algorithm} mpl={mpl} "
-                    f"failed after {attempts} attempt(s) ({error_text})"
-                )

@@ -5,9 +5,9 @@ A transaction's read set, write set and class are a pure function of
 streams are derived by name from the root seed and consumed only by
 :class:`~repro.core.workload.WorkloadGenerator`, so the *k*-th
 transaction generated at ``mpl=5`` is identical to the *k*-th generated
-at ``mpl=200``, under any algorithm, on any resource tier.  The classic
-lane nevertheless re-draws that sequence from scratch for every grid
-point.  A :class:`WorkloadTape` draws it once — with the real
+at ``mpl=200``, under any algorithm, on any resource tier.  A
+model-owned generator would nevertheless re-draw that sequence from
+scratch for every grid point.  A :class:`WorkloadTape` draws it once — with the real
 ``WorkloadGenerator``, so draw-identity holds by construction, not by a
 re-implementation that could drift — and stores the immutable spec
 tuples; a :class:`TapeWorkload` replays them as fresh
@@ -103,7 +103,7 @@ class WorkloadTape:
         if not workload_model.tapeable:
             raise ValueError(
                 f"workload model {workload_model.name!r} is not "
-                f"tapeable; the batched backend must build a per-model "
+                f"tapeable; the sweep runner must build a per-model "
                 f"source instead"
             )
         self._generator = workload_model.build_generator(
@@ -168,7 +168,7 @@ class TapeWorkload:
 class TapeStore:
     """Workload tapes keyed by signature, shared across a sweep.
 
-    The batched backend asks the store for a workload per (params,
+    The sweep runner asks the store for a workload per (params,
     seed); points whose signatures coincide — every mpl of one
     experiment, typically — replay one tape instead of re-drawing
     ``points × transactions`` specs.  ``hits``/``misses`` make the

@@ -32,8 +32,9 @@ from repro.resources.registry import (
 )
 from repro.resources.skewed import SkewedDisksResourceModel
 
-#: Historical name for the classic tier, kept importable because the
-#: original ``repro.core.physical`` module spelled it this way.
+#: Historical name for the classic tier: the class name of the removed
+#: ``repro.core.physical`` module, still exported here and by
+#: :mod:`repro.core`.
 PhysicalModel = ClassicResourceModel
 
 __all__ = [

@@ -51,7 +51,7 @@ the original hard-coded physical tier. ``obj=None`` (direct driving in
 tests) falls back to object-blind behavior everywhere.
 
 The default implementations in :class:`ResourceModel` are the paper's
-Figure 2 model exactly as previously hard-coded in
+Figure 2 model exactly as once hard-coded in the since-removed
 ``repro.core.physical``: a pool of identical CPU servers draining one
 global queue FCFS (concurrency-control requests have priority), the
 database uniformly partitioned across the disks, and

@@ -5,8 +5,9 @@ A pool of identical CPU servers drains one global queue FCFS
 uniformly partitioned across the disks: each object access selects a
 disk uniformly at random and waits in that disk's FCFS queue.
 
-This is the original hard-coded ``repro.core.physical.PhysicalModel``
-behind the resource-model interface, bit-identical for fixed seeds
+This is the physical tier once hard-coded as
+``repro.core.physical.PhysicalModel`` (a module since removed), now
+behind the resource-model interface and bit-identical for fixed seeds
 (golden-output verified in ``tests/resources/test_golden_parity.py``).
 It keeps the in-band infinite-resources convention for backward
 compatibility: ``num_cpus``/``num_disks`` of None makes the

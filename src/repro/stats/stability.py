@@ -9,9 +9,9 @@ its steady-state metrics do not exist, and reports should say so
 instead of printing a throughput number that is really just the
 service capacity.
 
-The detector is pure arithmetic over cumulative state, so both
-execution lanes (classic and batched) can evaluate it at any batch
-boundary with no extra instrumentation.
+The detector is pure arithmetic over cumulative state, so a
+stand-alone run and the sweep's fused point executor can evaluate it
+at any batch boundary with no extra instrumentation.
 """
 
 from dataclasses import dataclass

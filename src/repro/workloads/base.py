@@ -47,7 +47,7 @@ class WorkloadModel:
     #: False when the transaction *content* sequence is not a pure
     #: function of (params, seed) drawn by a WorkloadGenerator — e.g.
     #: trace playback. Non-tapeable models opt out of the fastlane's
-    #: shared workload tapes; the batched backend then lets each model
+    #: shared workload tapes; the sweep runner then lets each model
     #: build its own source.
     tapeable = True
 

@@ -159,6 +159,30 @@ class TestRunModes:
         env.run(until=6.0)
         assert fired == [1]
 
+    def test_run_until_reentry_matches_a_single_run(self):
+        # Re-entering run(until=t) at many boundaries (the sweep's
+        # fused executor does so once per batch) processes the same
+        # events in the same order as one run to the last boundary.
+        def ticker(env, log, label, period):
+            for _ in range(20):
+                yield env.timeout(period)
+                log.append((label, env.now))
+
+        def build():
+            env = Environment()
+            log = []
+            env.process(ticker(env, log, "fast", 0.7))
+            env.process(ticker(env, log, "slow", 1.1))
+            return env, log
+
+        single, single_log = build()
+        single.run(until=13.0)
+        stepped, stepped_log = build()
+        for boundary in (2.0, 2.0, 2.1, 5.5, 13.0):
+            stepped.run(until=boundary)
+            assert stepped.now == boundary
+        assert stepped_log == single_log
+
     def test_peek(self):
         env = Environment()
         assert env.peek() == float("inf")

@@ -318,23 +318,12 @@ class TestFigureObservability:
 
 
 class TestBackendFlags:
-    """--backend / --replications / --invariants spot wiring."""
+    """--replications / --invariants spot wiring (one sweep lane)."""
 
     def test_defaults(self):
         args = build_parser().parse_args(["--all"])
-        assert args.backend == "classic"
         assert args.replications == 1
-
-    def test_batched_backend_accepted(self):
-        args = build_parser().parse_args(
-            ["--all", "--backend", "batched", "--replications", "4"]
-        )
-        assert args.backend == "batched"
-        assert args.replications == 4
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--all", "--backend", "turbo"])
+        assert not hasattr(args, "backend")
 
     def test_replications_must_be_positive(self):
         with pytest.raises(SystemExit):
@@ -344,36 +333,26 @@ class TestBackendFlags:
         with pytest.raises(SystemExit):
             main(["--all", "--retries", "-1"])
 
-    def test_batched_refuses_workers(self):
+    def test_single_refuses_spot_invariants(self):
         with pytest.raises(SystemExit):
-            main(["--all", "--backend", "batched", "--workers", "2"])
+            main(["--single", "blocking", "--invariants", "spot"])
 
-    def test_batched_refuses_trace_and_timeseries(self):
-        with pytest.raises(SystemExit):
-            main(["--all", "--backend", "batched", "--trace"])
-        with pytest.raises(SystemExit):
-            main(["--all", "--backend", "batched", "--timeseries", "1"])
-
-    def test_batched_refuses_single(self):
-        with pytest.raises(SystemExit):
-            main(["--single", "blocking", "--backend", "batched"])
-
-    def test_spot_invariants_require_batched(self):
-        with pytest.raises(SystemExit):
-            main(["--all", "--invariants", "spot"])
-
-    def test_batched_replicated_sweep_runs(self, capsys):
+    def test_batched_replicated_sweep_runs(self, capsys, tmp_path):
+        # Replications, worker fan-out, spot invariants and per-point
+        # traces all combine on the one lane.
         code = main([
             "--figure", "8",
             "--batches", "1", "--batch-time", "3", "--warmup-batches", "0",
-            "--mpl", "5",
+            "--mpl", "5", "--mpl", "10",
             "--algorithm", "blocking",
-            "--backend", "batched", "--replications", "2",
+            "--replications", "2", "--workers", "2",
             "--invariants", "spot",
+            "--trace", "--trace-out", str(tmp_path),
             "--no-plots",
         ])
         assert code == 0
         assert "Figure 8" in capsys.readouterr().out
+        assert len(list(tmp_path.glob("*.jsonl"))) == 2
 
 
 class TestSurrogateCommands:

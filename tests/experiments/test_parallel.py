@@ -24,6 +24,7 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.experiments import runner as runner_module
+from repro.experiments.errors import SimulationStalledError
 from repro.experiments.persistence import decode_checkpoint_line
 
 TINY_RUN = RunConfig(batches=2, batch_time=5.0, warmup_batches=0, seed=11)
@@ -308,7 +309,7 @@ class TestHardBackstop:
 
 
 class TestSeedValidationAndReplicationKeys:
-    """Attempt validation and the replication axis of the seed scheme."""
+    """Attempt validation; replications have no seed axis."""
 
     def test_negative_attempt_rejected(self):
         from repro.experiments import retry_backoff
@@ -318,27 +319,34 @@ class TestSeedValidationAndReplicationKeys:
         with pytest.raises(ValueError, match="attempt"):
             retry_backoff(11, "blocking", 2, -1)
 
-    def test_attempt_zero_ignores_the_replication(self):
-        # Common random numbers hold across replications too: attempt 0
-        # of every replication extends the one sweep-seeded trajectory.
-        for rep in (0, 1, 7):
-            assert point_seed(11, "blocking", 2, 0, rep=rep) == 11
+    def test_retry_reseeds_point(self, monkeypatch):
+        # Replications have no seeds of their own: a retry reseeds the
+        # point's one trajectory and re-carves every replication.
+        fastlane = runner_module.fastlane
+        original = fastlane.run_point_replications
+        seeds = []
 
-    def test_replication_zero_keeps_the_historical_seeds(self):
-        # rep=0 must hash exactly as the pre-replication scheme did, so
-        # old checkpoints' retry seeds stay reproducible.
-        assert point_seed(11, "blocking", 2, 1, rep=0) == point_seed(
-            11, "blocking", 2, 1
+        def flaky(params, algorithm, run, replications, **kwargs):
+            seeds.append(run.seed)
+            if len(seeds) == 1:
+                raise SimulationStalledError(1.0, 1.0, 0)
+            return original(params, algorithm, run, replications,
+                            **kwargs)
+
+        monkeypatch.setattr(fastlane, "run_point_replications", flaky)
+        monkeypatch.setattr(runner_module, "_sleep", lambda seconds: None)
+        sweep = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2],
+                          algorithms=["blocking"], retries=1,
+                          stall_timeout=60.0, replications=3)
+        retry_seed = point_seed(TINY_RUN.seed, "blocking", 2, 1)
+        assert seeds == [TINY_RUN.seed, retry_seed]
+        reference = original(
+            tiny_config().params_for(2), "blocking",
+            TINY_RUN.with_changes(seed=retry_seed), 3,
         )
-
-    def test_retry_seeds_differ_per_replication(self):
-        seeds = {
-            point_seed(11, "blocking", 2, 1, rep=rep) for rep in range(6)
-        }
-        assert len(seeds) == 6
-
-    def test_backoff_is_zero_on_the_first_attempt_of_any_rep(self):
-        from repro.experiments import retry_backoff
-
-        assert retry_backoff(11, "blocking", 2, 0, rep=3) == 0.0
-        assert retry_backoff(11, "blocking", 2, 1, rep=3) > 0.0
+        for rep in range(3):
+            status = sweep.replicate_statuses[("blocking", 2, rep)]
+            assert status.attempts == 2
+            assert sweep.replicate("blocking", 2, rep).totals == (
+                reference[rep].totals
+            )

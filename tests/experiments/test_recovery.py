@@ -41,6 +41,7 @@ from repro.experiments.persistence import (
     decode_checkpoint_line,
     encode_checkpoint_line,
 )
+from repro.fastlane import TapeStore
 from repro.obs import InvariantViolation, InvariantViolationError
 
 TINY_RUN = RunConfig(batches=2, batch_time=5.0, warmup_batches=0, seed=11)
@@ -362,17 +363,18 @@ class TestRetryBackoff:
             self, monkeypatch):
         sleeps = []
         monkeypatch.setattr(runner_module, "_sleep", sleeps.append)
-        original = runner_module.run_simulation
+        fastlane = runner_module.fastlane
+        original = fastlane.run_point_replications
         failures = [0]
 
-        def flaky(params, algorithm="blocking", run=None, **kwargs):
+        def flaky(params, algorithm, run, replications, **kwargs):
             if failures[0] == 0:
                 failures[0] += 1
                 raise SimulationStalledError(1.0, 1.0, 0)
-            return original(params, algorithm=algorithm, run=run,
+            return original(params, algorithm, run, replications,
                             **kwargs)
 
-        monkeypatch.setattr(runner_module, "run_simulation", flaky)
+        monkeypatch.setattr(fastlane, "run_point_replications", flaky)
         sweep = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2],
                           algorithms=["blocking"], retries=2,
                           stall_timeout=60.0)
@@ -429,18 +431,16 @@ class TestPoolCrashSupervision:
     def test_progress_resets_the_crash_streak(self, monkeypatch):
         calls = []
 
-        def progressing(sweep, pending, *args, **kwargs):
-            calls.append(list(pending))
+        def progressing(sweep, points, plan, *args, **kwargs):
+            calls.append(list(points))
             # Record one point per drain, "crash" on the rest.
-            algorithm, mpl, rep = pending[0]
-            result, status = runner_module._execute_point(
-                kwargs.get("config") or args[0], algorithm, mpl,
-                TINY_RUN, None, None, 0, rep=rep,
+            outcomes = runner_module._run_point(
+                plan, points[0], TapeStore()
             )
-            runner_module._record_point(
-                sweep, (algorithm, mpl, rep), result, status, None
+            runner_module._finish_point(
+                sweep, plan.config, points[0], outcomes, None, None
             )
-            return list(pending[1:])
+            return list(points[1:])
 
         monkeypatch.setattr(
             runner_module, "_run_parallel", progressing

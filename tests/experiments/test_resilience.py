@@ -181,20 +181,21 @@ class TestStalledSweep:
         # by failing once via a one-shot flaky watchdog seam: retries
         # reseed the run, so the seed differs between attempts.
         seeds = []
-        original = runner_module.run_simulation
+        fastlane = runner_module.fastlane
+        original = fastlane.run_point_replications
 
-        def spying(params, algorithm="blocking", run=None, **kwargs):
+        def spying(params, algorithm, run, replications, **kwargs):
             seeds.append(run.seed)
             if len(seeds) == 1:
                 raise SimulationStalledError(1.0, 1.0, 0)
-            return original(params, algorithm=algorithm, run=run, **kwargs)
+            return original(params, algorithm, run, replications, **kwargs)
 
-        runner_module.run_simulation = spying
+        fastlane.run_point_replications = spying
         try:
             sweep = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2],
                               retries=2, stall_timeout=60.0)
         finally:
-            runner_module.run_simulation = original
+            fastlane.run_point_replications = original
         status = sweep.status("blocking", 2)
         assert status.status == STATUS_RETRIED
         assert status.attempts == 2
@@ -229,18 +230,19 @@ class TestCheckpointResume:
         assert first.status("blocking", 2).status == STATUS_OK
 
         calls = []
-        original = runner_module.run_simulation
+        fastlane = runner_module.fastlane
+        original = fastlane.run_point_replications
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        runner_module.run_simulation = counting
+        fastlane.run_point_replications = counting
         try:
             resumed = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2, 5],
                                 checkpoint=path, resume=True)
         finally:
-            runner_module.run_simulation = original
+            fastlane.run_point_replications = original
         assert len(calls) == 1  # only the missing mpl=5 point ran
         assert set(resumed.results) == {("blocking", 2), ("blocking", 5)}
         assert resumed.status("blocking", 2).status == STATUS_OK
@@ -259,19 +261,20 @@ class TestCheckpointResume:
         assert first.status("test_stall_forever", 2).status == STATUS_FAILED
 
         calls = []
-        original = runner_module.run_simulation
+        fastlane = runner_module.fastlane
+        original = fastlane.run_point_replications
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        runner_module.run_simulation = counting
+        fastlane.run_point_replications = counting
         try:
             resumed = run_sweep(config, run=TINY_RUN, mpls=[2],
                                 stall_timeout=4.0, checkpoint=path,
                                 resume=True)
         finally:
-            runner_module.run_simulation = original
+            fastlane.run_point_replications = original
         assert calls == []  # the recorded failure is kept, not re-run
         assert resumed.status(
             "test_stall_forever", 2

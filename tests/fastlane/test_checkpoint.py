@@ -1,12 +1,13 @@
-"""Checkpoint <-> backend binding for the fast lane.
+"""Checkpoint headers and resume for the one sweep lane.
 
-The two lanes are result-identical but *retry*-identical they are not
-(a batched retry reseeds the whole fused point, a classic retry
-reseeds one replication), so a checkpoint written by one lane must
-never be silently continued by the other. Headers therefore record the
-backend and the replication count; any disagreement on resume is a
-:class:`CheckpointMismatchError`, and headers written before the fast
-lane existed resume as explicit classic/1 runs.
+Headers record the replication count, which defines the trajectory
+segmentation; any disagreement on resume is a
+:class:`CheckpointMismatchError`. Headers written while sweeps had two
+execution lanes also carry a ``backend`` field. The lanes were
+result-identical but not retry-identical (the ``classic`` lane
+reseeded retried replications one by one, the ``batched`` lane the
+whole point, as every sweep does now), so such a header resumes only
+where the two retry rules coincide: ``batched``, or one replication.
 """
 
 import pytest
@@ -26,29 +27,45 @@ def read_lines(path):
         return f.read().splitlines()
 
 
+def rewrite_header(path, changes):
+    """Edit the checkpoint's header in place (None deletes a key)."""
+    lines = read_lines(path)
+    header = decode_checkpoint_line(lines[0])
+    for key, value in changes.items():
+        if value is None:
+            header.pop(key, None)
+        else:
+            header[key] = value
+    with open(path, "w") as f:
+        f.write(encode_checkpoint_line(header))
+        f.write("\n".join(lines[1:]) + "\n")
+
+
+def resume_matches_fresh(path, replications):
+    resumed = run_sweep(
+        grid_config(), run=GRID_RUN, replications=replications,
+        checkpoint=path, resume=True,
+    )
+    fresh = run_sweep(
+        grid_config(), run=GRID_RUN, replications=replications
+    )
+    return sweep_fingerprints(resumed) == sweep_fingerprints(fresh)
+
+
 class TestHeaderBinding:
-    def test_header_records_backend_and_replications(self, tmp_path):
+    def test_header_records_replications_not_backend(self, tmp_path):
         path = tmp_path / "sweep.ckpt"
         run_sweep(
-            grid_config(), run=GRID_RUN, backend="batched",
-            replications=2, checkpoint=path,
+            grid_config(), run=GRID_RUN, replications=2, checkpoint=path,
         )
         header = decode_checkpoint_line(read_lines(path)[0])
-        assert header["backend"] == "batched"
         assert header["replications"] == 2
-
-    def test_classic_header_still_says_classic(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        run_sweep(grid_config(), run=GRID_RUN, checkpoint=path)
-        header = decode_checkpoint_line(read_lines(path)[0])
-        assert header["backend"] == "classic"
-        assert header["replications"] == 1
+        assert "backend" not in header
 
     def test_rep_key_only_on_nonzero_replications(self, tmp_path):
         path = tmp_path / "sweep.ckpt"
         run_sweep(
-            grid_config(), run=GRID_RUN, backend="batched",
-            replications=3, checkpoint=path,
+            grid_config(), run=GRID_RUN, replications=3, checkpoint=path,
         )
         points = [decode_checkpoint_line(raw) for raw in read_lines(path)[1:]]
         recorded = {
@@ -68,57 +85,50 @@ class TestHeaderBinding:
 
 
 class TestResumeMismatch:
-    def test_backend_mismatch_refused_both_ways(self, tmp_path):
-        classic_path = tmp_path / "classic.ckpt"
-        run_sweep(grid_config(), run=GRID_RUN, checkpoint=classic_path)
-        with pytest.raises(CheckpointMismatchError, match="--backend"):
-            run_sweep(
-                grid_config(), run=GRID_RUN, backend="batched",
-                checkpoint=classic_path, resume=True,
-            )
-        batched_path = tmp_path / "batched.ckpt"
-        run_sweep(
-            grid_config(), run=GRID_RUN, backend="batched",
-            checkpoint=batched_path,
-        )
-        with pytest.raises(CheckpointMismatchError, match="--backend"):
-            run_sweep(
-                grid_config(), run=GRID_RUN,
-                checkpoint=batched_path, resume=True,
-            )
-
     def test_replication_count_mismatch_refused(self, tmp_path):
         path = tmp_path / "sweep.ckpt"
         run_sweep(
-            grid_config(), run=GRID_RUN, backend="batched",
-            replications=2, checkpoint=path,
+            grid_config(), run=GRID_RUN, replications=2, checkpoint=path,
         )
         with pytest.raises(CheckpointMismatchError, match="replication"):
             run_sweep(
-                grid_config(), run=GRID_RUN, backend="batched",
-                replications=3, checkpoint=path, resume=True,
+                grid_config(), run=GRID_RUN, replications=3,
+                checkpoint=path, resume=True,
             )
 
     def test_legacy_header_defaults_to_classic(self, tmp_path):
-        # Headers written before the fast lane existed carry neither
-        # key: they must resume as classic/1 and refuse batched.
+        # Headers written before replications existed carry neither
+        # key: they were single-replication sweeps and resume as such.
         path = tmp_path / "sweep.ckpt"
         run_sweep(grid_config(), run=GRID_RUN, checkpoint=path)
-        lines = read_lines(path)
-        header = decode_checkpoint_line(lines[0])
-        del header["backend"]
-        del header["replications"]
-        with open(path, "w") as f:
-            f.write(encode_checkpoint_line(header))
-            f.write("\n".join(lines[1:]) + "\n")
-        resumed = run_sweep(
-            grid_config(), run=GRID_RUN, checkpoint=path, resume=True
+        rewrite_header(path, {"backend": None, "replications": None})
+        assert resume_matches_fresh(path, 1)
+
+
+class TestLegacyBackendField:
+    def test_batched_header_resumes(self, tmp_path):
+        path = tmp_path / "sweep.ckpt"
+        run_sweep(
+            grid_config(), run=GRID_RUN, replications=2, checkpoint=path,
         )
-        fresh = run_sweep(grid_config(), run=GRID_RUN)
-        assert sweep_fingerprints(resumed) == sweep_fingerprints(fresh)
-        with pytest.raises(CheckpointMismatchError, match="--backend"):
+        rewrite_header(path, {"backend": "batched"})
+        assert resume_matches_fresh(path, 2)
+
+    def test_single_replication_classic_header_resumes(self, tmp_path):
+        path = tmp_path / "sweep.ckpt"
+        run_sweep(grid_config(), run=GRID_RUN, checkpoint=path)
+        rewrite_header(path, {"backend": "classic"})
+        assert resume_matches_fresh(path, 1)
+
+    def test_replicated_classic_header_refused(self, tmp_path):
+        path = tmp_path / "sweep.ckpt"
+        run_sweep(
+            grid_config(), run=GRID_RUN, replications=2, checkpoint=path,
+        )
+        rewrite_header(path, {"backend": "classic"})
+        with pytest.raises(CheckpointMismatchError, match="'backend'"):
             run_sweep(
-                grid_config(), run=GRID_RUN, backend="batched",
+                grid_config(), run=GRID_RUN, replications=2,
                 checkpoint=path, resume=True,
             )
 
@@ -127,12 +137,11 @@ class TestBatchedResume:
     def test_completed_checkpoint_reloads_identically(self, tmp_path):
         path = tmp_path / "sweep.ckpt"
         fresh = run_sweep(
-            grid_config(), run=GRID_RUN, backend="batched",
-            replications=3, checkpoint=path,
+            grid_config(), run=GRID_RUN, replications=3, checkpoint=path,
         )
         resumed = run_sweep(
-            grid_config(), run=GRID_RUN, backend="batched",
-            replications=3, checkpoint=path, resume=True,
+            grid_config(), run=GRID_RUN, replications=3,
+            checkpoint=path, resume=True,
         )
         assert sweep_fingerprints(resumed) == sweep_fingerprints(fresh)
 
@@ -143,12 +152,11 @@ class TestBatchedResume:
         # fused trajectory re-runs from its own seed).
         path = tmp_path / "sweep.ckpt"
         fresh = run_sweep(
-            grid_config(), run=GRID_RUN, backend="batched",
-            replications=3, checkpoint=path,
+            grid_config(), run=GRID_RUN, replications=3, checkpoint=path,
         )
         truncate_tail(path, 200)
         resumed = run_sweep(
-            grid_config(), run=GRID_RUN, backend="batched",
-            replications=3, checkpoint=path, resume=True,
+            grid_config(), run=GRID_RUN, replications=3,
+            checkpoint=path, resume=True,
         )
         assert sweep_fingerprints(resumed) == sweep_fingerprints(fresh)

@@ -1,16 +1,17 @@
-"""Bit-parity of the batched fast lane against the classic lane.
+"""Bit-parity of the fused point executor against stand-alone runs.
 
-The fast lane's whole claim is "same numbers, less work": every
-replication carved from a fused trajectory must be bit-identical to
-the independent ``run_simulation`` call the classic lane would have
-made for it. These tests pin that claim three ways:
+Sweeps simulate each grid point's trajectory once and carve every
+replication from it. The claim is "same numbers, less work": every
+carved replication must be bit-identical to the independent
+``run_simulation`` call that defines it (``warmup_batches = w + r * B``).
+These tests pin that claim three ways:
 
 * against the checked-in golden sha256 digests (all three paper
   algorithms, finite and infinite resources) for a single replication;
-* per replication against the classic lane's definition
-  (``warmup_batches = w + r * B``) for multi-replication points;
-* at the ``run_sweep`` level against both the sequential and the
-  multiprocess classic drivers, replicate for replicate.
+* per replication against that definition for multi-replication
+  points;
+* at the ``run_sweep`` level, sequential and multiprocess, replicate
+  for replicate.
 """
 
 import pytest
@@ -80,92 +81,87 @@ class TestFusedTrajectoryParity:
             assert _fingerprint(result) == GOLDEN[(algorithm, "finite")]
 
 
+def reference_fingerprints(config, run, replications):
+    """{(algorithm, mpl, rep): fingerprint} of stand-alone runs."""
+    return {
+        (algorithm, mpl, rep): result_fingerprint(
+            classic_replication(
+                config.params_for(mpl), algorithm, run, rep
+            )
+        )
+        for algorithm in config.algorithms
+        for mpl in config.mpls
+        for rep in range(replications)
+    }
+
+
 class TestSweepParity:
     def test_batched_matches_sequential_classic(self):
-        classic = run_sweep(grid_config(), run=GRID_RUN, replications=3)
-        batched = run_sweep(
-            grid_config(), run=GRID_RUN, replications=3, backend="batched"
-        )
-        assert sweep_fingerprints(batched) == sweep_fingerprints(classic)
+        config = grid_config()
+        sweep = run_sweep(config, run=GRID_RUN, replications=3)
+        reference = reference_fingerprints(config, GRID_RUN, 3)
+        assert sweep_fingerprints(sweep) == reference
         # Replication 0 keeps its historical home in ``results``.
-        for pair, result in classic.results.items():
-            assert result_fingerprint(batched.results[pair]) == (
-                result_fingerprint(result)
+        for (algorithm, mpl), result in sweep.results.items():
+            assert result_fingerprint(result) == (
+                reference[(algorithm, mpl, 0)]
             )
-        # Same statuses (all clean first-attempt successes)...
-        assert set(batched.replicate_statuses) == set(
-            classic.replicate_statuses
-        )
-        for status in batched.replicate_statuses.values():
+        # Every replication is a clean first-attempt success...
+        assert set(sweep.replicate_statuses) == set(reference)
+        for status in sweep.replicate_statuses.values():
             assert status.status == "ok"
             assert status.attempts == 1
-        # ...and identical cross-replication aggregates.
-        for algorithm, mpl in classic.results:
-            assert batched.cross_replication(
+        # ...and the cross-replication aggregate is over the references.
+        for algorithm, mpl in sweep.results:
+            means = [
+                classic_replication(
+                    config.params_for(mpl), algorithm, GRID_RUN, rep
+                ).mean("throughput")
+                for rep in range(3)
+            ]
+            n, mean, _ = sweep.cross_replication(
                 "throughput", algorithm, mpl
-            ) == classic.cross_replication("throughput", algorithm, mpl)
+            )
+            assert (n, mean) == (3, sum(means) / 3)
 
     def test_batched_matches_multiprocess_classic(self):
+        config = grid_config()
         fanned = run_sweep(
-            grid_config(), run=GRID_RUN, replications=2, workers=2
+            config, run=GRID_RUN, replications=2, workers=2
         )
-        batched = run_sweep(
-            grid_config(), run=GRID_RUN, replications=2, backend="batched"
+        assert sweep_fingerprints(fanned) == (
+            reference_fingerprints(config, GRID_RUN, 2)
         )
-        assert sweep_fingerprints(batched) == sweep_fingerprints(fanned)
 
     def test_spot_invariants_change_no_results(self):
         plain = run_sweep(
-            grid_config(), run=GRID_RUN, replications=2, backend="batched",
-            invariants="off",
+            grid_config(), run=GRID_RUN, replications=2, invariants="off",
         )
-        spotted = run_sweep(
-            grid_config(), run=GRID_RUN, replications=2, backend="batched",
-            invariants="spot",
-        )
-        assert sweep_fingerprints(spotted) == sweep_fingerprints(plain)
+        for workers in (1, 2):
+            spotted = run_sweep(
+                grid_config(), run=GRID_RUN, replications=2,
+                invariants="spot", workers=workers,
+            )
+            assert sweep_fingerprints(spotted) == (
+                sweep_fingerprints(plain)
+            )
 
     def test_single_replication_sweep_is_the_classic_sweep(self):
-        # backend="batched" with replications=1 must still match the
-        # plain historical sweep byte for byte, results dict included.
-        classic = run_sweep(grid_config(), run=GRID_RUN)
-        batched = run_sweep(
-            grid_config(), run=GRID_RUN, backend="batched"
-        )
-        assert set(batched.results) == set(classic.results)
-        for pair, result in classic.results.items():
-            assert result_fingerprint(batched.results[pair]) == (
-                result_fingerprint(result)
+        # replications=1 must still match the plain historical
+        # run_simulation per point, byte for byte, results dict included.
+        config = grid_config()
+        sweep = run_sweep(config, run=GRID_RUN)
+        reference = reference_fingerprints(config, GRID_RUN, 1)
+        assert set(sweep.results) == {
+            (algorithm, mpl) for algorithm, mpl, _ in reference
+        }
+        for (algorithm, mpl), result in sweep.results.items():
+            assert result_fingerprint(result) == (
+                reference[(algorithm, mpl, 0)]
             )
 
 
 class TestBackendValidation:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            run_sweep(grid_config(), run=GRID_RUN, backend="turbo")
-
     def test_replications_must_be_positive(self):
         with pytest.raises(ValueError, match="replications"):
             run_sweep(grid_config(), run=GRID_RUN, replications=0)
-
-    def test_batched_refuses_worker_fanout(self):
-        with pytest.raises(ValueError, match="single-process"):
-            run_sweep(
-                grid_config(), run=GRID_RUN, backend="batched", workers=2
-            )
-
-    def test_batched_refuses_per_point_observability(self, tmp_path):
-        with pytest.raises(ValueError, match="timeseries/trace"):
-            run_sweep(
-                grid_config(), run=GRID_RUN, backend="batched",
-                timeseries=1.0,
-            )
-        with pytest.raises(ValueError, match="timeseries/trace"):
-            run_sweep(
-                grid_config(), run=GRID_RUN, backend="batched",
-                trace=str(tmp_path),
-            )
-
-    def test_spot_invariants_require_batched_backend(self):
-        with pytest.raises(ValueError, match="spot"):
-            run_sweep(grid_config(), run=GRID_RUN, invariants="spot")
