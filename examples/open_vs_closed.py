@@ -17,7 +17,7 @@ Run:  python examples/open_vs_closed.py
 """
 
 from repro import RunConfig, SimulationParameters, run_simulation
-from repro.core import ARRIVAL_OPEN, SystemModel
+from repro.core import SystemModel
 
 RUN = RunConfig(batches=5, batch_time=20.0, warmup_batches=1, seed=17)
 
@@ -38,7 +38,7 @@ def main():
     for fraction in (0.5, 0.8, 0.95, 1.2):
         rate = capacity * fraction
         params = closed.with_changes(
-            arrival_mode=ARRIVAL_OPEN, arrival_rate=rate
+            workload_model="open_poisson", arrival_rate=rate
         )
         model = SystemModel(params, "blocking", seed=17)
         model.run_until(120.0)

@@ -10,8 +10,6 @@ from repro.core.engine import CommittedRecord, SystemModel
 from repro.core.errors import RestartLivelockError
 from repro.core.metrics import MetricsCollector, RunningAverage
 from repro.core.params import (
-    ARRIVAL_CLOSED,
-    ARRIVAL_OPEN,
     DELAY_MODE_ADAPTIVE_ALL,
     DELAY_MODE_DEFAULT,
     DELAY_MODE_FIXED_ALL,
@@ -20,13 +18,6 @@ from repro.core.params import (
     RunConfig,
     SimulationParameters,
     TransactionClass,
-)
-from repro.core.replay import (
-    ReplayWorkload,
-    TraceExhausted,
-    load_trace,
-    save_trace,
-    trace_from_history,
 )
 from repro.core.simulation import (
     SimulationResult,
@@ -47,8 +38,6 @@ __all__ = [
     "DELAY_MODE_ADAPTIVE_ALL",
     "DELAY_MODE_NONE_ALL",
     "DELAY_MODE_FIXED_ALL",
-    "ARRIVAL_CLOSED",
-    "ARRIVAL_OPEN",
     "SystemModel",
     "CommittedRecord",
     "RestartLivelockError",
@@ -64,9 +53,4 @@ __all__ = [
     "RunningAverage",
     "ObjectStore",
     "Version",
-    "ReplayWorkload",
-    "TraceExhausted",
-    "load_trace",
-    "save_trace",
-    "trace_from_history",
 ]

@@ -6,8 +6,10 @@ write probability 0.25, 200 terminals, 1 second external think time,
 35 ms of disk and 15 ms of CPU per object access.
 """
 
+import hashlib
+import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Tuple
 
 from repro.faults.spec import FaultSpec
@@ -30,12 +32,6 @@ _DELAY_MODES = (
     DELAY_MODE_NONE_ALL,
     DELAY_MODE_FIXED_ALL,
 )
-
-# Transaction source models.
-ARRIVAL_CLOSED = "closed"  # the paper's fixed terminal population
-ARRIVAL_OPEN = "open"      # Poisson arrivals at a fixed rate
-
-_ARRIVAL_MODES = (ARRIVAL_CLOSED, ARRIVAL_OPEN)
 
 # Buffer-pool probe policies (the ``buffered`` resource model).
 BUFFER_POLICY_LRU = "lru"      # exact LRU directory over object ids
@@ -65,8 +61,7 @@ def normalize_workload_spec(spec):
     returns a sorted tuple of ``(key, value)`` pairs with list/tuple
     values recursively converted to tuples. The canonical form is
     hashable and order-independent, so it is safe inside the frozen
-    parameter dataclass, fastlane workload signatures and checkpoint
-    headers.
+    parameter dataclass and its canonical (on-disk) identity.
     """
     if isinstance(spec, dict):
         items = spec.items()
@@ -175,13 +170,8 @@ class SimulationParameters:
     #: skew of later studies in this model family).
     hot_fraction: Optional[float] = None
     hot_access_prob: Optional[float] = None
-    #: Transaction source model. The paper uses a closed system (a
-    #: fixed terminal population resubmits after thinking); ``"open"``
-    #: replaces the terminals with a Poisson arrival stream of
-    #: ``arrival_rate`` transactions/second — a common alternative
-    #: modeling assumption whose consequences the framework lets you
-    #: study directly.
-    arrival_mode: str = ARRIVAL_CLOSED
+    #: Default arrival rate (transactions/second) of the open workload
+    #: models (``open_poisson``, ``trace``) when their spec sets none.
     arrival_rate: float = 10.0
     #: Workload model, by registry name (see :mod:`repro.workloads`):
     #: ``closed_classic`` (the paper's terminal pool, the default),
@@ -190,13 +180,11 @@ class SimulationParameters:
     #: ``trace`` (deterministic JSONL playback with feedback routing).
     #: Validated lazily at model construction, like ``resource_model``,
     #: so plugin-registered models work without touching this module.
-    #: ``arrival_mode="open"`` with the default model resolves to
-    #: ``open_poisson`` (the legacy spelling of the same source).
     workload_model: str = "closed_classic"
     #: Model-specific options for ``workload_model``, as a mapping
     #: (normalized to a sorted tuple of (key, value) pairs so parameter
-    #: sets stay hashable and signature-stable). Keys are defined by
-    #: each model: e.g. ``open_poisson`` takes ``process="mmpp"``,
+    #: sets stay hashable). Keys are defined by each model: e.g.
+    #: ``open_poisson`` takes ``process="mmpp"``,
     #: ``rates``/``sojourns``; ``heavy_tailed`` takes ``preset``,
     #: ``think_dist``, ``think_cv``, ``pareto_alpha``, ``size_dist``,
     #: ``size_cv``; ``trace`` takes ``path``, ``feedback_prob``,
@@ -325,30 +313,12 @@ class SimulationParameters:
                     "cold region smaller than max_size; transactions "
                     "could not be drawn when every access goes cold"
                 )
-        if self.arrival_mode not in _ARRIVAL_MODES:
-            raise ValueError(
-                f"arrival_mode must be one of {_ARRIVAL_MODES}, "
-                f"got {self.arrival_mode!r}"
-            )
-        if self.arrival_mode == ARRIVAL_OPEN and self.arrival_rate <= 0:
-            raise ValueError(
-                f"arrival_rate must be > 0 for open arrivals, "
-                f"got {self.arrival_rate}"
-            )
         if not self.workload_model or not isinstance(
             self.workload_model, str
         ):
             raise ValueError(
                 f"workload_model must be a non-empty registry name, "
                 f"got {self.workload_model!r}"
-            )
-        if self.arrival_mode == ARRIVAL_OPEN and self.workload_model not in (
-            "closed_classic", "open_poisson"
-        ):
-            raise ValueError(
-                f"arrival_mode='open' is the legacy spelling of the "
-                f"open_poisson workload model; it cannot combine with "
-                f"workload_model={self.workload_model!r}"
             )
         if self.lock_granules is not None and not (
             1 <= self.lock_granules <= self.db_size
@@ -507,6 +477,21 @@ class SimulationParameters:
         """A copy with the given fields replaced (validated afresh)."""
         return replace(self, **changes)
 
+    # -- identity ----------------------------------------------------------
+
+    def canonical(self):
+        """Every field as sorted, JSON-able data: the on-disk identity.
+
+        In process, frozen-dataclass equality is the identity; files
+        (checkpoint headers, saved sweeps) store and compare this form,
+        so no field can be left out of "the same configuration".
+        """
+        return json.loads(json.dumps(asdict(self), sort_keys=True))
+
+    def fingerprint(self):
+        """The sha256 hex digest of :meth:`canonical`."""
+        return canonical_fingerprint(self.canonical())
+
     @classmethod
     def table2(cls, **overrides):
         """The paper's Table 2 settings (finite resources: 1 CPU, 2 disks).
@@ -535,6 +520,16 @@ class SimulationParameters:
         for f in fields(self):
             lines.append(f"  {f.name} = {getattr(self, f.name)!r}")
         return "SimulationParameters(\n" + "\n".join(lines) + "\n)"
+
+
+def canonical_fingerprint(canonical):
+    """sha256 hex digest of :meth:`SimulationParameters.canonical` data.
+
+    Takes the plain data so a file's stored identity (a checkpoint
+    header's ``params``) fingerprints without rebuilding the params.
+    """
+    text = json.dumps(canonical, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 #: The multiprogramming levels swept by the paper's experiments.

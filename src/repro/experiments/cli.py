@@ -125,9 +125,10 @@ def build_parser():
         "--verify-checkpoint", metavar="PATH", default=None,
         help=(
             "audit a sweep checkpoint file's integrity (header, "
-            "per-line CRC32s) without modifying it, then exit: 0 = "
+            "per-line CRC32s) without modifying it and print its "
+            "replications and params fingerprint, then exit: 0 = "
             "clean, 1 = corrupt (the report shows the salvageable "
-            "prefix a --resume run would recover)"
+            "prefix a --resume run would recover) or not resumable"
         ),
     )
     parser.add_argument(
@@ -601,11 +602,17 @@ def _verify_checkpoint(path):
         print(f"  format:        {report['format']}")
     if report["experiment_id"] is not None:
         print(f"  experiment:    {report['experiment_id']}")
+    if report["fingerprint"] is not None:
+        print(f"  replications:  {report['replications']}")
+        print(f"  params:        sha256 {report['fingerprint']}")
     print(f"  point lines:   {report['point_lines']}")
     print(f"  valid points:  {report['valid_points']}")
     if report["ok"]:
         print("  status:        OK (every line intact)")
         return 0
+    if report["format"] is None and report["first_corrupt_line"] is None:
+        print(f"  status:        NOT RESUMABLE: {report['detail']}")
+        return 1
     where = (
         f" at line {report['first_corrupt_line']}"
         if report["first_corrupt_line"] is not None else ""

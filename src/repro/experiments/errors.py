@@ -133,9 +133,11 @@ class WorkerCrashError(PointExecutionError):
 class CheckpointMismatchError(ExperimentError):
     """A checkpoint file does not match the sweep being resumed.
 
-    Resuming replays recorded points verbatim, so the experiment id and
-    run configuration must match exactly; anything else would silently
-    mix results from different settings.
+    Resuming replays recorded points verbatim, so the experiment id,
+    run configuration, replication count and every parameter must
+    match exactly; anything else would silently mix results from
+    different settings. Older-format checkpoints, which cannot prove
+    their parameters, are refused the same way.
     """
 
 

@@ -26,7 +26,14 @@ the checkpoint and re-running only the missing points::
     run_sweep(config, checkpoint="exp3.ckpt.jsonl")            # killed...
     run_sweep(config, checkpoint="exp3.ckpt.jsonl", resume=True)
 
-Crash safety (format v2):
+Identity (format v3): the header binds the experiment id, the run
+config, the replication count and the whole parameter set as
+:meth:`~repro.core.SimulationParameters.canonical` data, so a resume
+under any edited field is refused with every differing field named.
+Older headers cannot prove which parameters they ran under; they are
+refused too, with a hint to start fresh.
+
+Crash safety:
 
 * Whole-file writes (:func:`save_sweep`, the checkpoint header) go
   through :func:`atomic_write_text` — tmp file in the same directory,
@@ -42,9 +49,6 @@ Crash safety (format v2):
 * :func:`verify_checkpoint` is the read-only auditor behind the CLI's
   ``--verify-checkpoint``: it reports the salvageable prefix without
   modifying the file.
-
-Legacy v1 checkpoints (no CRC suffixes) still load; their lines are
-validated by JSON decoding alone.
 """
 
 import binascii
@@ -53,6 +57,7 @@ import os
 from dataclasses import asdict
 
 from repro.core import RunConfig
+from repro.core.params import canonical_fingerprint
 from repro.core.simulation import SimulationResult
 from repro.experiments.configs import experiment_configs
 from repro.experiments.errors import (
@@ -65,11 +70,16 @@ from repro.stats import BatchMeansAnalyzer
 #: Format marker for forward compatibility.
 FORMAT = "repro-sweep-v1"
 
-#: Format marker of the incremental checkpoint file (v2 = CRC lines).
-CHECKPOINT_FORMAT = "repro-sweep-checkpoint-v2"
+#: Format marker of the incremental checkpoint file (v3 = whole-params
+#: identity; every version before it is refused).
+CHECKPOINT_FORMAT = "repro-sweep-checkpoint-v3"
 
-#: Older checkpoint formats load_into still accepts (without CRCs).
-LEGACY_CHECKPOINT_FORMATS = ("repro-sweep-checkpoint-v1",)
+#: How every checkpoint header line starts, whatever its version
+#: (json.dumps keeps the header's insertion order, "format" first).
+_HEADER_PREFIX = '{"format": "repro-sweep-checkpoint-'
+
+#: Why an older-format checkpoint is refused.
+_OLDER_FORMAT = "older checkpoint format; cannot be resumed, start fresh"
 
 #: Separator between a line's JSON payload and its CRC32 suffix.
 CRC_SEPARATOR = "\t#crc32:"
@@ -109,19 +119,16 @@ def encode_checkpoint_line(document):
     return f"{text}{CRC_SEPARATOR}{crc:08x}\n"
 
 
-def decode_checkpoint_line(raw, require_crc=True):
+def decode_checkpoint_line(raw):
     """Parse one checkpoint line, verifying its CRC32 suffix.
 
-    Raises ``ValueError`` on a CRC mismatch, undecodable JSON, or (with
-    ``require_crc``) a missing suffix. ``require_crc=False`` accepts
-    bare JSON lines — the legacy v1 layout.
+    Raises ``ValueError`` on a missing or mismatched CRC or on
+    undecodable JSON.
     """
     raw = raw.rstrip("\n")
     text, separator, suffix = raw.rpartition(CRC_SEPARATOR)
     if not separator:
-        if require_crc:
-            raise ValueError("checkpoint line has no CRC32 suffix")
-        return json.loads(raw)
+        raise ValueError("checkpoint line has no CRC32 suffix")
     try:
         expected = int(suffix, 16)
     except ValueError:
@@ -245,6 +252,8 @@ def save_sweep(sweep, path):
     document = {
         "format": FORMAT,
         "experiment_id": sweep.config.experiment_id,
+        "params": sweep.config.params.canonical(),
+        "fingerprint": sweep.config.params.fingerprint(),
         "run": asdict(sweep.run),
         "wall_seconds": sweep.wall_seconds,
         "points": points,
@@ -260,9 +269,11 @@ def load_sweep(path):
     """Rebuild a :class:`SweepResult` from :func:`save_sweep` output.
 
     The experiment config is resolved from the current registry by id;
-    an unknown id (e.g. a renamed preset) is an error rather than a
-    silent mismatch.  Documents written before per-point statuses
-    existed load with an empty status map.
+    an unknown id (e.g. a renamed preset) or recorded ``params`` that
+    differ from the preset's (a sweep run with overlaid fields) are
+    errors rather than results labelled with the wrong parameters.
+    Documents written before ``params`` or per-point statuses were
+    recorded load without that check or with an empty status map.
     """
     with open(path) as f:
         document = json.load(f)
@@ -279,6 +290,15 @@ def load_sweep(path):
             f"known: {sorted(configs)}"
         )
     config = configs[experiment_id]
+    differing = params_differences(
+        document["params"], config.params
+    ) if "params" in document else []
+    if differing:
+        raise ValueError(
+            f"{path}: the sweep ran with params that differ from the "
+            f"{experiment_id!r} preset in {', '.join(differing)}; "
+            f"reloading it would label its results with the preset's"
+        )
     run = RunConfig(**document["run"])
     sweep = SweepResult(
         config=config, run=run,
@@ -310,12 +330,53 @@ def load_sweep(path):
     return sweep
 
 
+def params_differences(stored, params):
+    """Sorted names of the fields where ``stored`` differs from ``params``.
+
+    ``stored`` is :meth:`SimulationParameters.canonical` data read back
+    from a file; a field missing on either side counts as differing.
+    """
+    current = params.canonical()
+    return sorted(
+        name for name in stored.keys() | current.keys()
+        if stored.get(name) != current.get(name)
+    )
+
+
+def read_checkpoint_header(path, raw):
+    """Decode a checkpoint's header line and check its format.
+
+    Raises :class:`CheckpointMismatchError` for an older-format
+    checkpoint (it cannot prove which parameters it ran under) or a
+    file that is no checkpoint at all, and
+    :class:`CheckpointCorruptError` when the line cannot be read.
+    """
+    if (raw.startswith(_HEADER_PREFIX)
+            and not raw.startswith(f'{{"format": "{CHECKPOINT_FORMAT}"')):
+        raise CheckpointMismatchError(f"{path}: {_OLDER_FORMAT}")
+    try:
+        header = decode_checkpoint_line(raw)
+    except ValueError as error:
+        raise CheckpointCorruptError(
+            f"{path}: checkpoint header is corrupt ({error}); "
+            f"nothing is salvageable without it — delete the file "
+            f"or re-run without --resume"
+        ) from None
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointMismatchError(
+            f"{path}: not a sweep checkpoint "
+            f"(format {header.get('format')!r})"
+        )
+    return header
+
+
 class SweepCheckpoint:
     """Append-only per-point checkpoint of one sweep (JSONL + CRC).
 
-    Line 1 is a header binding the file to (experiment id, run config);
-    each further line records one completed point — its status always,
-    its measurement payload when it succeeded.  Every line carries a
+    Line 1 is a header binding the file to (experiment id, run config,
+    replications, canonical params); each further line records one
+    completed point — its status always, its measurement payload when
+    it succeeded.  Every line carries a
     CRC32 suffix.  Writes are flushed and fsynced so a killed process
     loses at most the in-flight point; the header itself is written
     atomically.  On load, the longest valid prefix is salvaged: a
@@ -336,63 +397,18 @@ class SweepCheckpoint:
     def exists(self):
         return os.path.exists(self.path)
 
-    def _faults_signature(self):
-        faults = getattr(self.config.params, "faults", None)
-        return None if faults is None else faults.describe()
-
-    def _resource_model(self):
-        return getattr(self.config.params, "resource_model", "classic")
-
-    def _topology(self):
-        """The multi-site topology this sweep binds.
-
-        Matches the legacy default for headers written before the
-        distributed tier existed: every old checkpoint was implicitly
-        a one-node run with the atomic commit point.
-        """
-        params = self.config.params
+    def _header(self):
         return {
-            "nodes": getattr(params, "nodes", 1),
-            "network_delay": getattr(params, "network_delay", 0.0),
-            "replication_factor": getattr(params, "replication_factor", 1),
-            "commit_protocol": getattr(
-                params, "commit_protocol", "single_site"
-            ),
-        }
-
-    def _workload_model(self):
-        """The resolved workload-model identity this sweep binds.
-
-        Resolved (not the raw field) so the legacy
-        ``arrival_mode="open"`` spelling and an explicit
-        ``workload_model="open_poisson"`` bind identically; the
-        normalized spec rides along because two grid points differing
-        only in spec draw different workloads.
-        """
-        from repro.workloads import resolve_workload_model
-
-        params = self.config.params
-        name = resolve_workload_model(params)
-        spec = getattr(params, "workload_spec", None)
-        if spec is None:
-            return name
-        # A flat string, so the identity JSON-round-trips exactly
-        # (tuples would come back as lists and spuriously mismatch).
-        return name + " " + json.dumps(spec)
-
-    def start_fresh(self):
-        """Atomically (re)create the file holding only the header line."""
-        header = {
             "format": CHECKPOINT_FORMAT,
             "experiment_id": self.config.experiment_id,
             "run": asdict(self.run),
-            "faults": self._faults_signature(),
-            "resource_model": self._resource_model(),
-            "workload_model": self._workload_model(),
-            "topology": self._topology(),
             "replications": self.replications,
+            "params": self.config.params.canonical(),
         }
-        atomic_write_text(self.path, encode_checkpoint_line(header))
+
+    def start_fresh(self):
+        """Atomically (re)create the file holding only the header line."""
+        atomic_write_text(self.path, encode_checkpoint_line(self._header()))
 
     def record(self, algorithm, mpl, result, status, rep=0):
         """Append one completed point (result is None for failures).
@@ -416,93 +432,35 @@ class SweepCheckpoint:
             _fsync(f.fileno())
 
     def _check_header(self, header):
-        """Raise CheckpointMismatchError unless the header matches."""
-        header_format = header.get("format")
-        if (header_format != CHECKPOINT_FORMAT
-                and header_format not in LEGACY_CHECKPOINT_FORMATS):
+        """Raise CheckpointMismatchError unless the header matches.
+
+        The error names every differing field: ``experiment_id``,
+        ``run``, ``replications`` or a :class:`SimulationParameters`
+        field.
+        """
+        expected = self._header()
+        differing = [
+            key for key in ("experiment_id", "run", "replications")
+            if header.get(key) != expected[key]
+        ]
+        differing += params_differences(
+            header.get("params") or {}, self.config.params
+        )
+        if differing:
             raise CheckpointMismatchError(
-                f"{self.path}: not a sweep checkpoint "
-                f"(format {header_format!r})"
-            )
-        if header.get("experiment_id") != self.config.experiment_id:
-            raise CheckpointMismatchError(
-                f"{self.path}: checkpoint is for experiment "
-                f"{header.get('experiment_id')!r}, not "
-                f"{self.config.experiment_id!r}"
-            )
-        if header.get("run") != asdict(self.run):
-            raise CheckpointMismatchError(
-                f"{self.path}: checkpoint run configuration "
-                f"{header.get('run')!r} does not match {asdict(self.run)!r}"
-            )
-        if header.get("faults") != self._faults_signature():
-            raise CheckpointMismatchError(
-                f"{self.path}: checkpoint fault injection "
-                f"{header.get('faults')!r} does not match "
-                f"{self._faults_signature()!r}"
-            )
-        # Checkpoints written before resource models existed carry no
-        # key; they were all implicitly classic runs.
-        if header.get("resource_model", "classic") != self._resource_model():
-            raise CheckpointMismatchError(
-                f"{self.path}: checkpoint resource model "
-                f"{header.get('resource_model', 'classic')!r} does not "
-                f"match {self._resource_model()!r}"
-            )
-        # Checkpoints written before the distributed tier existed carry
-        # no key; they were all implicitly single-node, single-site.
-        legacy_topology = {
-            "nodes": 1, "network_delay": 0.0,
-            "replication_factor": 1, "commit_protocol": "single_site",
-        }
-        if header.get("topology", legacy_topology) != self._topology():
-            raise CheckpointMismatchError(
-                f"{self.path}: checkpoint topology "
-                f"{header.get('topology', legacy_topology)!r} does not "
-                f"match {self._topology()!r}; a sweep never resumes "
-                f"under a different node layout or commit protocol"
-            )
-        # Checkpoints written before workload models existed carry no
-        # key; they were all implicitly the paper's closed model.
-        if (header.get("workload_model", "closed_classic")
-                != self._workload_model()):
-            raise CheckpointMismatchError(
-                f"{self.path}: checkpoint workload model "
-                f"{header.get('workload_model', 'closed_classic')!r} "
-                f"does not match {self._workload_model()!r}; a sweep "
-                f"never resumes under a different arrival process"
-            )
-        if header.get("replications", 1) != self.replications:
-            raise CheckpointMismatchError(
-                f"{self.path}: checkpoint has "
-                f"{header.get('replications', 1)} replication(s) per "
-                f"point, the resuming sweep wants {self.replications}; "
-                f"replications define the trajectory segmentation, so "
-                f"they must match exactly"
-            )
-        # Headers written while sweeps had two execution lanes carry a
-        # "backend". Results were identical across lanes, retries were
-        # not: the "classic" lane reseeded retried replications one by
-        # one, where every sweep now reseeds the whole point. Those
-        # retry rules coincide only for "batched" headers and for
-        # single-replication sweeps.
-        backend = header.get("backend")
-        if backend not in (None, "batched") and self.replications != 1:
-            raise CheckpointMismatchError(
-                f"{self.path}: checkpoint header field 'backend' is "
-                f"{backend!r}; a {backend!r} sweep with "
-                f"{self.replications} replications per point retried "
-                f"replications one by one, so it cannot be resumed "
-                f"under whole-point retries; start a fresh checkpoint"
+                f"{self.path}: checkpoint differs from this sweep in "
+                f"{', '.join(differing)}; resuming replays recorded "
+                f"points verbatim, so every field must match"
             )
 
     def load_into(self, sweep, repair=True):
         """Restore recorded points into ``sweep``; returns their count.
 
-        Raises :class:`CheckpointMismatchError` unless the header's
-        experiment id and run configuration match this sweep exactly —
-        resuming replays points verbatim, so a mismatch would silently
-        mix results from different settings — and
+        Raises :class:`CheckpointMismatchError` unless the header is
+        current-format and its experiment id, run config, replication
+        count and parameters match this sweep exactly — resuming
+        replays points verbatim, so a mismatch would silently mix
+        results from different settings — and
         :class:`CheckpointCorruptError` when the header itself cannot
         be read (nothing is salvageable without it).
 
@@ -519,16 +477,7 @@ class SweepCheckpoint:
         lines = text.splitlines(keepends=True)
         if not lines:
             return 0
-        try:
-            header = decode_checkpoint_line(lines[0], require_crc=False)
-        except ValueError as error:
-            raise CheckpointCorruptError(
-                f"{self.path}: checkpoint header is corrupt ({error}); "
-                f"nothing is salvageable without it — delete the file "
-                f"or re-run without --resume"
-            ) from None
-        self._check_header(header)
-        require_crc = header.get("format") == CHECKPOINT_FORMAT
+        self._check_header(read_checkpoint_header(self.path, lines[0]))
         valid_bytes = len(lines[0].encode("utf-8"))
         restored = 0
         for raw in lines[1:]:
@@ -538,9 +487,7 @@ class SweepCheckpoint:
             if not raw.endswith("\n"):
                 break
             try:
-                point = decode_checkpoint_line(
-                    raw, require_crc=require_crc
-                )
+                point = decode_checkpoint_line(raw)
             except ValueError:
                 break
             algorithm, mpl = point["algorithm"], point["mpl"]
@@ -567,9 +514,10 @@ class SweepCheckpoint:
 def verify_checkpoint(path):
     """Read-only integrity audit of a checkpoint file.
 
-    Returns a report dict: ``ok`` (every line valid), ``format`` and
-    ``experiment_id`` from the header (None when the header is
-    unreadable), ``point_lines``, ``valid_points`` (the salvageable
+    Returns a report dict: ``ok`` (every line valid), ``format``,
+    ``experiment_id``, ``replications`` and the params ``fingerprint``
+    from the header (None when the header is unreadable or not
+    current-format), ``point_lines``, ``valid_points`` (the salvageable
     prefix), ``first_corrupt_line`` (1-based line number, None when
     clean) and ``detail`` describing the first problem found. Never
     modifies the file.
@@ -579,6 +527,8 @@ def verify_checkpoint(path):
         "ok": False,
         "format": None,
         "experiment_id": None,
+        "replications": None,
+        "fingerprint": None,
         "point_lines": 0,
         "valid_points": 0,
         "first_corrupt_line": None,
@@ -595,20 +545,18 @@ def verify_checkpoint(path):
         report["detail"] = "empty file (no header line)"
         return report
     try:
-        header = decode_checkpoint_line(lines[0], require_crc=False)
-        report["format"] = header.get("format")
-        report["experiment_id"] = header.get("experiment_id")
-    except ValueError as error:
+        header = read_checkpoint_header(path, lines[0])
+    except CheckpointCorruptError as error:
         report["first_corrupt_line"] = 1
-        report["detail"] = f"header: {error}"
+        report["detail"] = str(error)
         return report
-    if (report["format"] != CHECKPOINT_FORMAT
-            and report["format"] not in LEGACY_CHECKPOINT_FORMATS):
-        report["detail"] = (
-            f"not a sweep checkpoint (format {report['format']!r})"
-        )
+    except CheckpointMismatchError as error:
+        report["detail"] = str(error)
         return report
-    require_crc = report["format"] == CHECKPOINT_FORMAT
+    report["format"] = header["format"]
+    report["experiment_id"] = header.get("experiment_id")
+    report["replications"] = header.get("replications")
+    report["fingerprint"] = canonical_fingerprint(header.get("params"))
     report["point_lines"] = len(lines) - 1
     for number, raw in enumerate(lines[1:], start=2):
         if not raw.endswith("\n"):
@@ -616,7 +564,7 @@ def verify_checkpoint(path):
             report["detail"] = "torn trailing line (no newline)"
             return report
         try:
-            decode_checkpoint_line(raw, require_crc=require_crc)
+            decode_checkpoint_line(raw)
         except ValueError as error:
             report["first_corrupt_line"] = number
             report["detail"] = str(error)

@@ -913,9 +913,9 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
     Every point is computed the same way: one trajectory of ``warmup +
     R * batches`` batches, simulated once, with all ``R`` replication
     results carved from it (:mod:`repro.fastlane`); ``R = 1`` is the
-    ordinary single-measurement sweep. Points sharing a workload
-    signature also share one precomputed transaction tape per process
-    (see :class:`repro.fastlane.TapeStore`).
+    ordinary single-measurement sweep. Points run under the same seed
+    (every first attempt) share one precomputed transaction tape per
+    process (see :class:`repro.fastlane.TapeStore`).
 
     ``workers`` selects where the points run:
 

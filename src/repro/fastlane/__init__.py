@@ -12,7 +12,7 @@ from repro.fastlane.tapes import (
     TapeStore,
     TapeWorkload,
     WorkloadTape,
-    workload_signature,
+    tape_key,
 )
 
 __all__ = [
@@ -20,5 +20,5 @@ __all__ = [
     "TapeWorkload",
     "WorkloadTape",
     "run_point_replications",
-    "workload_signature",
+    "tape_key",
 ]

@@ -21,10 +21,9 @@ simulation replaying a tape can alias the same tuples.
 
 from repro.core.transaction import Transaction
 from repro.des import StreamFactory
-from repro.workloads import create_workload_model, resolve_workload_model
+from repro.workloads import create_workload_model
 
-__all__ = ["TapeStore", "TapeWorkload", "WorkloadTape",
-           "workload_signature"]
+__all__ = ["TapeStore", "TapeWorkload", "WorkloadTape", "tape_key"]
 
 #: Transactions materialized per tape extension. Large enough to
 #: amortize the per-chunk bookkeeping, small enough that short smoke
@@ -32,50 +31,19 @@ __all__ = ["TapeStore", "TapeWorkload", "WorkloadTape",
 TAPE_CHUNK = 256
 
 
-def workload_signature(params, seed):
-    """The hashable key identifying one transaction sequence.
+def tape_key(params, seed):
+    """The key of the transaction sequence ``(params, seed)`` draws.
 
-    Two parameter sets produce byte-identical transaction sequences
-    iff these fields match: the workload streams see nothing else.
-    (``mpl``, resource counts, think times, service times, faults and
-    the CC algorithm all influence *when* transactions are drawn, never
-    *what* the next draw returns.)
+    The whole parameter set with ``mpl`` normalised: the one field a
+    store's points vary (``ExperimentConfig.params_for`` changes
+    nothing else, a retry reseeds), and one that changes only *when*
+    transactions are drawn, never *what* the next draw returns.
     """
-    mix = params.workload_mix
-    mix_signature = None if mix is None else tuple(
-        (cls.name, cls.weight, cls.min_size, cls.max_size, cls.write_prob)
-        for cls in mix
-    )
-    return (
-        seed,
-        params.db_size,
-        params.min_size,
-        params.max_size,
-        params.write_prob,
-        params.hot_fraction,
-        params.hot_access_prob,
-        mix_signature,
-        # The workload-model identity: two grid points differing only
-        # in workload_model (or its spec) draw different content
-        # sequences — e.g. heavy_tailed's size distribution — and must
-        # never share a tape. Resolved, so the legacy
-        # arrival_mode="open" spelling keys the same as open_poisson.
-        resolve_workload_model(params),
-        params.workload_spec,
-        # Topology: transaction *content* is topology-independent, but
-        # multi-site runs must never share tapes across node counts or
-        # commit protocols — replica placement and prepare rounds feed
-        # back into restart behaviour, and a colluding tape would mask
-        # a topology-sensitive draw regression silently.
-        params.nodes,
-        params.network_delay,
-        params.replication_factor,
-        params.commit_protocol,
-    )
+    return seed, params.with_changes(mpl=1)
 
 
 class WorkloadTape:
-    """The materialized transaction sequence of one workload signature.
+    """The materialized transaction sequence of one ``(params, seed)``.
 
     Specs are ``(read_set, write_set, tx_class_name)`` tuples with
     ``read_set`` a tuple and ``write_set`` a frozenset — exactly the
@@ -86,13 +54,9 @@ class WorkloadTape:
     of the chunk boundaries and of how many consumers pulled on it.
     """
 
-    __slots__ = ("signature", "specs", "_generator")
+    __slots__ = ("specs", "_generator")
 
-    def __init__(self, params, seed, signature=None):
-        self.signature = (
-            signature if signature is not None
-            else workload_signature(params, seed)
-        )
+    def __init__(self, params, seed):
         self.specs = []
         # The tape's private generator over a private stream factory:
         # same seed derivation, same draw code, therefore the same
@@ -137,7 +101,7 @@ class TapeWorkload:
     ``k+1``, the tape's *k*-th read/write sets, and the same class tag.
     One TapeWorkload per model — the ``generated`` cursor is the
     model's position on the tape — while the tape itself is shared by
-    every point of the sweep with the same workload signature.
+    every point of the sweep with the same :func:`tape_key`.
     """
 
     __slots__ = ("params", "tape", "generated")
@@ -166,11 +130,11 @@ class TapeWorkload:
 
 
 class TapeStore:
-    """Workload tapes keyed by signature, shared across a sweep.
+    """Workload tapes keyed by :func:`tape_key`, shared across a sweep.
 
     The sweep runner asks the store for a workload per (params,
-    seed); points whose signatures coincide — every mpl of one
-    experiment, typically — replay one tape instead of re-drawing
+    seed); points whose keys coincide — every mpl of one experiment —
+    replay one tape instead of re-drawing
     ``points × transactions`` specs.  ``hits``/``misses`` make the
     sharing observable for tests and logs.
     """
@@ -183,17 +147,17 @@ class TapeStore:
         self.misses = 0
 
     def tape(self, params, seed):
-        """The (possibly shared) tape for this workload signature."""
-        signature = workload_signature(params, seed)
-        tape = self.tapes.get(signature)
+        """The (possibly shared) tape for ``(params, seed)``."""
+        key = tape_key(params, seed)
+        tape = self.tapes.get(key)
         if tape is None:
             self.misses += 1
-            tape = WorkloadTape(params, seed, signature=signature)
-            self.tapes[signature] = tape
+            tape = WorkloadTape(params, seed)
+            self.tapes[key] = tape
         else:
             self.hits += 1
         return tape
 
     def workload(self, params, seed):
-        """A fresh :class:`TapeWorkload` over the signature's tape."""
+        """A fresh :class:`TapeWorkload` over the key's tape."""
         return TapeWorkload(params, self.tape(params, seed))

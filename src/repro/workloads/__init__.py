@@ -19,7 +19,6 @@ from repro.workloads.open_poisson import OpenPoissonWorkload
 from repro.workloads.registry import (
     create_workload_model,
     register_workload_model,
-    resolve_workload_model,
     workload_model_names,
 )
 from repro.workloads.trace import (
@@ -27,6 +26,8 @@ from repro.workloads.trace import (
     TraceWorkloadModel,
     load_workload_trace,
     save_workload_trace,
+    trace_from_history,
+    trace_record,
 )
 
 __all__ = [
@@ -40,7 +41,8 @@ __all__ = [
     "create_workload_model",
     "load_workload_trace",
     "register_workload_model",
-    "resolve_workload_model",
     "save_workload_trace",
+    "trace_from_history",
+    "trace_record",
     "workload_model_names",
 ]

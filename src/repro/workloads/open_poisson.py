@@ -11,10 +11,8 @@ of letting a diverging run masquerade as a slow one.
 Two arrival processes, selected by ``workload_spec``:
 
 * ``process="poisson"`` (default) — Poisson arrivals at
-  ``rate`` transactions/second (default: ``params.arrival_rate``).
-  This is bit-identical to the legacy ``arrival_mode="open"`` source
-  (same ``open_arrivals`` stream, same draws), which now resolves to
-  this model.
+  ``rate`` transactions/second (default: ``params.arrival_rate``),
+  drawn from the ``open_arrivals`` stream.
 * ``process="mmpp"`` — a Markov-modulated Poisson process:
   ``rates=(r0, r1, ...)`` gives the per-phase arrival rates and
   ``sojourns=(s0, s1, ...)`` the mean (exponential) phase dwell times;

@@ -4,14 +4,8 @@
 construction: registration is how the engine and CLI discover models,
 and third-party code can plug in new sources with
 :func:`register_workload_model` without touching core modules.
-
-Legacy spelling: ``arrival_mode="open"`` predates this registry and is
-the same source as ``open_poisson`` — :func:`resolve_workload_model`
-maps it onto that model so old configurations keep their exact
-behavior (and their exact draws).
 """
 
-from repro.core.params import ARRIVAL_OPEN
 from repro.workloads.closed import ClosedClassicWorkload
 from repro.workloads.heavy_tailed import HeavyTailedWorkload
 from repro.workloads.open_poisson import OpenPoissonWorkload
@@ -20,7 +14,6 @@ from repro.workloads.trace import TraceWorkloadModel
 __all__ = [
     "create_workload_model",
     "register_workload_model",
-    "resolve_workload_model",
     "workload_model_names",
 ]
 
@@ -40,27 +33,13 @@ def workload_model_names():
     return sorted(_MODELS)
 
 
-def resolve_workload_model(params):
-    """The registry name ``params`` selects, legacy spellings included.
-
-    An explicit non-default ``workload_model`` wins; otherwise
-    ``arrival_mode="open"`` resolves to ``open_poisson`` and everything
-    else to ``closed_classic``.
-    """
-    if params.workload_model != ClosedClassicWorkload.name:
-        return params.workload_model
-    if params.arrival_mode == ARRIVAL_OPEN:
-        return OpenPoissonWorkload.name
-    return ClosedClassicWorkload.name
-
-
 def create_workload_model(params):
     """Instantiate the workload model ``params`` selects.
 
     Raises ``ValueError`` for unknown names, listing the registered
     choices (the CLI catches typos earlier, with a did-you-mean).
     """
-    name = resolve_workload_model(params)
+    name = params.workload_model
     cls = _MODELS.get(name)
     if cls is None:
         choices = ", ".join(workload_model_names())

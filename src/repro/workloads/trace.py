@@ -7,7 +7,7 @@ seed, same run — which makes recorded production workloads and
 hand-built adversarial schedules directly replayable under any CC
 algorithm and any physical tier.
 
-Record format (a superset of :mod:`repro.core.replay`'s):
+Record format:
 
     {"reads": [1, 5, 9], "writes": [5], "at": 0.25, "class": "small"}
 
@@ -37,16 +37,47 @@ from repro.core.transaction import Transaction
 from repro.workloads.base import WorkloadModel
 
 __all__ = ["TraceWorkloadModel", "TraceSource", "load_workload_trace",
-           "save_workload_trace"]
+           "save_workload_trace", "trace_from_history", "trace_record"]
+
+
+def trace_record(reads, writes=(), at=None, tx_class=None):
+    """One validated trace record ``(at, reads, writes, tx_class)``.
+
+    The trace format's one per-record validation, shared by files
+    (:func:`load_workload_trace`) and in-memory records (e.g.
+    :func:`trace_from_history`): reads must be non-empty and distinct,
+    writes a subset of reads. Raises ``ValueError``.
+    """
+    reads = tuple(reads)
+    writes = frozenset(writes)
+    if not reads:
+        raise ValueError("empty read set")
+    if len(set(reads)) != len(reads):
+        raise ValueError("duplicate reads")
+    if not writes <= set(reads):
+        raise ValueError("writes must be a subset of reads")
+    return (at, reads, writes, tx_class)
+
+
+def trace_from_history(history):
+    """Trace records re-playing a run's committed transactions.
+
+    Lets you re-run exactly the transactions one simulation committed
+    (e.g. replay a blocking run's workload under MVTO) by handing the
+    records to a :class:`TraceSource`.
+    """
+    return [
+        trace_record(record.read_set, record.write_set)
+        for record in history
+    ]
 
 
 def load_workload_trace(path):
     """Parse a workload-trace JSONL file into validated record tuples.
 
-    Returns a list of ``(at, reads, writes, tx_class)`` tuples with
-    ``at`` possibly None. Validation mirrors
-    :func:`repro.core.replay.load_trace`: reads must be distinct,
-    writes a subset of reads, arrival times nondecreasing.
+    Returns a list of :func:`trace_record` tuples
+    ``(at, reads, writes, tx_class)`` with ``at`` possibly None; arrival
+    times must also be nondecreasing. Errors name ``path:line``.
     """
     records = []
     last_at = None
@@ -61,16 +92,6 @@ def load_workload_trace(path):
                 raise ValueError(
                     f"{path}:{lineno}: invalid JSON ({error})"
                 ) from None
-            reads = tuple(payload.get("reads", ()))
-            writes = frozenset(payload.get("writes", ()))
-            if not reads:
-                raise ValueError(f"{path}:{lineno}: empty read set")
-            if len(set(reads)) != len(reads):
-                raise ValueError(f"{path}:{lineno}: duplicate reads")
-            if not writes <= set(reads):
-                raise ValueError(
-                    f"{path}:{lineno}: writes must be a subset of reads"
-                )
             at = payload.get("at")
             if at is not None:
                 at = float(at)
@@ -84,7 +105,13 @@ def load_workload_trace(path):
                         f"nondecreasing ({at} after {last_at})"
                     )
                 last_at = at
-            records.append((at, reads, writes, payload.get("class")))
+            try:
+                records.append(trace_record(
+                    payload.get("reads", ()), payload.get("writes", ()),
+                    at, payload.get("class"),
+                ))
+            except ValueError as error:
+                raise ValueError(f"{path}:{lineno}: {error}") from None
     if not records:
         raise ValueError(f"{path}: trace holds no records")
     return records
@@ -105,12 +132,16 @@ def save_workload_trace(path, records):
 class TraceSource:
     """The trace model's content source (the engine's ``workload``).
 
-    Deals records in order (cycling when configured), satisfying the
-    workload protocol (``new_transaction`` + ``generated``); re-entries
-    mint fresh transactions that inherit a parent's sets.
+    Deals :func:`trace_record` records in order (cycling when
+    configured), satisfying the workload protocol (``new_transaction``
+    + ``generated``), so it also drives a model directly through
+    ``SystemModel(..., workload=TraceSource(records, cycle=True))``;
+    re-entries mint fresh transactions that inherit a parent's sets.
     """
 
     def __init__(self, records, cycle):
+        if not records:
+            raise ValueError("trace holds no records")
         self.records = records
         self.cycle = cycle
         self.generated = 0

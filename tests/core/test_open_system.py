@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core import (
-    ARRIVAL_OPEN,
     RunConfig,
     SimulationParameters,
     SystemModel,
     run_simulation,
 )
+from repro.workloads import create_workload_model
 
 
 def open_params(rate, **overrides):
@@ -23,7 +23,7 @@ def open_params(rate, **overrides):
         obj_cpu=0.005,
         num_cpus=2,
         num_disks=4,
-        arrival_mode=ARRIVAL_OPEN,
+        workload_model="open_poisson",
         arrival_rate=rate,
     )
     base.update(overrides)
@@ -32,16 +32,17 @@ def open_params(rate, **overrides):
 
 class TestValidation:
     def test_mode_names(self):
-        with pytest.raises(ValueError):
-            SimulationParameters(arrival_mode="poisson")
+        with pytest.raises(ValueError, match="unknown workload model"):
+            create_workload_model(
+                SimulationParameters(workload_model="poisson")
+            )
 
     def test_rate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SimulationParameters(arrival_mode=ARRIVAL_OPEN,
-                                 arrival_rate=0.0)
+        with pytest.raises(ValueError, match="rate must be > 0"):
+            create_workload_model(open_params(rate=0.0))
 
     def test_closed_default(self):
-        assert SimulationParameters().arrival_mode == "closed"
+        assert SimulationParameters().workload_model == "closed_classic"
 
 
 class TestOpenArrivals:

@@ -1,5 +1,6 @@
 """Tests for saving/reloading experiment sweeps."""
 
+import dataclasses
 import json
 
 import pytest
@@ -66,6 +67,32 @@ class TestErrors:
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ValueError, match="not a saved sweep"):
             load_sweep(path)
+
+    def test_overlaid_params_rejected(self, tmp_path):
+        # A sweep run with a field overlaid on the preset must not load
+        # back labelled with the preset's params.
+        preset = experiment_configs()["exp3_finite"]
+        overlaid = dataclasses.replace(
+            preset,
+            params=preset.params.with_changes(resource_model="buffered"),
+        )
+        sweep = run_sweep(
+            overlaid, run=TINY_RUN, mpls=[5], algorithms=["blocking"]
+        )
+        path = tmp_path / "sweep.json"
+        save_sweep(sweep, path)
+        document = json.loads(path.read_text())
+        assert document["fingerprint"] == overlaid.params.fingerprint()
+        with pytest.raises(ValueError, match="resource_model"):
+            load_sweep(path)
+
+    def test_document_without_params_loads(self, sweep, tmp_path):
+        path = tmp_path / "sweep.json"
+        save_sweep(sweep, path)
+        document = json.loads(path.read_text())
+        del document["params"], document["fingerprint"]
+        path.write_text(json.dumps(document))
+        assert load_sweep(path).results.keys() == sweep.results.keys()
 
     def test_unknown_experiment_rejected(self, sweep, tmp_path):
         path = tmp_path / "sweep.json"

@@ -246,6 +246,31 @@ class TestVerifyCheckpointCli:
         out = capsys.readouterr().out
         assert "OK" in out
         assert "valid points:  2" in out
+        assert "replications:  1" in out
+        assert f"params:        sha256 {tiny_params().fingerprint()}" in out
+
+    @pytest.mark.parametrize("crc", [False, True], ids=["v1", "v2"])
+    def test_older_format_is_not_resumable(self, tmp_path, capsys, crc):
+        path = str(tmp_path / "tiny.ckpt.jsonl")
+        run_sweep(tiny_config(), run=TINY_RUN, mpls=[2],
+                  checkpoint=path)
+        with open(path) as f:
+            lines = f.read().splitlines(keepends=True)
+        header = decode_checkpoint_line(lines[0])
+        header["format"] = f"repro-sweep-checkpoint-v{1 + crc}"
+        lines[0] = (
+            encode_checkpoint_line(header) if crc
+            else json.dumps(header) + "\n"
+        )
+        with open(path, "w") as f:
+            f.writelines(lines)
+        assert cli_main(["--verify-checkpoint", path]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "older checkpoint format; cannot be resumed, start fresh"
+            in out
+        )
+        assert "not a sweep checkpoint" not in out
 
     def test_corrupt_checkpoint_exits_one(self, tmp_path, capsys):
         path = str(tmp_path / "tiny.ckpt.jsonl")
@@ -304,35 +329,12 @@ class TestWorkloadModelBinding:
         config = self._open_config()
         run_sweep(config, run=TINY_RUN, mpls=[2], checkpoint=path)
         with open(path) as f:
-            header = decode_checkpoint_line(
-                f.readline(), require_crc=False
-            )
-        assert header["workload_model"].startswith("open_poisson")
+            header = decode_checkpoint_line(f.readline())
+        assert header["params"]["workload_model"] == "open_poisson"
+        assert header["params"]["workload_spec"] == [["rate", 4.0]]
         resumed = run_sweep(config, run=TINY_RUN, mpls=[2],
                             checkpoint=path, resume=True)
         assert resumed.status("blocking", 2).status == STATUS_OK
-
-    def test_header_without_workload_model_means_closed_classic(
-            self, tmp_path):
-        # Checkpoints written before the workload-model layer carry no
-        # workload_model key; they must keep resuming under the default
-        # closed model and refuse anything else.
-        path = str(tmp_path / "tiny.ckpt.jsonl")
-        run_sweep(tiny_config(), run=TINY_RUN, mpls=[2], checkpoint=path)
-        with open(path) as f:
-            lines = f.read().splitlines()
-        header = decode_checkpoint_line(lines[0], require_crc=False)
-        del header["workload_model"]
-        points = [decode_checkpoint_line(line) for line in lines[1:]]
-        with open(path, "w") as f:
-            for document in [header] + points:
-                f.write(encode_checkpoint_line(document))
-        resumed = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2],
-                            checkpoint=path, resume=True)
-        assert resumed.status("blocking", 2).status == STATUS_OK
-        with pytest.raises(CheckpointMismatchError, match="workload"):
-            run_sweep(self._open_config(), run=TINY_RUN, mpls=[2],
-                      checkpoint=path, resume=True)
 
 
 class TestRetryBackoff:

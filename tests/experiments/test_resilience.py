@@ -5,7 +5,6 @@ point marked ``failed`` after deadline+retries and all other points
 ``ok``; a killed-then-resumed sweep re-runs only the missing points.
 """
 
-import json
 import os
 
 import pytest
@@ -21,6 +20,7 @@ from repro.experiments import (
     PointDeadlineExceeded,
     SimulationStalledError,
     SweepCheckpoint,
+    experiment_configs,
     load_sweep,
     run_sweep,
     save_sweep,
@@ -322,33 +322,10 @@ class TestCheckpointResume:
         )
         run_sweep(buffered, run=TINY_RUN, mpls=[2], checkpoint=path)
         with open(path) as f:
-            header = decode_checkpoint_line(
-                f.readline(), require_crc=False
-            )
-        assert header["resource_model"] == "buffered"
+            header = decode_checkpoint_line(f.readline())
+        assert header["params"]["resource_model"] == "buffered"
         # Same model resumes cleanly and keeps the recorded point.
         resumed = run_sweep(buffered, run=TINY_RUN, mpls=[2],
-                            checkpoint=path, resume=True)
-        assert resumed.status("blocking", 2).status == STATUS_OK
-
-    def test_header_without_resource_model_means_classic(self, tmp_path):
-        # Legacy (v1) checkpoints predate both the resource-model layer
-        # and per-line CRCs: no resource_model header key, bare JSON
-        # lines. They must still resume under the classic model.
-        path = str(tmp_path / "tiny.ckpt.jsonl")
-        run_sweep(tiny_config(), run=TINY_RUN, mpls=[2], checkpoint=path)
-        with open(path) as f:
-            lines = f.read().splitlines()
-        header = decode_checkpoint_line(lines[0], require_crc=False)
-        del header["resource_model"]
-        header["format"] = "repro-sweep-checkpoint-v1"
-        points = [
-            decode_checkpoint_line(line) for line in lines[1:]
-        ]
-        with open(path, "w") as f:
-            for document in [header] + points:
-                f.write(json.dumps(document) + "\n")
-        resumed = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2],
                             checkpoint=path, resume=True)
         assert resumed.status("blocking", 2).status == STATUS_OK
 
@@ -381,8 +358,11 @@ class TestCheckpointResume:
 
 class TestPersistedStatuses:
     def test_save_load_roundtrip_preserves_statuses(self, tmp_path):
+        # load_sweep resolves the config from the registry by id and
+        # refuses params that differ from the preset's.
         config = tiny_config(
-            experiment_id="exp3_finite",  # must exist in the registry
+            experiment_id="exp3_finite",
+            params=experiment_configs()["exp3_finite"].params,
             algorithms=("blocking", "test_stall_forever"),
         )
         sweep = run_sweep(config, run=TINY_RUN, mpls=[2],

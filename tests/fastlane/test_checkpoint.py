@@ -2,13 +2,13 @@
 
 Headers record the replication count, which defines the trajectory
 segmentation; any disagreement on resume is a
-:class:`CheckpointMismatchError`. Headers written while sweeps had two
-execution lanes also carry a ``backend`` field. The lanes were
-result-identical but not retry-identical (the ``classic`` lane
-reseeded retried replications one by one, the ``batched`` lane the
-whole point, as every sweep does now), so such a header resumes only
-where the two retry rules coincide: ``batched``, or one replication.
+:class:`CheckpointMismatchError`. Headers of older formats (v1 had no
+line CRCs, v2 bound hand-picked parameter groups and, for a while, the
+sweep's execution ``backend``) cannot prove which parameters they ran
+under, so they are refused with a hint to start fresh.
 """
+
+import json
 
 import pytest
 
@@ -17,6 +17,7 @@ from repro.experiments import CheckpointMismatchError, run_sweep
 from repro.experiments.persistence import (
     decode_checkpoint_line,
     encode_checkpoint_line,
+    verify_checkpoint,
 )
 
 from tests.fastlane.grid import GRID_RUN, grid_config, sweep_fingerprints
@@ -27,31 +28,6 @@ def read_lines(path):
         return f.read().splitlines()
 
 
-def rewrite_header(path, changes):
-    """Edit the checkpoint's header in place (None deletes a key)."""
-    lines = read_lines(path)
-    header = decode_checkpoint_line(lines[0])
-    for key, value in changes.items():
-        if value is None:
-            header.pop(key, None)
-        else:
-            header[key] = value
-    with open(path, "w") as f:
-        f.write(encode_checkpoint_line(header))
-        f.write("\n".join(lines[1:]) + "\n")
-
-
-def resume_matches_fresh(path, replications):
-    resumed = run_sweep(
-        grid_config(), run=GRID_RUN, replications=replications,
-        checkpoint=path, resume=True,
-    )
-    fresh = run_sweep(
-        grid_config(), run=GRID_RUN, replications=replications
-    )
-    return sweep_fingerprints(resumed) == sweep_fingerprints(fresh)
-
-
 class TestHeaderBinding:
     def test_header_records_replications_not_backend(self, tmp_path):
         path = tmp_path / "sweep.ckpt"
@@ -60,6 +36,7 @@ class TestHeaderBinding:
         )
         header = decode_checkpoint_line(read_lines(path)[0])
         assert header["replications"] == 2
+        assert header["params"] == grid_config().params.canonical()
         assert "backend" not in header
 
     def test_rep_key_only_on_nonzero_replications(self, tmp_path):
@@ -96,41 +73,31 @@ class TestResumeMismatch:
                 checkpoint=path, resume=True,
             )
 
-    def test_legacy_header_defaults_to_classic(self, tmp_path):
-        # Headers written before replications existed carry neither
-        # key: they were single-replication sweeps and resume as such.
+
+class TestOlderFormats:
+    @pytest.mark.parametrize("crc", [False, True], ids=["v1", "v2"])
+    def test_older_header_is_refused(self, tmp_path, crc):
+        # v1 wrote bare JSON lines, v2 added the CRC suffixes; neither
+        # header binds the whole parameter set.
         path = tmp_path / "sweep.ckpt"
         run_sweep(grid_config(), run=GRID_RUN, checkpoint=path)
-        rewrite_header(path, {"backend": None, "replications": None})
-        assert resume_matches_fresh(path, 1)
-
-
-class TestLegacyBackendField:
-    def test_batched_header_resumes(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        run_sweep(
-            grid_config(), run=GRID_RUN, replications=2, checkpoint=path,
-        )
-        rewrite_header(path, {"backend": "batched"})
-        assert resume_matches_fresh(path, 2)
-
-    def test_single_replication_classic_header_resumes(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        run_sweep(grid_config(), run=GRID_RUN, checkpoint=path)
-        rewrite_header(path, {"backend": "classic"})
-        assert resume_matches_fresh(path, 1)
-
-    def test_replicated_classic_header_refused(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        run_sweep(
-            grid_config(), run=GRID_RUN, replications=2, checkpoint=path,
-        )
-        rewrite_header(path, {"backend": "classic"})
-        with pytest.raises(CheckpointMismatchError, match="'backend'"):
-            run_sweep(
-                grid_config(), run=GRID_RUN, replications=2,
-                checkpoint=path, resume=True,
-            )
+        lines = read_lines(path)
+        header = decode_checkpoint_line(lines[0])
+        del header["params"]
+        header["format"] = f"repro-sweep-checkpoint-v{1 + crc}"
+        with open(path, "w") as f:
+            if crc:
+                f.write(encode_checkpoint_line(header))
+            else:
+                f.write(json.dumps(header) + "\n")
+            f.write("\n".join(lines[1:]) + "\n")
+        with pytest.raises(CheckpointMismatchError,
+                           match="older checkpoint format"):
+            run_sweep(grid_config(), run=GRID_RUN, checkpoint=path,
+                      resume=True)
+        report = verify_checkpoint(str(path))
+        assert not report["ok"]
+        assert "older checkpoint format" in report["detail"]
 
 
 class TestBatchedResume:

@@ -12,11 +12,7 @@ from repro.core import SimulationParameters
 from repro.core.params import TransactionClass
 from repro.core.workload import WorkloadGenerator
 from repro.des import StreamFactory
-from repro.fastlane import (
-    TapeStore,
-    WorkloadTape,
-    workload_signature,
-)
+from repro.fastlane import TapeStore, WorkloadTape
 from repro.fastlane.tapes import TAPE_CHUNK
 
 PARAMS = SimulationParameters(
@@ -90,70 +86,12 @@ class TestChunking:
         assert incremental.specs == jumped.specs
 
 
-class TestSignature:
-    def test_ignores_everything_the_workload_streams_cannot_see(self):
-        base = workload_signature(PARAMS, 11)
-        for variant in (
-            PARAMS.with_changes(mpl=200, num_terms=300),
-            PARAMS.with_changes(num_cpus=None, num_disks=None),
-            PARAMS.with_changes(obj_io=0.5, obj_cpu=0.2),
-            PARAMS.with_changes(ext_think_time=10.0),
-        ):
-            assert workload_signature(variant, 11) == base
-
-    def test_tracks_every_workload_knob(self):
-        base = workload_signature(PARAMS, 11)
-        variants = [
-            workload_signature(PARAMS, 12),
-            workload_signature(PARAMS.with_changes(db_size=1000), 11),
-            workload_signature(PARAMS.with_changes(min_size=1), 11),
-            workload_signature(PARAMS.with_changes(max_size=16), 11),
-            workload_signature(PARAMS.with_changes(write_prob=0.5), 11),
-            workload_signature(HOTSPOT, 11),
-            workload_signature(MIXED, 11),
-        ]
-        assert base not in variants
-        assert len(set(variants)) == len(variants)
-
-    def test_tracks_the_workload_model(self):
-        # Two grid points differing only in workload_model draw
-        # different content sequences and must never share a tape.
-        base = workload_signature(PARAMS, 11)
-        heavy = workload_signature(
-            PARAMS.with_changes(workload_model="heavy_tailed"), 11
-        )
-        assert heavy != base
-
-    def test_tracks_the_workload_spec(self):
-        heavy = PARAMS.with_changes(workload_model="heavy_tailed")
-        base = workload_signature(heavy, 11)
-        tweaked = workload_signature(
-            heavy.with_changes(workload_spec={"size_cv": 4.0}), 11
-        )
-        assert tweaked != base
-
-    def test_legacy_open_spelling_keys_like_open_poisson(self):
-        # arrival_mode="open" resolves to the open_poisson model; the
-        # signature must not distinguish the two spellings (identical
-        # content draws), but arrival timing knobs stay invisible.
-        legacy = workload_signature(
-            PARAMS.with_changes(arrival_mode="open", arrival_rate=5.0),
-            11,
-        )
-        explicit = workload_signature(
-            PARAMS.with_changes(workload_model="open_poisson"), 11
-        )
-        assert legacy == explicit
-
-
 class TestTapeStore:
     def test_grid_points_share_one_tape(self):
         store = TapeStore()
         low = store.workload(PARAMS, 11)
-        # Another mpl of the same experiment: same signature.
-        high = store.workload(
-            PARAMS.with_changes(mpl=50, num_terms=60), 11
-        )
+        # Another mpl of the same experiment: same tape key.
+        high = store.workload(PARAMS.with_changes(mpl=50), 11)
         assert high.tape is low.tape
         assert (store.hits, store.misses) == (1, 1)
         # A different workload gets its own tape.

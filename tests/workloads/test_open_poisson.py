@@ -1,9 +1,8 @@
-"""open_poisson: legacy parity, MMPP validation, saturation reporting."""
+"""open_poisson: default rate, MMPP validation, saturation reporting."""
 
 import pytest
 
 from repro.core import (
-    ARRIVAL_OPEN,
     RunConfig,
     SimulationParameters,
     run_simulation,
@@ -24,22 +23,7 @@ def open_params(**overrides):
     return SimulationParameters(**base)
 
 
-class TestLegacyParity:
-    def test_bit_identical_to_arrival_mode_open(self):
-        legacy = run_simulation(
-            open_params(workload_model="closed_classic",
-                        arrival_mode=ARRIVAL_OPEN, arrival_rate=5.0),
-            "blocking", run=RUN,
-        )
-        explicit = run_simulation(
-            open_params(workload_spec={"rate": 5.0}),
-            "blocking", run=RUN,
-        )
-        # Same "open_arrivals" stream, same draws: every counter and
-        # statistic coincides exactly.
-        assert explicit.throughput == legacy.throughput
-        assert explicit.totals == legacy.totals
-
+class TestPoissonRate:
     def test_rate_defaults_to_params_arrival_rate(self):
         model = create_workload_model(open_params(arrival_rate=7.5))
         assert model.rate == 7.5

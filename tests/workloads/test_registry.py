@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.core import ARRIVAL_OPEN, SimulationParameters
+from repro.core import SimulationParameters
 from repro.workloads import (
     WorkloadModel,
     create_workload_model,
     register_workload_model,
-    resolve_workload_model,
     workload_model_names,
 )
 from repro.workloads import registry as registry_module
@@ -33,23 +32,15 @@ class TestNames:
 
 
 class TestResolution:
-    def test_default_is_closed_classic(self):
-        assert resolve_workload_model(params()) == "closed_classic"
+    """The field is the resolution rule: no alias spelling exists."""
 
-    def test_legacy_open_mode_resolves_to_open_poisson(self):
-        legacy = params(arrival_mode=ARRIVAL_OPEN, arrival_rate=5.0)
-        assert resolve_workload_model(legacy) == "open_poisson"
+    def test_default_is_closed_classic(self):
+        assert params().workload_model == "closed_classic"
+        assert create_workload_model(params()).name == "closed_classic"
 
     def test_explicit_model_wins(self):
         explicit = params(workload_model="heavy_tailed")
-        assert resolve_workload_model(explicit) == "heavy_tailed"
-
-    def test_open_mode_conflicts_with_other_models(self):
-        # arrival_mode="open" is the legacy spelling of open_poisson;
-        # combining it with a different model is contradictory.
-        with pytest.raises(ValueError, match="legacy"):
-            params(arrival_mode=ARRIVAL_OPEN, arrival_rate=5.0,
-                   workload_model="heavy_tailed")
+        assert create_workload_model(explicit).name == "heavy_tailed"
 
 
 class TestCreate:

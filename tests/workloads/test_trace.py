@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis import check_serializability
 from repro.core import (
     RunConfig,
     SimulationParameters,
@@ -13,9 +14,12 @@ from repro.core import (
 from repro.obs.events import TX_SUBMIT
 from repro.obs.subscribers import Subscriber
 from repro.workloads import (
+    TraceSource,
     create_workload_model,
     load_workload_trace,
     save_workload_trace,
+    trace_from_history,
+    trace_record,
 )
 
 RUN = RunConfig(batches=3, batch_time=10.0, warmup_batches=0, seed=61)
@@ -37,6 +41,13 @@ def write_trace(path, records):
         for record in records:
             handle.write(json.dumps(record) + "\n")
     return str(path)
+
+
+RECORDS = [
+    trace_record((1, 2, 3), (2,)),
+    trace_record((4, 5)),
+    trace_record((1, 6), (1, 6)),
+]
 
 
 class SubmitLog(Subscriber):
@@ -92,11 +103,71 @@ class TestParsing:
         with pytest.raises(ValueError, match=":2:"):
             load_workload_trace(str(path))
 
+    def test_bad_record_reports_line(self, tmp_path):
+        path = write_trace(tmp_path / "t.jsonl", [
+            {"reads": [1]}, {"reads": [2, 2]},
+        ])
+        with pytest.raises(ValueError, match="t.jsonl:2: duplicate"):
+            load_workload_trace(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"reads": [1], "writes": []}\n\n{"reads": [2]}\n'
+        )
+        assert len(load_workload_trace(str(path))) == 2
+
+    def test_in_memory_records_round_trip_through_a_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        save_workload_trace(str(path), RECORDS)
+        assert load_workload_trace(str(path)) == RECORDS
+        tx = TraceSource(load_workload_trace(str(path)), cycle=True) \
+            .new_transaction(0)
+        assert tx.read_set == (1, 2, 3)
+        assert tx.write_set == frozenset({2})
+
     def test_rejects_empty_trace(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text("\n")
         with pytest.raises(ValueError, match="no records"):
             load_workload_trace(str(path))
+
+
+class TestSource:
+    def test_deals_in_order(self):
+        source = TraceSource(RECORDS, cycle=True)
+        tx1 = source.new_transaction(0)
+        tx2 = source.new_transaction(0)
+        assert tx1.read_set == (1, 2, 3)
+        assert tx1.write_set == frozenset({2})
+        assert tx2.read_set == (4, 5)
+        assert source.generated == 2
+
+    def test_cycles_when_configured(self):
+        source = TraceSource(RECORDS, cycle=True)
+        for _ in range(3):
+            source.new_transaction(0)
+        again = source.new_transaction(0)
+        assert again.read_set == (1, 2, 3)
+        assert again.id == 4  # ids keep counting
+
+    def test_non_cycling_source_ends_with_the_trace(self):
+        source = TraceSource(RECORDS, cycle=False)
+        for _ in range(2):
+            source.new_transaction(0)
+        assert not source.exhausted
+        source.new_transaction(0)
+        assert source.exhausted
+
+    def test_in_memory_records_share_the_file_validation(self):
+        with pytest.raises(ValueError, match="no records"):
+            TraceSource([], cycle=True)
+        with pytest.raises(ValueError, match="empty read set"):
+            trace_record(())
+        with pytest.raises(ValueError, match="subset"):
+            trace_record((1, 2), (3,))
+        with pytest.raises(ValueError, match="duplicate"):
+            trace_record((1, 1))
 
 
 class TestValidation:
@@ -214,3 +285,53 @@ class TestFeedback:
             run=RUN,
         )
         assert result.totals["open_system"]["reentries"] == 0
+
+
+class TestEngineIntegration:
+    def params(self):
+        return SimulationParameters(
+            db_size=50, min_size=1, max_size=10, write_prob=0.5,
+            num_terms=8, mpl=6, ext_think_time=0.1,
+            obj_io=0.005, obj_cpu=0.002, num_cpus=None, num_disks=None,
+        )
+
+    def test_model_runs_on_a_trace_source(self):
+        records = [
+            trace_record(range(start, start + 4),
+                         (start,) if start % 2 == 0 else ())
+            for start in range(0, 40, 4)
+        ]
+        model = SystemModel(
+            self.params(), "blocking", seed=3,
+            workload=TraceSource(records, cycle=True),
+            record_history=True,
+        )
+        model.run_until(20.0)
+        assert model.metrics.commits.total > 50
+        # Committed read sets all come from the trace.
+        trace_reads = {reads for _, reads, _, _ in records}
+        for record in model.committed_history:
+            assert record.read_set in trace_reads
+        report = check_serializability(
+            model.committed_history, model.store.final_state()
+        )
+        assert report.ok
+
+    def test_replaying_a_history_under_another_algorithm(self):
+        source = SystemModel(
+            self.params(), "blocking", seed=5, record_history=True
+        )
+        source.run_until(15.0)
+        records = trace_from_history(source.committed_history)
+        assert records
+        replay = SystemModel(
+            self.params(), "mvto", seed=5,
+            workload=TraceSource(records, cycle=True),
+            record_history=True,
+        )
+        replay.run_until(15.0)
+        assert replay.metrics.commits.total > 0
+        report = check_serializability(
+            replay.committed_history, replay.store.final_state()
+        )
+        assert report.ok
