@@ -1,10 +1,16 @@
-"""Analysis utilities: correctness verification and adaptive control.
+"""Tools that act on simulated runs.
 
 * :mod:`repro.analysis.verify` — serializability checking of committed
   histories via serial replay in each algorithm's equivalent serial
   order.
+* :mod:`repro.analysis.bounds` — operational-law bounds over the
+  network of :func:`repro.analytic.network_for_params`, used as an
+  oracle that every simulated result must respect.
 * :mod:`repro.analysis.adaptive` — an adaptive multiprogramming-level
-  controller, the "open problem" sketched in the paper's conclusions.
+  controller that retunes a running model, the "open problem"
+  sketched in the paper's conclusions.
+
+The closed-form models themselves live in :mod:`repro.analytic`.
 """
 
 from repro.analysis.verify import (
@@ -19,7 +25,6 @@ from repro.analysis.bounds import (
     check_result_against_bounds,
     operational_bounds,
 )
-from repro.analysis.sensitivity import ParameterSweepResult, parameter_sweep
 
 __all__ = [
     "check_serializability",
@@ -28,8 +33,6 @@ __all__ = [
     "HistoryViolation",
     "AdaptiveMplController",
     "AdaptiveMplResult",
-    "parameter_sweep",
-    "ParameterSweepResult",
     "operational_bounds",
     "OperationalBounds",
     "check_result_against_bounds",

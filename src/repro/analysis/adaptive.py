@@ -38,15 +38,30 @@ class AdaptiveMplResult:
 
 
 class AdaptiveMplController:
-    """Hill-climbing controller over the engine's admission limit."""
+    """Hill-climbing controller over the engine's admission limit.
+
+    The limit stays within ``[min_mpl, max_mpl]``; ``max_mpl`` of None
+    means the terminal count.
+    """
 
     def __init__(self, model, min_mpl=1, max_mpl=None, initial_step=5,
                  waste_guard=0.5, noise_tolerance=0.05):
         if not isinstance(model, SystemModel):
             raise TypeError("model must be a SystemModel")
+        if max_mpl is None:
+            max_mpl = model.params.num_terms
+        if not 1 <= min_mpl <= max_mpl:
+            raise ValueError(
+                f"need 1 <= min_mpl <= max_mpl, got min_mpl={min_mpl}, "
+                f"max_mpl={max_mpl}"
+            )
+        if initial_step < 1:
+            raise ValueError(
+                f"initial_step must be >= 1, got {initial_step}"
+            )
         self.model = model
         self.min_mpl = min_mpl
-        self.max_mpl = max_mpl or model.params.num_terms
+        self.max_mpl = max_mpl
         self.step = initial_step
         self.direction = +1
         self.waste_guard = waste_guard

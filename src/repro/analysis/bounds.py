@@ -2,11 +2,9 @@
 
 Classical asymptotic bound analysis (Denning & Buzen) gives hard limits
 on what any concurrency control algorithm could achieve in the paper's
-model, from service demands alone:
+model, from the service demands of
+:func:`repro.analytic.network_for_params` alone:
 
-* per-transaction demand at each service center:
-  ``D_cpu`` (all object CPU bursts over the CPU pool) and ``D_disk``
-  (all object I/O over the disks);
 * throughput can never exceed the bottleneck rate ``1 / D_max`` nor the
   no-queueing rate ``N / (R0 + Z)`` (N terminals, minimal response R0,
   think time Z);
@@ -19,6 +17,8 @@ and the contention-free ``noop`` baseline is verified to approach them.
 
 import math
 from dataclasses import dataclass
+
+from repro.analytic import DELAY, network_for_params
 
 
 @dataclass(frozen=True)
@@ -56,31 +56,24 @@ class OperationalBounds:
 def operational_bounds(params):
     """Compute :class:`OperationalBounds` for a parameter set.
 
-    Demands use mean transaction size: ``tran_size`` reads (obj_io +
-    obj_cpu each) plus ``tran_size * write_prob`` writes (obj_cpu at
-    request time + obj_io at update time), as in
-    :meth:`SimulationParameters.expected_service_time`.
+    A fold over :func:`repro.analytic.network_for_params`: each
+    center's total demand is ``demand * count``, a finite center's
+    per-server demand is ``demand / servers``, and delay centers
+    (infinite resources, internal think) only add to ``R0``.
     """
-    accesses = params.expected_reads() + params.expected_writes()
-    total_cpu = accesses * params.obj_cpu
-    total_disk = accesses * params.obj_io
-
-    per_cpu = 0.0 if params.num_cpus is None else total_cpu / params.num_cpus
-    # Accesses spread uniformly over the disks.
-    per_disk = (
-        0.0 if params.num_disks is None
-        else total_disk / params.num_disks
+    terminals, *dbms = network_for_params(params)
+    totals = {center.name: center.demand * center.count for center in dbms}
+    max_demand = max(
+        (center.demand / center.servers
+         for center in dbms if center.kind != DELAY),
+        default=0.0,
     )
-    max_demand = max(per_cpu, per_disk)
-
-    min_response = total_cpu + total_disk + params.int_think_time
+    min_response = sum(totals.values())
     bottleneck = math.inf if max_demand == 0.0 else 1.0 / max_demand
-    population = params.num_terms / (
-        min_response + params.ext_think_time
-    )
+    population = params.num_terms / (min_response + terminals.demand)
     return OperationalBounds(
-        cpu_demand=total_cpu,
-        disk_demand=total_disk,
+        cpu_demand=totals["cpu"],
+        disk_demand=totals["disks"],
         max_server_demand=max_demand,
         min_response_time=min_response,
         bottleneck_throughput=bottleneck,

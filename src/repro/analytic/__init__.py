@@ -1,22 +1,29 @@
-"""Analytical companion models for the simulated queuing network.
+"""Closed-form models of the simulated queueing network.
 
 The paper sits in a literature split between *simulation* studies and
-*analytical* studies of concurrency control; this package provides the
-analytical side for the contention-free substrate so the two can be
-checked against each other:
+*analytical* studies of concurrency control; this package is the
+analytical side, built on one queueing network so every model
+describes the network the simulator runs:
 
 * :mod:`repro.analytic.mva` — exact Mean-Value Analysis
-  (Reiser–Lavenberg) of single-class closed queuing networks with
-  delay, single-server, and multi-server (load-dependent) centers;
-* :mod:`repro.analytic.bridge` — builds the MVA network corresponding
-  to a :class:`~repro.core.SimulationParameters` configuration and
-  predicts contention-free throughput/response curves that the ``noop``
-  baseline must track.
+  (Reiser–Lavenberg) of single-class closed queueing networks with
+  delay, single-server, and multi-server (load-dependent) centers,
+  identical centers solved once as a counted group;
+* :mod:`repro.analytic.bridge` — :func:`network_for_params`, the one
+  mapping from a :class:`~repro.core.SimulationParameters`
+  configuration to centers and demands, and the contention-free
+  throughput/response predictions that the ``noop`` baseline must
+  track;
+* :mod:`repro.analytic.contention` — the contention-corrected
+  surrogate (approximate MVA over the same network plus fitted
+  data-contention terms), with :mod:`repro.analytic.calibrate` fitting
+  it against simulation and :mod:`repro.analytic.explore` sweeping it
+  over parameter spaces too large to simulate.
 
 Data contention (the algorithms' blocking and restarts) only *lowers*
-throughput below these predictions, so MVA also acts as a per-point
-upper bound oracle — a sharper one than the asymptotic bounds of
-:mod:`repro.analysis.bounds`.
+throughput below the contention-free predictions, so MVA is also a
+per-point upper bound on every algorithm. This package never imports
+:mod:`repro.analysis`, the tools that act on simulated runs.
 """
 
 from repro.analytic.mva import (
@@ -27,7 +34,6 @@ from repro.analytic.mva import (
     QUEUEING,
     solve_closed_network,
 )
-from repro.analytic.approx import solve_closed_network_approx
 from repro.analytic.bridge import (
     mva_prediction,
     network_for_params,
@@ -41,7 +47,6 @@ __all__ = [
     "MULTI_SERVER",
     "MvaResult",
     "solve_closed_network",
-    "solve_closed_network_approx",
     "network_for_params",
     "mva_prediction",
     "predicted_curve",

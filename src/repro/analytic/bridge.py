@@ -1,13 +1,16 @@
-"""Bridging SimulationParameters to the MVA network.
+"""The one mapping from SimulationParameters to a queueing network.
 
 The contention-free view of the paper's model is a product-form closed
 network: ``num_terms`` customers cycling through a terminal delay
 (external think time), an optional internal-think delay, a CPU pool
 (multi-server), and ``num_disks`` disks (single-server each, visited
-uniformly). :func:`mva_prediction` solves it; the ``noop`` baseline of
-the simulator must track the prediction wherever the mpl limit is not
-binding (mpl >= num_terms means no admission queueing, which MVA does
-not model).
+uniformly). :func:`network_for_params` builds it; exact MVA
+(:func:`mva_prediction`), the operational bounds
+(:func:`repro.analysis.operational_bounds`) and the contention
+surrogate (:mod:`repro.analytic.contention`) all read their demands
+from it. The ``noop`` baseline of the simulator must track
+:func:`mva_prediction` wherever the mpl limit is not binding (mpl >=
+num_terms means no admission queueing, which MVA does not model).
 """
 
 from repro.analytic.mva import (
@@ -23,10 +26,16 @@ from repro.analytic.mva import (
 def network_for_params(params):
     """The MVA centers equivalent to a parameter configuration.
 
-    Raises ValueError for infinite-resource configurations (model them
-    as delay-only networks by conversion, which this function does
-    automatically) — actually infinite resources simply become delay
-    centers, so everything is representable.
+    Returns a list of :class:`Center`, always ``terminals`` first (the
+    external think delay), then ``internal_think`` (a delay, only when
+    ``int_think_time > 0``), ``cpu`` and ``disks``. Per transaction the
+    CPU pool takes ``accesses * obj_cpu`` and the disks take
+    ``accesses * obj_io``, with ``accesses`` the expected reads plus
+    writes. One CPU is a queueing center, several are a multi-server
+    center. The disks are one group, ``Center("disks", QUEUEING,
+    per_disk, count=num_disks)``, each disk taking an equal share of
+    the I/O. Infinite resources (``num_cpus`` or ``num_disks`` of
+    None) become delay centers carrying the whole demand.
     """
     accesses = params.expected_reads() + params.expected_writes()
     cpu_demand = accesses * params.obj_cpu
@@ -53,9 +62,12 @@ def network_for_params(params):
     if params.num_disks is None:
         centers.append(Center("disks", DELAY, disk_demand))
     else:
-        per_disk = disk_demand / params.num_disks
-        for index in range(params.num_disks):
-            centers.append(Center(f"disk{index}", QUEUEING, per_disk))
+        centers.append(
+            Center(
+                "disks", QUEUEING, disk_demand / params.num_disks,
+                count=params.num_disks,
+            )
+        )
     return centers
 
 

@@ -57,10 +57,13 @@ Illinois root find over that evaluator. Two regimes per prediction:
   the closed solve says the cap binds — when it does not (e.g. the
   adaptive restart delay drains the admission queue), saturation never
   establishes and the closed solution is the operative regime.
-Identical disks collapse into one counted group, so the cost per
-prediction is independent of ``num_disks`` and a single prediction
-runs in well under a millisecond — cheap enough to sweep millions of
-configurations (:mod:`repro.analytic.explore`).
+
+The network is :func:`repro.analytic.bridge.network_for_params`, the
+same one exact MVA solves; its identical disks are one counted group,
+so the cost per prediction is independent of ``num_disks`` and a
+single prediction runs in well under a millisecond — cheap enough to
+sweep millions of configurations (:mod:`repro.analytic.explore`).
+This fixed-``m_eff`` solve is the package's one approximate MVA.
 
 Every prediction carries an *uncertainty score*: its contention index
 ``m_eff * k^2 / db_size * w(2-w)`` relative to the largest index the
@@ -73,6 +76,9 @@ them with real simulation.
 import math
 from dataclasses import dataclass
 from typing import Dict
+
+from repro.analytic.bridge import network_for_params
+from repro.analytic.mva import DELAY, QUEUEING
 
 #: Algorithms the surrogate has correction terms for. ``noop`` is the
 #: contention-free baseline (both coefficients zero by construction).
@@ -93,8 +99,6 @@ A_CLAMP = 50.0
 #: Fixed-point iteration bound and relative convergence tolerance.
 MAX_ITERATIONS = 400
 TOLERANCE = 1e-8
-
-_DELAY, _QUEUEING, _MULTI = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -193,39 +197,6 @@ class SurrogatePrediction:
         return self.uncertainty(max_index) > threshold
 
 
-def compact_network(params):
-    """The DBMS service centers of ``params``, identical ones grouped.
-
-    Returns ``(z, groups)``: the external think demand and a list of
-    ``(kind, demand, servers, count)`` tuples covering the internal
-    think delay, the CPU pool, and the disks — the same demands as
-    :func:`repro.analytic.bridge.network_for_params` assigns, but with
-    the ``num_disks`` identical disks collapsed into one counted group
-    so solver cost does not scale with the disk count.
-    """
-    accesses = params.expected_reads() + params.expected_writes()
-    cpu_demand = accesses * params.obj_cpu
-    disk_demand = accesses * params.obj_io
-
-    groups = []
-    if params.int_think_time > 0.0:
-        groups.append((_DELAY, params.int_think_time, 1, 1))
-    if params.num_cpus is None:
-        groups.append((_DELAY, cpu_demand, 1, 1))
-    elif params.num_cpus == 1:
-        groups.append((_QUEUEING, cpu_demand, 1, 1))
-    else:
-        groups.append((_MULTI, cpu_demand, params.num_cpus, 1))
-    if params.num_disks is None:
-        groups.append((_DELAY, disk_demand, 1, 1))
-    else:
-        groups.append(
-            (_QUEUEING, disk_demand / params.num_disks, 1,
-             params.num_disks)
-        )
-    return params.ext_think_time, groups
-
-
 def _contention_terms(algorithm, m_eff, k, k_w, db, alpha, beta):
     """Conflict probability and mean attempts at a fixed ``m_eff``.
 
@@ -301,7 +272,7 @@ def _solve_fixed_m(groups, n, z, m_eff, algorithm, k, k_w, db,
         for index in range(count):
             kind, demand, servers, group_count = groups[index]
             demand_eff = demand * inflation
-            if kind == _DELAY:
+            if kind == DELAY:
                 r = demand_eff
             else:
                 seen = queues[index] * ratio
@@ -311,7 +282,7 @@ def _solve_fixed_m(groups, n, z, m_eff, algorithm, k, k_w, db,
                 # not the full d exponential MVA assumes. Subtracting
                 # half an in-service job (utilization-weighted)
                 # removes the systematic low-mpl underprediction.
-                if kind == _QUEUEING:
+                if kind == QUEUEING:
                     busy = throughput * demand_eff
                     if busy > seen:
                         busy = seen
@@ -503,7 +474,15 @@ def surrogate_prediction(params, algorithm, coeffs=None):
         )
     if coeffs is None:
         coeffs = DEFAULT_COEFFS[algorithm]
-    z, groups = compact_network(params)
+    # External think, then one (kind, demand, servers, count) group per
+    # DBMS center: the disks are one counted group, so solver cost is
+    # independent of num_disks.
+    terminals, *dbms = network_for_params(params)
+    z = terminals.demand
+    groups = [
+        (center.kind, center.demand, center.servers, center.count)
+        for center in dbms
+    ]
     k_r = params.expected_reads()
     k_w = params.expected_writes()
     k = k_r + k_w

@@ -273,16 +273,17 @@ def explore(space=None, coeffs=None, max_index=None, threshold=1.0,
     flagged_count = 0
     flagged = []
     for axes, params in space.configurations(base=base):
+        # One parameter set per mpl, shared by every algorithm.
+        points = [(mpl, params.with_changes(mpl=mpl)) for mpl in space.mpls]
         best = {}
         for algorithm in space.algorithms:
             coefficients = None if coeffs is None else coeffs[algorithm]
             best_mpl = None
             best_prediction = None
             worst_uncertainty = 0.0
-            for mpl in space.mpls:
+            for mpl, point in points:
                 prediction = surrogate_prediction(
-                    params.with_changes(mpl=mpl), algorithm,
-                    coefficients,
+                    point, algorithm, coefficients
                 )
                 evaluations += 1
                 uncertainty = prediction.uncertainty(max_index)

@@ -6,9 +6,14 @@ Implements the Reiser–Lavenberg recursion over population n = 1..N:
 * **queueing** centers (one FCFS/PS server):
   R_i(n) = D_i * (1 + Q_i(n-1));
 * **multi-server** centers (m identical servers): treated exactly as a
-  load-dependent center via the marginal-probability recursion
-  (Reiser), with service rate mu(j) = min(j, m) / D_i per customer in
-  residence.
+  load-dependent center with service rate mu(j) = min(j, m) / D_i,
+  R_i(n) = D_i/m * (1 + Q_i(n-1) + sum_{j<m-1} (m-1-j) p_i(j | n-1)).
+  Only the marginals below m are needed. p_i(j | n) for j >= 1 follows
+  from p_i(j-1 | n-1); p_i(0 | n) = p_i(0 | n-1) * X(n) / X_{-i}(n),
+  with X_{-i} the throughput of the network without center i (one
+  extra solve per multi-server member). The textbook
+  p_i(0 | n) = 1 - sum_j p_i(j | n) cancels catastrophically near
+  saturation (a 10-server pool loses every digit by n ~ 150).
 
 With exponential service, these results are exact for product-form
 networks; the simulator uses deterministic service times, so
@@ -24,7 +29,7 @@ Example — the classic machine-repairman sanity check::
     True
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict
 
 DELAY = "delay"
@@ -40,13 +45,18 @@ class Center:
 
     ``demand`` is the total service demand one customer places on the
     center per pass through the network (visit ratio x service time).
-    ``servers`` only applies to MULTI_SERVER centers.
+    ``servers`` only applies to MULTI_SERVER centers. ``count`` makes
+    the center a group of that many identical centers (e.g. disks
+    visited uniformly), each with this ``demand``; by symmetry every
+    member has the same residence, so the group is solved once and
+    weighted by ``count``.
     """
 
     name: str
     kind: str
     demand: float
     servers: int = 1
+    count: int = 1
 
     def __post_init__(self):
         if self.kind not in _CENTER_TYPES:
@@ -55,16 +65,24 @@ class Center:
             )
         if self.demand < 0.0:
             raise ValueError(f"demand must be >= 0, got {self.demand}")
-        if self.kind == MULTI_SERVER and self.servers < 1:
+        if self.servers != 1 and (
+            self.kind != MULTI_SERVER or self.servers < 1
+        ):
             raise ValueError(
-                f"multi-server center needs servers >= 1, "
-                f"got {self.servers}"
+                f"servers must be >= 1 for a multi-server center and 1 "
+                f"otherwise, got {self.servers} for {self.kind}"
             )
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
 
 
 @dataclass
 class MvaResult:
-    """MVA solution at one population level."""
+    """MVA solution at one population level.
+
+    The per-center maps describe one member of a counted group; the
+    group's totals are ``count`` times the residence and queue length.
+    """
 
     population: int
     throughput: float
@@ -110,13 +128,23 @@ def solve_curve(centers, population):
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate center names in {names}")
 
+    delay_demand = sum(
+        center.demand * center.count
+        for center in centers if center.kind == DELAY
+    )
     queue = {center.name: 0.0 for center in centers}
-    # Marginal probabilities p_i(j | n) for load-dependent (multi-server)
-    # centers; p[center][j] with j customers present.
-    marginals = {
-        center.name: [1.0] + [0.0] * population
-        for center in centers
-        if center.kind == MULTI_SERVER
+    # p_i(j | n) for j < servers at each busy multi-server center, and
+    # the throughput curve of the network without one of its members.
+    pools = [
+        center for center in centers
+        if center.kind == MULTI_SERVER and center.demand > 0.0
+    ]
+    low_states = {
+        pool.name: [1.0] + [0.0] * (pool.servers - 1) for pool in pools
+    }
+    complements = {
+        pool.name: _complement_throughputs(centers, pool, population)
+        for pool in pools
     }
     results = []
     for n in range(1, population + 1):
@@ -128,41 +156,29 @@ def solve_curve(centers, population):
                 residence[center.name] = center.demand * (
                     1.0 + queue[center.name]
                 )
-            else:  # MULTI_SERVER: load-dependent residence time
+            elif center.demand == 0.0:
+                residence[center.name] = 0.0
+            else:
                 residence[center.name] = _multi_server_residence(
-                    center, marginals[center.name], n
+                    center, low_states[center.name], queue[center.name]
                 )
-        total_residence = sum(residence.values())
-        delay_demand = sum(
-            center.demand for center in centers if center.kind == DELAY
+        total_residence = sum(
+            residence[center.name] * center.count for center in centers
         )
-        # Delay centers contribute to cycle time but are already in
-        # total_residence (their residence == demand).
         throughput = n / total_residence if total_residence > 0 else 0.0
 
         for center in centers:
-            if center.kind == DELAY:
-                queue[center.name] = throughput * center.demand
-            else:
-                queue[center.name] = throughput * residence[center.name]
-        for center in centers:
-            if center.kind == MULTI_SERVER:
-                _update_marginals(
-                    center, marginals[center.name], n, throughput
-                )
-
-        utilizations = {}
-        for center in centers:
-            if center.kind == DELAY:
-                utilizations[center.name] = 0.0
-            elif center.kind == QUEUEING:
-                utilizations[center.name] = min(
-                    1.0, throughput * center.demand
-                )
-            else:
-                utilizations[center.name] = min(
-                    1.0, throughput * center.demand / center.servers
-                )
+            queue[center.name] = throughput * residence[center.name]
+        for pool in pools:
+            _advance_low_states(
+                low_states[pool.name], throughput, pool.demand,
+                complements[pool.name][n - 1],
+            )
+        utilizations = {
+            center.name: 0.0 if center.kind == DELAY
+            else min(1.0, throughput * center.demand / center.servers)
+            for center in centers
+        }
         results.append(
             MvaResult(
                 population=n,
@@ -176,35 +192,35 @@ def solve_curve(centers, population):
     return results
 
 
-def _multi_server_residence(center, marginal, n):
-    """Mean residence time at a multi-server center with n in network.
+def _complement_throughputs(centers, center, population):
+    """Throughput curve of ``centers`` with one member of ``center`` gone."""
+    rest = [
+        replace(other, count=other.count - 1) if other is center else other
+        for other in centers
+        if other is not center or other.count > 1
+    ]
+    return [result.throughput for result in solve_curve(rest, population)]
 
-    Uses the exact load-dependent formulation: a customer arriving when
-    j others are present (probability p(j | n-1) by the arrival
-    theorem) sees service rate min(j+1, m)/D once it enters service;
-    the standard recursion computes R_i(n) = sum_j (j+1)/mu(j+1) *
-    p_i(j | n-1) with mu(j) = min(j, m)/D.
+
+def _multi_server_residence(center, low, queue):
+    """R_i(n) from Q_i(n-1) and p_i(j | n-1) for j < servers."""
+    servers = center.servers
+    waiting = sum(
+        (servers - 1 - j) * low[j] for j in range(servers - 1)
+    )
+    return center.demand / servers * (1.0 + queue + waiting)
+
+
+def _advance_low_states(low, throughput, demand, complement_throughput):
+    """Advance p_i(j | n-1) -> p_i(j | n) in place for j < servers.
+
+    A zero ``complement_throughput`` means the rest of the network holds
+    no demand, so the center is never idle.
     """
-    demand = center.demand
-    servers = center.servers
-    if demand == 0.0:
-        return 0.0
-    total = 0.0
-    for j in range(n):
-        rate = min(j + 1, servers) / demand
-        total += (j + 1) / rate * marginal[j]
-    return total
-
-
-def _update_marginals(center, marginal, n, throughput):
-    """Advance p_i(j | n-1) -> p_i(j | n) for a load-dependent center."""
-    demand = center.demand
-    servers = center.servers
-    if demand == 0.0:
-        return
-    new = [0.0] * (len(marginal))
-    for j in range(1, n + 1):
-        rate = min(j, servers) / demand
-        new[j] = (throughput / rate) * marginal[j - 1]
-    new[0] = max(0.0, 1.0 - sum(new[1: n + 1]))
-    marginal[: n + 1] = new[: n + 1]
+    idle = (
+        low[0] * throughput / complement_throughput
+        if complement_throughput > 0.0 else 0.0
+    )
+    for j in range(len(low) - 1, 0, -1):
+        low[j] = throughput * demand / j * low[j - 1]
+    low[0] = idle

@@ -29,6 +29,26 @@ class TestController:
         with pytest.raises(TypeError):
             AdaptiveMplController("not a model")
 
+    def test_max_below_min_rejected(self):
+        with pytest.raises(ValueError, match="min_mpl <= max_mpl"):
+            AdaptiveMplController(model(), min_mpl=10, max_mpl=6)
+
+    def test_zero_max_rejected_not_defaulted(self):
+        with pytest.raises(ValueError, match="max_mpl=0"):
+            AdaptiveMplController(model(), max_mpl=0)
+
+    def test_zero_min_rejected(self):
+        with pytest.raises(ValueError, match="min_mpl=0"):
+            AdaptiveMplController(model(), min_mpl=0)
+
+    def test_zero_step_rejected(self):
+        with pytest.raises(ValueError, match="initial_step"):
+            AdaptiveMplController(model(), initial_step=0)
+
+    def test_max_none_means_terminal_count(self):
+        controller = AdaptiveMplController(model(num_terms=20))
+        assert controller.max_mpl == 20
+
     def test_run_produces_trace(self):
         controller = AdaptiveMplController(model(), initial_step=2)
         result = controller.run(epochs=6, epoch_time=5.0, warmup_time=5.0)

@@ -8,7 +8,9 @@ from repro.analysis import (
     check_result_against_bounds,
     operational_bounds,
 )
+from repro.analytic import mva_prediction
 from repro.core import RunConfig, SimulationParameters, run_simulation
+from tests.analytic.test_bridge import CONFIGURATIONS
 
 
 class TestBoundsComputation:
@@ -41,6 +43,14 @@ class TestBoundsComputation:
         params = SimulationParameters.table2(int_think_time=5.0)
         bounds = operational_bounds(params)
         assert bounds.min_response_time == pytest.approx(5.5)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGURATIONS))
+    def test_ceiling_bounds_exact_mva(self, name):
+        params = CONFIGURATIONS[name]
+        assert (
+            operational_bounds(params).throughput_ceiling
+            >= mva_prediction(params).throughput
+        )
 
     def test_describe(self):
         text = operational_bounds(SimulationParameters.table2()).describe()

@@ -15,8 +15,17 @@ from repro.analytic import (
     predicted_curve,
 )
 from repro.core import RunConfig, SimulationParameters, run_simulation
+from tests.analytic.test_mva import assert_group_matches_expansion
 
 RUN = RunConfig(batches=5, batch_time=20.0, warmup_batches=1, seed=33)
+
+#: Configurations every consumer of the one builder must agree on.
+CONFIGURATIONS = {
+    "table2": SimulationParameters.table2(),
+    "10cpu_25disk": SimulationParameters.table2(num_cpus=10, num_disks=25),
+    "infinite": SimulationParameters.table2(num_cpus=None, num_disks=None),
+    "int_think": SimulationParameters.table2(int_think_time=5.0),
+}
 
 
 class TestPopulationSentinels:
@@ -68,13 +77,14 @@ class TestNetworkConstruction:
             center.name: center
             for center in network_for_params(SimulationParameters.table2())
         }
+        assert list(centers) == ["terminals", "cpu", "disks"]
         assert centers["terminals"].kind == "delay"
         assert centers["terminals"].demand == 1.0
         assert centers["cpu"].kind == "queueing"  # one CPU
         assert centers["cpu"].demand == pytest.approx(0.150)
-        assert centers["disk0"].demand == pytest.approx(0.175)
-        assert centers["disk1"].demand == pytest.approx(0.175)
-        assert "disk2" not in centers
+        assert centers["disks"].kind == "queueing"
+        assert centers["disks"].demand == pytest.approx(0.175)
+        assert centers["disks"].count == 2
 
     def test_multi_cpu_becomes_multi_server(self):
         params = SimulationParameters.table2(num_cpus=5, num_disks=10)
@@ -83,7 +93,7 @@ class TestNetworkConstruction:
         }
         assert centers["cpu"].kind == "multi_server"
         assert centers["cpu"].servers == 5
-        assert len([n for n in centers if n.startswith("disk")]) == 10
+        assert centers["disks"].count == 10
 
     def test_infinite_resources_become_delays(self):
         params = SimulationParameters.table2(
@@ -94,11 +104,22 @@ class TestNetworkConstruction:
         }
         assert centers["cpu"].kind == "delay"
         assert centers["disks"].kind == "delay"
+        assert centers["disks"].count == 1
+        assert centers["disks"].demand == pytest.approx(0.350)
 
     def test_internal_think_becomes_delay(self):
         params = SimulationParameters.table2(int_think_time=5.0)
         names = [c.name for c in network_for_params(params)]
-        assert "internal_think" in names
+        assert names == ["terminals", "internal_think", "cpu", "disks"]
+
+
+class TestGroupedDisks:
+    @pytest.mark.parametrize("name", sorted(CONFIGURATIONS))
+    def test_grouped_network_matches_expanded_disks(self, name):
+        params = CONFIGURATIONS[name]
+        assert_group_matches_expansion(
+            network_for_params(params), params.num_terms
+        )
 
 
 class TestSimulatorAgreement:
@@ -148,6 +169,6 @@ class TestSimulatorAgreement:
             predicted.response_time, rel=0.15
         )
 
-    def test_bottleneck_is_a_disk(self):
+    def test_bottleneck_is_the_disks(self):
         prediction = mva_prediction(SimulationParameters.table2())
-        assert prediction.bottleneck().startswith("disk")
+        assert prediction.bottleneck() == "disks"

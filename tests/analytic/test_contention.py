@@ -15,11 +15,11 @@ from repro.analytic.contention import (
     DEFAULT_MAX_INDEX,
     SUPPORTED_ALGORITHMS,
     CorrectionCoefficients,
-    compact_network,
     optimal_mpl,
     surrogate_curve,
     surrogate_prediction,
 )
+from repro.analytic import network_for_params
 from repro.core import RunConfig, SimulationParameters, run_simulation
 
 BASE = SimulationParameters.table2()
@@ -83,11 +83,13 @@ class TestSolverInvariants:
             assert prediction.m_eff <= mpl + 1e-6
 
     def test_disk_collapse_matches_disk_count(self):
-        _, few = compact_network(BASE.with_changes(num_disks=2))
-        _, many = compact_network(BASE.with_changes(num_disks=8))
+        few = network_for_params(BASE.with_changes(num_disks=2))
+        many = network_for_params(BASE.with_changes(num_disks=8))
         # Same group structure regardless of disk count: the disks
         # fold into one counted group, so solver cost is flat.
         assert len(few) == len(many)
+        assert (few[-1].name, few[-1].count) == ("disks", 2)
+        assert (many[-1].name, many[-1].count) == ("disks", 8)
 
 
 class TestContentionFreeLimits:

@@ -44,6 +44,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Center("x", MULTI_SERVER, 1.0, servers=0)
 
+    def test_servers_only_for_multi_server(self):
+        with pytest.raises(ValueError, match="servers"):
+            Center("x", QUEUEING, 1.0, servers=3)
+
+    def test_group_count_positive(self):
+        with pytest.raises(ValueError, match="count"):
+            Center("x", QUEUEING, 1.0, count=0)
+
     def test_population_positive(self):
         with pytest.raises(ValueError):
             solve_closed_network([Center("x", DELAY, 1.0)], 0)
@@ -53,6 +61,62 @@ class TestValidation:
             solve_closed_network(
                 [Center("x", DELAY, 1.0), Center("x", DELAY, 2.0)], 2
             )
+
+
+def expanded(centers):
+    """``centers`` with every counted group spelled out member by member."""
+    return [
+        Center(f"{center.name}{index}", center.kind, center.demand,
+               servers=center.servers)
+        for center in centers
+        for index in range(center.count)
+    ]
+
+
+def assert_group_matches_expansion(centers, population):
+    """Exact MVA on grouped centers equals MVA on their expansion."""
+    grouped = solve_curve(centers, population)
+    members = solve_curve(expanded(centers), population)
+    for group, member in zip(grouped, members):
+        assert group.throughput == pytest.approx(
+            member.throughput, rel=1e-12
+        )
+        assert group.response_time == pytest.approx(
+            member.response_time, rel=1e-12, abs=1e-12
+        )
+        for center in centers:
+            first = f"{center.name}0"
+            assert group.residence_times[center.name] == pytest.approx(
+                member.residence_times[first], rel=1e-12
+            )
+            assert group.utilizations[center.name] == pytest.approx(
+                member.utilizations[first], rel=1e-12, abs=1e-12
+            )
+
+
+class TestCountedGroups:
+    @pytest.mark.parametrize("kind,servers", [
+        (DELAY, 1), (QUEUEING, 1), (MULTI_SERVER, 3),
+    ])
+    def test_group_matches_expansion(self, kind, servers):
+        centers = [
+            Center("think", DELAY, 1.0),
+            Center("cpu", QUEUEING, 0.05),
+            Center("pool", kind, 0.2, servers=servers, count=4),
+        ]
+        assert_group_matches_expansion(centers, 30)
+
+    def test_group_queue_lengths_sum_to_n(self):
+        centers = [
+            Center("think", DELAY, 1.0),
+            Center("disks", QUEUEING, 0.1, count=5),
+        ]
+        for result in solve_curve(centers, 20):
+            total = sum(
+                result.queue_lengths[center.name] * center.count
+                for center in centers
+            )
+            assert total == pytest.approx(result.population, rel=1e-9)
 
 
 class TestClosedForms:
@@ -126,10 +190,11 @@ class TestClosedForms:
 
 
 class TestMultiServerExactness:
-    """Audit `_update_marginals`/`_multi_server_residence` (the
-    load-dependent marginal recursion) against the exact finite-source
-    M/M/c birth-death solution — the closed-form the Erlang-C family
-    reduces to in a closed network.
+    """Audit the load-dependent recursion (`_multi_server_residence`,
+    `_advance_low_states`) against the exact finite-source M/M/c
+    birth-death solution — the closed-form the Erlang-C family reduces
+    to in a closed network. The saturated wide pools are where the
+    textbook p(0) = 1 - sum(p) form loses its digits.
     """
 
     @pytest.mark.parametrize(
@@ -141,6 +206,8 @@ class TestMultiServerExactness:
             (4, 1.0, 4),
             (5, 2.0, 20),
             (8, 3.0, 30),
+            (10, 0.15, 200),
+            (16, 1.0, 300),
         ],
     )
     def test_matches_exact_birth_death(self, servers, demand, n):
