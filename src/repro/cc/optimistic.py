@@ -13,6 +13,11 @@ after the last object access): a successful validator stamps its write
 set with the current time before its deferred updates are performed, so
 transactions validating during the update phase still see the conflict.
 This mirrors Kung–Robinson's serial-validation critical section.
+
+A write stamped at the very instant an attempt starts may be installed
+before or after that attempt's first reads (same simulated time,
+different event order), so a tie conflicts only when the attempt read
+the version that write replaced.
 """
 
 from repro.cc.base import (
@@ -37,6 +42,8 @@ class OptimisticCC(ConcurrencyControl):
         # obj -> simulated time of the last committed write. Missing keys
         # mean "never written", i.e. -infinity.
         self._write_stamp = {}
+        # unit -> (id, write set) of the transaction that set the stamp.
+        self._stamp_writer = {}
         self.validations = 0
         self.validation_failures = 0
 
@@ -53,7 +60,10 @@ class OptimisticCC(ConcurrencyControl):
         stamps = self._write_stamp
         start = tx.attempt_start_time
         for unit in cc_units_read(tx):
-            if stamps.get(unit, -1.0) > start:
+            stamp = stamps.get(unit, -1.0)
+            if stamp > start or (
+                stamp == start and self._read_replaced_version(tx, unit)
+            ):
                 self.validation_failures += 1
                 raise RestartTransaction(
                     REASON_VALIDATION,
@@ -63,9 +73,19 @@ class OptimisticCC(ConcurrencyControl):
         # that concurrent validators observe the conflict even while our
         # deferred updates are still being written to disk.
         now = self.env.now
+        writers = self._stamp_writer
         for unit in cc_units_written(tx):
             stamps[unit] = now
+            writers[unit] = (tx.id, tx.write_set)
         return None
+
+    def _read_replaced_version(self, tx, unit):
+        """Whether ``tx`` read a version that ``unit``'s last writer replaced."""
+        writer_id, written = self._stamp_writer[unit]
+        seen = tx.reads_seen
+        return any(
+            obj in seen and seen[obj] != writer_id for obj in written
+        )
 
     def abort(self, tx):
         """Nothing to clean up: optimistic keeps no per-transaction state."""

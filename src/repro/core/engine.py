@@ -49,7 +49,6 @@ from repro.obs import (
     HistorySubscriber,
     InstrumentationBus,
     MetricsSubscriber,
-    TraceSubscriber,
 )
 from repro.obs.events import (
     CC_GRANT,
@@ -75,21 +74,17 @@ class SystemModel:
 
     ``subscribers`` attaches additional instrumentation-bus consumers
     (e.g. :class:`repro.obs.TimeSeriesSampler`,
-    :class:`repro.obs.JsonlSink`); ``tracer`` and ``record_history``
-    remain as conveniences that attach the corresponding built-in
-    subscribers.
+    :class:`repro.obs.JsonlSink`); ``record_history`` is a convenience
+    that attaches the built-in history subscriber.
     """
 
     def __init__(self, params, algorithm="blocking", seed=42,
-                 record_history=False, tracer=None, workload=None,
+                 record_history=False, workload=None,
                  subscribers=()):
         self.params = params
         self.env = Environment()
         #: The unified instrumentation bus all events flow through.
         self.bus = InstrumentationBus(self.env)
-        #: Optional repro.des.trace.TraceRecorder receiving transaction
-        #: lifecycle (and every other) event via a TraceSubscriber.
-        self.tracer = tracer
         self.streams = StreamFactory(seed)
         if isinstance(algorithm, ConcurrencyControl):
             self.cc = algorithm
@@ -132,11 +127,8 @@ class SystemModel:
             open_system=self.workload_model.open_system,
         )
         # Subscriber attach order fixes dispatch order: metrics first
-        # (the default fast path), then tracing/history, then caller
-        # extras.
+        # (the default fast path), then history, then caller extras.
         self.bus.attach(MetricsSubscriber(self.metrics), model=self)
-        if tracer is not None:
-            self.bus.attach(TraceSubscriber(tracer), model=self)
         self._history = None
         if record_history:
             self._history = self.bus.attach(HistorySubscriber(), model=self)

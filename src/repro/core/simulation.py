@@ -170,8 +170,7 @@ class SimulationResult:
 
 def run_simulation(params, algorithm="blocking", run=None, seed=None,
                    record_history=False, batch_callback=None,
-                   tracer=None, subscribers=(), invariants=None,
-                   workload=None):
+                   subscribers=(), invariants=None, workload=None):
     """Run one configuration to completion using modified batch means.
 
     ``run.warmup_batches`` initial batches are simulated but discarded;
@@ -188,8 +187,7 @@ def run_simulation(params, algorithm="blocking", run=None, seed=None,
     the byte-identical transaction sequence from a shared precomputed
     tape.
 
-    ``tracer`` (a :class:`~repro.des.TraceRecorder`) and ``subscribers``
-    (extra :mod:`repro.obs` consumers, e.g. a
+    ``subscribers`` (extra :mod:`repro.obs` consumers, e.g. a
     :class:`~repro.obs.TimeSeriesSampler` or :class:`~repro.obs.JsonlSink`)
     are forwarded to the model's instrumentation bus. Subscribers only
     observe, so attaching them leaves the result bit-identical.
@@ -218,7 +216,6 @@ def run_simulation(params, algorithm="blocking", run=None, seed=None,
         algorithm=algorithm,
         seed=run.seed,
         record_history=record_history,
-        tracer=tracer,
         workload=workload,
         subscribers=subscribers,
     )
@@ -249,7 +246,7 @@ def run_simulation(params, algorithm="blocking", run=None, seed=None,
 def run_until_precision(params, algorithm="blocking", run=None,
                         metric="throughput", target_relative_hw=0.05,
                         max_batches=200, seed=None,
-                        tracer=None, subscribers=(), invariants=None):
+                        subscribers=(), invariants=None):
     """Run with a *sequential stopping rule* instead of a fixed length.
 
     The paper chose its batch times per experiment to get "sufficiently
@@ -275,7 +272,7 @@ def run_until_precision(params, algorithm="blocking", run=None,
     checker, subscribers = _resolve_checker(invariants, subscribers)
     model = SystemModel(
         params, algorithm=algorithm, seed=run.seed,
-        tracer=tracer, subscribers=subscribers,
+        subscribers=subscribers,
     )
     analyzer = BatchMeansAnalyzer(
         warmup_batches=run.warmup_batches, confidence=run.confidence

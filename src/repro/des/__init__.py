@@ -24,7 +24,6 @@ from repro.des.monitor import BusyTracker, Counter, LevelMonitor, Tally
 from repro.des.process import Process
 from repro.des.resources import InfiniteResource, Request, Resource, Store
 from repro.des.rng import RandomStream, StreamFactory
-from repro.des.trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "Environment",
@@ -39,8 +38,6 @@ __all__ = [
     "Store",
     "RandomStream",
     "StreamFactory",
-    "TraceRecorder",
-    "TraceRecord",
     "Counter",
     "Tally",
     "LevelMonitor",

@@ -768,9 +768,21 @@ def _run_explore(args, run):
 
 
 def _run_single(args, run):
-    """One diagnostic run of one algorithm (the ``--single`` command)."""
+    """One diagnostic run of one algorithm (the ``--single`` command).
+
+    Observers are wired exactly as for a sweep point of an experiment
+    named ``single``: the trace lands in ``single.<alg>.mpl<NNN>.jsonl``
+    and the time-series CSV carries the sweep's point columns.
+    """
+    from dataclasses import replace
+
     from repro.core import SimulationParameters, run_simulation
-    from repro.obs import JsonlSink, TimeSeriesSampler
+    from repro.experiments.configs import ExperimentConfig
+    from repro.experiments.runner import (
+        SweepResult,
+        _point_diagnostics,
+        _point_subscribers,
+    )
 
     mpl = args.mpls[0] if args.mpls else 25
     params = SimulationParameters.table2(mpl=mpl)
@@ -786,25 +798,16 @@ def _run_single(args, run):
         params = params.with_changes(nodes=args.nodes)
     if args.commit_protocol:
         params = params.with_changes(commit_protocol=args.commit_protocol)
-    sampler = sink = None
-    subscribers = []
-    if args.timeseries is not None:
-        sampler = TimeSeriesSampler(interval=args.timeseries)
-        subscribers.append(sampler)
-    if args.trace:
-        directory = args.trace_out or "traces"
-        os.makedirs(directory, exist_ok=True)
-        sink = JsonlSink(
-            os.path.join(
-                directory, f"single.{args.single}.mpl{mpl:03d}.jsonl"
-            ),
-            kinds=_parse_trace_kinds(args.trace_kinds),
-        )
-        subscribers.append(sink)
+    trace = _trace_option(args)
+    if trace is not None:
+        os.makedirs(trace.directory, exist_ok=True)
+    sampler, sink, subscribers = _point_subscribers(
+        "single", args.single, mpl, args.timeseries, trace
+    )
     try:
         result = run_simulation(
             params, algorithm=args.single, run=run,
-            subscribers=tuple(subscribers),
+            subscribers=subscribers,
             invariants=args.invariants,
         )
     finally:
@@ -831,54 +834,34 @@ def _run_single(args, run):
             file=sys.stderr,
         )
         if args.timeseries_csv:
-            _write_single_timeseries(sampler, args.timeseries_csv)
+            observed = replace(result, diagnostics={
+                **(result.diagnostics or {}),
+                **_point_diagnostics(args.timeseries, sampler, sink),
+            })
+            config = ExperimentConfig(
+                experiment_id="single", title=f"--single {args.single}",
+                figures=(), params=params, algorithms=(args.single,),
+                mpls=(mpl,),
+            )
+            sweep = SweepResult(
+                config=config, run=run,
+                results={(args.single, mpl): observed},
+            )
+            _export_timeseries_csv([sweep], args.timeseries_csv)
     return 0
 
 
-def _write_single_timeseries(sampler, path):
-    import csv
-
-    from repro.obs import SAMPLE_FIELDS
-
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=SAMPLE_FIELDS)
-        writer.writeheader()
-        writer.writerows(sampler.rows())
-    print(f"[wrote {len(sampler)} samples to {path}]", file=sys.stderr)
-
-
 def _export_csv(sweeps, path):
-    import csv
+    from repro.experiments.export import write_csv
 
-    from repro.experiments.export import CSV_COLUMNS, sweep_to_rows
-
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        total = 0
-        for sweep in sweeps:
-            rows = sweep_to_rows(sweep)
-            writer.writerows(rows)
-            total += len(rows)
+    total = write_csv(sweeps, path)
     print(f"[wrote {total} rows to {path}]", file=sys.stderr)
 
 
 def _export_timeseries_csv(sweeps, path):
-    import csv
+    from repro.experiments.export import write_timeseries_csv
 
-    from repro.experiments.export import (
-        TIMESERIES_COLUMNS,
-        timeseries_to_rows,
-    )
-
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=TIMESERIES_COLUMNS)
-        writer.writeheader()
-        total = 0
-        for sweep in sweeps:
-            rows = timeseries_to_rows(sweep)
-            writer.writerows(rows)
-            total += len(rows)
+    total = write_timeseries_csv(sweeps, path)
     print(f"[wrote {total} time-series rows to {path}]", file=sys.stderr)
 
 

@@ -2,7 +2,8 @@
 
 ``sweep_to_rows`` flattens a :class:`~repro.experiments.runner.SweepResult`
 into one row per (algorithm, mpl, metric); ``write_csv`` serializes the
-rows so the figures can be re-plotted with any external tool.
+rows of one or more sweeps so the figures can be re-plotted with any
+external tool.
 
 ``timeseries_to_rows``/``write_timeseries_csv`` do the same for the
 per-point time-series diagnostics captured by
@@ -59,18 +60,18 @@ def sweep_to_rows(sweep, metrics=None):
     return rows
 
 
-def write_csv(sweep, destination, metrics=None):
-    """Write the flattened sweep to ``destination``.
+def write_csv(sweeps, destination, metrics=None):
+    """Write the flattened sweep(s) to ``destination``.
 
+    ``sweeps`` is one sweep or a list of sweeps (rows in list order);
     ``destination`` may be a path or a writable text file object.
     Returns the number of data rows written.
     """
-    rows = sweep_to_rows(sweep, metrics=metrics)
-    if hasattr(destination, "write"):
-        _write_rows(destination, rows)
-    else:
-        with open(destination, "w", newline="") as f:
-            _write_rows(f, rows)
+    rows = [
+        row for sweep in _sweep_list(sweeps)
+        for row in sweep_to_rows(sweep, metrics=metrics)
+    ]
+    _write_rows(destination, CSV_COLUMNS, rows)
     return len(rows)
 
 
@@ -81,8 +82,17 @@ def rows_to_csv_text(sweep, metrics=None):
     return buffer.getvalue()
 
 
-def _write_rows(fileobj, rows):
-    writer = csv.DictWriter(fileobj, fieldnames=CSV_COLUMNS)
+def _sweep_list(sweeps):
+    """One sweep or a list of sweeps, as a list."""
+    return [sweeps] if hasattr(sweeps, "results") else list(sweeps)
+
+
+def _write_rows(destination, columns, rows):
+    if not hasattr(destination, "write"):
+        with open(destination, "w", newline="") as f:
+            _write_rows(f, columns, rows)
+        return
+    writer = csv.DictWriter(destination, fieldnames=columns)
     writer.writeheader()
     writer.writerows(rows)
 
@@ -118,23 +128,16 @@ def timeseries_to_rows(sweep):
     return rows
 
 
-def write_timeseries_csv(sweep, destination):
-    """Write the sweep's time-series diagnostics to ``destination``.
+def write_timeseries_csv(sweeps, destination):
+    """Write the sweep(s)' time-series diagnostics to ``destination``.
 
-    ``destination`` may be a path or a writable text file object.
-    Returns the number of data rows written (0 when the sweep carries
-    no time-series diagnostics).
+    ``sweeps`` is one sweep or a list of sweeps; ``destination`` may be
+    a path or a writable text file object. Returns the number of data
+    rows written (0 when no sweep carries time-series diagnostics).
     """
-    rows = timeseries_to_rows(sweep)
-
-    def write(fileobj):
-        writer = csv.DictWriter(fileobj, fieldnames=TIMESERIES_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-
-    if hasattr(destination, "write"):
-        write(destination)
-    else:
-        with open(destination, "w", newline="") as f:
-            write(f)
+    rows = [
+        row for sweep in _sweep_list(sweeps)
+        for row in timeseries_to_rows(sweep)
+    ]
+    _write_rows(destination, TIMESERIES_COLUMNS, rows)
     return len(rows)

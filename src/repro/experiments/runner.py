@@ -165,7 +165,7 @@ class PointTrace:
         )
 
 
-def _point_subscribers(config, algorithm, mpl, timeseries, trace):
+def _point_subscribers(experiment_id, algorithm, mpl, timeseries, trace):
     """Fresh observability subscribers for one point attempt.
 
     Built per attempt — never reused — so a retried point starts from
@@ -180,7 +180,7 @@ def _point_subscribers(config, algorithm, mpl, timeseries, trace):
         subscribers.append(sampler)
     if trace is not None:
         sink = JsonlSink(
-            trace.point_path(config.experiment_id, algorithm, mpl),
+            trace.point_path(experiment_id, algorithm, mpl),
             kinds=trace.kinds,
         )
         subscribers.append(sink)
@@ -568,7 +568,8 @@ def _run_point(plan, point, store, progress=None):
             if supervised else None
         )
         sampler, sink, subscribers = _point_subscribers(
-            config, algorithm, mpl, plan.timeseries, plan.trace
+            config.experiment_id, algorithm, mpl, plan.timeseries,
+            plan.trace,
         )
         try:
             results = fastlane.run_point_replications(

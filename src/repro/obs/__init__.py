@@ -33,7 +33,6 @@ from repro.obs.subscribers import (
     HistorySubscriber,
     MetricsSubscriber,
     Subscriber,
-    TraceSubscriber,
     scalar_fields,
 )
 from repro.obs.timeseries import SAMPLE_FIELDS, TimeSeriesSampler
@@ -47,7 +46,6 @@ __all__ = [
     "resolve_invariant_mode",
     "Subscriber",
     "MetricsSubscriber",
-    "TraceSubscriber",
     "HistorySubscriber",
     "FaultAccountingSubscriber",
     "BufferAccountingSubscriber",

@@ -3,8 +3,8 @@
 Every operational signal the engine, physical model, or fault injector
 can report flows through the :class:`~repro.obs.bus.InstrumentationBus`
 as one of these event kinds. The kind strings are **stable**: they
-appear verbatim in trace logs, JSONL event streams, and checkpointed
-diagnostics, so renaming one is a format change.
+appear verbatim in JSONL event traces and checkpointed diagnostics,
+so renaming one is a format change.
 
 Transaction lifecycle (the closed model of paper Figures 1-2):
 
@@ -16,7 +16,7 @@ Transaction lifecycle (the closed model of paper Figures 1-2):
 * ``commit_point`` — writes installed; the transaction can no longer
   abort (deferred-update I/O may still follow);
 * ``commit`` — the attempt completed (kept as ``commit`` — not
-  ``complete`` — for trace-log compatibility).
+  ``complete`` — for trace compatibility).
 
 Concurrency-control decisions: ``block``/``restart`` above record the
 negative decisions; ``cc_grant`` records a granted read/write request
@@ -46,9 +46,9 @@ Faults (:mod:`repro.faults`): ``disk_fail``/``disk_repair``,
 
 Event *fields* are live model objects where that is cheapest — in
 particular lifecycle events carry the :class:`~repro.core.transaction.
-Transaction` itself under ``tx`` — and subscribers that persist events
-(trace, JSONL) flatten them to scalars via :func:`~repro.obs.
-subscribers.scalar_fields`.
+Transaction` itself under ``tx`` — and the
+:class:`~repro.obs.jsonl.JsonlSink` flattens them to the trace line
+layout of :func:`~repro.obs.subscribers.scalar_fields`.
 """
 
 # -- transaction lifecycle ----------------------------------------------------

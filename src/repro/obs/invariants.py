@@ -28,7 +28,8 @@ points), so any run can be audited by attaching it:
 * **lock-grant exclusivity** — for the blocking (strict 2PL) algorithm,
   a granted write on an object excludes every other holder and a
   granted read excludes foreign writers, between grant and
-  commit/abort;
+  commit/abort (a deadlock victim's locks go when it is picked, so a
+  grant against blocked holders only is settled by their restarts);
 * **commit-point ordering** — a transaction commits only after exactly
   one commit point in its final attempt, and can no longer restart once
   its writes are installed;
@@ -196,6 +197,11 @@ class InvariantChecker:
         self._busy = {}
         # Lock table for the exclusivity check: obj -> [writer, readers].
         self._locks = {}
+        # Tx ids blocked since their last grant (deadlock-victim
+        # candidates), and grants that conflicted only with such
+        # holders: holder id -> [(grant time, message, details)].
+        self._blocked = set()
+        self._pending_grants = {}
         # Network / commit-protocol state.
         self._msgs_sent = 0
         self._msgs_received = 0
@@ -336,6 +342,8 @@ class InvariantChecker:
     def _on_block(self, time, fields):
         self._tick(time)
         tx = fields["tx"]
+        self._settle_grants(time, tx.id, TX_BLOCK)
+        self._blocked.add(tx.id)
         phase = self._phase.get(tx.id)
         if phase != _ACTIVE:
             self._violate(
@@ -348,6 +356,7 @@ class InvariantChecker:
     def _on_commit_point(self, time, fields):
         self._tick(time)
         tx = fields["tx"]
+        self._settle_grants(time, tx.id, TX_COMMIT_POINT)
         phase = self._phase.get(tx.id)
         if phase != _ACTIVE:
             self._violate(
@@ -370,6 +379,8 @@ class InvariantChecker:
     def _on_restart(self, time, fields):
         self._tick(time)
         tx = fields["tx"]
+        self._settle_grants(time, tx.id, TX_RESTART)
+        self._blocked.discard(tx.id)
         phase = self._phase.get(tx.id)
         if phase != _ACTIVE:
             self._violate(
@@ -400,6 +411,8 @@ class InvariantChecker:
     def _on_complete(self, time, fields):
         self._tick(time)
         tx = fields["tx"]
+        self._settle_grants(time, tx.id, TX_COMPLETE)
+        self._blocked.discard(tx.id)
         phase = self._phase.get(tx.id)
         if phase != _ACTIVE:
             self._violate(
@@ -532,9 +545,11 @@ class InvariantChecker:
 
     def _on_cc_grant(self, time, fields):
         self._tick(time)
+        tx = fields["tx"]
+        self._settle_grants(time, tx.id, CC_GRANT)
+        self._blocked.discard(tx.id)
         if not self.check_locks:
             return
-        tx = fields["tx"]
         obj = fields["obj"]
         entry = self._locks.get(obj)
         if entry is None:
@@ -543,15 +558,15 @@ class InvariantChecker:
         if fields["op"] == "write":
             foreign_readers = readers - {tx.id}
             if writer is not None and writer != tx.id:
-                self._violate(
-                    time, "lock_exclusivity",
+                self._conflicting_grant(
+                    time, (writer,),
                     f"write on {obj!r} granted to tx {tx.id} while tx "
                     f"{writer} holds a write grant",
                     obj=obj, tx=tx.id, holder=writer,
                 )
             elif foreign_readers:
-                self._violate(
-                    time, "lock_exclusivity",
+                self._conflicting_grant(
+                    time, foreign_readers,
                     f"write on {obj!r} granted to tx {tx.id} while "
                     f"{sorted(foreign_readers)} hold read grants",
                     obj=obj, tx=tx.id,
@@ -560,13 +575,46 @@ class InvariantChecker:
             entry[0] = tx.id
         else:
             if writer is not None and writer != tx.id:
-                self._violate(
-                    time, "lock_exclusivity",
+                self._conflicting_grant(
+                    time, (writer,),
                     f"read on {obj!r} granted to tx {tx.id} while tx "
                     f"{writer} holds a write grant",
                     obj=obj, tx=tx.id, holder=writer,
                 )
             readers.add(tx.id)
+
+    def _conflicting_grant(self, time, conflicting, message, **details):
+        """A grant that conflicts with the grants of ``conflicting``.
+
+        Blocking releases a deadlock victim's locks when it picks the
+        victim, so a waiter can be granted at that instant before the
+        victim's ``restart`` event reaches this checker. A grant whose
+        conflicting holders are all blocked therefore stays pending;
+        it is a violation unless each holder's next lifecycle event is
+        a restart at the same instant (see :meth:`_settle_grants`).
+        """
+        if not self._blocked.issuperset(conflicting):
+            self._violate(time, "lock_exclusivity", message, **details)
+            return
+        for holder in conflicting:
+            self._pending_grants.setdefault(holder, []).append(
+                (time, message, details)
+            )
+
+    def _settle_grants(self, time, tx_id, kind):
+        """Judge the grants pending on ``tx_id`` by its next event."""
+        grants = self._pending_grants.pop(tx_id, None)
+        if grants is None:
+            return
+        for grant_time, message, details in grants:
+            if kind != TX_RESTART or time != grant_time:
+                self._violate(
+                    time, "lock_exclusivity",
+                    f"{message}, and blocked holder tx {tx_id} then "
+                    f"had a {kind} event, not a restart at "
+                    f"t={grant_time:.6g}",
+                    **details,
+                )
 
     def _release_locks(self, tx_id):
         """Strict 2PL: commit/abort releases everything a tx held."""

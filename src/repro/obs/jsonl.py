@@ -1,14 +1,16 @@
-"""Streaming JSONL sink: one event per line, written as it happens.
+"""Streaming JSONL sink: the one event-trace writer.
 
-Unlike the bounded in-memory :class:`~repro.des.TraceRecorder`, the
-sink spools every subscribed event straight to disk, so arbitrarily
-long runs can be traced (the CLI's ``--trace`` writes one file per
-sweep point through this class). Lines are self-describing::
+A :class:`JsonlSink` writes one event per line as it happens, so
+arbitrarily long runs can be traced (the CLI's ``--trace`` writes one
+file per sweep point through this class). Lines are self-describing,
+in the layout of :func:`~repro.obs.subscribers.scalar_fields`::
 
-    {"time": 12.25, "kind": "restart", "tx": 91, "reason": "deadlock"}
+    {"time": 12.25, "kind": "restart", "tx": 91, "attempt": 3,
+     "reason": "deadlock"}
 
 Transaction objects are flattened to ids; any other non-JSON value is
-serialized via ``repr``.
+serialized via ``repr``. Give the sink an :class:`io.StringIO` to keep
+a short trace in memory, and :func:`read_jsonl` to load it back.
 """
 
 import json
@@ -46,7 +48,7 @@ class JsonlSink(Subscriber):
             # finalized first); those late events are dropped.
             return
         record = {"time": time, "kind": kind}
-        record.update(scalar_fields(fields))
+        record.update(scalar_fields(kind, fields))
         self._file.write(json.dumps(record, default=repr))
         self._file.write("\n")
         self.events_written += 1
@@ -68,7 +70,13 @@ class JsonlSink(Subscriber):
         return False
 
 
-def read_jsonl(path):
-    """Load a sink's output back as a list of dicts (tests, notebooks)."""
-    with open(path) as f:
-        return [json.loads(line) for line in f if line.strip()]
+def read_jsonl(source):
+    """Load a sink's output back as a list of dicts (tests, notebooks).
+
+    ``source`` is a path or a readable text file object, read from its
+    current position.
+    """
+    if hasattr(source, "read"):
+        return [json.loads(line) for line in source if line.strip()]
+    with open(source) as f:
+        return read_jsonl(f)

@@ -1,4 +1,4 @@
-"""Built-in bus subscribers: metrics, traces, history, fault accounting.
+"""Built-in bus subscribers: metrics, history, buffer and fault accounting.
 
 Each class adapts one pre-existing measurement consumer to the
 :class:`~repro.obs.bus.InstrumentationBus` subscriber protocol, so the
@@ -16,13 +16,13 @@ from repro.obs.events import (
     BUFFER_KINDS,
     BUFFER_MISS,
     BUFFER_WRITEBACK,
-    CC_GRANT,
     FAULT_ACCESS,
     FAULT_CPU_DEGRADE,
     FAULT_CPU_RESTORE,
     FAULT_DISK_FAIL,
     FAULT_DISK_REPAIR,
     FAULT_KINDS,
+    LIFECYCLE_KINDS,
     TX_ADMIT,
     TX_BLOCK,
     TX_COMMIT_POINT,
@@ -33,16 +33,33 @@ from repro.obs.events import (
 )
 
 
-def scalar_fields(fields):
-    """Flatten event fields to JSON/log-friendly scalars.
+def scalar_fields(kind, fields):
+    """Flatten one event's fields to the trace line layout.
 
     Live :class:`~repro.core.transaction.Transaction` objects collapse
-    to their ids; everything else passes through unchanged.
+    to their ids. A lifecycle line also carries the transaction's
+    ``attempt``; ``submit`` adds its ``terminal`` and read/write set
+    sizes, ``commit_point`` the number of installed ``writes`` and
+    ``commit`` the ``response`` time. Every other field, and every
+    field of any other kind, passes through unchanged.
     """
-    return {
-        key: value.id if isinstance(value, Transaction) else value
-        for key, value in fields.items()
-    }
+    flat = {}
+    tx = fields.get("tx")
+    if isinstance(tx, Transaction) and kind in LIFECYCLE_KINDS:
+        flat["tx"] = tx.id
+        flat["attempt"] = tx.attempts
+        if kind == TX_SUBMIT:
+            flat["terminal"] = tx.terminal_id
+            flat["reads"] = len(tx.read_set)
+            flat["writes"] = len(tx.write_set)
+        elif kind == TX_COMMIT_POINT:
+            flat["writes"] = len(tx.install_write_set)
+        elif kind == TX_COMPLETE:
+            flat["response"] = tx.response_time()
+    for key, value in fields.items():
+        if key not in flat:
+            flat[key] = value.id if isinstance(value, Transaction) else value
+    return flat
 
 
 class Subscriber:
@@ -120,103 +137,6 @@ class MetricsSubscriber:
             TX_BLOCK: block,
             TX_RESTART: restart,
             TX_COMPLETE: commit,
-        }
-
-
-class TraceSubscriber:
-    """Feeds a :class:`~repro.des.TraceRecorder`.
-
-    Formats each event into the recorder's legacy flat-scalar field
-    layout (``tx`` is the transaction id, not the object), so traces
-    captured through the bus are record-for-record identical to the
-    ones the engine used to write by hand. Kinds without a dedicated
-    formatter pass through :func:`scalar_fields`.
-
-    Honors the recorder's source-side ``kinds`` filter by subscribing
-    only to those kinds, so filtered-out high-volume events are never
-    even emitted.
-    """
-
-    def __init__(self, recorder):
-        self.recorder = recorder
-
-    def handlers(self):
-        record = self.recorder.record
-
-        def submit(time, fields):
-            tx = fields["tx"]
-            record(
-                time, TX_SUBMIT, tx=tx.id, terminal=tx.terminal_id,
-                reads=len(tx.read_set), writes=len(tx.write_set),
-            )
-
-        def resubmit(time, fields):
-            tx = fields["tx"]
-            record(time, TX_RESUBMIT, tx=tx.id, attempt=tx.attempts)
-
-        def admit(time, fields):
-            tx = fields["tx"]
-            record(time, TX_ADMIT, tx=tx.id, attempt=tx.attempts)
-
-        def block(time, fields):
-            tx = fields["tx"]
-            record(time, TX_BLOCK, tx=tx.id, attempt=tx.attempts)
-
-        def restart(time, fields):
-            tx = fields["tx"]
-            record(
-                time, TX_RESTART, tx=tx.id, attempt=tx.attempts,
-                reason=fields["reason"],
-            )
-
-        def commit(time, fields):
-            tx = fields["tx"]
-            record(
-                time, TX_COMPLETE, tx=tx.id, attempt=tx.attempts,
-                response=tx.response_time(),
-            )
-
-        def commit_point(time, fields):
-            tx = fields["tx"]
-            record(
-                time, TX_COMMIT_POINT, tx=tx.id, attempt=tx.attempts,
-                writes=len(tx.install_write_set),
-            )
-
-        def cc_grant(time, fields):
-            tx = fields["tx"]
-            record(
-                time, CC_GRANT, tx=tx.id, obj=fields["obj"],
-                op=fields["op"],
-            )
-
-        formatters = {
-            TX_SUBMIT: submit,
-            TX_RESUBMIT: resubmit,
-            TX_ADMIT: admit,
-            TX_BLOCK: block,
-            TX_RESTART: restart,
-            TX_COMPLETE: commit,
-            TX_COMMIT_POINT: commit_point,
-            CC_GRANT: cc_grant,
-        }
-
-        def passthrough(kind):
-            def handler(time, fields):
-                flat = scalar_fields(fields)
-                # Some events (e.g. ``sample``) carry their own "time"
-                # field; the dispatch timestamp is authoritative.
-                flat.pop("time", None)
-                record(time, kind, **flat)
-            return handler
-
-        kinds = (
-            ALL_KINDS if self.recorder.kinds is None
-            else self.recorder.kinds
-        )
-        return {
-            kind: formatters.get(kind) or passthrough(kind)
-            for kind in kinds
         }
 
 

@@ -9,9 +9,9 @@ disk crash empty the active set?).
 
 The sampler is a bus subscriber with its own simulation process: it
 consumes no events (it reads the instruments directly at each tick)
-and optionally *emits* one ``sample`` event per tick so downstream
-subscribers — e.g. a :class:`~repro.obs.jsonl.JsonlSink` — can stream
-the rows. Sampling draws no random numbers and mutates nothing, so it
+and *emits* one ``sample`` event per tick — dispatched only when a
+downstream subscriber, e.g. a :class:`~repro.obs.jsonl.JsonlSink`,
+wants the rows. Sampling draws no random numbers and mutates nothing, so it
 never perturbs a run's results.
 """
 
@@ -42,13 +42,10 @@ class TimeSeriesSampler:
     is the JSON layout persisted in sweep diagnostics.
     """
 
-    def __init__(self, interval=1.0, emit_events=True):
+    def __init__(self, interval=1.0):
         if interval <= 0.0:
             raise ValueError(f"interval must be > 0, got {interval}")
         self.interval = interval
-        #: Re-emit each row as a ``sample`` event (only actually
-        #: dispatched when some other subscriber wants them).
-        self.emit_events = emit_events
         self._series = {field: [] for field in SAMPLE_FIELDS}
         self._bus = None
         self._model = None
@@ -93,7 +90,7 @@ class TimeSeriesSampler:
         series = self._series
         for field, value in row.items():
             series[field].append(value)
-        if self.emit_events and self._bus.wants(SAMPLE):
+        if self._bus.wants(SAMPLE):
             self._bus.emit(SAMPLE, **row)
 
     # -- results -------------------------------------------------------------

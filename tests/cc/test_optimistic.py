@@ -45,6 +45,7 @@ class TestOptimistic:
         # writer commits object 5 at t=10; a reader that started at t=3
         # and read object 5 must fail validation.
         writer = type("T", (), {})()
+        writer.id = 1
         writer.attempt_start_time = 0.0
         writer.read_set = (5,)
         writer.write_set = frozenset({5})
@@ -63,6 +64,7 @@ class TestOptimistic:
 
     def test_commit_before_start_is_no_conflict(self, env, cc):
         writer = type("T", (), {})()
+        writer.id = 1
         writer.attempt_start_time = 0.0
         writer.read_set = ()
         writer.write_set = frozenset({5})
@@ -78,6 +80,7 @@ class TestOptimistic:
 
     def test_unrelated_objects_do_not_conflict(self, env, cc):
         writer = type("T", (), {})()
+        writer.id = 1
         writer.attempt_start_time = 0.0
         writer.read_set = ()
         writer.write_set = frozenset({1})
@@ -94,6 +97,7 @@ class TestOptimistic:
         # Blind writes: validation only checks the read set (backward
         # validation against committed writers).
         w1 = type("T", (), {})()
+        w1.id = 1
         w1.attempt_start_time = 0.0
         w1.read_set = ()
         w1.write_set = frozenset({9})
@@ -101,11 +105,57 @@ class TestOptimistic:
         assert cc.pre_commit(w1) is None
 
         w2 = type("T", (), {})()
+        w2.id = 2
         w2.attempt_start_time = 0.5
         w2.read_set = ()
         w2.write_set = frozenset({9})
         env.run(until=2.0)
         assert cc.pre_commit(w2) is None
+
+    @pytest.mark.parametrize("seen_writer, conflict", [(1, True), (2, False)])
+    def test_write_at_attempt_start_conflicts_only_if_read_first(
+            self, env, cc, seen_writer, conflict):
+        # tx 2 commits object 5 at t=2.0, the instant the reader's
+        # attempt starts; the reader read object 5 either before that
+        # install (saw tx 1's version) or after it (saw tx 2's).
+        writer = type("T", (), {})()
+        writer.id = 2
+        writer.attempt_start_time = 1.0
+        writer.read_set = ()
+        writer.write_set = frozenset({5})
+        env.run(until=2.0)
+        assert cc.pre_commit(writer) is None
+
+        reader = type("T", (), {})()
+        reader.attempt_start_time = 2.0
+        reader.read_set = (5,)
+        reader.write_set = frozenset()
+        reader.reads_seen = {5: seen_writer}
+        env.run(until=3.0)
+        if conflict:
+            with pytest.raises(RestartTransaction):
+                cc.pre_commit(reader)
+        else:
+            assert cc.pre_commit(reader) is None
+
+    def test_same_instant_install_keeps_history_serializable(self):
+        # A small closed model where tx 763 is admitted, and reads
+        # object 20, at the instant tx 762 commits a write to it.
+        from repro.analysis import check_serializability
+        from repro.core import SimulationParameters, SystemModel
+
+        params = SimulationParameters(
+            db_size=30, min_size=1, max_size=2, write_prob=0.1,
+            num_terms=4, mpl=2, ext_think_time=0.05,
+            obj_io=0.008, obj_cpu=0.004, num_cpus=None, num_disks=1,
+        )
+        model = SystemModel(params, "optimistic", seed=0,
+                            record_history=True)
+        model.run_until(15.0)
+        report = check_serializability(
+            model.committed_history, model.store.final_state()
+        )
+        assert report.ok, str(report)
 
     def test_abort_keeps_no_state(self, cc, make_tx):
         t = make_tx()

@@ -271,6 +271,47 @@ class TestSingleRun:
         assert "active" in rows[0] and "commits" in rows[0]
 
 
+    def test_single_timeseries_csv_carries_the_point_columns(
+            self, capsys, tmp_path):
+        import csv
+
+        from repro.experiments.export import TIMESERIES_COLUMNS
+
+        ts_csv = tmp_path / "ts.csv"
+        code = main([
+            "--single", "optimistic", "--mpl", "7",
+            "--batches", "1", "--batch-time", "3", "--warmup-batches", "0",
+            "--timeseries", "1", "--timeseries-csv", str(ts_csv),
+        ])
+        assert code == 0
+        rows = list(csv.DictReader(ts_csv.open()))
+        assert rows
+        assert list(rows[0]) == list(TIMESERIES_COLUMNS)
+        assert {(r["experiment"], r["algorithm"], r["mpl"])
+                for r in rows} == {("single", "optimistic", "7")}
+        assert f"[wrote {len(rows)} time-series rows to" in (
+            capsys.readouterr().err
+        )
+
+    def test_single_unfiltered_trace_lines_carry_the_layout(self, tmp_path):
+        from repro.obs import read_jsonl
+
+        trace_dir = tmp_path / "traces"
+        code = main([
+            "--single", "blocking", "--mpl", "5",
+            "--batches", "1", "--batch-time", "3", "--warmup-batches", "0",
+            "--trace", "--trace-out", str(trace_dir),
+        ])
+        assert code == 0
+        events = read_jsonl(str(trace_dir / "single.blocking.mpl005.jsonl"))
+        commits = [e for e in events if e["kind"] == "commit"]
+        assert commits
+        for event in commits:
+            assert event["attempt"] >= 1
+            assert event["response"] > 0.0
+        assert "cc_grant" in {e["kind"] for e in events}
+
+
 class TestFigureObservability:
     def test_figure_run_writes_traces_and_timeseries(self, capsys, tmp_path):
         import csv

@@ -74,6 +74,25 @@ class TestWriteCsv:
         parsed = list(csv.DictReader(path.open()))
         assert len(parsed) == 8
 
+    def test_list_of_sweeps_writes_rows_in_list_order(self, sweep):
+        restricted = run_sweep(
+            sweep.config, run=TINY_RUN, mpls=[2], algorithms=["blocking"],
+        )
+        buffer = io.StringIO()
+        count = write_csv([restricted, sweep], buffer)
+        parsed = list(csv.DictReader(io.StringIO(buffer.getvalue())))
+        assert count == len(parsed) == 2 + 8
+        expected = sweep_to_rows(restricted) + sweep_to_rows(sweep)
+        assert [(r["algorithm"], int(r["mpl"]), r["metric"])
+                for r in parsed] == [
+            (r["algorithm"], r["mpl"], r["metric"]) for r in expected
+        ]
+
+    def test_one_sweep_and_a_list_of_one_agree(self, sweep):
+        single, listed = io.StringIO(), io.StringIO()
+        assert write_csv(sweep, single) == write_csv([sweep], listed)
+        assert single.getvalue() == listed.getvalue()
+
     def test_csv_text_round_trip(self, sweep):
         text = rows_to_csv_text(sweep)
         parsed = list(csv.DictReader(io.StringIO(text)))

@@ -156,6 +156,14 @@ class TestTimeseriesExport:
         assert count > 0
         assert buffer.getvalue().startswith(",".join(TIMESERIES_COLUMNS))
 
+    def test_list_of_sweeps(self, observed_sweep):
+        sweep, _ = observed_sweep
+        plain = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2])
+        buffer = io.StringIO()
+        count = write_timeseries_csv([plain, sweep, sweep], buffer)
+        rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
+        assert len(rows) == count == 2 * len(timeseries_to_rows(sweep))
+
     def test_plain_sweep_exports_nothing(self):
         sweep = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2])
         assert timeseries_to_rows(sweep) == []

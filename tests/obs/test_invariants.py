@@ -22,13 +22,16 @@ from repro.obs import (
     InvariantViolationError,
     resolve_invariant_mode,
 )
+from repro.experiments.configs import experiment_configs
 from repro.obs.events import (
     CC_GRANT,
     RESOURCE_BUSY,
     RESOURCE_IDLE,
     TX_ADMIT,
+    TX_BLOCK,
     TX_COMMIT_POINT,
     TX_COMPLETE,
+    TX_RESTART,
     TX_SUBMIT,
 )
 from repro.obs.invariants import MAX_RECORDED_VIOLATIONS
@@ -261,6 +264,67 @@ class TestLockExclusivity:
         drive(checker, CC_GRANT, 0.1, tx=a, obj=5, op="read")
         drive(checker, CC_GRANT, 0.2, tx=b, obj=5, op="read")
         assert checker.violation_count == 0
+
+    def _grant_against_blocked_holder(self, checker, a, b):
+        """b's write is granted at t=0.3 while blocked a holds a read."""
+        self._admit(checker, a, 0.0)
+        self._admit(checker, b, 0.0)
+        drive(checker, CC_GRANT, 0.1, tx=a, obj=5, op="read")
+        drive(checker, TX_BLOCK, 0.2, tx=a)
+        drive(checker, CC_GRANT, 0.3, tx=b, obj=5, op="write")
+
+    def test_grant_settled_by_victim_restart_at_same_instant(self):
+        # Blocking releases a deadlock victim's locks when it picks the
+        # victim; a waiter granted before the victim's restart event is
+        # delivered is not a violation.
+        checker = self._checker()
+        a, b = _Tx(1), _Tx(2)
+        self._grant_against_blocked_holder(checker, a, b)
+        drive(checker, TX_RESTART, 0.3, tx=a, reason="deadlock")
+        drive(checker, CC_GRANT, 0.4, tx=b, obj=6, op="write")
+        assert checker.violation_count == 0
+
+    @pytest.mark.parametrize("next_event", [
+        (CC_GRANT, 0.3, {"obj": 6, "op": "read"}),
+        (TX_COMMIT_POINT, 0.3, {}),
+        (TX_BLOCK, 0.3, {}),
+        (TX_RESTART, 0.4, {"reason": "deadlock"}),
+    ], ids=["granted", "commits", "blocks_again", "later_restart"])
+    def test_blocked_holder_not_restarting_violates(self, next_event):
+        checker = self._checker()
+        a, b = _Tx(1), _Tx(2)
+        self._grant_against_blocked_holder(checker, a, b)
+        kind, time, fields = next_event
+        with pytest.raises(InvariantViolationError) as excinfo:
+            drive(checker, kind, time, tx=a, **fields)
+        assert excinfo.value.violation.invariant == "lock_exclusivity"
+        assert excinfo.value.violation.details["holders"] == [1]
+
+    def test_grant_against_running_holder_violates_at_once(self):
+        checker = self._checker()
+        a, b, c = _Tx(1), _Tx(2), _Tx(3)
+        for tx in (a, b, c):
+            self._admit(checker, tx, 0.0)
+        drive(checker, CC_GRANT, 0.1, tx=a, obj=5, op="read")
+        drive(checker, CC_GRANT, 0.1, tx=c, obj=5, op="read")
+        drive(checker, TX_BLOCK, 0.2, tx=a)
+        with pytest.raises(InvariantViolationError):
+            drive(checker, CC_GRANT, 0.3, tx=b, obj=5, op="write")
+
+    def test_deadlock_victim_regrant_has_no_violations(self):
+        # Exp 2 thrashing point (infinite resources, mpl 200) under
+        # blocking: at t=12.2933 tx 295 is granted a write on object
+        # 105 that deadlock victim tx 386 held a read grant on, just
+        # before tx 386's restart event at the same instant.
+        params = experiment_configs()["exp2_infinite"].params
+        checker = InvariantChecker(mode="strict")
+        model = SystemModel(
+            params.with_changes(mpl=200), "blocking", seed=25,
+            subscribers=(checker,),
+        )
+        model.run_until(15.0)
+        assert checker.violation_count == 0
+        assert model.metrics.restarts.total > 0
 
     def test_lock_checks_auto_enabled_only_for_blocking(self):
         for algorithm, expected in [("blocking", True),

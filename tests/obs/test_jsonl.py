@@ -2,6 +2,9 @@
 
 import io
 import json
+from collections import Counter
+
+import pytest
 
 from repro.core import SystemModel
 from repro.des import Environment
@@ -44,6 +47,120 @@ class TestRoundTrip:
         assert "cc_grant" in kinds
         assert "resource_busy" in kinds
         assert "commit_point" in kinds
+
+
+#: Keys of every line of each formatted kind (beyond time and kind).
+LIFECYCLE_LAYOUT = {
+    "submit": {"tx", "attempt", "terminal", "reads", "writes"},
+    "resubmit": {"tx", "attempt"},
+    "admit": {"tx", "attempt"},
+    "block": {"tx", "attempt"},
+    "restart": {"tx", "attempt", "reason"},
+    "commit_point": {"tx", "attempt", "writes"},
+    "commit": {"tx", "attempt", "response"},
+    "cc_grant": {"tx", "obj", "op"},
+}
+
+
+class TestReadJsonl:
+    def test_file_object_is_read_from_its_current_position(self):
+        buffer = io.StringIO()
+        sink = JsonlSink(buffer)
+        sink.on_event(1.0, "commit", {"tx": 1})
+        position = buffer.tell()
+        sink.on_event(2.0, "restart", {"tx": 2, "reason": "deadlock"})
+        buffer.write("\n")
+        buffer.seek(position)
+        assert read_jsonl(buffer) == [
+            {"time": 2.0, "kind": "restart", "tx": 2, "reason": "deadlock"},
+        ]
+
+    def test_path_and_file_object_agree(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with JsonlSink(str(path)) as sink:
+            model = SystemModel(small_params(), "blocking", seed=5,
+                                subscribers=(sink,))
+            model.run_until(2.0)
+        with open(path) as f:
+            assert read_jsonl(f) == read_jsonl(str(path))
+
+
+class TestTraceLayout:
+    """The one trace line layout, on an unfiltered fixed-seed run."""
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        buffer = io.StringIO()
+        sink = JsonlSink(buffer)
+        model = SystemModel(small_params(), "blocking", seed=9,
+                            subscribers=(sink,))
+        model.run_until(20.0)
+        sink.close()
+        buffer.seek(0)
+        events = read_jsonl(buffer)
+        return model, events, Counter(e["kind"] for e in events)
+
+    def test_lifecycle_field_layouts(self, traced):
+        model, events, counts = traced
+        for kind, keys in LIFECYCLE_LAYOUT.items():
+            assert counts[kind] > 0, kind
+            for event in events:
+                if event["kind"] == kind:
+                    assert set(event) == {"time", "kind"} | keys, kind
+                    assert isinstance(event["tx"], int)
+
+    def test_lifecycle_field_values(self, traced):
+        model, events, counts = traced
+        submit = next(e for e in events if e["kind"] == "submit")
+        assert submit["attempt"] == 0
+        assert submit["reads"] >= submit["writes"] >= 0
+        commit = next(e for e in events if e["kind"] == "commit")
+        assert commit["attempt"] >= 1
+        assert commit["response"] > 0.0
+        restart = next(e for e in events if e["kind"] == "restart")
+        assert restart["reason"] == "deadlock"
+
+    def test_counts_match_metrics(self, traced):
+        model, events, counts = traced
+        assert counts["commit"] == model.metrics.commits.total
+        assert counts["block"] == model.metrics.blocks.total
+        assert counts["restart"] == model.metrics.restarts.total
+        assert counts["commit_point"] == model.metrics.commits.total
+
+    def test_resource_events_pair_up_to_the_busy_servers(self, traced):
+        model, events, counts = traced
+        physical = model.physical
+        assert counts["resource_busy"] - counts["resource_idle"] == (
+            physical.cpu_tracker.busy_now + physical.disk_tracker.busy_now
+        )
+
+    def test_timeline_is_causally_ordered(self, traced):
+        model, events, counts = traced
+        tx = next(e["tx"] for e in events if e["kind"] == "commit")
+        life = [
+            e for e in events
+            if e.get("tx") == tx and e["kind"] in LIFECYCLE_LAYOUT
+        ]
+        assert life[0]["kind"] == "submit"
+        assert life[-1]["kind"] == "commit"
+        times = [e["time"] for e in life]
+        assert times == sorted(times)
+
+    def test_kind_filter_suppresses_emission(self):
+        buffer = io.StringIO()
+        sink = JsonlSink(buffer, kinds={"restart", "commit"})
+        model = SystemModel(small_params(), "blocking", seed=9,
+                            subscribers=(sink,))
+        model.run_until(10.0)
+        buffer.seek(0)
+        assert {e["kind"] for e in read_jsonl(buffer)} <= {
+            "restart", "commit",
+        }
+        # Subscribing only to those kinds keeps the optional fast-path
+        # emissions off entirely.
+        assert not model.bus.wants_commit_point
+        assert not model.bus.wants_resource
+        assert not model.bus.wants_cc
 
 
 class TestDestinations:

@@ -1,7 +1,7 @@
 """Observer-neutrality: subscribers must never perturb results.
 
 The bus's core contract is that every subscriber is a pure observer —
-attaching all of them at once (tracer, history, sampler, JSONL sink)
+attaching all of them at once (history, sampler, unfiltered JSONL sink)
 must leave a fixed-seed run bit-identical to a bare run. This is what
 lets diagnostics be turned on for a misbehaving sweep point without
 invalidating the comparison against its neighbors.
@@ -12,7 +12,6 @@ import io
 import pytest
 
 from repro.core import RunConfig, SimulationParameters, run_simulation
-from repro.des import TraceRecorder
 from repro.obs import JsonlSink, TimeSeriesSampler
 
 
@@ -31,10 +30,9 @@ def run_bare(algorithm):
 def run_observed(algorithm):
     sampler = TimeSeriesSampler(interval=0.25)
     sink = JsonlSink(io.StringIO())
-    tracer = TraceRecorder(capacity=500)
     return run_simulation(
         PARAMS, algorithm=algorithm, run=RUN,
-        record_history=True, tracer=tracer,
+        record_history=True,
         subscribers=(sampler, sink),
     )
 

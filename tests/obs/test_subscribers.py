@@ -5,7 +5,7 @@ import pytest
 from repro.core import SimulationParameters, SystemModel
 from repro.core.history import CommittedRecord
 from repro.core.transaction import Transaction
-from repro.des import Environment, TraceRecorder
+from repro.des import Environment
 from repro.obs import FaultAccountingSubscriber, InstrumentationBus, scalar_fields
 
 
@@ -22,11 +22,43 @@ def small_params(**overrides):
 class TestScalarFields:
     def test_transactions_collapse_to_ids(self):
         tx = Transaction(7, 0, read_set=(1, 2), write_set=(2,))
-        flat = scalar_fields({"tx": tx, "reason": "deadlock", "n": 3})
-        assert flat == {"tx": 7, "reason": "deadlock", "n": 3}
+        flat = scalar_fields("cc_grant", {"tx": tx, "obj": 2, "op": "read"})
+        assert flat == {"tx": 7, "obj": 2, "op": "read"}
 
     def test_plain_fields_pass_through_unchanged(self):
-        assert scalar_fields({"a": 1.5, "b": None}) == {"a": 1.5, "b": None}
+        assert scalar_fields("custom", {"a": 1.5, "b": None}) == {
+            "a": 1.5, "b": None,
+        }
+
+    def test_lifecycle_lines_carry_the_attempt(self):
+        tx = Transaction(7, 3, read_set=(1, 2), write_set=(2,))
+        assert scalar_fields("restart", {"tx": tx, "reason": "deadlock"}) == {
+            "tx": 7, "attempt": 0, "reason": "deadlock",
+        }
+        assert scalar_fields("submit", {"tx": tx}) == {
+            "tx": 7, "attempt": 0, "terminal": 3, "reads": 2, "writes": 1,
+        }
+
+    def test_non_transaction_tx_passes_through(self):
+        assert scalar_fields("commit", {"tx": 1}) == {"tx": 1}
+
+    def test_commit_point_lines_carry_the_installed_writes(self):
+        tx = Transaction(7, 3, read_set=(1, 2, 4), write_set=(2, 4))
+        tx.begin_attempt(1.0, cc_timestamp=1)
+        tx.install_write_set = frozenset({4})
+        assert scalar_fields("commit_point", {"tx": tx}) == {
+            "tx": 7, "attempt": 1, "writes": 1,
+        }
+
+    def test_commit_lines_carry_the_response_time(self):
+        tx = Transaction(7, 3, read_set=(1, 2), write_set=(2,))
+        tx.first_submit_time = 1.5
+        tx.begin_attempt(1.5, cc_timestamp=1)
+        tx.begin_attempt(2.0, cc_timestamp=2)
+        tx.commit_time = 4.0
+        assert scalar_fields("commit", {"tx": tx}) == {
+            "tx": 7, "attempt": 2, "response": 2.5,
+        }
 
 
 class TestMetricsSubscriber:
@@ -49,58 +81,6 @@ class TestMetricsSubscriber:
     def test_counters_are_populated(self, model):
         assert model.metrics.commits.total > 0
         assert model.metrics.blocks.total > 0
-
-
-class TestTraceSubscriber:
-    @pytest.fixture(scope="class")
-    def traced(self):
-        tracer = TraceRecorder()
-        model = SystemModel(small_params(), "blocking", seed=9,
-                            tracer=tracer)
-        model.run_until(20.0)
-        return model, tracer
-
-    def test_legacy_field_layouts(self, traced):
-        model, tracer = traced
-        submit = next(iter(tracer.query(kind="submit")))
-        assert isinstance(submit.tx, int)
-        assert set(submit.fields) == {"tx", "terminal", "reads", "writes"}
-        commit = next(iter(tracer.query(kind="commit")))
-        assert set(commit.fields) == {"tx", "attempt", "response"}
-        assert commit.response > 0.0
-
-    def test_counts_match_metrics(self, traced):
-        model, tracer = traced
-        assert tracer.counts["commit"] == model.metrics.commits.total
-        assert tracer.counts["block"] == model.metrics.blocks.total
-
-    def test_unfiltered_tracer_sees_optional_kinds(self, traced):
-        # With a tracer subscribed to every kind, the engine's guarded
-        # emissions (commit points, CC grants, resource busy/idle) must
-        # actually fire.
-        model, tracer = traced
-        assert tracer.counts["commit_point"] == model.metrics.commits.total
-        assert tracer.counts["cc_grant"] > 0
-        assert tracer.counts["resource_busy"] > 0
-        # Holds still in progress at the horizon have emitted busy but
-        # not yet idle; each active transaction holds at most one
-        # resource at a time, so the gap is bounded by the MPL.
-        in_flight = (
-            tracer.counts["resource_busy"] - tracer.counts["resource_idle"]
-        )
-        assert 0 <= in_flight <= model.params.mpl
-
-    def test_recorder_kind_filter_suppresses_emission(self):
-        tracer = TraceRecorder(kinds={"restart", "commit"})
-        model = SystemModel(small_params(), "blocking", seed=9,
-                            tracer=tracer)
-        model.run_until(10.0)
-        assert set(tracer.counts) <= {"restart", "commit"}
-        # The source filter must also keep the optional fast-path
-        # emissions off entirely.
-        assert not model.bus.wants_commit_point
-        assert not model.bus.wants_resource
-        assert not model.bus.wants_cc
 
 
 class TestHistorySubscriber:

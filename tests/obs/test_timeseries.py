@@ -1,9 +1,17 @@
 """Tests for the TimeSeriesSampler subscriber."""
 
+import io
+
 import pytest
 
 from repro.core import SystemModel
-from repro.obs import InstrumentationBus, Subscriber, TimeSeriesSampler
+from repro.obs import (
+    InstrumentationBus,
+    JsonlSink,
+    Subscriber,
+    TimeSeriesSampler,
+    read_jsonl,
+)
 from repro.obs.events import SAMPLE
 from repro.obs.timeseries import SAMPLE_FIELDS
 from repro.des import Environment
@@ -90,20 +98,15 @@ class TestSampleEvents:
         assert len(collector.rows) == len(sampler)
         assert collector.rows == sampler.rows()
 
-    def test_emit_events_false_stays_silent(self):
-        class Collect(Subscriber):
-            kinds = (SAMPLE,)
-
-            def __init__(self):
-                self.rows = []
-
-            def on_event(self, time, kind, fields):
-                self.rows.append(dict(fields))
-
-        sampler = TimeSeriesSampler(interval=1.0, emit_events=False)
-        collector = Collect()
+    def test_unwanted_samples_are_not_emitted(self):
+        buffer = io.StringIO()
+        sampler = TimeSeriesSampler(interval=1.0)
+        sink = JsonlSink(buffer, kinds=("commit",))
         model = SystemModel(small_params(), "blocking", seed=4,
-                            subscribers=(sampler, collector))
+                            subscribers=(sampler, sink))
         model.run_until(5.0)
         assert len(sampler) > 0
-        assert collector.rows == []
+        assert not model.bus.wants(SAMPLE)
+        buffer.seek(0)
+        kinds = {event["kind"] for event in read_jsonl(buffer)}
+        assert kinds == {"commit"}
