@@ -172,7 +172,6 @@ def simulate_grid(run=None, grid=None, progress=None, workers=1):
         config = ExperimentConfig(
             experiment_id=f"calibrate_{scenario}",
             title=f"Surrogate calibration grid: {scenario}",
-            figures=(),
             params=params,
             algorithms=CALIBRATED_ALGORITHMS,
             mpls=tuple(mpls),

@@ -407,7 +407,6 @@ def _spot_check(points, coeffs, run=None, base=None, progress=None,
         config = ExperimentConfig(
             experiment_id=f"spotcheck_{index}",
             title=f"Surrogate spot-check {index}",
-            figures=(),
             params=params,
             algorithms=(algorithm,),
             mpls=(mpl,),

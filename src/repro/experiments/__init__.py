@@ -1,18 +1,17 @@
 """The paper's evaluation: experiment presets, sweeps, figures, reports.
 
-* :mod:`repro.experiments.configs` — Experiments 1-5 as presets; the
-  figure index mapping paper Figures 3-21 to sweeps and metrics.
+* :mod:`repro.experiments.configs` — Experiments 1-5 (and the
+  extensions exp6-exp12) as presets.
 * :mod:`repro.experiments.runner` — algorithm x mpl sweep driver.
-* :mod:`repro.experiments.figures` — ``figure3()`` .. ``figure21()``.
+* :mod:`repro.experiments.figures` — the figure registry: each of
+  Figures 3-21 with its experiment, metrics, caption, pinned run and
+  claim; ``FigureBuilder().reproduce(n)`` regenerates and checks one.
 * :mod:`repro.experiments.report` — ASCII tables and plots.
-* :mod:`repro.experiments.cli` — the ``repro-experiments`` command.
+* :mod:`repro.experiments.cli` — the ``repro-experiments`` command;
+  ``--figure N|all`` is the one reproduction path.
 """
 
-from repro.experiments.configs import (
-    FIGURE_INDEX,
-    ExperimentConfig,
-    experiment_configs,
-)
+from repro.experiments.configs import ExperimentConfig, experiment_configs
 from repro.experiments.errors import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -24,7 +23,7 @@ from repro.experiments.errors import (
     WorkerCrashError,
     error_severity,
 )
-from repro.experiments.figures import FIGURE_TITLES, FigureBuilder, FigureData
+from repro.experiments.figures import FIGURES, FigureBuilder, FigureData
 from repro.experiments.export import (
     rows_to_csv_text,
     sweep_to_rows,
@@ -61,8 +60,7 @@ from repro.experiments.runner import (
 __all__ = [
     "ExperimentConfig",
     "experiment_configs",
-    "FIGURE_INDEX",
-    "FIGURE_TITLES",
+    "FIGURES",
     "FigureBuilder",
     "FigureData",
     "run_sweep",

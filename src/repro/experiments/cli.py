@@ -2,8 +2,10 @@
 
 Examples::
 
-    # regenerate one figure's data (quick settings)
-    repro-experiments --figure 8 --quick
+    # regenerate one figure (or all) at its pinned run and check the
+    # paper's claim; stdout is benchmarks/results/figure08.txt
+    repro-experiments --figure 8
+    repro-experiments --figure all --workers 2
 
     # run a whole experiment with custom statistics
     repro-experiments --experiment exp3_finite --batches 20 --batch-time 60
@@ -59,9 +61,9 @@ import os
 import sys
 
 from repro.cc.registry import algorithm_names, commit_protocol_names
-from repro.experiments.configs import FIGURE_INDEX, experiment_configs
+from repro.experiments.configs import experiment_configs
 from repro.experiments.errors import CheckpointMismatchError
-from repro.experiments.figures import FigureBuilder
+from repro.experiments.figures import FIGURES, FigureBuilder, figures_of
 from repro.experiments.report import sweep_report
 from repro.experiments.runner import (
     DEFAULT_RUN,
@@ -105,9 +107,14 @@ def build_parser():
     )
     what.add_argument(
         "--figure",
-        type=int,
-        choices=sorted(FIGURE_INDEX),
-        help="regenerate one paper figure (3..21)",
+        type=_figure_arg,
+        choices=[*sorted(FIGURES), "all"],
+        metavar="N|all",
+        help=(
+            "regenerate one paper figure (3..21) or all of them; with "
+            "no run flag, grid restriction or overlay, run each at its "
+            "pinned run and check its claim (exit 1 on a failure)"
+        ),
     )
     what.add_argument(
         "--all", action="store_true", help="run every experiment"
@@ -357,7 +364,13 @@ def build_parser():
     return parser
 
 
-def resolve_run(args):
+def _figure_arg(text):
+    """A ``--figure`` value: a figure number, or ``all``."""
+    return text if text == "all" else int(text)
+
+
+def resolve_run(args, default=DEFAULT_RUN):
+    """The run config the flags ask for (``default`` when none is set)."""
     run = QUICK_RUN if args.quick else DEFAULT_RUN
     changes = {}
     if args.batches is not None:
@@ -368,6 +381,8 @@ def resolve_run(args):
         changes["warmup_batches"] = args.warmup_batches
     if args.seed is not None:
         changes["seed"] = args.seed
+    if not args.quick and not changes:
+        return default
     return run.with_changes(**changes) if changes else run
 
 
@@ -629,7 +644,10 @@ def _verify_checkpoint(path):
 def _dispatch(args):
     if args.verify_checkpoint is not None:
         return _verify_checkpoint(args.verify_checkpoint)
-    run = resolve_run(args)
+    # With no run flag, each figure runs at its pinned run.
+    run = resolve_run(
+        args, default=None if args.figure is not None else DEFAULT_RUN
+    )
     if args.command == "calibrate":
         return _run_calibrate(args, run)
     if args.command == "explore":
@@ -658,36 +676,72 @@ def _dispatch(args):
         invariants=args.invariants,
         replications=args.replications,
     )
-    configs = experiment_configs()
+    failed = False
     if args.figure is not None:
-        data = builder.figure(args.figure)
-        print(sweep_report(data.sweep, with_plots=not args.no_plots))
-        print()
-        print(data.describe())
-        if args.csv:
-            _export_csv([data.sweep], args.csv)
-        if args.timeseries_csv:
-            _export_timeseries_csv([data.sweep], args.timeseries_csv)
-        return 0 if data.sweep.complete else 1
-    if args.experiment is not None:
-        experiment_ids = [args.experiment]
-    elif args.all:
-        experiment_ids = sorted(configs)
+        sweeps, failed = _reproduce_figures(args, builder)
+    elif args.experiment is not None or args.all:
+        experiment_ids = (
+            [args.experiment] if args.experiment is not None
+            else sorted(experiment_configs())
+        )
+        sweeps = []
+        for experiment_id in experiment_ids:
+            sweep = builder.sweep_for(experiment_id)
+            sweeps.append(sweep)
+            print(sweep_report(
+                sweep, with_plots=not args.no_plots,
+                figures=figures_of(experiment_id),
+            ))
+            print()
     else:
         build_parser().print_help()
         return 2
-    sweeps = []
-    for experiment_id in experiment_ids:
-        sweep = builder.sweep_for(experiment_id)
-        sweeps.append(sweep)
-        print(sweep_report(sweep, with_plots=not args.no_plots))
-        print()
     if args.csv:
         _export_csv(sweeps, args.csv)
     if args.timeseries_csv:
         _export_timeseries_csv(sweeps, args.timeseries_csv)
-    # Partial results exit 1 so schedulers notice degraded sweeps.
-    return 0 if all(sweep.complete for sweep in sweeps) else 1
+    # Partial results and failed claims exit 1 so schedulers notice.
+    complete = all(sweep.complete for sweep in sweeps)
+    return 0 if complete and not failed else 1
+
+
+def _reproduce_figures(args, builder):
+    """``--figure N|all``: print each figure's table text, check it.
+
+    The pinned reproduction (:attr:`FigureBuilder.pinned`) prints text
+    byte-identical to ``benchmarks/results/figureNN.txt`` and writes
+    each figure's claim and bounds-oracle verdict to stderr. Other runs
+    are not checked. Returns the distinct sweeps and whether any check
+    failed.
+    """
+    numbers = sorted(FIGURES) if args.figure == "all" else [args.figure]
+    sweeps = {}
+    failed = False
+    for number in numbers:
+        reproduction = builder.reproduce(
+            number, with_plots=not args.no_plots
+        )
+        print(reproduction.text, end="", flush=True)
+        data = reproduction.data
+        sweeps[data.experiment_id] = data.sweep
+        if reproduction.failures is None:
+            print(
+                f"figure {number}: claim not checked: not the pinned "
+                "reproduction",
+                file=sys.stderr,
+            )
+        elif reproduction.failures:
+            failed = True
+            for message in reproduction.failures:
+                print(f"FAILED {message}", file=sys.stderr)
+        else:
+            print(
+                f"figure {number}: claim holds; all "
+                f"{len(data.sweep.results)} points within the "
+                "operational bounds",
+                file=sys.stderr,
+            )
+    return list(sweeps.values()), failed
 
 
 #: The calibration acceptance gate: overall median absolute relative
@@ -840,7 +894,7 @@ def _run_single(args, run):
             })
             config = ExperimentConfig(
                 experiment_id="single", title=f"--single {args.single}",
-                figures=(), params=params, algorithms=(args.single,),
+                params=params, algorithms=(args.single,),
                 mpls=(mpl,),
             )
             sweep = SweepResult(

@@ -1,14 +1,13 @@
-"""Experiment presets: one config per paper experiment/figure.
+"""Experiment presets: one config per paper experiment.
 
-Every figure in the paper's evaluation (Figures 3-21) maps to an
-:class:`ExperimentConfig` here; the figure builders in
-:mod:`repro.experiments.figures` run the sweep and extract the plotted
-series. Table 2's base settings come from
-:meth:`repro.core.SimulationParameters.table2`.
+The figure registry in :mod:`repro.experiments.figures` maps every
+figure of the paper's evaluation (Figures 3-21) to one of these
+presets, runs its sweep and extracts the plotted series. Table 2's base
+settings come from :meth:`repro.core.SimulationParameters.table2`.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.cc import PAPER_ALGORITHMS
 from repro.core import (
@@ -25,14 +24,16 @@ class ExperimentConfig:
 
     experiment_id: str
     title: str
-    #: Which paper figures this sweep regenerates.
-    figures: Tuple[int, ...]
     params: SimulationParameters
     algorithms: Tuple[str, ...] = PAPER_ALGORITHMS
     mpls: Tuple[int, ...] = PAPER_MPLS
-    #: The output variables the figures plot.
+    #: The output variables the sweep's report tabulates.
     metrics: Tuple[str, ...] = ("throughput",)
     notes: str = ""
+    #: Unused: the figure registry is the one figure table. Accepted
+    #: only because ``perfbench/tests`` builds a config with
+    #: ``figures=()``; drop it with the next perfbench change.
+    figures: Tuple[int, ...] = ()
 
     def params_for(self, mpl):
         return self.params.with_changes(mpl=mpl)
@@ -48,7 +49,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp1_low_conflict_infinite",
             title="Experiment 1: Low Conflict (Infinite Resources)",
-            figures=(3,),
             params=_table2(db_size=10_000, num_cpus=None, num_disks=None),
             metrics=("throughput",),
             notes=(
@@ -59,7 +59,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp1_low_conflict_finite",
             title="Experiment 1: Low Conflict (1 CPU, 2 Disks)",
-            figures=(4,),
             params=_table2(db_size=10_000),
             metrics=("throughput",),
             notes=(
@@ -70,7 +69,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp2_infinite",
             title="Experiment 2: Infinite Resources",
-            figures=(5, 6, 7),
             params=_table2(num_cpus=None, num_disks=None),
             metrics=(
                 "throughput",
@@ -88,7 +86,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp3_finite",
             title="Experiment 3: Resource-Limited (1 CPU, 2 Disks)",
-            figures=(8, 9, 10),
             params=_table2(),
             metrics=(
                 "throughput",
@@ -106,7 +103,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp3_adaptive_delay",
             title="Experiment 3: Adaptive Restart Delays for All",
-            figures=(11,),
             params=_table2(restart_delay_mode=DELAY_MODE_ADAPTIVE_ALL),
             metrics=("throughput",),
             notes=(
@@ -118,7 +114,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp4_5cpu_10disk",
             title="Experiment 4: Multiple Resources (5 CPUs, 10 Disks)",
-            figures=(12, 13),
             params=_table2(num_cpus=5, num_disks=10),
             metrics=("throughput", "disk_util", "disk_util_useful"),
             notes=(
@@ -129,7 +124,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp4_25cpu_50disk",
             title="Experiment 4: Multiple Resources (25 CPUs, 50 Disks)",
-            figures=(14, 15),
             params=_table2(num_cpus=25, num_disks=50),
             metrics=("throughput", "disk_util", "disk_util_useful"),
             notes=(
@@ -141,7 +135,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp5_think_1s",
             title="Experiment 5: Interactive (1 s Internal Think)",
-            figures=(16, 17),
             params=_table2(int_think_time=1.0, ext_think_time=3.0),
             metrics=("throughput", "disk_util", "disk_util_useful"),
             notes="Blocking still best at 1 s think time (Figure 16).",
@@ -149,7 +142,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp5_think_5s",
             title="Experiment 5: Interactive (5 s Internal Think)",
-            figures=(18, 19),
             params=_table2(int_think_time=5.0, ext_think_time=11.0),
             metrics=("throughput", "disk_util", "disk_util_useful"),
             notes="Optimistic overtakes blocking at 5 s (Figure 18).",
@@ -157,7 +149,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp6_disk_faults",
             title="Experiment 6: Disk Failures (Blocking vs. Optimistic)",
-            figures=(),
             params=_table2(
                 faults=FaultSpec(disk=DiskFaultSpec(mttf=60.0, mttr=5.0))
             ),
@@ -175,7 +166,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp7_buffered",
             title="Experiment 7: Buffer Pool (LRU, 25% of the Database)",
-            figures=(),
             params=_table2(
                 resource_model="buffered", buffer_capacity=250
             ),
@@ -193,7 +183,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp8_skewed_disks",
             title="Experiment 8: Hot Spindles (Skewed Placement + Hotspot)",
-            figures=(),
             params=_table2(
                 resource_model="skewed_disks",
                 hot_fraction=0.1,
@@ -212,7 +201,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp9_open_poisson",
             title="Experiment 9: Open Poisson Arrivals (Table 2 Resources)",
-            figures=(),
             params=_table2(
                 workload_model="open_poisson",
                 workload_spec={"rate": 5.0},
@@ -235,7 +223,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp10_heavy_tailed",
             title="Experiment 10: Heavy-Tailed Workload (web_sessions)",
-            figures=(),
             params=_table2(
                 workload_model="heavy_tailed",
                 workload_spec={"preset": "web_sessions"},
@@ -261,7 +248,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp11_sharded",
             title="Experiment 11: Sharded Multi-Site (4 Nodes, 2PC)",
-            figures=(),
             params=_table2(
                 resource_model="distributed",
                 nodes=4,
@@ -287,7 +273,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp12_replica_reads",
             title="Experiment 12: Replicated Reads (4 Nodes, RF=2, 2PC)",
-            figures=(),
             params=_table2(
                 resource_model="distributed",
                 nodes=4,
@@ -311,7 +296,6 @@ def experiment_configs():
         ExperimentConfig(
             experiment_id="exp5_think_10s",
             title="Experiment 5: Interactive (10 s Internal Think)",
-            figures=(20, 21),
             params=_table2(int_think_time=10.0, ext_think_time=21.0),
             metrics=("throughput", "disk_util", "disk_util_useful"),
             notes="Optimistic clearly best at 10 s (Figure 20).",
@@ -319,26 +303,3 @@ def experiment_configs():
     ]
     return {config.experiment_id: config for config in configs}
 
-
-#: Figure number -> (experiment id, primary metric(s)).
-FIGURE_INDEX: Dict[int, Tuple[str, Tuple[str, ...]]] = {
-    3: ("exp1_low_conflict_infinite", ("throughput",)),
-    4: ("exp1_low_conflict_finite", ("throughput",)),
-    5: ("exp2_infinite", ("throughput",)),
-    6: ("exp2_infinite", ("block_ratio", "restart_ratio")),
-    7: ("exp2_infinite", ("response_time", "response_time_std")),
-    8: ("exp3_finite", ("throughput",)),
-    9: ("exp3_finite", ("disk_util", "disk_util_useful")),
-    10: ("exp3_finite", ("response_time", "response_time_std")),
-    11: ("exp3_adaptive_delay", ("throughput",)),
-    12: ("exp4_5cpu_10disk", ("throughput",)),
-    13: ("exp4_5cpu_10disk", ("disk_util", "disk_util_useful")),
-    14: ("exp4_25cpu_50disk", ("throughput",)),
-    15: ("exp4_25cpu_50disk", ("disk_util", "disk_util_useful")),
-    16: ("exp5_think_1s", ("throughput",)),
-    17: ("exp5_think_1s", ("disk_util", "disk_util_useful")),
-    18: ("exp5_think_5s", ("throughput",)),
-    19: ("exp5_think_5s", ("disk_util", "disk_util_useful")),
-    20: ("exp5_think_10s", ("throughput",)),
-    21: ("exp5_think_10s", ("disk_util", "disk_util_useful")),
-}

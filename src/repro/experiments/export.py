@@ -14,6 +14,7 @@ long format, ready for pandas/gnuplot.
 import csv
 import io
 
+from repro.experiments.figures import figures_of
 from repro.obs import SAMPLE_FIELDS
 
 #: Column order of the flattened rows.
@@ -39,7 +40,7 @@ def sweep_to_rows(sweep, metrics=None):
     """
     config = sweep.config
     metrics = tuple(metrics) if metrics is not None else config.metrics
-    figures = "+".join(str(f) for f in config.figures)
+    figures = "+".join(map(str, figures_of(config.experiment_id)))
     rows = []
     for (algorithm, mpl), result in sorted(sweep.results.items()):
         for metric in metrics:

@@ -204,14 +204,15 @@ def _resource_model_line(sweep):
     return f"[resource model: {model}{detail}]"
 
 
-def sweep_report(sweep, with_plots=True):
-    """Full textual report of one experiment sweep."""
+def sweep_report(sweep, with_plots=True, figures=()):
+    """Full textual report of one experiment sweep: a pure function of
+    its results. ``figures`` names the paper figures it regenerates."""
     config = sweep.config
     lines = ["=" * 72, config.title]
-    if config.figures:
+    if figures:
         lines.append(
             "(regenerates paper figure(s) "
-            f"{', '.join(map(str, config.figures))})"
+            f"{', '.join(map(str, figures))})"
         )
     lines.append("=" * 72)
     model_line = _resource_model_line(sweep)
@@ -243,8 +244,7 @@ def sweep_report(sweep, with_plots=True):
             )
         lines.append("")
     lines.append(
-        f"[swept {len(sweep.results)} configurations in "
-        f"{sweep.wall_seconds:.1f}s wall time; "
+        f"[swept {len(sweep.results)} configurations; "
         f"{sweep.run.batches} batches x {sweep.run.batch_time:.0f}s]"
     )
     return "\n".join(lines)

@@ -897,8 +897,9 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
 
     ``mpls``/``algorithms`` restrict the sweep (benchmarks use a subset
     of the paper's seven mpl points to stay fast). ``progress`` is an
-    optional callable invoked with a status line after each point
-    (``print`` and logging functions both work).
+    optional callable invoked with a status line after each point and
+    one carrying the sweep's wall time at the end (``print`` and
+    logging functions both work).
 
     ``replications`` measures every grid point that many times.
     Replication ``r`` is defined as the ``r``-th ``run.batches``-sized
@@ -1072,6 +1073,11 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
         outcomes = _run_point(plan, point, store, progress)
         _finish_point(sweep, config, point, outcomes, ckpt, progress)
     sweep.wall_seconds = time.perf_counter() - started
+    if progress is not None:
+        progress(
+            f"  {config.experiment_id}: swept {len(sweep.results)} "
+            f"configurations in {sweep.wall_seconds:.1f}s wall time"
+        )
     return sweep
 
 

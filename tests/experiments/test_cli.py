@@ -1,8 +1,11 @@
 """Tests for the repro-experiments command-line interface."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.cli import build_parser, main, resolve_run
+from repro.experiments.figures import FIGURES, FigureBuilder
 from repro.experiments.runner import DEFAULT_RUN, QUICK_RUN
 
 
@@ -12,10 +15,14 @@ class TestParser:
         args = parser.parse_args(["--figure", "8"])
         assert args.figure == 8
 
+    def test_figure_all(self):
+        assert build_parser().parse_args(["--figure", "all"]).figure == "all"
+
     def test_figure_out_of_range_rejected(self):
         parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["--figure", "2"])
+        for value in ("2", "22", "every"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["--figure", value])
 
     def test_experiment_and_figure_mutually_exclusive(self):
         parser = build_parser()
@@ -41,6 +48,17 @@ class TestResolveRun:
     def test_quick(self):
         args = build_parser().parse_args(["--all", "--quick"])
         assert resolve_run(args) == QUICK_RUN
+
+    def test_no_run_flag_keeps_the_default(self):
+        # --figure passes None: each figure then runs at its pinned run.
+        parse = build_parser().parse_args
+        assert resolve_run(parse(["--figure", "8"]), default=None) is None
+        assert resolve_run(
+            parse(["--figure", "8", "--seed", "42"]), default=None
+        ) == DEFAULT_RUN.with_changes(seed=42)
+        assert resolve_run(
+            parse(["--figure", "8", "--quick"]), default=None
+        ) == QUICK_RUN
 
     def test_overrides(self):
         args = build_parser().parse_args(
@@ -71,6 +89,38 @@ class TestMain:
         out = capsys.readouterr().out
         assert "Figure 8" in out
         assert "blocking" in out
+
+    def test_unpinned_figure_run_is_not_checked(self, capsys):
+        code = main([
+            "--figure", "8", "--quick", "--mpl", "5",
+            "--algorithm", "blocking",
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert (
+            "figure 8: claim not checked: not the pinned reproduction" in err
+        )
+
+    @pytest.mark.parametrize("claim, code, verdict", [
+        (lambda data, builder: [], 0, "figure 8: claim holds; all 1 points"),
+        (lambda data, builder: ["Figure 8: forced"], 1,
+         "FAILED Figure 8: forced"),
+    ])
+    def test_pinned_figure_run_reports_its_verdict(
+        self, capsys, monkeypatch, claim, code, verdict
+    ):
+        # Stand in a tiny grid for the pinned one: the verdict and the
+        # exit status are what is under test, not the paper's numbers.
+        monkeypatch.setattr(FigureBuilder, "pinned", property(lambda _: True))
+        monkeypatch.setitem(FIGURES, 8, replace(FIGURES[8], claim=claim))
+        assert main([
+            "--figure", "8", "--quick", "--mpl", "5",
+            "--algorithm", "blocking",
+        ]) == code
+        captured = capsys.readouterr()
+        assert verdict in captured.err
+        assert "claim not checked" not in captured.err
+        assert captured.out.startswith("=" * 72)
 
     def test_experiment_run(self, capsys):
         code = main([

@@ -81,7 +81,7 @@ FIELDS = [f.name for f in dataclasses.fields(SimulationParameters)]
 
 def config(params):
     return ExperimentConfig(
-        experiment_id="identity", title="identity", figures=(0,),
+        experiment_id="identity", title="identity",
         params=params, algorithms=("blocking",), mpls=(2,),
     )
 

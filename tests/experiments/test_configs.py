@@ -1,9 +1,9 @@
-"""Tests for experiment presets and the figure index."""
+"""Tests for experiment presets."""
 
 from repro.cc import PAPER_ALGORITHMS
 from repro.core import PAPER_MPLS
-from repro.experiments import FIGURE_INDEX, experiment_configs
-from repro.experiments.figures import FIGURE_TITLES
+from repro.experiments import FIGURES, experiment_configs
+from repro.experiments.figures import figures_of
 
 
 class TestConfigs:
@@ -30,28 +30,17 @@ class TestConfigs:
         }
 
     def test_every_paper_figure_covered(self):
-        # Figures 3 through 21, no gaps.
-        assert sorted(FIGURE_INDEX) == list(range(3, 22))
-        assert sorted(FIGURE_TITLES) == list(range(3, 22))
+        # Figures 3 through 21, no gaps, each from one preset.
         covered = set()
-        for config in experiment_configs().values():
-            covered.update(config.figures)
-        assert covered == set(range(3, 22))
-
-    def test_figure_index_points_to_real_experiments(self):
-        configs = experiment_configs()
-        for figure, (experiment_id, metrics) in FIGURE_INDEX.items():
-            assert experiment_id in configs
-            config = configs[experiment_id]
-            assert figure in config.figures
-            for metric in metrics:
-                assert metric in config.metrics
+        for experiment_id in experiment_configs():
+            covered.update(figures_of(experiment_id))
+        assert covered == set(FIGURES) == set(range(3, 22))
 
     def test_default_sweep_matches_paper(self):
         # Every preset that regenerates a paper figure sweeps the
         # paper's algorithms and mpls; extensions (exp6) may differ.
         for config in experiment_configs().values():
-            if not config.figures:
+            if not figures_of(config.experiment_id):
                 continue
             assert config.algorithms == PAPER_ALGORITHMS
             assert config.mpls == PAPER_MPLS
@@ -78,7 +67,7 @@ class TestConfigs:
 
         # The paper presets all run the classic physical tier.
         for config in configs.values():
-            if config.figures:
+            if figures_of(config.experiment_id):
                 assert config.params.resource_model == "classic"
 
     def test_experiment_parameters_match_paper(self):

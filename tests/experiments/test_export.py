@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +28,6 @@ def sweep():
     config = ExperimentConfig(
         experiment_id="export-test",
         title="Export test",
-        figures=(8, 9),
         params=params,
         algorithms=("blocking", "optimistic"),
         mpls=(2, 5),
@@ -46,12 +46,18 @@ class TestSweepToRows:
         rows = sweep_to_rows(sweep)
         row = rows[0]
         assert row["experiment"] == "export-test"
-        assert row["figures"] == "8+9"
+        assert row["figures"] == ""
         assert row["algorithm"] in ("blocking", "optimistic")
         assert row["metric"] in ("throughput", "disk_util")
         assert row["ci_low"] <= row["mean"] <= row["ci_high"]
         assert row["confidence"] == 0.90
         assert row["batches"] == 2
+
+    def test_figures_column_comes_from_the_figure_registry(self, sweep):
+        paper = replace(
+            sweep, config=replace(sweep.config, experiment_id="exp3_finite")
+        )
+        assert {row["figures"] for row in sweep_to_rows(paper)} == {"8+9+10"}
 
     def test_metric_restriction(self, sweep):
         rows = sweep_to_rows(sweep, metrics=["throughput"])

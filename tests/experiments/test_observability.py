@@ -37,7 +37,6 @@ def tiny_config(**overrides):
     defaults = dict(
         experiment_id="tiny",
         title="Tiny test sweep",
-        figures=(0,),
         params=params,
         algorithms=("blocking",),
         mpls=(2, 5),

@@ -62,7 +62,6 @@ def tiny_config(**overrides):
     defaults = dict(
         experiment_id="tiny",
         title="Tiny test sweep",
-        figures=(0,),
         params=tiny_params(),
         algorithms=("blocking", "optimistic"),
         mpls=(2, 5),
@@ -183,9 +182,11 @@ class TestParallelSequentialEquivalence:
         lines = []
         run_sweep(tiny_config(), run=TINY_RUN, mpls=[2], workers=2,
                   progress=lines.append)
-        assert len(lines) == 2
+        # One line per point, then the sweep's wall-time line.
+        assert len(lines) == 3
+        assert "wall time" in lines[-1]
         # Counters come from the single parent-side reporter.
-        assert sorted(line.split("]")[0] for line in lines) == [
+        assert sorted(line.split("]")[0] for line in lines[:-1]) == [
             "  [1/2", "  [2/2",
         ]
 

@@ -64,7 +64,6 @@ def tiny_config(**overrides):
     defaults = dict(
         experiment_id="tiny",
         title="Tiny test sweep",
-        figures=(0,),
         params=tiny_params(),
         algorithms=("blocking", "optimistic"),
         mpls=(2, 5),

@@ -1,5 +1,7 @@
 """Tests for ASCII report rendering."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import RunConfig, SimulationParameters
@@ -25,7 +27,6 @@ def sweep():
     config = ExperimentConfig(
         experiment_id="report-test",
         title="Report rendering test",
-        figures=(8,),
         params=params,
         algorithms=("blocking", "optimistic"),
         mpls=(2, 5),
@@ -81,13 +82,30 @@ class TestAsciiPlot:
 
 class TestSweepReport:
     def test_report_structure(self, sweep):
-        report = sweep_report(sweep)
+        report = sweep_report(sweep, figures=(8,))
         assert "Report rendering test" in report
-        assert "figure(s) 8" in report
+        assert "(regenerates paper figure(s) 8)" in report
         assert "a note" in report
         assert "Throughput" in report
         assert "Total Disk Utilization" in report
-        assert "wall time" in report
+        assert "[swept 4 configurations; 2 batches x 5s]" in report
+        assert "figure(s)" not in sweep_report(sweep)
+
+    def test_report_is_a_pure_function_of_the_results(self, sweep):
+        # Two sweeps differing only in how long they took render
+        # byte-identical reports, so a regenerated table moves only
+        # when a number moves.
+        slower = replace(sweep, wall_seconds=sweep.wall_seconds + 100.0)
+        assert sweep_report(slower) == sweep_report(sweep)
+        assert "wall time" not in sweep_report(sweep)
+
+    def test_progress_line_carries_the_wall_time(self, sweep):
+        lines = []
+        swept = run_sweep(sweep.config, run=TINY_RUN, progress=lines.append)
+        assert lines[-1] == (
+            f"  report-test: swept 4 configurations in "
+            f"{swept.wall_seconds:.1f}s wall time"
+        )
 
     def test_report_without_plots(self, sweep):
         report = sweep_report(sweep, with_plots=False)
@@ -114,7 +132,6 @@ class TestBufferedSweepReport:
         config = ExperimentConfig(
             experiment_id="buffered-report-test",
             title="Buffered report test",
-            figures=(),
             params=params,
             algorithms=("blocking",),
             mpls=(2, 5),

@@ -25,7 +25,6 @@ def tiny_config(**overrides):
     defaults = dict(
         experiment_id="tiny",
         title="Tiny test sweep",
-        figures=(0,),
         params=params,
         algorithms=("blocking", "optimistic"),
         mpls=(2, 5),
@@ -74,8 +73,10 @@ class TestRunSweep:
             tiny_config(), run=TINY_RUN, mpls=[2],
             algorithms=["blocking"], progress=lines.append,
         )
-        assert len(lines) == 1
+        # The point's line, then the sweep's wall-time line.
+        assert len(lines) == 2
         assert "tiny" in lines[0]
+        assert lines[1].startswith("  tiny: swept 1 configurations in ")
 
     def test_seed_override(self):
         a = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2],

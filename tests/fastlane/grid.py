@@ -27,7 +27,6 @@ def grid_config(**overrides):
     defaults = dict(
         experiment_id="fastlane-grid",
         title="Fast-lane parity grid",
-        figures=(0,),
         params=grid_params(),
         algorithms=("blocking", "optimistic"),
         mpls=(2, 5),
