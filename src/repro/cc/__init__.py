@@ -53,6 +53,7 @@ from repro.cc.waits_for import (
     build_waits_for,
     find_any_cycle,
     find_cycle_containing,
+    find_deadlock,
     youngest,
 )
 from repro.cc.wound_wait import WoundWaitCC
@@ -99,6 +100,7 @@ __all__ = [
     "build_waits_for",
     "find_cycle_containing",
     "find_any_cycle",
+    "find_deadlock",
     "youngest",
     "cc_units_read",
     "cc_units_written",

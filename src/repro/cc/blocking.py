@@ -19,7 +19,7 @@ from repro.cc.locks import LockManager, LockMode
 from repro.cc.waits_for import (
     build_waits_for,
     find_any_cycle,
-    find_cycle_containing,
+    find_deadlock,
     youngest,
 )
 
@@ -150,8 +150,7 @@ class BlockingCC(ConcurrencyControl):
     def _resolve_deadlocks(self, requester):
         """Break every cycle through ``requester``, youngest victim first."""
         while True:
-            graph = build_waits_for(self.locks)
-            cycle = find_cycle_containing(graph, requester)
+            cycle = find_deadlock(self.locks, requester)
             if cycle is None:
                 return
             self.deadlocks_found += 1

@@ -14,12 +14,19 @@ Semantics (classical System R-style, as assumed by the paper):
 
 The lock manager is policy-free: it never decides to block or restart.
 Algorithms call :meth:`acquire` with ``wait=True`` (blocking 2PL variants)
-or ``wait=False`` (immediate-restart), inspect :meth:`blockers` to build
-waits-for edges, and fail a victim's wait event to abort it remotely.
+or ``wait=False`` (immediate-restart), ask :meth:`waits_for` for a
+transaction's waits-for edges, and fail a victim's wait event to abort
+it remotely.
+
+Besides the per-object table, the manager indexes each transaction's
+objects (held or queued on) and its queued requests, so that commit,
+abort and deadlock detection cost one transaction's footprint rather
+than the size of the table.
 """
 
-from collections import deque
+from collections import defaultdict, deque
 from enum import IntEnum
+from itertools import count
 
 
 class LockMode(IntEnum):
@@ -55,13 +62,19 @@ class LockRequest:
 
 
 class _Lock:
-    """Per-object lock state: current holders and the waiter queue."""
+    """Per-object lock state: current holders and the waiter queue.
 
-    __slots__ = ("holders", "queue")
+    ``seq`` numbers entries in creation order. The table drops an entry
+    when it goes idle and appends a fresh one on the object's next
+    request, so ascending ``seq`` is exactly the table's iteration order.
+    """
 
-    def __init__(self):
+    __slots__ = ("holders", "queue", "seq")
+
+    def __init__(self, seq):
         self.holders = {}  # tx -> LockMode
         self.queue = deque()  # of LockRequest
+        self.seq = seq
 
     @property
     def is_idle(self):
@@ -91,6 +104,20 @@ class LockManager:
     def __init__(self, env):
         self.env = env
         self._locks = {}  # obj -> _Lock
+        self._next_seq = count().__next__
+        # tx -> objects it holds or has queued on (possibly stale: an
+        # object it merely left a dead request on); dropped at release.
+        self._objects = defaultdict(set)
+        # tx -> its queued requests not yet granted or released.
+        self._requests = defaultdict(list)
+
+    def _table_order(self, objs):
+        """``objs`` still in the table, in the table's iteration order."""
+        locks = self._locks
+        return sorted(
+            (obj for obj in objs if obj in locks),
+            key=lambda obj: locks[obj].seq,
+        )
 
     # -- queries --------------------------------------------------------
 
@@ -115,16 +142,25 @@ class LockManager:
         return [r for r in lock.queue if not r.is_dead]
 
     def all_blocked_requests(self):
-        """Every live queued request across the table."""
-        for lock in self._locks.values():
-            for request in lock.queue:
-                if not request.is_dead:
-                    yield request
+        """Every live queued request, in table then queue order."""
+        locks = self._locks
+        live = [
+            request
+            for requests in self._requests.values()
+            for request in requests
+            if not request.is_dead
+        ]
+        live.sort(key=lambda request: (
+            locks[request.obj].seq, locks[request.obj].queue.index(request)
+        ))
+        return live
 
     def locks_held_by(self, tx):
         """Objects currently locked by ``tx`` (any mode)."""
+        locks = self._locks
         return [
-            obj for obj, lock in self._locks.items() if tx in lock.holders
+            obj for obj in self._table_order(self._objects.get(tx, ()))
+            if tx in locks[obj].holders
         ]
 
     def would_conflict_with(self, tx, obj, mode):
@@ -167,7 +203,7 @@ class LockManager:
         """
         lock = self._locks.get(obj)
         if lock is None:
-            lock = self._locks[obj] = _Lock()
+            lock = self._locks[obj] = _Lock(self._next_seq())
         held = lock.holders.get(tx)
         if held is not None and held >= mode:
             return AcquireResult(granted=True)
@@ -175,6 +211,7 @@ class LockManager:
         is_upgrade = held is LockMode.SHARED and mode is LockMode.EXCLUSIVE
         if self._grantable(lock, tx, mode, is_upgrade):
             lock.holders[tx] = mode
+            self._objects[tx].add(obj)
             return AcquireResult(granted=True)
 
         if not wait:
@@ -186,6 +223,8 @@ class LockManager:
             self._enqueue_upgrade(lock, request)
         else:
             lock.queue.append(request)
+        self._objects[tx].add(obj)
+        self._requests[tx].append(request)
         return AcquireResult(granted=False, event=event, request=request)
 
     def _grantable(self, lock, tx, mode, is_upgrade):
@@ -217,6 +256,18 @@ class LockManager:
         lock.queue.insert(position, request)
 
     # -- waits-for support ------------------------------------------------
+
+    def waits_for(self, tx):
+        """Transactions ``tx`` waits for: its waits-for edges.
+
+        The union of :meth:`blockers` over ``tx``'s live queued
+        requests; empty when it waits for nobody.
+        """
+        edges = set()
+        for request in self._requests.get(tx, ()):
+            if not request.is_dead:
+                edges |= self.blockers(request)
+        return edges
 
     def blockers(self, request):
         """Transactions ``request.tx`` is waiting for.
@@ -251,9 +302,18 @@ class LockManager:
         abort. Queued requests of ``tx`` whose event has not fired are
         silently discarded — the caller guarantees nothing waits on them
         anymore (the aborting process was already resumed by exception).
+
+        Only ``tx``'s own objects are visited. Their waiters are granted
+        in table order, the order a scan of the whole table would meet
+        them, so grant events are scheduled exactly as such a scan
+        would schedule them. Returns the objects ``tx`` left, in that
+        order; those nobody holds or waits on any more are dropped.
         """
+        self._requests.pop(tx, None)
+        locks = self._locks
         touched = []
-        for obj, lock in self._locks.items():
+        for obj in self._table_order(self._objects.pop(tx, ())):
+            lock = locks[obj]
             changed = lock.holders.pop(tx, None) is not None
             queue = lock.queue
             if queue and any(r.tx is tx for r in queue):
@@ -261,15 +321,12 @@ class LockManager:
                 changed = True
             if changed:
                 touched.append(obj)
-        for obj in touched:
-            self._grant_waiters(obj)
-        self._prune()
+                self._grant_waiters(lock)
+                if lock.is_idle:
+                    del locks[obj]
         return touched
 
-    def _grant_waiters(self, obj):
-        lock = self._locks.get(obj)
-        if lock is None:
-            return
+    def _grant_waiters(self, lock):
         while lock.queue:
             head = lock.queue[0]
             if head.is_dead:
@@ -285,12 +342,15 @@ class LockManager:
                 break
             lock.queue.popleft()
             lock.holders[head.tx] = head.mode
+            self._granted(head)
             head.event.succeed()
 
-    def _prune(self):
-        idle = [obj for obj, lock in self._locks.items() if lock.is_idle]
-        for obj in idle:
-            del self._locks[obj]
+    def _granted(self, request):
+        """Drop a granted request from its transaction's index."""
+        requests = self._requests[request.tx]
+        requests.remove(request)
+        if not requests:
+            del self._requests[request.tx]
 
     def __repr__(self):
         held = sum(len(lock.holders) for lock in self._locks.values())

@@ -1,22 +1,59 @@
-"""Waits-for graph construction and cycle detection for deadlock handling.
+"""Waits-for graph search and cycle detection for deadlock handling.
 
 The paper maintains a waits-for graph of transactions [Gray79] and runs
-deadlock detection *each time a transaction blocks*. We rebuild the graph
-from the live lock-table state at each detection — with mpl <= a few
-hundred transactions the graph is tiny, and deriving it from one source of
-truth eliminates incremental-maintenance bugs.
+deadlock detection *each time a transaction blocks*. Each detection
+searches from the blocked requester over the live lock-table state: a
+node's edges (:meth:`LockManager.waits_for`) are derived the first time
+the search reaches it, so only the part of the graph reachable from the
+requester is ever built. Nothing is kept between detections — deriving
+edges from one source of truth eliminates incremental-maintenance bugs.
 """
 
 
 def build_waits_for(lock_manager):
-    """Adjacency mapping tx -> set of transactions it waits for."""
+    """Adjacency mapping tx -> set of transactions it waits for.
+
+    The whole graph, keyed in the order the transactions' first
+    blocked requests appear in the lock table (which decides the cycle
+    :func:`find_any_cycle` reports first).
+    """
     graph = {}
     for request in lock_manager.all_blocked_requests():
-        blockers = lock_manager.blockers(request)
-        if not blockers:
-            continue
-        graph.setdefault(request.tx, set()).update(blockers)
+        tx = request.tx
+        if tx not in graph and lock_manager.blockers(request):
+            graph[tx] = lock_manager.waits_for(tx)
     return graph
+
+
+class _OnDemandGraph:
+    """The waits-for graph as :func:`find_cycle_containing` reads it.
+
+    A node's edges come from the lock manager on first access and are
+    cached for the rest of one search; a node is in the graph iff it
+    waits for someone, as in :func:`build_waits_for`.
+    """
+
+    __slots__ = ("_lock_manager", "_edges")
+
+    def __init__(self, lock_manager):
+        self._lock_manager = lock_manager
+        self._edges = {}
+
+    def get(self, tx, default=None):
+        edges = self._edges.get(tx)
+        if edges is None:
+            edges = self._edges[tx] = self._lock_manager.waits_for(tx)
+        return edges or default
+
+    def __contains__(self, tx):
+        return bool(self.get(tx))
+
+
+def find_deadlock(lock_manager, requester):
+    """A waits-for cycle through ``requester`` (see
+    :func:`find_cycle_containing`), or None, searching only the part of
+    the graph reachable from it."""
+    return find_cycle_containing(_OnDemandGraph(lock_manager), requester)
 
 
 def _by_id(tx):

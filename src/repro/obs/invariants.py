@@ -195,8 +195,10 @@ class InvariantChecker:
         self._class_committed = {}  # routing class -> completions
         # Resource pairing state: resource key -> (busy count, capacity).
         self._busy = {}
-        # Lock table for the exclusivity check: obj -> [writer, readers].
+        # Lock table for the exclusivity check: obj -> [writer, readers],
+        # indexed by tx id -> objects granted to it since its release.
         self._locks = {}
+        self._granted = {}
         # Tx ids blocked since their last grant (deadlock-victim
         # candidates), and grants that conflicted only with such
         # holders: holder id -> [(grant time, message, details)].
@@ -554,6 +556,7 @@ class InvariantChecker:
         entry = self._locks.get(obj)
         if entry is None:
             entry = self._locks[obj] = [None, set()]
+        self._granted.setdefault(tx.id, set()).add(obj)
         writer, readers = entry
         if fields["op"] == "write":
             foreign_readers = readers - {tx.id}
@@ -618,17 +621,15 @@ class InvariantChecker:
 
     def _release_locks(self, tx_id):
         """Strict 2PL: commit/abort releases everything a tx held."""
-        if not self._locks:
-            return
-        empty = []
-        for obj, entry in self._locks.items():
+        for obj in self._granted.pop(tx_id, ()):
+            entry = self._locks.get(obj)
+            if entry is None:
+                continue  # a conflicting grant replaced ours, then freed it
             if entry[0] == tx_id:
                 entry[0] = None
             entry[1].discard(tx_id)
             if entry[0] is None and not entry[1]:
-                empty.append(obj)
-        for obj in empty:
-            del self._locks[obj]
+                del self._locks[obj]
 
     # -- network messages and two-phase commit -------------------------------
 

@@ -5,6 +5,13 @@ release-all) against both the production LockManager and a deliberately
 simple reference implementation that recomputes everything from the
 operation log. Divergence in *who holds what* or *who gets granted when*
 is a bug in one of them — and the reference is simple enough to trust.
+
+"Who gets granted when" includes the order across objects: a release
+that unblocks waiters on several objects fires their grant events in
+lock-table order, and the simulation's event order (hence every digest)
+follows it. The table keeps an object only while someone holds or
+waits on it, so its order is the order in which each object's current
+entry was created; the reference drops idle objects the same way.
 """
 
 from hypothesis import given, settings
@@ -29,7 +36,9 @@ class ReferenceLockTable:
       nothing waits ahead of it (upgrades wait only for other holders);
     * on release, the wait list grants from the front: upgrades first
       (they sit at the head), batches of compatible shared requests,
-      stopping at the first non-grantable entry.
+      stopping at the first non-grantable entry;
+    * objects are visited in the order their entries were created, and
+      an object nobody holds or waits on is dropped after a release.
     """
 
     def __init__(self):
@@ -63,12 +72,18 @@ class ReferenceLockTable:
         return "waiting"
 
     def release_all(self, tx):
+        """Release ``tx`` everywhere; the ``(tx, obj)`` grants, in order."""
+        grants = []
         for obj in list(self.holders):
             self.holders[obj].pop(tx, None)
             self.waiting[obj] = [
                 entry for entry in self.waiting[obj] if entry[0] is not tx
             ]
-            self._grant(obj)
+            grants.extend(self._grant(obj))
+            if not self.holders[obj] and not self.waiting[obj]:
+                del self.holders[obj]
+                del self.waiting[obj]
+        return grants
 
     def _grant(self, obj):
         holders = self.holders[obj]
@@ -84,6 +99,7 @@ class ReferenceLockTable:
                 break
             holders[tx] = mode
             waiting.pop(0)
+            yield tx, obj
 
     def state(self):
         return {
@@ -111,18 +127,26 @@ def test_lock_manager_matches_reference(ops):
     production = LockManager(env)
     reference = ReferenceLockTable()
     txs = [FakeTx(tx_id=9000 + i) for i in range(6)]
-    granted_events = {}
+    fired = []  # (tx, obj) per processed grant event, in event order
 
     for tx_index, obj, mode, release in ops:
         tx = txs[tx_index]
         if release:
             production.release_all(tx)
-            reference.release_all(tx)
+            # Grant events fire in the order the manager scheduled them.
+            env.run()
+            expected = reference.release_all(tx)
+            assert fired == expected, (
+                f"grant order diverged at release of {tx!r}"
+            )
+            fired.clear()
         else:
             result = production.acquire(tx, obj, mode, wait=True)
             reference.acquire(tx, obj, mode)
             if not result.granted:
-                granted_events[id(result.event)] = result.event
+                result.event.callbacks.append(
+                    lambda _event, grant=(tx, obj): fired.append(grant)
+                )
 
         # Compare complete holder state after every operation; grants
         # made by the production manager via events are reflected in

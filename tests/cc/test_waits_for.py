@@ -1,7 +1,7 @@
 """Tests for waits-for graph construction and cycle detection."""
 
 import networkx as nx
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cc import (
@@ -10,8 +10,10 @@ from repro.cc import (
     build_waits_for,
     find_any_cycle,
     find_cycle_containing,
+    find_deadlock,
     youngest,
 )
+from repro.cc.errors import REASON_DEADLOCK, RestartTransaction
 from repro.des import Environment
 
 from tests.cc.conftest import FakeTx
@@ -44,6 +46,68 @@ class TestBuildWaitsFor:
         cycle = find_cycle_containing(graph, t1)
         assert cycle is not None
         assert set(cycle) == {t1, t2}
+
+
+def _table_scan_graph(lm):
+    """The waits-for graph read off a scan of the whole lock table.
+
+    Every live queued request, object by object in table order and
+    front to back within a queue, adds its blockers to its transaction's
+    edges; a transaction is keyed at its first request that waits for
+    someone.
+    """
+    graph = {}
+    for lock in lm._locks.values():
+        for request in lock.queue:
+            if request.is_dead:
+                continue
+            blockers = lm.blockers(request)
+            if blockers:
+                graph.setdefault(request.tx, set()).update(blockers)
+    return graph
+
+
+lock_operations = st.lists(
+    st.tuples(
+        st.sampled_from(["acquire", "acquire", "acquire", "release", "fail"]),
+        st.integers(min_value=0, max_value=7),   # tx index
+        st.integers(min_value=0, max_value=3),   # object
+        st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE]),
+    ),
+    max_size=60,
+)
+
+
+class TestOnDemandSearch:
+    """The on-demand search agrees with a search of the whole graph."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=lock_operations)
+    def test_matches_full_graph_search(self, ops):
+        lm = LockManager(Environment())
+        txs = [FakeTx(tx_id=7000 + i) for i in range(8)]
+        for kind, tx_index, obj, mode in ops:
+            tx = txs[tx_index]
+            if kind == "acquire":
+                result = lm.acquire(tx, obj, mode)
+                if result.event is not None:
+                    tx.lock_wait_event = result.event
+            elif kind == "release":
+                lm.release_all(tx)
+            elif (tx.lock_wait_event is not None
+                    and not tx.lock_wait_event.triggered):
+                # A victim whose wait failed but whose locks are still
+                # in the table: its queued request is dead.
+                tx.lock_wait_event.fail(
+                    RestartTransaction(REASON_DEADLOCK, "test")
+                )
+            full = _table_scan_graph(lm)
+            assert list(build_waits_for(lm).items()) == list(full.items())
+            for requester in txs:
+                assert (
+                    find_deadlock(lm, requester)
+                    == find_cycle_containing(full, requester)
+                )
 
 
 class TestFindCycle:
