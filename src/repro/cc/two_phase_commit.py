@@ -8,11 +8,12 @@ physical tier's network legs:
   coordinator — the transaction's home node — sends one prepare
   message to every remote participant and waits for its vote, one
   round trip per participant (``2pc_prepare``/``2pc_vote`` bus
-  events bracket each). For blocking-style algorithms the
-  transaction's locks are naturally held across this window (they are
-  released in ``finalize_commit``, which runs after the decision
-  stage); for optimistic the local validation that follows the window
-  is the coordinator's own vote.
+  events bracket each; like the legs' ``msg_*`` events, they are built
+  only when the bus's ``wants_msg`` flag is up). For blocking-style
+  algorithms the transaction's locks are naturally held across this
+  window (they are released in ``finalize_commit``, which runs after
+  the decision stage); for optimistic the local validation that
+  follows the window is the coordinator's own vote.
 * **Decision phase** (after the writes install, before
   ``finalize_commit``): one ``2pc_decide`` event records the commit
   decision with its vote quorum, then one decision message ships to
@@ -80,13 +81,16 @@ class TwoPhaseCommit(CommitProtocol):
         bus = model.bus
         home = physical.home_node(tx)
         for node in participants:
-            bus.emit(self._kind_prepare, tx=tx, node=node)
+            # Per-message events, built only when observed (wants_msg).
+            if bus.wants_msg:
+                bus.emit(self._kind_prepare, tx=tx, node=node)
             # One round trip per participant: the prepare message out,
             # the participant's vote back. Sequential — the modeled
             # coordinator processes one participant channel at a time.
             yield from physical.network_leg(tx, home, node)
             yield from physical.network_leg(tx, node, home)
-            bus.emit(self._kind_vote, tx=tx, node=node, vote="yes")
+            if bus.wants_msg:
+                bus.emit(self._kind_vote, tx=tx, node=node, vote="yes")
 
     def decide(self, tx):
         model = self.model

@@ -12,7 +12,12 @@ Design constraints, in order:
    lookup; a kind nobody subscribed to returns immediately, and the
    hot emitters additionally consult the precomputed ``wants_*`` flags
    *before building the event's fields*, so an idle kind allocates
-   nothing at all.
+   nothing at all. The flags are derived from the handler tables, never
+   set: ``wants_commit_point`` (the engine's commit point),
+   ``wants_resource`` (``resource_busy``/``resource_idle`` around every
+   service), ``wants_cc`` (``cc_grant``) and ``wants_msg`` (the
+   message-level kinds: ``msg_send``/``msg_recv`` around every network
+   leg and the ``2pc_prepare``/``2pc_vote`` exchange they carry).
 2. **Synchronous, deterministic dispatch.** Handlers run inline, in
    subscriber attach order, at the simulated instant of the event.
    Subscribers only *observe* — they must not mutate model state — so
@@ -33,7 +38,19 @@ Subscriber` is a convenience base):
   process (e.g. periodic samplers) start it here.
 """
 
-from repro.obs.events import CC_GRANT, RESOURCE_BUSY, RESOURCE_IDLE, TX_COMMIT_POINT
+from repro.obs.events import (
+    CC_GRANT,
+    MSG_RECV,
+    MSG_SEND,
+    RESOURCE_BUSY,
+    RESOURCE_IDLE,
+    TWO_PC_PREPARE,
+    TWO_PC_VOTE,
+    TX_COMMIT_POINT,
+)
+
+#: Kinds behind ``wants_msg``: per-message events of the sharded tier.
+_MESSAGE_LEVEL_KINDS = (MSG_SEND, MSG_RECV, TWO_PC_PREPARE, TWO_PC_VOTE)
 
 
 class InstrumentationBus:
@@ -46,6 +63,7 @@ class InstrumentationBus:
         "wants_commit_point",
         "wants_resource",
         "wants_cc",
+        "wants_msg",
     )
 
     def __init__(self, env):
@@ -95,6 +113,9 @@ class InstrumentationBus:
             or RESOURCE_IDLE in self._handlers
         )
         self.wants_cc = CC_GRANT in self._handlers
+        self.wants_msg = any(
+            kind in self._handlers for kind in _MESSAGE_LEVEL_KINDS
+        )
 
     # -- emission ------------------------------------------------------------
 

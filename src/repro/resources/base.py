@@ -173,10 +173,6 @@ class ResourceModel:
         """The node a transaction originates at (always 0 single-site)."""
         return 0
 
-    def global_disk_index(self, node, disk_index):
-        """Flatten a (node, local disk) address into ``self.disks``."""
-        return disk_index
-
     def cpu_capacity_at(self, node):
         """CPU servers at one node (the invariant checker's bound)."""
         return getattr(self.cpu, "capacity", float("inf"))
@@ -197,15 +193,16 @@ class ResourceModel:
         ``params.network_delay`` drawn from the dedicated
         ``resources.network`` stream (the interconnect is modeled as a
         delay, not a queued server) and emits ``msg_send``/``msg_recv``
-        bus events around the transfer. Local messages (``src == dst``)
-        are free and draw nothing, which is what keeps one-node
-        topologies bit-identical to the single-site models: no
+        bus events around the transfer (built only when the bus's
+        ``wants_msg`` flag says someone handles them). Local messages
+        (``src == dst``) are free and draw nothing, which is what keeps
+        one-node topologies bit-identical to the single-site models: no
         cross-node traffic can ever arise there.
         """
         if src == dst:
             return
         bus = self.bus
-        if bus is not None:
+        if bus is not None and bus.wants_msg:
             bus.emit(MSG_SEND, tx=tx, src=src, dst=dst)
         self.messages_sent += 1
         delay = self.params.network_delay
@@ -217,7 +214,7 @@ class ResourceModel:
             delay = self._network_rng.exponential(delay)
             self.network_time += delay
             yield Timeout(self.env, delay)
-        if bus is not None:
+        if bus is not None and bus.wants_msg:
             bus.emit(MSG_RECV, tx=tx, src=src, dst=dst)
 
     def network_summary(self):
@@ -291,20 +288,15 @@ class ResourceModel:
             return
         yield from self.disk_service_at(tx, self._pick_disk(), amount)
 
-    def disk_service_at(self, tx, disk_index, amount, node=None):
-        """Hold disk ``disk_index`` for ``amount`` seconds.
+    def disk_service_at(self, tx, disk_index, amount):
+        """Hold disk ``disk_index`` (of ``self.disks``) for ``amount`` s.
 
         The placement-aware leg: callers that map objects to specific
         spindles (``skewed_disks``) or that decide queueing per access
-        (``buffered``) pick the index themselves. With ``node`` given,
-        ``disk_index`` is local to that node and is flattened through
-        :meth:`global_disk_index` (the node-addressed spelling used by
-        multi-site models); None keeps the flat single-site addressing.
+        (``buffered``) pick the index themselves.
         """
         if amount <= 0.0:
             return
-        if node is not None:
-            disk_index = self.global_disk_index(node, disk_index)
         env = self.env
         bus = self.bus
         tracker = self.disk_tracker

@@ -28,6 +28,23 @@ distance from the home node (a local copy means no network legs at
 all); commit-time deferred updates write every copy, shipping one
 message per remote replica.
 
+Placement is a pure function of ``(obj, home)``, so it is tabulated
+once at construction: a list indexed by object id holding each
+object's replica list (primary first; objects with the same primary
+share one list), and per home node a list indexed by object id holding
+the replica that home reads from. An access is then two list indexings
+instead of a ring walk and a ``min`` (object ids lie in
+``[0, db_size)``, as every workload draws them).
+
+The service composites are flat: ``read_access`` and
+``deferred_update`` inline the disk and CPU service bodies (as the
+base model's ``read_access`` does) and call ``network_leg`` only for a
+remote node, so a local access runs one generator, the same as a
+single-site one. Per-message bus events (``msg_send``/``msg_recv``,
+and the commit protocol's ``2pc_prepare``/``2pc_vote``) are built only
+when the bus's ``wants_msg`` flag says a subscriber handles them; the
+message *accounting* (``network_summary``) never depends on observers.
+
 ``params.buffer_capacity`` (explicitly set) composes a per-node LRU
 buffer pool with the sharded tier, reusing the ``buffered`` model's
 mechanics: each node caches the objects *it* served, probes emit the
@@ -134,6 +151,31 @@ class DistributedResourceModel(ResourceModel):
         self.disk_tracker = BusyTracker(
             env, "disk", self.nodes * num_disks
         )
+        self._build_placement()
+
+    def _build_placement(self):
+        """Tabulate ``_replicas[obj]`` and ``_read_from[home][obj]``.
+
+        Both depend on the object only through its primary node, so the
+        replica lists and nearest copies are computed per primary and
+        the per-object rows share them.
+        """
+        nodes = self.nodes
+        ring = [
+            [(primary + i) % nodes for i in range(self._replication)]
+            for primary in range(nodes)
+        ]
+        primaries = [self.node_of(obj) for obj in range(self.params.db_size)]
+        self._replicas = [ring[primary] for primary in primaries]
+        self._read_from = []
+        for home in range(nodes):
+            nearest = [
+                min(copies, key=lambda node: (node - home) % nodes)
+                for copies in ring
+            ]
+            self._read_from.append(
+                [nearest[primary] for primary in primaries]
+            )
 
     # -- node addressing -----------------------------------------------------
 
@@ -152,12 +194,12 @@ class DistributedResourceModel(ResourceModel):
         return tx.id % self.nodes
 
     def replica_nodes(self, obj):
-        """Every node holding a copy of ``obj`` (primary first)."""
-        primary = self.node_of(obj)
-        nodes = self.nodes
-        return [
-            (primary + i) % nodes for i in range(self._replication)
-        ]
+        """Every node holding a copy of ``obj`` (primary first).
+
+        The placement table's shared row: callers must not mutate it.
+        ``obj=None`` is placed like object 0 (both sit on node 0).
+        """
+        return self._replicas[0 if obj is None else obj]
 
     def read_node(self, obj, home):
         """The replica ``home`` reads ``obj`` from: the nearest copy.
@@ -166,11 +208,7 @@ class DistributedResourceModel(ResourceModel):
         (all distances are distinct mod N); a local copy wins with
         distance 0, making the read free of network legs.
         """
-        nodes = self.nodes
-        return min(
-            self.replica_nodes(obj),
-            key=lambda node: (node - home) % nodes,
-        )
+        return self._read_from[home][0 if obj is None else obj]
 
     def participant_nodes(self, tx):
         """Remote nodes a transaction touched (sorted, home excluded).
@@ -180,16 +218,13 @@ class DistributedResourceModel(ResourceModel):
         placement and home are pure functions, no draws.
         """
         home = self.home_node(tx)
-        touched = set()
-        for obj in tx.read_set:
-            touched.add(self.read_node(obj, home))
+        read_from = self._read_from[home]
+        touched = {read_from[obj] for obj in tx.read_set}
+        replicas = self._replicas
         for obj in tx.write_set:
-            touched.update(self.replica_nodes(obj))
+            touched.update(replicas[obj])
         touched.discard(home)
         return sorted(touched)
-
-    def global_disk_index(self, node, disk_index):
-        return node * self.disks_per_node + disk_index
 
     def cpu_capacity_at(self, node):
         return self._cpus_per_node
@@ -219,14 +254,13 @@ class DistributedResourceModel(ResourceModel):
         self._disk_pick_at = at + 1
         return picks[at]
 
-    def cpu_service(self, tx, amount, priority=OBJECT_PRIORITY, node=None):
-        """Hold one CPU server of ``node`` (default: tx's home node)."""
+    def cpu_service(self, tx, amount, priority=OBJECT_PRIORITY):
+        """Hold one CPU server of the transaction's home node."""
         if amount <= 0.0:
             return
         if self.faults is not None:
             amount *= self.faults.cpu_factor
-        if node is None:
-            node = self.home_node(tx)
+        node = self.home_node(tx)
         env = self.env
         bus = self.bus
         tracker = self.cpu_tracker
@@ -282,29 +316,85 @@ class DistributedResourceModel(ResourceModel):
         Request leg out, disk (unless a per-node buffer hit) at the
         serving node, data leg back, CPU at the home node. Local reads
         (one node, or a co-resident replica) skip both legs entirely.
+        The disk and CPU bodies are inlined: the yields, their order and
+        the interrupt-time accounting are exactly those of
+        ``disk_service_at`` and ``cpu_service``.
         """
-        if self.faults is not None:
-            self.faults.check_access_fault(tx)
+        faults = self.faults
+        if faults is not None:
+            faults.check_access_fault(tx)
+        env = self.env
+        bus = self.bus
         params = self.params
-        home = self.home_node(tx)
-        node = home if obj is None else self.read_node(obj, home)
-        yield from self.network_leg(tx, home, node)
-        if self._node_lru is not None:
-            if self._probe(node, obj):
-                self.bus.emit(BUFFER_HIT, tx=tx, obj=obj, node=node)
-            else:
-                self.bus.emit(BUFFER_MISS, tx=tx, obj=obj, node=node)
-                if params.obj_io > 0.0:
-                    yield from self.disk_service_at(
-                        tx, self._pick_disk(), params.obj_io, node=node
-                    )
+        home = tx.id % self.nodes
+        node = home if obj is None else self._read_from[home][obj]
+        if node != home:
+            yield from self.network_leg(tx, home, node)
+
+        lru_pools = self._node_lru
+        if lru_pools is not None and self._probe(node, obj):
+            bus.emit(BUFFER_HIT, tx=tx, obj=obj, node=node)
+        else:
+            if lru_pools is not None:
+                bus.emit(BUFFER_MISS, tx=tx, obj=obj, node=node)
+            amount = params.obj_io
+            if amount > 0.0:
+                disk_index = node * self.disks_per_node + self._pick_disk()
+                tracker = self.disk_tracker
+                disk = self.disks[disk_index]
+                request = disk.request()
+                try:
+                    yield request
+                    tracker.acquire()
+                    if bus is not None and bus.wants_resource:
+                        bus.emit(
+                            RESOURCE_BUSY, resource="disk",
+                            disk=disk_index, tx=tx,
+                        )
+                    start = env._now
+                    try:
+                        yield Timeout(env, amount)
+                    finally:
+                        tracker.release()
+                        tx.attempt_disk_time += env._now - start
+                        if bus is not None and bus.wants_resource:
+                            bus.emit(
+                                RESOURCE_IDLE, resource="disk",
+                                disk=disk_index, tx=tx,
+                            )
+                finally:
+                    disk.release(request)
+            if lru_pools is not None:
                 self._fill(node, obj)
-        elif params.obj_io > 0.0:
-            yield from self.disk_service_at(
-                tx, self._pick_disk(), params.obj_io, node=node
-            )
-        yield from self.network_leg(tx, node, home)
-        yield from self.cpu_service(tx, params.obj_cpu, node=home)
+
+        if node != home:
+            yield from self.network_leg(tx, node, home)
+
+        amount = params.obj_cpu
+        if amount <= 0.0:
+            return
+        if faults is not None:
+            amount *= faults.cpu_factor
+        tracker = self.cpu_tracker
+        pool = self.node_cpus[home]
+        request = pool.request(priority=OBJECT_PRIORITY)
+        try:
+            yield request
+            tracker.acquire()
+            if bus is not None and bus.wants_resource:
+                bus.emit(RESOURCE_BUSY, resource="cpu", node=home, tx=tx)
+            start = env._now
+            try:
+                yield Timeout(env, amount)
+            finally:
+                tracker.release()
+                tx.attempt_cpu_time += env._now - start
+                if bus is not None and bus.wants_resource:
+                    bus.emit(
+                        RESOURCE_IDLE, resource="cpu", node=home, tx=tx
+                    )
+        finally:
+            pool.release(request)
 
     def deferred_update(self, tx, obj=None):
         """Write one deferred update to every replica at commit time.
@@ -313,22 +403,48 @@ class DistributedResourceModel(ResourceModel):
         before its disk transfer; acknowledgements are not charged —
         past the commit point the outcome is decided, so the writer
         need not wait on them (the commit *decision* legs are the
-        commit protocol's job).
+        commit protocol's job). The disk body is inlined as in
+        :meth:`read_access`.
         """
-        params = self.params
-        home = self.home_node(tx)
-        nodes = (
-            [home] if obj is None else self.replica_nodes(obj)
-        )
+        env = self.env
+        bus = self.bus
+        amount = self.params.obj_io
+        lru_pools = self._node_lru
+        home = tx.id % self.nodes
+        nodes = (home,) if obj is None else self._replicas[obj]
         for node in nodes:
-            yield from self.network_leg(tx, home, node)
-            if self._node_lru is not None:
-                self.bus.emit(BUFFER_WRITEBACK, tx=tx, obj=obj, node=node)
-            if params.obj_io > 0.0:
-                yield from self.disk_service_at(
-                    tx, self._pick_disk(), params.obj_io, node=node
-                )
-            self._fill(node, obj)
+            if node != home:
+                yield from self.network_leg(tx, home, node)
+            if lru_pools is not None:
+                bus.emit(BUFFER_WRITEBACK, tx=tx, obj=obj, node=node)
+            if amount > 0.0:
+                disk_index = node * self.disks_per_node + self._pick_disk()
+                tracker = self.disk_tracker
+                disk = self.disks[disk_index]
+                request = disk.request()
+                try:
+                    yield request
+                    tracker.acquire()
+                    if bus is not None and bus.wants_resource:
+                        bus.emit(
+                            RESOURCE_BUSY, resource="disk",
+                            disk=disk_index, tx=tx,
+                        )
+                    start = env._now
+                    try:
+                        yield Timeout(env, amount)
+                    finally:
+                        tracker.release()
+                        tx.attempt_disk_time += env._now - start
+                        if bus is not None and bus.wants_resource:
+                            bus.emit(
+                                RESOURCE_IDLE, resource="disk",
+                                disk=disk_index, tx=tx,
+                            )
+                finally:
+                    disk.release(request)
+            if lru_pools is not None:
+                self._fill(node, obj)
 
     # -- fault, cache and labelling hooks ------------------------------------
 

@@ -12,7 +12,7 @@ import io
 import pytest
 
 from repro.core import RunConfig, SimulationParameters, run_simulation
-from repro.obs import JsonlSink, TimeSeriesSampler
+from repro.obs import InvariantChecker, JsonlSink, TimeSeriesSampler
 
 
 PARAMS = SimulationParameters(
@@ -58,3 +58,42 @@ def test_repeated_observed_runs_are_deterministic():
     second = run_observed("blocking")
     assert first.totals == second.totals
     assert first.summary() == second.summary()
+
+
+#: The sharded tier with every message-level emitter live: four nodes,
+#: two copies of each object, 5 ms network legs, two-phase commit and
+#: per-node LRU buffers (whose accounting rides the bus even when
+#: nobody else listens).
+SHARDED = SimulationParameters.table2(
+    db_size=200, num_terms=20, mpl=10, num_cpus=1, num_disks=2,
+    resource_model="distributed", nodes=4, replication_factor=2,
+    network_delay=0.005, commit_protocol="2pc", buffer_capacity=64,
+)
+SHARDED_RUN = RunConfig(batches=3, batch_time=20.0, warmup_batches=1, seed=77)
+
+
+@pytest.mark.parametrize("algorithm", ["blocking", "optimistic"])
+def test_message_observers_leave_sharded_runs_bit_identical(algorithm):
+    """Message events are built only when observed, and observing them
+    changes nothing: a bare run (no message subscriber) and a run under
+    the invariant checker plus an unfiltered sink agree exactly."""
+    bare = run_simulation(SHARDED, algorithm=algorithm, run=SHARDED_RUN)
+    checker = InvariantChecker(mode="strict")
+    sink = JsonlSink(io.StringIO())
+    observed = run_simulation(
+        SHARDED, algorithm=algorithm, run=SHARDED_RUN,
+        subscribers=(checker, sink),
+    )
+
+    assert observed.totals == bare.totals
+    assert observed.summary() == bare.summary()
+    assert observed.analyzer.names() == bare.analyzer.names()
+    for name in bare.analyzer.names():
+        assert observed.analyzer.series(name).values == (
+            bare.analyzer.series(name).values
+        )
+    # The checker saw every message the tier counted.
+    messages = bare.totals["network"]["messages"]
+    assert messages > 0
+    assert checker.report()["messages"]["sent"] == messages
+    assert checker.violation_count == 0

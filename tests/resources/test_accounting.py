@@ -5,8 +5,10 @@ interrupted mid-service, the partial service time already consumed is
 charged to the attempt, the server is released on unwind, and
 ``charge_attempt(useful=False)`` books exactly that partial time as
 wasted in the utilization trackers. These tests pin the contract for
-both legs (disk and CPU) of the flattened ``read_access`` hot path and
-for the generic composed legs the buffered model uses.
+both legs (disk and CPU) of the flattened ``read_access`` hot path, for
+the generic composed legs the buffered model uses, and for the
+distributed model's flattened composites (network legs, remote disk,
+replicated deferred updates).
 """
 
 import pytest
@@ -41,9 +43,13 @@ def interrupt_at(env, victim, when):
 
 
 def assert_all_released(model):
-    assert model.cpu.in_use == 0
+    for cpu in getattr(model, "node_cpus", (model.cpu,)):
+        assert cpu.in_use == 0
     for disk in model.disks:
         assert disk.in_use == 0
+        assert not disk.users
+    assert model.cpu_tracker.busy_now == 0
+    assert model.disk_tracker.busy_now == 0
 
 
 class TestClassicReadAccess:
@@ -140,3 +146,98 @@ class TestBufferedMissPath:
 
         model.charge_attempt(t, useful=False)
         assert model.disk_tracker.wasted_time == pytest.approx(cut)
+
+
+#: Three sites, two copies per object, 10 ms mean network legs.
+SHARDED = dict(nodes=3, replication_factor=2, network_delay=0.01)
+#: Object 400's primary is node 1 (contiguous: 400 * 3 // 1000), its
+#: second copy node 2; a transaction with id 0 is homed at node 0, so
+#: it reads the object from node 1 and writes both copies remotely.
+REMOTE_OBJ = 400
+
+
+def sharded_tx():
+    return Transaction(
+        0, 0, read_set=(REMOTE_OBJ,), write_set=frozenset((REMOTE_OBJ,))
+    )
+
+
+def leg_delays(count):
+    """The first ``count`` network-leg delays a fresh sharded model draws.
+
+    Every model built by :func:`build` with the same seed draws the same
+    ``resources.network`` sequence, so these are the delays the model
+    under test will draw too.
+    """
+    env, model, _ = build("distributed", **SHARDED)
+    delays = []
+
+    def legs(env):
+        for _ in range(count):
+            before = model.network_time
+            yield from model.network_leg(sharded_tx(), 0, 1)
+            delays.append(model.network_time - before)
+
+    env.run(until=env.process(legs(env)))
+    return delays
+
+
+class TestDistributedComposites:
+    def test_placement_makes_the_accesses_remote(self):
+        _, model, _ = build("distributed", **SHARDED)
+        t = sharded_tx()
+        assert model.home_node(t) == 0
+        assert model.read_node(REMOTE_OBJ, 0) == 1
+        assert model.replica_nodes(REMOTE_OBJ) == [1, 2]
+
+    def test_abort_during_request_leg(self):
+        (leg,) = leg_delays(1)
+        env, model, _ = build("distributed", **SHARDED)
+        t = sharded_tx()
+        victim = env.process(model.read_access(t, REMOTE_OBJ))
+        interrupt_at(env, victim, 0.5 * leg)
+
+        # In flight on the wire: no server was ever held.
+        assert model.messages_sent == 1
+        assert t.attempt_disk_time == 0.0
+        assert t.attempt_cpu_time == 0.0
+        assert_all_released(model)
+        model.charge_attempt(t, useful=False)
+        assert model.disk_tracker.wasted_time == 0.0
+        assert model.cpu_tracker.wasted_time == 0.0
+
+    def test_abort_during_remote_disk(self):
+        (leg,) = leg_delays(1)
+        env, model, params = build("distributed", **SHARDED)
+        t = sharded_tx()
+        victim = env.process(model.read_access(t, REMOTE_OBJ))
+        interrupt_at(env, victim, leg + 0.4 * params.obj_io)
+
+        # The request leg arrived, the data leg never left.
+        assert model.messages_sent == 1
+        assert t.attempt_disk_time == pytest.approx(0.4 * params.obj_io)
+        assert t.attempt_cpu_time == 0.0
+        assert_all_released(model)
+        model.charge_attempt(t, useful=False)
+        assert model.disk_tracker.wasted_time == pytest.approx(
+            0.4 * params.obj_io
+        )
+        assert model.disk_tracker.useful_time == 0.0
+        assert model.cpu_tracker.wasted_time == 0.0
+
+    def test_abort_during_second_replica_update(self):
+        first, second = leg_delays(2)
+        env, model, params = build("distributed", **SHARDED)
+        t = sharded_tx()
+        victim = env.process(model.deferred_update(t, REMOTE_OBJ))
+        cut = first + params.obj_io + second + 0.5 * params.obj_io
+        interrupt_at(env, victim, cut)
+
+        # Node 1's copy was written in full; node 2's was cut halfway.
+        assert model.messages_sent == 2
+        assert t.attempt_disk_time == pytest.approx(1.5 * params.obj_io)
+        assert_all_released(model)
+        model.charge_attempt(t, useful=False)
+        assert model.disk_tracker.wasted_time == pytest.approx(
+            1.5 * params.obj_io
+        )

@@ -7,6 +7,8 @@ sharding/placement edge cases, replica addressing, network accounting,
 per-node buffers, and fault-injection targets.
 """
 
+import random
+
 import pytest
 
 from repro.core.params import SimulationParameters
@@ -133,6 +135,78 @@ class TestReplicas:
         assert model.home_node(t_home3) == 3
         # write replicas {3, 0}; read of obj 0 from nearest copy (0).
         assert model.participant_nodes(t_home3) == [0]
+
+
+#: (nodes, replication factor) for every valid pair with 1-5 nodes.
+TOPOLOGIES = [
+    (nodes, rf) for nodes in range(1, 6) for rf in range(1, nodes + 1)
+]
+#: A prime database size, so no node count above one divides it.
+ODD_DB = 61
+
+
+def reference_replicas(obj, nodes, rf, striped):
+    """Ring successors of the primary, straight from the formulas."""
+    primary = obj % nodes if striped else obj * nodes // ODD_DB
+    return [(primary + i) % nodes for i in range(rf)]
+
+
+def reference_read_node(obj, home, nodes, rf, striped):
+    """The copy at the least ring distance from ``home``."""
+    return min(
+        reference_replicas(obj, nodes, rf, striped),
+        key=lambda node: (node - home) % nodes,
+    )
+
+
+class TestPlacementTables:
+    """The precomputed placement tables equal the ring formulas."""
+
+    @pytest.mark.parametrize("placement", ["contiguous", "striped"])
+    @pytest.mark.parametrize("nodes,rf", TOPOLOGIES)
+    def test_tables_match_ring_formulas(self, nodes, rf, placement):
+        model = build(
+            nodes=nodes, replication_factor=rf, db_size=ODD_DB,
+            disk_placement=placement,
+        )
+        striped = placement == "striped"
+        for obj in range(ODD_DB):
+            assert model.replica_nodes(obj) == reference_replicas(
+                obj, nodes, rf, striped
+            )
+            for home in range(nodes):
+                assert model.read_node(obj, home) == reference_read_node(
+                    obj, home, nodes, rf, striped
+                )
+        # obj=None is placed on node 0's ring, as node_of(None) says.
+        assert model.replica_nodes(None) == list(range(rf))
+        for home in range(nodes):
+            assert model.read_node(None, home) == min(
+                range(rf), key=lambda node: (node - home) % nodes
+            )
+
+    @pytest.mark.parametrize("placement", ["contiguous", "striped"])
+    @pytest.mark.parametrize("nodes,rf", TOPOLOGIES)
+    def test_participants_match_ring_formulas(self, nodes, rf, placement):
+        model = build(
+            nodes=nodes, replication_factor=rf, db_size=ODD_DB,
+            disk_placement=placement,
+        )
+        striped = placement == "striped"
+        rng = random.Random(nodes * 10 + rf)
+        for tx_id in range(40):
+            reads = rng.sample(range(ODD_DB), rng.randint(1, 8))
+            writes = [obj for obj in reads if rng.random() < 0.4]
+            t = tx(tx_id, read_set=reads, write_set=writes)
+            home = tx_id % nodes
+            touched = {
+                reference_read_node(obj, home, nodes, rf, striped)
+                for obj in reads
+            }
+            for obj in writes:
+                touched.update(reference_replicas(obj, nodes, rf, striped))
+            touched.discard(home)
+            assert model.participant_nodes(t) == sorted(touched)
 
 
 class TestNetworkAccounting:
