@@ -16,14 +16,13 @@ one — the hybrid is deadlock-free *by construction* and needs no
 waits-for graph or detector.
 
 The algorithm is registered under a new name, run through the standard
-harness next to the built-ins, and its committed histories are proven
-serializable with the framework's checker.
+harness next to the built-ins, and proven serializable by the strict
+invariant checker, which replays its committed transactions serially.
 
 Run:  python examples/custom_algorithm.py
 """
 
 from repro import RunConfig, SimulationParameters, run_simulation
-from repro.analysis import check_serializability
 from repro.cc import (
     DELAY_ADAPTIVE,
     INSTALL_AT_FINALIZE,
@@ -34,7 +33,6 @@ from repro.cc import (
     RestartTransaction,
     register_algorithm,
 )
-from repro.core import SystemModel
 
 
 @register_algorithm
@@ -91,23 +89,24 @@ def main():
         result = run_simulation(params, algorithm, run)
         print("  " + result.describe())
 
-    # The framework's verification tools work on custom algorithms too:
-    # prove a high-contention history is serializable.
+    # The invariant checker works on custom algorithms too: strict
+    # mode raises at the first read that a serial replay of the
+    # committed transactions contradicts.
     hot = SimulationParameters(
         db_size=50, min_size=2, max_size=6, write_prob=0.5,
         num_terms=15, mpl=12, ext_think_time=0.1,
         obj_io=0.01, obj_cpu=0.005, num_cpus=None, num_disks=None,
     )
-    model = SystemModel(hot, "patient_reader", seed=9,
-                        record_history=True)
-    model.run_until(60.0)
-    report = check_serializability(
-        model.committed_history, model.store.final_state()
+    result = run_simulation(
+        hot, "patient_reader",
+        RunConfig(batches=3, batch_time=20.0, warmup_batches=0, seed=9),
+        invariants="strict",
     )
+    counts = result.diagnostics["invariants"]["serializability"]
     print()
-    print(f"serializability check on {report.transactions_checked} "
-          f"committed transactions: {report}")
-    assert report.ok
+    print(f"strict serializability check: {counts['transactions']} "
+          f"committed transactions, {counts['reads']} reads replayed, "
+          f"no violations")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,5 @@
 """Tools that act on simulated runs.
 
-* :mod:`repro.analysis.verify` — serializability checking of committed
-  histories via serial replay in each algorithm's equivalent serial
-  order.
 * :mod:`repro.analysis.bounds` — operational-law bounds over the
   network of :func:`repro.analytic.network_for_params`, used as an
   oracle that every simulated result must respect.
@@ -13,12 +10,6 @@
 The closed-form models themselves live in :mod:`repro.analytic`.
 """
 
-from repro.analysis.verify import (
-    HistoryViolation,
-    VerificationReport,
-    check_serializability,
-    conflict_graph,
-)
 from repro.analysis.adaptive import AdaptiveMplController, AdaptiveMplResult
 from repro.analysis.bounds import (
     OperationalBounds,
@@ -27,10 +18,6 @@ from repro.analysis.bounds import (
 )
 
 __all__ = [
-    "check_serializability",
-    "conflict_graph",
-    "VerificationReport",
-    "HistoryViolation",
     "AdaptiveMplController",
     "AdaptiveMplResult",
     "operational_bounds",

@@ -6,7 +6,7 @@ generator, and the batch-means simulation driver
 (:func:`run_simulation`).
 """
 
-from repro.core.engine import CommittedRecord, SystemModel
+from repro.core.engine import SystemModel
 from repro.core.errors import RestartLivelockError
 from repro.core.metrics import MetricsCollector, RunningAverage
 from repro.core.params import (
@@ -39,7 +39,6 @@ __all__ = [
     "DELAY_MODE_NONE_ALL",
     "DELAY_MODE_FIXED_ALL",
     "SystemModel",
-    "CommittedRecord",
     "RestartLivelockError",
     "run_simulation",
     "run_until_precision",

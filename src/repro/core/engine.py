@@ -13,8 +13,9 @@ re-runs with the *same* read and write sets, re-entering the back of the
 ready queue after an optional restart delay.
 
 Every operational signal leaves the engine through one instrumentation
-bus (:mod:`repro.obs`): metrics, tracing, committed-history recording
-and any extra subscribers all consume the same event stream. With only
+bus (:mod:`repro.obs`): metrics, tracing, invariant checking (serial
+replay included) and any extra subscribers all consume the same event
+stream. With only
 the default metrics subscriber attached, optional high-volume kinds
 (commit points, CC grants, resource busy/idle) are skipped before their
 event fields are even built.
@@ -33,7 +34,6 @@ from repro.cc import (
     create_commit_protocol,
 )
 from repro.core.errors import RestartLivelockError
-from repro.core.history import CommittedRecord
 from repro.core.metrics import MetricsCollector
 from repro.core.params import (
     DELAY_MODE_ADAPTIVE_ALL,
@@ -45,11 +45,7 @@ from repro.core.store import ObjectStore
 from repro.core.transaction import TxState
 from repro.des import Environment, Interrupt, StreamFactory
 from repro.faults import FaultInjector
-from repro.obs import (
-    HistorySubscriber,
-    InstrumentationBus,
-    MetricsSubscriber,
-)
+from repro.obs import InstrumentationBus, MetricsSubscriber
 from repro.obs.events import (
     CC_GRANT,
     TX_ADMIT,
@@ -63,7 +59,7 @@ from repro.obs.events import (
 from repro.resources import create_resource_model
 from repro.workloads import create_workload_model
 
-__all__ = ["SystemModel", "CommittedRecord"]
+__all__ = ["SystemModel"]
 
 
 class SystemModel:
@@ -74,13 +70,11 @@ class SystemModel:
 
     ``subscribers`` attaches additional instrumentation-bus consumers
     (e.g. :class:`repro.obs.TimeSeriesSampler`,
-    :class:`repro.obs.JsonlSink`); ``record_history`` is a convenience
-    that attaches the built-in history subscriber.
+    :class:`repro.obs.JsonlSink`, :class:`repro.obs.InvariantChecker`).
     """
 
     def __init__(self, params, algorithm="blocking", seed=42,
-                 record_history=False, workload=None,
-                 subscribers=()):
+                 workload=None, subscribers=()):
         self.params = params
         self.env = Environment()
         #: The unified instrumentation bus all events flow through.
@@ -127,11 +121,8 @@ class SystemModel:
             open_system=self.workload_model.open_system,
         )
         # Subscriber attach order fixes dispatch order: metrics first
-        # (the default fast path), then history, then caller extras.
+        # (the default fast path), then caller extras.
         self.bus.attach(MetricsSubscriber(self.metrics), model=self)
-        self._history = None
-        if record_history:
-            self._history = self.bus.attach(HistorySubscriber(), model=self)
         for subscriber in subscribers:
             self.bus.attach(subscriber, model=self)
         self.store = ObjectStore()
@@ -145,11 +136,6 @@ class SystemModel:
         self._int_think_rng = self.streams.stream("int_think")
         self._restart_delay_rng = self.streams.stream("restart_delay")
         self.workload_model.start(self)
-
-    @property
-    def committed_history(self):
-        """CommittedRecords of this run (None without record_history)."""
-        return None if self._history is None else self._history.records
 
     # -- EngineHooks protocol ------------------------------------------------
 
@@ -362,13 +348,14 @@ class SystemModel:
     def _install_writes(self, tx):
         """Atomically install the transaction's writes at its commit point.
 
-        Installing here — rather than at completion — keeps the
-        committed history and the object store consistent under any run
-        cutoff: once a transaction's writes are installed it can no
+        Installing here — rather than at completion — keeps the set of
+        committed transactions and the object store consistent under any
+        run cutoff: once a transaction's writes are installed it can no
         longer abort, even though its deferred-update I/O may still be
         in flight when the simulation clock stops. The ``commit_point``
-        event drives history recording and commit-point tracing; it is
-        skipped entirely when nobody subscribed.
+        event drives the invariant checker's serial replay and
+        commit-point tracing; it is skipped entirely when nobody
+        subscribed.
         """
         for obj in tx.install_write_set:
             self.store.install(obj, tx.serial_key, tx.id, self.env.now)

@@ -110,8 +110,6 @@ class SimulationResult:
     analyzer: BatchMeansAnalyzer
     #: Cumulative totals over the whole run (including warmup).
     totals: Dict[str, Any] = field(default_factory=dict)
-    #: The model, kept only when history recording was requested.
-    model: Optional[SystemModel] = None
     #: Optional per-run observability payload (e.g. the time-series
     #: sampled by the sweep runner). Plain JSON-serializable data; None
     #: when no diagnostics were requested, so summaries are unchanged.
@@ -169,15 +167,13 @@ class SimulationResult:
 
 
 def run_simulation(params, algorithm="blocking", run=None, seed=None,
-                   record_history=False, batch_callback=None,
-                   subscribers=(), invariants=None, workload=None):
+                   batch_callback=None, subscribers=(), invariants=None,
+                   workload=None):
     """Run one configuration to completion using modified batch means.
 
     ``run.warmup_batches`` initial batches are simulated but discarded;
     each retained batch contributes one sample per output variable.
-    ``seed`` overrides ``run.seed`` when given. With ``record_history``
-    the result keeps the model (and its committed history) for
-    verification — costs memory, off by default.
+    ``seed`` overrides ``run.seed`` when given.
 
     ``workload`` substitutes the model's transaction source (anything
     with a ``new_transaction(terminal_id)`` method and a ``generated``
@@ -199,7 +195,8 @@ def run_simulation(params, algorithm="blocking", run=None, seed=None,
     to the caller unchanged.
 
     ``invariants`` attaches an :class:`~repro.obs.InvariantChecker`
-    that continuously audits the run's event stream: ``"strict"``
+    that continuously audits the run's event stream, serializability of
+    the committed transactions included: ``"strict"``
     raises :class:`~repro.obs.InvariantViolationError` at the violating
     event, ``"warn"`` records violations into
     ``result.diagnostics["invariants"]``, ``"off"`` attaches nothing.
@@ -215,7 +212,6 @@ def run_simulation(params, algorithm="blocking", run=None, seed=None,
         params,
         algorithm=algorithm,
         seed=run.seed,
-        record_history=record_history,
         workload=workload,
         subscribers=subscribers,
     )
@@ -236,7 +232,6 @@ def run_simulation(params, algorithm="blocking", run=None, seed=None,
         run=run,
         analyzer=analyzer,
         totals=totals,
-        model=model if record_history else None,
         diagnostics=_merge_invariant_diagnostics(
             _buffer_diagnostics(model), checker
         ),

@@ -206,7 +206,9 @@ def build_parser():
             "disables it; spot (sweeps only) audits the first point "
             "of each algorithm strictly and leaves the rest "
             "unchecked (default: the REPRO_INVARIANTS "
-            "environment variable, else off)"
+            "environment variable, else off); the checker replays "
+            "committed transactions serially, so noop fails strict "
+            "and spot by design"
         ),
     )
     parser.add_argument(

@@ -485,10 +485,13 @@ def _pending_points(sweep, algorithms, mpls, replications, invariants):
 
     ``invariants="spot"`` audits the first pending point of each
     algorithm strictly and runs the rest unchecked: the checker's
-    invariants are structural (conservation, pairing, exclusivity), so
+    invariants are structural (conservation, pairing, exclusivity) or
+    hold for every run of a correct algorithm (serializability), so
     one strictly audited trajectory per algorithm catches a broken
-    engine while the bulk of the sweep keeps the observer-free fast
-    path.  Any other mode applies to every point.
+    engine or algorithm while the bulk of the sweep keeps the
+    observer-free fast path.  Any other mode applies to every point.
+    ``noop`` commits non-serializable histories by design, so a strict
+    or spot sweep that includes it aborts at its first audited point.
     """
     points = []
     audited = set()
@@ -976,7 +979,9 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
       then off). Strict violations raise — they are AssertionErrors,
       exempt from retry/degradation by design. ``"spot"`` audits the
       first point of each algorithm strictly and leaves the rest
-      unchecked.
+      unchecked. The checker includes serial replay, so ``noop`` (the
+      calibration baseline with no concurrency control) fails strict
+      and spot audits by design; audit it with ``"warn"``.
     * ``chaos`` — a :class:`~repro.chaos.ChaosSpec` of harness-level
       faults (SIGKILL / hang a process at a named grid point, one-shot
       each), consulted at the top of every attempt. Test machinery:

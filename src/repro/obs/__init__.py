@@ -3,8 +3,9 @@
 One typed event stream (:class:`InstrumentationBus`) carries every
 operational signal out of the engine — transaction lifecycle,
 concurrency-control decisions, resource busy/idle, fault events — and
-pluggable subscribers turn it into metrics, traces, committed-history
-records, fault accounting, time-series samples, and streaming JSONL.
+pluggable subscribers turn it into metrics, traces, invariant checks
+(serial replay included), fault accounting, time-series samples, and
+streaming JSONL.
 
 See DESIGN.md §11 for the architecture, the event taxonomy, the
 subscriber protocol, and the overhead guarantees.
@@ -30,7 +31,6 @@ from repro.obs.jsonl import JsonlSink, read_jsonl
 from repro.obs.subscribers import (
     BufferAccountingSubscriber,
     FaultAccountingSubscriber,
-    HistorySubscriber,
     MetricsSubscriber,
     Subscriber,
     scalar_fields,
@@ -46,7 +46,6 @@ __all__ = [
     "resolve_invariant_mode",
     "Subscriber",
     "MetricsSubscriber",
-    "HistorySubscriber",
     "FaultAccountingSubscriber",
     "BufferAccountingSubscriber",
     "TimeSeriesSampler",

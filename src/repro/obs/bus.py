@@ -2,8 +2,8 @@
 
 The engine (and the physical model and fault injector behind it) emits
 every operational event exactly once, through one bus; metrics, traces,
-committed-history recording, fault accounting, time-series sampling and
-JSONL streaming are all *subscribers*. New measurement needs plug into
+invariant checking, fault accounting, time-series sampling and JSONL
+streaming are all *subscribers*. New measurement needs plug into
 the bus instead of threading yet another collector through the engine.
 
 Design constraints, in order:

@@ -40,7 +40,19 @@ points), so any run can be audited by attaching it:
   prepare, a commit decision is recorded only once every prepared
   participant has voted (its ``quorum`` equals the prepare count), and
   a transaction neither completes with an undecided prepare window
-  open nor restarts without discarding it.
+  open nor restarts without discarding it;
+* **serializability** — the committed transactions, replayed one at a
+  time in their serial-key order (commit order for the 2PL family and
+  optimistic validation, timestamp order for ``basic_to``/``mvto``)
+  against a reference map ``obj -> last writer``, see exactly the
+  writers their reads saw, and the replay ends in the object store's
+  final state. Each commit point's read/write sets wait in a heap
+  until no active transaction can still commit with a smaller key, so
+  the heap holds the records committed since the oldest live serial
+  key (for ``basic_to``/``mvto`` a long-lived transaction with an old
+  timestamp holds back every later commit until it finishes) and the
+  map one entry per object. A violation names the transaction, the
+  object, the observed writer and the expected writer.
 
 Modes: ``strict`` raises :class:`InvariantViolationError` at the
 violating event; ``warn`` records every violation (capped) and lets the
@@ -55,6 +67,9 @@ never even builds fields for the high-volume kinds nobody subscribed
 to.
 """
 
+import heapq
+
+from repro.core.transaction import TxState
 from repro.obs.events import (
     CC_GRANT,
     MSG_RECV,
@@ -160,6 +175,61 @@ def resolve_invariant_mode(mode=None, environ=None):
     return mode
 
 
+class _SerialReplay:
+    """Committed snapshots, replayed one at a time in serial-key order."""
+
+    __slots__ = ("pending", "writer", "transactions", "reads")
+
+    def __init__(self):
+        #: Heap of (serial key, commit-point time, tx id, read set,
+        #: reads seen, installed writes) waiting on the watermark.
+        self.pending = []
+        #: obj -> id of its last writer in the replayed serial order.
+        self.writer = {}
+        self.transactions = 0
+        self.reads = 0
+
+    def push(self, time, tx):
+        # An attempt's sets are never mutated after its commit point
+        # (the next attempt binds fresh ones), so no copies are needed.
+        heapq.heappush(self.pending, (
+            tx.serial_key, time, tx.id, tx.read_set, tx.reads_seen,
+            tx.install_write_set,
+        ))
+
+    def copy(self):
+        twin = _SerialReplay()
+        twin.pending = list(self.pending)
+        twin.writer = dict(self.writer)
+        twin.transactions = self.transactions
+        twin.reads = self.reads
+        return twin
+
+    def replay_below(self, watermark):
+        """Replay every snapshot keyed below ``watermark`` (None: all).
+
+        Returns the stale reads, as ``(time, tx id, obj, observed
+        writer, expected writer)`` tuples.
+        """
+        pending = self.pending
+        writer = self.writer
+        stale = []
+        while pending and (watermark is None or pending[0][0] < watermark):
+            _, time, tx_id, read_set, reads_seen, writes = heapq.heappop(
+                pending
+            )
+            self.transactions += 1
+            self.reads += len(read_set)
+            for obj in read_set:
+                expected = writer.get(obj)
+                observed = reads_seen.get(obj)
+                if observed != expected:
+                    stale.append((time, tx_id, obj, observed, expected))
+            for obj in writes:
+                writer[obj] = tx_id
+        return stale
+
+
 class InvariantChecker:
     """Bus subscriber enforcing the model's structural identities.
 
@@ -176,6 +246,10 @@ class InvariantChecker:
             )
         self.mode = mode
         self.check_locks = check_locks
+        #: Violations found at their events (warn mode). Findings that
+        #: only :meth:`report` makes (stale reads still waiting on the
+        #: watermark, the final-state comparison) appear in its payload
+        #: and never here.
         self.violations = []
         self.events_checked = 0
         #: Violations seen but not recorded (warn mode past the cap).
@@ -209,12 +283,20 @@ class InvariantChecker:
         self._msgs_received = 0
         self._prepares = {}  # tx id -> set of prepared participant nodes
         self._votes = {}     # tx id -> set of participant nodes that voted
+        # Serial-replay state: admitted transactions not yet past their
+        # commit point (tx id -> tx), and the committed-snapshot replay.
+        self._live = {}
+        self._replay = _SerialReplay()
+        self._cc_serial_key = None
         self._model = None
 
     # -- subscriber protocol -------------------------------------------------
 
     def on_attach(self, bus, model):
         self._model = model
+        cc = getattr(model, "cc", None)
+        if cc is not None:
+            self._cc_serial_key = cc.serial_key
         if self.check_locks is None and model is not None:
             self.check_locks = (
                 getattr(model.cc, "name", None) == "blocking"
@@ -329,6 +411,7 @@ class InvariantChecker:
         self._ready -= 1
         self._active += 1
         self._commit_point.discard(tx.id)
+        self._live[tx.id] = tx
         model = self._model
         if model is not None:
             limit = getattr(model, "mpl_limit", None)
@@ -377,6 +460,9 @@ class InvariantChecker:
             )
             return
         self._commit_point.add(tx.id)
+        del self._live[tx.id]
+        self._replay.push(time, tx)
+        self._settle_replay(self._replay, self._watermark())
 
     def _on_restart(self, time, fields):
         self._tick(time)
@@ -403,6 +489,7 @@ class InvariantChecker:
         self._active -= 1
         self._limbo += 1
         self._commit_point.discard(tx.id)
+        self._live.pop(tx.id, None)
         # An aborting attempt discards its prepare window (the commit
         # protocol's abort hook); the next attempt prepares afresh.
         self._prepares.pop(tx.id, None)
@@ -440,6 +527,7 @@ class InvariantChecker:
             )
             del self._prepares[tx.id]
         self._votes.pop(tx.id, None)
+        self._live.pop(tx.id, None)
         # Committed transactions leave the automaton entirely, which
         # bounds the checker's memory over arbitrarily long runs.
         del self._phase[tx.id]
@@ -698,20 +786,98 @@ class InvariantChecker:
                 tx=tx.id, quorum=quorum, prepared=sorted(prepared),
             )
 
+    # -- serializability -----------------------------------------------------
+
+    def _watermark(self):
+        """Smallest serial key an active transaction can still commit with.
+
+        A ``COMMITTING`` transaction holds the key it drew at
+        pre-commit (the 2PL family draws it there but reaches its
+        commit point only after its deferred updates); a
+        timestamp-ordered one holds its timestamp (``cc.serial_key``).
+        Any other transaction draws a fresh, larger key when it
+        commits, so it holds nothing back. None: nothing is held back.
+        """
+        cc_serial_key = self._cc_serial_key
+        low = None
+        for tx in self._live.values():
+            if tx.state is TxState.COMMITTING:
+                key = tx.serial_key
+            elif cc_serial_key is not None:
+                key = cc_serial_key(tx)
+            else:
+                continue
+            if key is not None and (low is None or key < low):
+                low = key
+        return low
+
+    def _settle_replay(self, replay, watermark):
+        for time, tx_id, obj, observed, expected in replay.replay_below(
+            watermark
+        ):
+            self._violate(
+                time, "serializability",
+                f"tx {tx_id} read object {obj!r} from writer {observed}, "
+                f"but serial replay expects writer {expected}",
+                tx=tx_id, obj=obj, observed_writer=observed,
+                expected_writer=expected,
+            )
+
+    def _check_final_state(self, writer):
+        """The replay's last writer of each object is the store's."""
+        model = self._model
+        store = getattr(model, "store", None)
+        if store is None:
+            return
+        final = store.final_state()
+        for obj, expected in writer.items():
+            observed = final.get(obj)
+            if observed != expected:
+                self._violate(
+                    model.env.now, "serializability",
+                    f"object {obj!r} ends written by tx {observed}, but "
+                    f"serial replay ends at writer {expected}",
+                    obj=obj, observed_writer=observed,
+                    expected_writer=expected,
+                )
+
     # -- reporting -----------------------------------------------------------
 
     @property
     def violation_count(self):
+        """Violations found at their events, recorded or suppressed.
+
+        Like :attr:`violations`, this leaves out the serializability
+        findings that only :meth:`report` makes; count those from its
+        payload.
+        """
         return len(self.violations) + self.suppressed
 
     def report(self):
-        """JSON-serializable summary for ``result.diagnostics``."""
+        """JSON-serializable summary for ``result.diagnostics``.
+
+        Replays the snapshots still waiting on the watermark and checks
+        the replay's final state against the object store, on a copy:
+        the run may go on (fused replications report at each
+        replication's end), so the live replay and the recorded
+        violations are left as they were.
+        """
+        recorded, suppressed = list(self.violations), self.suppressed
+        replay = self._replay.copy()
+        self._settle_replay(replay, None)
+        self._check_final_state(replay.writer)
         payload = {
             "mode": self.mode,
             "events_checked": self.events_checked,
             "violations": [v.to_dict() for v in self.violations],
             "suppressed": self.suppressed,
         }
+        self.violations, self.suppressed = recorded, suppressed
+        if replay.transactions:
+            payload["serializability"] = {
+                "transactions": replay.transactions,
+                "reads": replay.reads,
+            }
         if self._msgs_sent:
             payload["messages"] = {
                 "sent": self._msgs_sent,

@@ -1,4 +1,4 @@
-"""Built-in bus subscribers: metrics, history, buffer and fault accounting.
+"""Built-in bus subscribers: metrics, buffer and fault accounting.
 
 Each class adapts one pre-existing measurement consumer to the
 :class:`~repro.obs.bus.InstrumentationBus` subscriber protocol, so the
@@ -8,7 +8,6 @@ which is what keeps fixed-seed results bit-identical whatever set of
 subscribers is attached.
 """
 
-from repro.core.history import CommittedRecord
 from repro.core.transaction import Transaction
 from repro.obs.events import (
     ALL_KINDS,
@@ -138,27 +137,6 @@ class MetricsSubscriber:
             TX_RESTART: restart,
             TX_COMPLETE: commit,
         }
-
-
-class HistorySubscriber:
-    """Collects a :class:`~repro.core.history.CommittedRecord` per
-    commit point — the engine's ``record_history`` path as a
-    subscriber. Recording at the commit point (not completion) keeps
-    the history and the object store consistent under any run cutoff.
-    """
-
-    def __init__(self):
-        self.records = []
-
-    def handlers(self):
-        records = self.records
-
-        def commit_point(time, fields):
-            records.append(
-                CommittedRecord(fields["tx"], commit_point_time=time)
-            )
-
-        return {TX_COMMIT_POINT: commit_point}
 
 
 class BufferAccountingSubscriber:

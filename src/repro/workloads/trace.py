@@ -59,16 +59,18 @@ def trace_record(reads, writes=(), at=None, tx_class=None):
     return (at, reads, writes, tx_class)
 
 
-def trace_from_history(history):
+def trace_from_history(transactions):
     """Trace records re-playing a run's committed transactions.
 
-    Lets you re-run exactly the transactions one simulation committed
-    (e.g. replay a blocking run's workload under MVTO) by handing the
-    records to a :class:`TraceSource`.
+    ``transactions`` are the committed transactions (anything with
+    ``read_set`` and ``write_set``), collected by a ``commit_point``
+    handler on the model's bus. Lets you re-run exactly the
+    transactions one simulation committed (e.g. replay a blocking run's
+    workload under MVTO) by handing the records to a
+    :class:`TraceSource`.
     """
     return [
-        trace_record(record.read_set, record.write_set)
-        for record in history
+        trace_record(tx.read_set, tx.write_set) for tx in transactions
     ]
 
 

@@ -23,7 +23,7 @@ from repro.cc.registry import _COMMIT_PROTOCOLS
 from repro.core.params import RunConfig
 from repro.core.simulation import run_simulation
 from repro.obs.events import TWO_PC_DECIDE, TWO_PC_PREPARE, TWO_PC_VOTE
-from repro.obs.invariants import InvariantChecker
+from repro.obs.invariants import InvariantChecker, InvariantViolationError
 from tests.resources.test_golden_parity import FINITE, GOLDEN, _fingerprint
 
 #: Short run for the all-algorithms composition matrix.
@@ -90,23 +90,37 @@ class TestNullProtocolParity:
         assert _fingerprint(result) == GOLDEN[("blocking", "finite")]
 
 
+FOUR_NODE_2PC = FINITE.with_changes(
+    resource_model="distributed", nodes=4,
+    network_delay=0.005, commit_protocol="2pc",
+    replication_factor=2,
+)
+
+
 class TestTwoPhaseCommitComposition:
     """2PC runs clean under strict invariants with every algorithm."""
 
-    @pytest.mark.parametrize("algorithm", algorithm_names())
+    @pytest.mark.parametrize(
+        "algorithm", [a for a in algorithm_names() if a != "noop"]
+    )
     def test_strict_invariants_at_four_nodes(self, algorithm):
-        params = FINITE.with_changes(
-            resource_model="distributed", nodes=4,
-            network_delay=0.005, commit_protocol="2pc",
-            replication_factor=2,
-        )
         result = run_simulation(
-            params, algorithm=algorithm, run=RUN, invariants="strict",
+            FOUR_NODE_2PC, algorithm=algorithm, run=RUN,
+            invariants="strict",
         )
         report = result.diagnostics["invariants"]
         assert report["violations"] == []
+        assert report["serializability"]["reads"] > 0
         assert result.totals["commits"] > 0
         assert result.totals["network"]["messages"] > 0
+
+    def test_noop_fails_serializability_at_four_nodes(self):
+        with pytest.raises(InvariantViolationError) as excinfo:
+            run_simulation(
+                FOUR_NODE_2PC, algorithm="noop", run=RUN,
+                invariants="strict",
+            )
+        assert excinfo.value.violation.invariant == "serializability"
 
     def test_2pc_slows_commits_down(self):
         base = FINITE.with_changes(

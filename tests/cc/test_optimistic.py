@@ -141,21 +141,21 @@ class TestOptimistic:
     def test_same_instant_install_keeps_history_serializable(self):
         # A small closed model where tx 763 is admitted, and reads
         # object 20, at the instant tx 762 commits a write to it.
-        from repro.analysis import check_serializability
         from repro.core import SimulationParameters, SystemModel
+        from repro.obs import InvariantChecker
 
         params = SimulationParameters(
             db_size=30, min_size=1, max_size=2, write_prob=0.1,
             num_terms=4, mpl=2, ext_think_time=0.05,
             obj_io=0.008, obj_cpu=0.004, num_cpus=None, num_disks=1,
         )
+        checker = InvariantChecker(mode="strict")
         model = SystemModel(params, "optimistic", seed=0,
-                            record_history=True)
+                            subscribers=(checker,))
         model.run_until(15.0)
-        report = check_serializability(
-            model.committed_history, model.store.final_state()
-        )
-        assert report.ok, str(report)
+        report = checker.report()
+        assert report["violations"] == []
+        assert report["serializability"]["reads"] > 0
 
     def test_abort_keeps_no_state(self, cc, make_tx):
         t = make_tx()

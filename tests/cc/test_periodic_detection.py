@@ -100,19 +100,19 @@ class TestInModel:
         )
 
     def test_histories_stay_serializable(self):
-        from repro.analysis import check_serializability
+        from repro.obs import InvariantChecker
 
         cc = BlockingCC(
             detection_mode=DETECT_PERIODIC, detection_interval=0.5
         )
+        checker = InvariantChecker(mode="strict")
         model = SystemModel(
-            self.hot_params(), cc, seed=4, record_history=True
+            self.hot_params(), cc, seed=4, subscribers=(checker,)
         )
         model.run_until(40.0)
-        report = check_serializability(
-            model.committed_history, model.store.final_state()
-        )
-        assert report.ok, str(report)
+        report = checker.report()
+        assert report["violations"] == []
+        assert report["serializability"]["reads"] > 0
 
     def test_slower_scans_lose_throughput(self):
         # Deadlocked transactions sit blocked until the next scan, so a

@@ -3,9 +3,11 @@
 The paper's three algorithms run under strict checking throughout the
 observability suite; the six extensions get the same audit here — one
 contended sweep point each, full conservation/commit-point/resource
-checking, zero tolerated violations. High contention (small database,
-large transactions, many writers) maximizes the blocking/restart/
-wound/version traffic each algorithm's bookkeeping must survive.
+and serial-replay checking, zero tolerated violations. ``noop`` is the
+negative control: it must fail serializability. High contention (small
+database, large transactions, many writers) maximizes the blocking/
+restart/wound/version traffic each algorithm's bookkeeping must
+survive.
 """
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from repro.cc import PAPER_ALGORITHMS, algorithm_names
 from repro.core.params import RunConfig, SimulationParameters
 from repro.core.simulation import run_simulation
+from repro.obs import InvariantViolationError
 
 #: The extensions: every registered algorithm the paper doesn't study.
 NON_PAPER_ALGORITHMS = sorted(
@@ -36,7 +39,9 @@ class TestNonPaperAlgorithmsStrict:
             "wait_die", "wound_wait",
         ]
 
-    @pytest.mark.parametrize("algorithm", NON_PAPER_ALGORITHMS)
+    @pytest.mark.parametrize(
+        "algorithm", [a for a in NON_PAPER_ALGORITHMS if a != "noop"]
+    )
     def test_strict_contended_point(self, algorithm):
         result = run_simulation(
             CONTENDED, algorithm=algorithm, run=RUN, invariants="strict",
@@ -46,3 +51,15 @@ class TestNonPaperAlgorithmsStrict:
         assert report["violations"] == []
         assert report["events_checked"] > 0
         assert result.totals["commits"] > 0
+        # Half the transactions write, so committed writer-reader pairs
+        # abound: a replay that checked no reads is switched off.
+        assert report["serializability"]["reads"] > 0
+
+    def test_noop_is_the_negative_control(self):
+        # No concurrency control at all: the serial replay must catch
+        # a stale read, which strict mode raises at once.
+        with pytest.raises(InvariantViolationError) as excinfo:
+            run_simulation(
+                CONTENDED, algorithm="noop", run=RUN, invariants="strict",
+            )
+        assert excinfo.value.violation.invariant == "serializability"

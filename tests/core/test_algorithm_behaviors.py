@@ -9,6 +9,7 @@ them, so a refactoring that quietly changes an algorithm's character
 import pytest
 
 from repro.core import SimulationParameters, SystemModel
+from tests.core.test_engine import CommitLog
 
 
 def hot_params(**overrides):
@@ -91,29 +92,27 @@ class TestMultiversionReadOnly:
     def test_read_only_transactions_never_restart_under_mvto(self):
         # The headline property of multiversion CC: readers are never
         # blocked or aborted, even against heavy write traffic.
+        log = CommitLog()
         model = SystemModel(
-            hot_params(write_prob=0.5), "mvto", seed=9,
-            record_history=True,
+            hot_params(write_prob=0.5), "mvto", seed=9, subscribers=(log,)
         )
         model.run_until(60.0)
-        read_only = [
-            record for record in model.committed_history
-            if not record.write_set
-        ]
+        read_only = [tx for tx in log.transactions if not tx.write_set]
         assert read_only, "expected some read-only transactions"
-        assert all(record.attempts == 1 for record in read_only)
+        assert all(tx.attempts == 1 for tx in read_only)
 
     def test_read_only_can_restart_under_optimistic(self):
         # Contrast: optimistic validation aborts pure readers whose
         # read set was overwritten during their lifetime.
+        log = CommitLog()
         model = SystemModel(
             hot_params(write_prob=0.5), "optimistic", seed=9,
-            record_history=True,
+            subscribers=(log,),
         )
         model.run_until(60.0)
         read_only_retried = [
-            record for record in model.committed_history
-            if not record.write_set and record.attempts > 1
+            tx for tx in log.transactions
+            if not tx.write_set and tx.attempts > 1
         ]
         assert read_only_retried, (
             "optimistic should occasionally restart pure readers"

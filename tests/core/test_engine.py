@@ -2,12 +2,27 @@
 
 import pytest
 
-from repro.core import (
-    RunConfig,
-    SimulationParameters,
-    SystemModel,
-    run_simulation,
-)
+from repro.core import SimulationParameters, SystemModel
+from repro.obs.events import TX_COMMIT_POINT
+
+
+class CommitLog:
+    """The committed transactions, collected at their commit points."""
+
+    def __init__(self):
+        self.transactions = []
+
+    def handlers(self):
+        append = self.transactions.append
+        return {TX_COMMIT_POINT: lambda time, fields: append(fields["tx"])}
+
+
+def run_logged(params, algorithm, seed, until):
+    """Run a model to ``until``; return it and its CommitLog."""
+    log = CommitLog()
+    model = SystemModel(params, algorithm, seed=seed, subscribers=(log,))
+    model.run_until(until)
+    return model, log.transactions
 
 
 def small_params(**overrides):
@@ -76,24 +91,15 @@ class TestTransactionFlow:
         assert model.metrics.commits.total > 20
 
     def test_committed_history_records(self):
-        model = SystemModel(
-            small_params(), "blocking", seed=5, record_history=True
-        )
-        model.run_until(20.0)
-        history = model.committed_history
-        # History records are cut at the commit point, so at the run
-        # cutoff a few transactions may be recorded but still finishing
-        # their deferred updates.
+        model, history = run_logged(small_params(), "blocking", 5, 20.0)
+        # The log is cut at the commit point, so at the run cutoff a
+        # few transactions may be logged but still finishing their
+        # deferred updates.
         completed = model.metrics.commits.total
         assert completed <= len(history) <= completed + model.params.mpl
-        for record in history:
-            assert record.write_set <= set(record.read_set)
-            assert record.serial_key is not None
-            assert record.commit_time is not None
-
-    def test_no_history_by_default(self):
-        model = SystemModel(small_params(), "blocking")
-        assert model.committed_history is None
+        for tx in history:
+            assert tx.write_set <= set(tx.read_set)
+            assert tx.serial_key is not None
 
     def test_response_times_positive_and_sane(self):
         model = SystemModel(small_params(), "blocking", seed=6)
@@ -110,12 +116,8 @@ class TestTransactionFlow:
         params = small_params(
             db_size=20, write_prob=0.8, mpl=8, num_terms=8
         )
-        model = SystemModel(params, "blocking", seed=7, record_history=True)
-        model.run_until(60.0)
-        restarted = [
-            record for record in model.committed_history
-            if record.attempts > 1
-        ]
+        model, history = run_logged(params, "blocking", 7, 60.0)
+        restarted = [tx for tx in history if tx.attempts > 1]
         assert restarted, "expected deadlock restarts in this configuration"
         assert model.metrics.restarts.total > 0
 
@@ -134,15 +136,11 @@ class TestTransactionFlow:
         )
 
     def test_read_only_transactions_commit(self):
-        model = SystemModel(
-            small_params(write_prob=0.0), "optimistic", seed=9,
-            record_history=True,
+        model, history = run_logged(
+            small_params(write_prob=0.0), "optimistic", 9, 20.0
         )
-        model.run_until(20.0)
         assert model.metrics.commits.total > 0
-        assert all(
-            not record.write_set for record in model.committed_history
-        )
+        assert all(not tx.write_set for tx in history)
         # Nothing is ever installed by read-only transactions.
         assert model.store.installs == 0
 
@@ -258,14 +256,8 @@ class TestConservation:
         assert in_system <= model.params.num_terms
 
     def test_store_installs_match_committed_writes(self):
-        model = SystemModel(
-            small_params(), "blocking", seed=15, record_history=True
-        )
-        model.run_until(30.0)
-        expected = sum(
-            len(record.installed_writes)
-            for record in model.committed_history
-        )
+        model, history = run_logged(small_params(), "blocking", 15, 30.0)
+        expected = sum(len(tx.install_write_set) for tx in history)
         assert model.store.installs == expected
 
 
@@ -288,12 +280,10 @@ class TestSameInstantRestartTracker:
         )
 
     def test_tracker_entries_do_not_survive_commit(self):
-        model = SystemModel(
-            self.contended_none_all_params(), "immediate_restart",
-            seed=7, record_history=True,
+        model, history = run_logged(
+            self.contended_none_all_params(), "immediate_restart", 7, 40.0
         )
-        model.run_until(40.0)
-        committed = {r.tx_id for r in model.committed_history}
+        committed = {tx.id for tx in history}
         assert committed  # the scenario actually commits work
         # The run must have exercised the zero-delay restart path at
         # all, or this test guards nothing.
@@ -303,13 +293,9 @@ class TestSameInstantRestartTracker:
         assert not set(model._same_instant_restarts) & committed
 
     def test_tracker_stays_empty_without_zero_delay_restarts(self):
-        result = run_simulation(
-            small_params(), algorithm="blocking",
-            run=RunConfig(batches=2, batch_time=10.0, warmup_batches=0,
-                          seed=4),
-            record_history=True,
-        )
-        assert result.model._same_instant_restarts == {}
+        model = SystemModel(small_params(), "blocking", seed=4)
+        model.run_until(20.0)
+        assert model._same_instant_restarts == {}
 
     def test_delayed_resubmit_clears_tracker_entry(self):
         from types import SimpleNamespace

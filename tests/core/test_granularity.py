@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis import check_serializability
 from repro.core import SimulationParameters, SystemModel
+from repro.obs import InvariantChecker
 
 
 class TestUnitMapping:
@@ -105,15 +105,15 @@ class TestBehavior:
             db_size=50,
             restart_delay_mode="adaptive_all",
         )
+        checker = InvariantChecker(mode="strict")
         model = SystemModel(
-            params, algorithm, seed=4, record_history=True
+            params, algorithm, seed=4, subscribers=(checker,)
         )
         model.run_until(40.0)
         assert model.metrics.commits.total > 20, "too hot to commit"
-        report = check_serializability(
-            model.committed_history, model.store.final_state()
-        )
-        assert report.ok, f"{algorithm}@{granules}: {report}"
+        report = checker.report()
+        assert report["violations"] == []
+        assert report["serializability"]["reads"] > 0
 
     def test_thomas_rule_with_granules_stays_serializable(self):
         # NOTE: in the paper's workload every write is preceded by a
@@ -129,15 +129,15 @@ class TestBehavior:
             5, db_size=50, write_prob=1.0,
             restart_delay_mode="adaptive_all",
         )
+        checker = InvariantChecker(mode="strict")
         model = SystemModel(
             params,
             BasicTimestampOrderingCC(thomas_write_rule=True),
             seed=5,
-            record_history=True,
+            subscribers=(checker,),
         )
         model.run_until(40.0)
         assert model.metrics.commits.total > 20
-        report = check_serializability(
-            model.committed_history, model.store.final_state()
-        )
-        assert report.ok, str(report)
+        report = checker.report()
+        assert report["violations"] == []
+        assert report["serializability"]["reads"] > 0

@@ -9,8 +9,9 @@ draw. These catch cross-cutting bugs no targeted unit test anticipates.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import check_serializability
 from repro.core import SimulationParameters, SystemModel
+from repro.obs import InvariantChecker
+from tests.core.test_engine import CommitLog
 
 ALGORITHMS = (
     "blocking",
@@ -54,9 +55,13 @@ def model_configs(draw):
 @settings(max_examples=25, deadline=None)
 @given(config=model_configs())
 def test_invariants_hold_for_any_configuration(config):
+    # Strict checking raises at the first broken invariant, the serial
+    # replay of the committed transactions included.
+    checker = InvariantChecker(mode="strict")
+    log = CommitLog()
     model = SystemModel(
         config["params"], config["algorithm"], seed=config["seed"],
-        record_history=True,
+        subscribers=(checker, log),
     )
     model.run_until(15.0)
     metrics = model.metrics
@@ -88,14 +93,16 @@ def test_invariants_hold_for_any_configuration(config):
     assert metrics.blocks.total >= 0
     assert metrics.restarts.total >= 0
 
-    # Every committed record is well-formed and the history replays
-    # serially without violations (noop excluded from ALGORITHMS).
-    history = model.committed_history
-    for record in history:
-        assert record.write_set <= set(record.read_set)
-        assert record.installed_writes <= record.write_set
-    report = check_serializability(history, model.store.final_state())
-    assert report.ok, str(report)
+    # Every committed transaction is well-formed, and the committed
+    # transactions replay serially without violations (noop excluded
+    # from ALGORITHMS), final state included.
+    for tx in log.transactions:
+        assert tx.write_set <= set(tx.read_set)
+        assert tx.install_write_set <= tx.write_set
+    report = checker.report()
+    assert report["violations"] == []
+    if metrics.commits.total:
+        assert report["serializability"]["reads"] > 0
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,16 +1,18 @@
 """End-to-end serializability of every real algorithm's committed histories.
 
 These are the strongest correctness tests in the suite: high-contention
-workloads are run through the full model with value tracking, and the
-committed history is replayed serially in the algorithm's equivalent
-serial order. Every read must match the replay and the final database
-state must match — an exact check, not a statistical one.
+workloads run through the full model under the invariant checker, whose
+``serializability`` invariant replays the committed transactions
+serially in the algorithm's equivalent serial order. Every read must
+match the replay and the final database state must match — an exact
+check, not a statistical one.
 """
 
 import pytest
 
-from repro.analysis import check_serializability
 from repro.core import SimulationParameters, SystemModel
+from repro.obs import InvariantChecker
+from tests.core.test_engine import CommitLog
 
 REAL_ALGORITHMS = (
     "blocking",
@@ -49,15 +51,25 @@ def contention_params(**overrides):
     return SimulationParameters(**base)
 
 
-def run_and_check(algorithm, params, seed, until=60.0):
-    model = SystemModel(params, algorithm, seed=seed, record_history=True)
-    model.run_until(until)
-    history = model.committed_history
-    assert len(history) > 30, f"{algorithm}: too few commits to be meaningful"
-    report = check_serializability(history, model.store.final_state())
-    assert report.ok, f"{algorithm}: {report}\n" + "\n".join(
-        str(v) for v in report.violations[:10]
+def run_checked(params, algorithm, seed, until=60.0, mode="strict",
+                subscribers=()):
+    """Run under an attached checker; return (model, checker report)."""
+    checker = InvariantChecker(mode=mode)
+    model = SystemModel(
+        params, algorithm, seed=seed, subscribers=(*subscribers, checker)
     )
+    model.run_until(until)
+    return model, checker.report()
+
+
+def run_and_check(algorithm, params, seed, until=60.0):
+    model, report = run_checked(params, algorithm, seed, until)
+    counts = report["serializability"]
+    assert counts["transactions"] > 30, (
+        f"{algorithm}: too few commits to be meaningful"
+    )
+    assert counts["reads"] > 0
+    assert report["violations"] == []
     return model, report
 
 
@@ -98,17 +110,9 @@ class TestSerializability:
         params = contention_params(
             write_prob=1.0, db_size=40, restart_delay_mode="adaptive_all"
         )
-        model = SystemModel(
-            params,
-            BasicTimestampOrderingCC(thomas_write_rule=True),
-            seed=7,
-            record_history=True,
+        run_and_check(
+            BasicTimestampOrderingCC(thomas_write_rule=True), params, seed=7
         )
-        model.run_until(60.0)
-        report = check_serializability(
-            model.committed_history, model.store.final_state()
-        )
-        assert report.ok, str(report)
 
     def test_noop_control_violates_serializability(self):
         # The checker must have teeth: with no concurrency control and
@@ -116,26 +120,129 @@ class TestSerializability:
         params = contention_params(
             write_prob=1.0, db_size=8, min_size=2, max_size=4, mpl=15
         )
-        model = SystemModel(params, "noop", seed=8, record_history=True)
-        model.run_until(60.0)
-        report = check_serializability(
-            model.committed_history, model.store.final_state()
+        _, report = run_checked(params, "noop", seed=8, mode="warn")
+        violations = report["violations"]
+        assert violations
+        assert all(v["invariant"] == "serializability" for v in violations)
+        stale_reads = [v for v in violations if "tx" in v["details"]]
+        assert stale_reads
+        for violation in stale_reads:
+            details = violation["details"]
+            assert set(details) == {
+                "tx", "obj", "observed_writer", "expected_writer",
+            }
+            assert details["observed_writer"] != details["expected_writer"]
+
+
+def reference_violations(transactions, final_state):
+    """The test's oracle: replay the committed transactions sorted by key."""
+    writer, violations = {}, 0
+    for tx in sorted(transactions, key=lambda tx: tx.serial_key):
+        violations += sum(
+            tx.reads_seen.get(obj) != writer.get(obj) for obj in tx.read_set
         )
-        assert not report.ok
-        assert report.violations
+        for obj in tx.install_write_set:
+            writer[obj] = tx.id
+    return violations + sum(
+        final_state.get(obj) != tx_id for obj, tx_id in writer.items()
+    )
+
+
+#: A 4-node, two-copy cluster behind 5 ms legs and two-phase commit.
+DISTRIBUTED_2PC = dict(
+    num_cpus=1, num_disks=2, resource_model="distributed", nodes=4,
+    replication_factor=2, network_delay=0.005, commit_protocol="2pc",
+)
+
+
+class TestReplayOrder:
+    """The online replay matches a sorted offline replay exactly.
+
+    ``noop`` installs after its deferred updates, so its commit points
+    arrive out of serial-key order; the timestamp algorithms commit in
+    timestamp order, not arrival order. A checker that replayed too
+    early (e.g. without holding the watermark at ``COMMITTING``
+    transactions) would count different violations than the oracle.
+    """
+
+    @pytest.mark.parametrize("algorithm, overrides", [
+        ("noop", dict(num_cpus=1, num_disks=2)),
+        ("noop", DISTRIBUTED_2PC),
+        ("basic_to", dict(num_cpus=1, num_disks=2)),
+        ("mvto", DISTRIBUTED_2PC),
+    ], ids=["noop-classic", "noop-2pc", "basic_to", "mvto-2pc"])
+    def test_violations_match_sorted_replay(self, algorithm, overrides):
+        log = CommitLog()
+        model, report = run_checked(
+            contention_params(**overrides), algorithm, seed=11,
+            until=30.0, mode="warn", subscribers=(log,),
+        )
+        found = len(report["violations"]) + report["suppressed"]
+        assert found == reference_violations(
+            log.transactions, model.store.final_state()
+        )
+        assert report["serializability"]["transactions"] == len(
+            log.transactions
+        )
+
+
+def conflict_edges(transactions):
+    """Serialization-graph edges from what each transaction really read.
+
+    The versions of an object are ordered by their writers' serial keys,
+    consecutive writers give a ww edge, and a read of writer ``w``'s
+    version gives ``w -> reader`` (wr) and ``reader -> the writer after
+    w`` (rw). The history is conflict serializable iff the graph is
+    acyclic; unlike the replay, this test does not assume the committed
+    transactions are serial in key order.
+    """
+    versions = {}
+    for tx in sorted(transactions, key=lambda tx: tx.serial_key):
+        for obj in tx.install_write_set:
+            versions.setdefault(obj, []).append(tx.id)
+    edges = set()
+    for chain in versions.values():
+        edges.update(zip(chain, chain[1:]))
+    for tx in transactions:
+        for obj in tx.read_set:
+            chain = versions.get(obj, [])
+            seen = tx.reads_seen.get(obj)
+            if seen is None:
+                later = chain[:1]
+            elif seen in chain:
+                edges.add((seen, tx.id))
+                later = chain[chain.index(seen) + 1:][:1]
+            else:  # read from a writer that never committed
+                continue
+            edges.update((tx.id, writer) for writer in later)
+    return {(u, v) for u, v in edges if u != v}
 
 
 class TestConflictGraph:
-    @pytest.mark.parametrize("algorithm", ["blocking", "optimistic"])
+    def _graph(self, algorithm, seed, **overrides):
+        import networkx as nx
+
+        log = CommitLog()
+        run_checked(
+            contention_params(**overrides), algorithm, seed=seed,
+            until=40.0, mode="warn", subscribers=(log,),
+        )
+        assert len(log.transactions) > 30
+        return nx.DiGraph(list(conflict_edges(log.transactions)))
+
+    @pytest.mark.parametrize("algorithm", REAL_ALGORITHMS)
     def test_serialization_graph_acyclic(self, algorithm):
         import networkx as nx
 
-        from repro.analysis import conflict_graph
-
-        model = SystemModel(
-            contention_params(), algorithm, seed=9, record_history=True
-        )
-        model.run_until(40.0)
-        edges = conflict_graph(model.committed_history)
-        graph = nx.DiGraph(list(edges))
+        graph = self._graph(algorithm, seed=9)
+        assert graph.number_of_edges() > 0
         assert nx.is_directed_acyclic_graph(graph)
+
+    def test_noop_serialization_graph_has_a_cycle(self):
+        # The graph oracle has teeth too: lost updates close cycles.
+        import networkx as nx
+
+        graph = self._graph(
+            "noop", seed=9, write_prob=1.0, db_size=8, max_size=4, mpl=15
+        )
+        assert not nx.is_directed_acyclic_graph(graph)

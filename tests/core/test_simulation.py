@@ -91,16 +91,6 @@ class TestRunSimulation:
         assert a.totals["commits"] == b.totals["commits"]
         assert a.throughput == pytest.approx(b.throughput)
 
-    def test_record_history_keeps_model(self):
-        params, run = quick_run()
-        result = run_simulation(params, "blocking", run, record_history=True)
-        assert result.model is not None
-        assert result.model.committed_history
-
-    def test_model_dropped_by_default(self):
-        params, run = quick_run()
-        assert run_simulation(params, "blocking", run).model is None
-
     def test_describe_mentions_key_numbers(self):
         params, run = quick_run()
         result = run_simulation(params, "blocking", run)

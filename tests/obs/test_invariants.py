@@ -12,10 +12,14 @@ Two acceptance bars from opposite directions:
   automaton tests pin each invariant individually.
 """
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import RunConfig, SimulationParameters, run_simulation
 from repro.core.engine import SystemModel
+from repro.core.transaction import TxState
 from repro.obs import (
     INVARIANT_MODES,
     InvariantChecker,
@@ -50,13 +54,27 @@ RUN = RunConfig(batches=3, batch_time=5.0, warmup_batches=1, seed=1234)
 class _Tx:
     """Minimal stand-in for a Transaction in synthetic-event tests."""
 
-    def __init__(self, tx_id):
+    def __init__(self, tx_id, reads_seen=None, writes=(), serial_key=None):
         self.id = tx_id
+        self.state = TxState.RUNNING
+        self.reads_seen = reads_seen or {}
+        self.read_set = tuple(self.reads_seen)
+        self.install_write_set = frozenset(writes)
+        self.serial_key = (
+            (0.0, tx_id) if serial_key is None else serial_key
+        )
 
 
 def drive(checker, kind, time, **fields):
     """Deliver one synthetic event straight to the checker's handler."""
     checker.handlers()[kind](time, fields)
+
+
+def _stub_model(serial_key=None, final=None):
+    """A model stand-in: an optional CC serial key and object store."""
+    cc = None if serial_key is None else SimpleNamespace(serial_key=serial_key)
+    store = None if final is None else SimpleNamespace(final_state=lambda: final)
+    return SimpleNamespace(cc=cc, store=store, env=SimpleNamespace(now=1.0))
 
 
 class TestCleanRuns:
@@ -71,8 +89,10 @@ class TestCleanRuns:
         assert report["mode"] == "strict"
         assert report["violations"] == []
         assert report["suppressed"] == 0
-        # The checker actually saw the run, not an empty stream.
+        # The checker actually saw the run, not an empty stream, and
+        # replayed the reads of its committed writer-reader pairs.
         assert report["events_checked"] > result.totals["commits"]
+        assert report["serializability"]["reads"] > 0
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_checked_run_is_bit_identical_to_bare(self, algorithm):
@@ -96,6 +116,7 @@ class TestCleanRuns:
         report = result.diagnostics["invariants"]
         assert report["mode"] == "warn"
         assert report["violations"] == []
+        assert report["serializability"]["reads"] > 0
 
 
 class _DoubleCompleteModel(SystemModel):
@@ -323,7 +344,9 @@ class TestLockExclusivity:
             subscribers=(checker,),
         )
         model.run_until(15.0)
-        assert checker.violation_count == 0
+        report = checker.report()
+        assert report["violations"] == []
+        assert report["serializability"]["reads"] > 0
         assert model.metrics.restarts.total > 0
 
     def test_lock_checks_auto_enabled_only_for_blocking(self):
@@ -335,6 +358,192 @@ class TestLockExclusivity:
                 subscribers=(checker,),
             )
             assert checker.check_locks is expected
+
+
+class TestSerialReplay:
+    """Synthetic-event unit tests for the serializability invariant."""
+
+    def _commit(self, checker, tx, time):
+        drive(checker, TX_SUBMIT, time, tx=tx)
+        drive(checker, TX_ADMIT, time, tx=tx)
+        drive(checker, TX_COMMIT_POINT, time, tx=tx)
+
+    def test_stale_read_names_tx_object_and_writers(self):
+        checker = InvariantChecker(mode="warn")
+        self._commit(checker, _Tx(1, writes={5}), 0.1)
+        self._commit(checker, _Tx(2, reads_seen={5: None}), 0.2)
+        [violation] = checker.violations
+        assert violation.invariant == "serializability"
+        assert violation.details == {
+            "tx": 2, "obj": 5, "observed_writer": None,
+            "expected_writer": 1,
+        }
+        assert checker.report()["serializability"] == {
+            "transactions": 2, "reads": 1,
+        }
+
+    def test_consistent_chain_is_clean(self):
+        checker = InvariantChecker(mode="strict")
+        self._commit(checker, _Tx(1, {5: None}, writes={5}), 0.1)
+        self._commit(checker, _Tx(2, {5: 1}, writes={5}), 0.2)
+        self._commit(checker, _Tx(3, {5: 2}), 0.3)
+        report = checker.report()
+        assert report["violations"] == []
+        assert report["serializability"] == {
+            "transactions": 3, "reads": 3,
+        }
+
+    def test_read_from_a_later_writer_violates(self):
+        checker = InvariantChecker(mode="warn")
+        self._commit(checker, _Tx(1, {5: 2}), 0.1)
+        self._commit(checker, _Tx(2, writes={5}), 0.2)
+        [violation] = checker.violations
+        assert violation.details["observed_writer"] == 2
+        assert violation.details["expected_writer"] is None
+
+    @pytest.mark.parametrize("last_writer, clean", [(1, True), (99, False)])
+    def test_replay_must_end_in_the_store_state(self, last_writer, clean):
+        checker = InvariantChecker(mode="warn")
+        checker.on_attach(None, _stub_model(final={5: last_writer}))
+        self._commit(checker, _Tx(1, writes={5}), 0.1)
+        violations = checker.report()["violations"]
+        assert (violations == []) is clean
+        if not clean:
+            assert violations[0]["details"] == {
+                "obj": 5, "observed_writer": 99, "expected_writer": 1,
+            }
+
+    def test_report_time_findings_stay_out_of_the_attributes(self):
+        # Tx 2's read of tx 1's write waits on tx 1's watermark; tx 1
+        # never commits, so the read is stale, and the store disagrees
+        # with tx 2's write. Both are found only when report() drains
+        # the replay, on a copy, so the attributes keep the event-time
+        # count.
+        checker = InvariantChecker(mode="warn")
+        checker.on_attach(None, _stub_model(final={6: 99}))
+        early = _Tx(1, writes={5}, serial_key=(1.0, 0))
+        drive(checker, TX_SUBMIT, 0.0, tx=early)
+        drive(checker, TX_ADMIT, 0.0, tx=early)
+        early.state = TxState.COMMITTING
+        self._commit(
+            checker,
+            _Tx(2, reads_seen={5: 1}, writes={6}, serial_key=(2.0, 1)), 2.0,
+        )
+        invariants = [v["invariant"] for v in checker.report()["violations"]]
+        assert invariants == ["serializability", "serializability"]
+        assert checker.violations == []
+        assert checker.violation_count == 0
+        assert "violations=0" in repr(checker)
+
+    def test_no_commit_points_no_counts(self):
+        assert "serializability" not in InvariantChecker().report()
+
+    def test_committing_transaction_holds_the_watermark(self):
+        # Tx 1 drew its key at pre-commit and is still writing its
+        # deferred updates when tx 2, keyed after it, reaches its
+        # commit point having read tx 1's write.
+        checker = InvariantChecker(mode="strict")
+        early = _Tx(1, writes={5}, serial_key=(1.0, 0))
+        drive(checker, TX_SUBMIT, 0.0, tx=early)
+        drive(checker, TX_ADMIT, 0.0, tx=early)
+        early.state = TxState.COMMITTING
+        self._commit(
+            checker, _Tx(2, reads_seen={5: 1}, serial_key=(2.0, 1)), 2.0
+        )
+        # Cut here, tx 1 never committed: the report flags the read,
+        # but only on a copy, so the live replay is left waiting.
+        with pytest.raises(InvariantViolationError):
+            checker.report()
+        drive(checker, TX_COMMIT_POINT, 3.0, tx=early)
+        report = checker.report()
+        assert report["violations"] == []
+        assert report["serializability"] == {
+            "transactions": 2, "reads": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "arrival", list(itertools.permutations((1, 2, 3))),
+        ids=lambda order: "".join(map(str, order)),
+    )
+    def test_replay_order_independent_of_commit_point_order(self, arrival):
+        # All three drew their keys at pre-commit, so their commit
+        # points may arrive in any order; the replay runs in key order.
+        checker = InvariantChecker(mode="strict")
+        txs = {
+            1: _Tx(1, writes={5}, serial_key=(1.0, 0)),
+            2: _Tx(2, {5: 1}, writes={6}, serial_key=(2.0, 1)),
+            3: _Tx(3, {5: 1, 6: 2}, writes={5}, serial_key=(3.0, 2)),
+        }
+        for tx in txs.values():
+            drive(checker, TX_SUBMIT, 0.0, tx=tx)
+            drive(checker, TX_ADMIT, 0.0, tx=tx)
+            tx.state = TxState.COMMITTING
+        for time, tx_id in enumerate(arrival, start=1):
+            drive(checker, TX_COMMIT_POINT, float(time), tx=txs[tx_id])
+        report = checker.report()
+        assert report["violations"] == []
+        assert report["serializability"] == {
+            "transactions": 3, "reads": 3,
+        }
+
+    def test_skipped_installs_are_not_replayed(self):
+        # Tx 2's write of object 5 was skipped (Thomas write rule), so
+        # the replay and the store both keep tx 1 as its writer.
+        checker = InvariantChecker(mode="strict")
+        checker.on_attach(None, _stub_model(final={5: 1}))
+        self._commit(checker, _Tx(1, writes={5}), 0.1)
+        self._commit(checker, _Tx(2, writes=()), 0.2)
+        self._commit(checker, _Tx(3, {5: 1}), 0.3)
+        report = checker.report()
+        assert report["violations"] == []
+        assert report["serializability"] == {
+            "transactions": 3, "reads": 1,
+        }
+
+    def test_timestamp_holds_the_watermark(self):
+        # Timestamp ordering: tx 1 (timestamp 1) is still running when
+        # tx 2 (timestamp 2), which read tx 1's write, commits.
+        checker = InvariantChecker(mode="strict")
+        checker.on_attach(
+            None, _stub_model(serial_key=lambda tx: tx.serial_key)
+        )
+        writer = _Tx(1, writes={5}, serial_key=(1.0, 0))
+        drive(checker, TX_SUBMIT, 0.0, tx=writer)
+        drive(checker, TX_ADMIT, 0.0, tx=writer)
+        self._commit(
+            checker, _Tx(2, {5: 1}, serial_key=(2.0, 1)), 1.0
+        )
+        drive(checker, TX_COMMIT_POINT, 2.0, tx=writer)
+        report = checker.report()
+        assert report["violations"] == []
+        assert report["serializability"] == {
+            "transactions": 2, "reads": 1,
+        }
+
+    def test_unkeyed_transaction_does_not_hold_the_watermark(self):
+        # Without a timestamp or a pre-commit key, tx 1 will commit
+        # with a fresh, larger key: tx 2 read from a later writer.
+        checker = InvariantChecker(mode="strict")
+        writer = _Tx(1, writes={5}, serial_key=(3.0, 0))
+        drive(checker, TX_SUBMIT, 0.0, tx=writer)
+        drive(checker, TX_ADMIT, 0.0, tx=writer)
+        with pytest.raises(InvariantViolationError) as info:
+            self._commit(checker, _Tx(2, {5: 1}, serial_key=(2.0, 1)), 1.0)
+        assert info.value.violation.invariant == "serializability"
+
+    def test_restart_releases_the_watermark(self):
+        checker = InvariantChecker(mode="strict")
+        writer = _Tx(1, writes={5}, serial_key=(1.0, 0))
+        drive(checker, TX_SUBMIT, 0.0, tx=writer)
+        drive(checker, TX_ADMIT, 0.0, tx=writer)
+        writer.state = TxState.COMMITTING
+        drive(checker, TX_RESTART, 0.5, tx=writer)
+        with pytest.raises(InvariantViolationError) as info:
+            self._commit(checker, _Tx(2, {5: 1}, serial_key=(2.0, 1)), 1.0)
+        assert info.value.violation.details == {
+            "tx": 2, "obj": 5, "observed_writer": 1,
+            "expected_writer": None,
+        }
 
 
 class TestModeResolution:

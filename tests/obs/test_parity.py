@@ -1,10 +1,11 @@
 """Observer-neutrality: subscribers must never perturb results.
 
 The bus's core contract is that every subscriber is a pure observer —
-attaching all of them at once (history, sampler, unfiltered JSONL sink)
-must leave a fixed-seed run bit-identical to a bare run. This is what
-lets diagnostics be turned on for a misbehaving sweep point without
-invalidating the comparison against its neighbors.
+attaching all of them at once (invariant checker with its serial
+replay, sampler, unfiltered JSONL sink) must leave a fixed-seed run
+bit-identical to a bare run. This is what lets diagnostics be turned
+on for a misbehaving sweep point without invalidating the comparison
+against its neighbors.
 """
 
 import io
@@ -31,8 +32,7 @@ def run_observed(algorithm):
     sampler = TimeSeriesSampler(interval=0.25)
     sink = JsonlSink(io.StringIO())
     return run_simulation(
-        PARAMS, algorithm=algorithm, run=RUN,
-        record_history=True,
+        PARAMS, algorithm=algorithm, run=RUN, invariants="strict",
         subscribers=(sampler, sink),
     )
 
@@ -95,5 +95,7 @@ def test_message_observers_leave_sharded_runs_bit_identical(algorithm):
     # The checker saw every message the tier counted.
     messages = bare.totals["network"]["messages"]
     assert messages > 0
-    assert checker.report()["messages"]["sent"] == messages
-    assert checker.violation_count == 0
+    report = checker.report()
+    assert report["messages"]["sent"] == messages
+    assert report["violations"] == []
+    assert report["serializability"]["reads"] > 0

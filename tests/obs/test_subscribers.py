@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import SimulationParameters, SystemModel
-from repro.core.history import CommittedRecord
 from repro.core.transaction import Transaction
 from repro.des import Environment
 from repro.obs import FaultAccountingSubscriber, InstrumentationBus, scalar_fields
@@ -81,24 +80,6 @@ class TestMetricsSubscriber:
     def test_counters_are_populated(self, model):
         assert model.metrics.commits.total > 0
         assert model.metrics.blocks.total > 0
-
-
-class TestHistorySubscriber:
-    def test_committed_history_records_commit_points(self):
-        model = SystemModel(small_params(), "blocking", seed=9,
-                            record_history=True)
-        model.run_until(15.0)
-        history = model.committed_history
-        assert history
-        assert all(isinstance(r, CommittedRecord) for r in history)
-        # Commit points are recorded in commit order.
-        times = [r.commit_time for r in history]
-        assert times == sorted(times)
-        assert len(history) >= model.metrics.commits.total
-
-    def test_without_record_history_property_is_none(self):
-        model = SystemModel(small_params(), "blocking", seed=9)
-        assert model.committed_history is None
 
 
 class TestFaultAccountingSubscriber:

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.analysis import check_serializability
 from repro.core import (
     RunConfig,
     SimulationParameters,
     SystemModel,
     run_simulation,
 )
+from repro.obs import InvariantChecker
 from repro.obs.events import TX_SUBMIT
 from repro.obs.subscribers import Subscriber
 from repro.workloads import (
@@ -21,6 +21,7 @@ from repro.workloads import (
     trace_from_history,
     trace_record,
 )
+from tests.core.test_engine import CommitLog
 
 RUN = RunConfig(batches=3, batch_time=10.0, warmup_batches=0, seed=61)
 
@@ -301,37 +302,39 @@ class TestEngineIntegration:
                          (start,) if start % 2 == 0 else ())
             for start in range(0, 40, 4)
         ]
+        committed = CommitLog()
+        checker = InvariantChecker(mode="strict")
         model = SystemModel(
             self.params(), "blocking", seed=3,
             workload=TraceSource(records, cycle=True),
-            record_history=True,
+            subscribers=(committed, checker),
         )
         model.run_until(20.0)
         assert model.metrics.commits.total > 50
         # Committed read sets all come from the trace.
         trace_reads = {reads for _, reads, _, _ in records}
-        for record in model.committed_history:
-            assert record.read_set in trace_reads
-        report = check_serializability(
-            model.committed_history, model.store.final_state()
-        )
-        assert report.ok
+        for tx in committed.transactions:
+            assert tx.read_set in trace_reads
+        report = checker.report()
+        assert report["violations"] == []
+        assert report["serializability"]["reads"] > 0
 
     def test_replaying_a_history_under_another_algorithm(self):
+        committed = CommitLog()
         source = SystemModel(
-            self.params(), "blocking", seed=5, record_history=True
+            self.params(), "blocking", seed=5, subscribers=(committed,)
         )
         source.run_until(15.0)
-        records = trace_from_history(source.committed_history)
+        records = trace_from_history(committed.transactions)
         assert records
+        checker = InvariantChecker(mode="strict")
         replay = SystemModel(
             self.params(), "mvto", seed=5,
             workload=TraceSource(records, cycle=True),
-            record_history=True,
+            subscribers=(checker,),
         )
         replay.run_until(15.0)
         assert replay.metrics.commits.total > 0
-        report = check_serializability(
-            replay.committed_history, replay.store.final_state()
-        )
-        assert report.ok
+        report = checker.report()
+        assert report["violations"] == []
+        assert report["serializability"]["reads"] > 0
