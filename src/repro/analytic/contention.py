@@ -60,10 +60,10 @@ Illinois root find over that evaluator. Two regimes per prediction:
 
 The network is :func:`repro.analytic.bridge.network_for_params`, the
 same one exact MVA solves; its identical disks are one counted group,
-so the cost per prediction is independent of ``num_disks`` and a
-single prediction runs in well under a millisecond — cheap enough to
-sweep millions of configurations (:mod:`repro.analytic.explore`).
-This fixed-``m_eff`` solve is the package's one approximate MVA.
+so the cost per prediction is independent of ``num_disks``: about
+63 us on a 2-vCPU Xeon host, cheap enough to sweep the 113,400
+evaluations of :func:`repro.analytic.explore.default_space` in about
+7 s. This fixed-``m_eff`` solve is the package's one approximate MVA.
 
 Every prediction carries an *uncertainty score*: its contention index
 ``m_eff * k^2 / db_size * w(2-w)`` relative to the largest index the
@@ -78,7 +78,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.analytic.bridge import network_for_params
-from repro.analytic.mva import DELAY, QUEUEING
+from repro.analytic.mva import DELAY
 
 #: Algorithms the surrogate has correction terms for. ``noop`` is the
 #: contention-free baseline (both coefficients zero by construction).
@@ -234,7 +234,26 @@ def _contention_terms(algorithm, m_eff, k, k_w, db, alpha, beta):
     return p, attempts, clamped
 
 
-def _solve_fixed_m(groups, n, z, m_eff, algorithm, k, k_w, db,
+def _residence_terms(center, inflation):
+    """``(d, s, fixed, share)`` of one center at this demand inflation.
+
+    Every center kind shares one residence formula,
+    ``r = fixed + share * (1 + seen - 0.5 * busy)`` with
+    ``busy = min(X * d / s, seen, 1)``: a delay is ``fixed = d,
+    share = 0``; a queueing or multi-server center is Seidmann's split,
+    ``fixed = d (s-1)/s, share = d/s`` (``s = 1`` leaves ``fixed = 0,
+    share = d``). Each case reproduces its kind's textbook residence
+    bit for bit (``0.0 + x``, ``x / 1`` and ``d + 0.0 * finite`` are
+    exact).
+    """
+    demand, servers, delay = center
+    d = demand * inflation
+    if delay:
+        return d, servers, d, 0.0
+    return d, servers, d * (servers - 1.0) / servers, d / servers
+
+
+def _solve_fixed_m(layout, n, z, m_eff, algorithm, k, k_w, db,
                    alpha, beta, capped, queues):
     """Schweitzer solve with the concurrency level pinned at ``m_eff``.
 
@@ -242,8 +261,16 @@ def _solve_fixed_m(groups, n, z, m_eff, algorithm, k, k_w, db,
     (no population feedback), so the iteration is the plain Schweitzer
     contraction plus two mild inner couplings (the blocking lock-wait
     and the restart delay both track ``r_proc``) — it converges
-    unconditionally in practice. ``queues`` is mutated in place so
-    callers can warm-start successive solves.
+    unconditionally in practice.
+
+    ``layout`` is the DBMS part of :func:`network_for_params` in its
+    fixed shape, ``(think, cpu, disk, disk_count)``: the internal-think
+    demand (0.0 when there is none), then ``(demand, servers, delay)``
+    for the CPU pool and for one of the ``disk_count`` disks.
+    Everything that does not change between iterations is hoisted, so
+    the loop is straight-line arithmetic over the two service centers.
+    ``queues`` holds their queue lengths ``[cpu, disk]`` and is updated
+    in place so callers can warm-start successive solves.
 
     ``capped`` solves the DBMS subnetwork alone (cycle excludes
     external think and restart delay: the saturated admission queue
@@ -258,86 +285,87 @@ def _solve_fixed_m(groups, n, z, m_eff, algorithm, k, k_w, db,
     )
     waste = 0.5 * beta if algorithm == "immediate_restart" else beta
     inflation = 1.0 + (attempts - 1.0) * waste
+    think, cpu, disk, disk_count = layout
+    # The internal-think delay's residence does not depend on queue
+    # lengths: it is the first addend of r_proc (0.0 adds exactly).
+    think *= inflation
+    cpu_d, cpu_s, cpu_fixed, cpu_share = _residence_terms(cpu, inflation)
+    disk_d, disk_s, disk_fixed, disk_share = _residence_terms(
+        disk, inflation
+    )
+    if algorithm == "blocking":
+        # Wait-chain cascade: a conflicting request waits half the
+        # blocker's processing time, but the blocker may itself be
+        # blocked, adding its own wait pro rata. Solving
+        # b = (beta*k*p/2) * (r_proc + b) in closed form gives the
+        # 1/(1 - beta*k*p/2) amplification — this is what makes
+        # blocking *thrash* (DC-thrashing) instead of merely
+        # saturating as contention rises.
+        fraction = k * p / 2.0
+        denominator = beta * fraction
+        if denominator > CASCADE_CLAMP:
+            # Clamp the denominator only: the wait keeps growing
+            # linearly in the blocked fraction past the clamp, so
+            # throughput stays monotone (declining) instead of
+            # rebounding once the amplification saturates.
+            denominator = CASCADE_CLAMP
+            clamped = True
+        cascade = 1.0 - denominator
+    else:
+        fraction, cascade = 0.0, 1.0
+    if capped:
+        z, restart = 0.0, 0.0
+    elif algorithm == "immediate_restart":
+        restart = attempts - 1.0
+    else:
+        restart = 0.0
     ratio = (n - 1.0) / n
-    blocking = algorithm == "blocking"
-    restarting = algorithm == "immediate_restart" and not capped
-    count = len(groups)
+    q_cpu, q_disk = queues
     throughput = 0.0
     r_proc = 0.0
     blocked = 0.0
     converged = False
     for _ in range(MAX_ITERATIONS):
-        r_proc = 0.0
-        residences = []
-        for index in range(count):
-            kind, demand, servers, group_count = groups[index]
-            demand_eff = demand * inflation
-            if kind == DELAY:
-                r = demand_eff
-            else:
-                seen = queues[index] * ratio
-                # Deterministic-service residual correction: the
-                # simulator's service times are deterministic, so the
-                # job found in service costs a mean residual of d/2,
-                # not the full d exponential MVA assumes. Subtracting
-                # half an in-service job (utilization-weighted)
-                # removes the systematic low-mpl underprediction.
-                if kind == QUEUEING:
-                    busy = throughput * demand_eff
-                    if busy > seen:
-                        busy = seen
-                    if busy > 1.0:
-                        busy = 1.0
-                    r = demand_eff * (1.0 + seen - 0.5 * busy)
-                else:  # Seidmann's split for the multi-server pool
-                    busy = throughput * demand_eff / servers
-                    if busy > seen:
-                        busy = seen
-                    if busy > 1.0:
-                        busy = 1.0
-                    r = (
-                        demand_eff * (servers - 1.0) / servers
-                        + demand_eff / servers
-                        * (1.0 + seen - 0.5 * busy)
-                    )
-            residences.append(r)
-            r_proc += r * group_count
-        if blocking:
-            # Wait-chain cascade: a conflicting request waits half the
-            # blocker's processing time, but the blocker may itself be
-            # blocked, adding its own wait pro rata. Solving
-            # b = (beta*k*p/2) * (r_proc + b) in closed form gives the
-            # 1/(1 - beta*k*p/2) amplification — this is what makes
-            # blocking *thrash* (DC-thrashing) instead of merely
-            # saturating as contention rises.
-            fraction = k * p / 2.0
-            denominator = beta * fraction
-            if denominator > CASCADE_CLAMP:
-                # Clamp the denominator only: the wait keeps growing
-                # linearly in the blocked fraction past the clamp, so
-                # throughput stays monotone (declining) instead of
-                # rebounding once the amplification saturates.
-                denominator = CASCADE_CLAMP
-                clamped = True
-            blocked = r_proc * fraction / (1.0 - denominator)
-        else:
-            blocked = 0.0
-        r_in = r_proc + blocked
-        if capped:
-            cycle = r_in
-        else:
-            delay_out = (attempts - 1.0) * r_proc if restarting else 0.0
-            cycle = z + delay_out + r_in
+        # Deterministic-service residual correction: the simulator's
+        # service times are deterministic, so the job found in service
+        # costs a mean residual of d/2, not the full d exponential MVA
+        # assumes. Subtracting half an in-service job
+        # (utilization-weighted) removes the systematic low-mpl
+        # underprediction.
+        seen = q_cpu * ratio
+        busy = throughput * cpu_d / cpu_s
+        if busy > seen:
+            busy = seen
+        if busy > 1.0:
+            busy = 1.0
+        r_cpu = cpu_fixed + cpu_share * (1.0 + seen - 0.5 * busy)
+        seen = q_disk * ratio
+        busy = throughput * disk_d / disk_s
+        if busy > seen:
+            busy = seen
+        if busy > 1.0:
+            busy = 1.0
+        r_disk = disk_fixed + disk_share * (1.0 + seen - 0.5 * busy)
+        r_proc = think + r_cpu + r_disk * disk_count
+        # Exactly 0.0 where they do not apply: the lock wait for all
+        # but blocking, the restart delay for all but an uncapped
+        # immediate_restart, and z in a capped solve.
+        blocked = r_proc * fraction / cascade
+        cycle = z + restart * r_proc + (r_proc + blocked)
         new_throughput = n / cycle if cycle > 0.0 else 0.0
-        for index in range(count):
-            queues[index] = new_throughput * residences[index]
-        if abs(new_throughput - throughput) <= TOLERANCE * max(
-            new_throughput, 1e-12
+        q_cpu = new_throughput * r_cpu
+        q_disk = new_throughput * r_disk
+        change = new_throughput - throughput
+        if change < 0.0:
+            change = -change
+        throughput = new_throughput
+        if change <= TOLERANCE * (
+            new_throughput if new_throughput > 1e-12 else 1e-12
         ):
-            throughput = new_throughput
             converged = True
             break
-        throughput = new_throughput
+    queues[0] = q_cpu
+    queues[1] = q_disk
     return throughput, r_proc, blocked, attempts, converged, clamped
 
 
@@ -352,7 +380,7 @@ MAX_PROBES = 80
 M_TOLERANCE = 1e-9
 
 
-def _solve_closed(groups, n, z, mpl, algorithm, k, k_w, db,
+def _solve_closed(layout, n, z, mpl, algorithm, k, k_w, db,
                   alpha, beta):
     """Closed-loop solve: find the self-consistent concurrency level.
 
@@ -374,11 +402,11 @@ def _solve_closed(groups, n, z, mpl, algorithm, k, k_w, db,
     regime.
     """
     m_max = min(float(mpl), float(n))
-    queues = [0.0] * len(groups)
+    queues = [0.0, 0.0]
 
     def probe(m_eff):
         result = _solve_fixed_m(
-            groups, n, z, m_eff, algorithm, k, k_w, db,
+            layout, n, z, m_eff, algorithm, k, k_w, db,
             alpha, beta, False, queues,
         )
         throughput, r_proc, blocked = result[0], result[1], result[2]
@@ -396,7 +424,7 @@ def _solve_closed(groups, n, z, mpl, algorithm, k, k_w, db,
         # Contention-free (noop or zeroed coefficients): m_eff does
         # not feed back, a single solve is exact.
         result = _solve_fixed_m(
-            groups, n, z, m_max, algorithm, k, k_w, db,
+            layout, n, z, m_max, algorithm, k, k_w, db,
             alpha, beta, False, queues,
         )
         in_dbms = result[0] * (result[1] + result[2])
@@ -436,7 +464,7 @@ def _solve_closed(groups, n, z, mpl, algorithm, k, k_w, db,
     return finish(m_eff, result, converged, False)
 
 
-def _solve_capped(groups, n, z, mpl, algorithm, k, k_w, db,
+def _solve_capped(layout, n, z, mpl, algorithm, k, k_w, db,
                   alpha, beta):
     """Admission-saturated solve: ``min(mpl, n)`` customers, DBMS only.
 
@@ -446,9 +474,9 @@ def _solve_capped(groups, n, z, mpl, algorithm, k, k_w, db,
     Same return shape as :func:`_solve_closed`.
     """
     m_eff = float(min(mpl, n))
-    queues = [0.0] * len(groups)
+    queues = [0.0, 0.0]
     result = _solve_fixed_m(
-        groups, int(m_eff), z, m_eff, algorithm, k, k_w, db,
+        layout, int(m_eff), z, m_eff, algorithm, k, k_w, db,
         alpha, beta, True, queues,
     )
     throughput, r_proc, blocked, attempts, converged, clamped = result
@@ -474,15 +502,17 @@ def surrogate_prediction(params, algorithm, coeffs=None):
         )
     if coeffs is None:
         coeffs = DEFAULT_COEFFS[algorithm]
-    # External think, then one (kind, demand, servers, count) group per
-    # DBMS center: the disks are one counted group, so solver cost is
-    # independent of num_disks.
-    terminals, *dbms = network_for_params(params)
+    # External think, then the DBMS centers in their fixed order: an
+    # optional internal-think delay, the CPU pool and the disks (one
+    # counted center, so solver cost is independent of num_disks).
+    terminals, *inner, cpu, disks = network_for_params(params)
     z = terminals.demand
-    groups = [
-        (center.kind, center.demand, center.servers, center.count)
-        for center in dbms
-    ]
+    layout = (
+        inner[0].demand if inner else 0.0,
+        (cpu.demand, cpu.servers, cpu.kind == DELAY),
+        (disks.demand, disks.servers, disks.kind == DELAY),
+        disks.count,
+    )
     k_r = params.expected_reads()
     k_w = params.expected_writes()
     k = k_r + k_w
@@ -491,12 +521,12 @@ def surrogate_prediction(params, algorithm, coeffs=None):
     mpl = params.mpl
 
     closed = _solve_closed(
-        groups, population, z, mpl, algorithm, k, k_w, db,
+        layout, population, z, mpl, algorithm, k, k_w, db,
         coeffs.alpha, coeffs.beta,
     )
     if mpl < population:
         capped = _solve_capped(
-            groups, population, z, mpl, algorithm, k, k_w, db,
+            layout, population, z, mpl, algorithm, k, k_w, db,
             coeffs.alpha, coeffs.beta,
         )
     else:

@@ -47,8 +47,8 @@ Examples::
     # one diagnostic run of a single algorithm (no sweep)
     repro-experiments --single blocking --mpl 50 --quick --trace
 
-    # analytic surrogate: calibrate against simulation, then sweep a
-    # 100k+-point parameter space through the calibrated model with
+    # analytic surrogate: calibrate against simulation, then sweep
+    # 113,400 evaluations through the calibrated model with
     # simulation spot-checks of the uncertain corners
     repro-experiments calibrate --quick --out calibration.json
     repro-experiments explore --coeffs calibration.json \

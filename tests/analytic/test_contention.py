@@ -10,6 +10,7 @@ noop baseline against the discrete-event simulator.
 
 import pytest
 
+from repro.analytic import contention
 from repro.analytic.contention import (
     DEFAULT_COEFFS,
     DEFAULT_MAX_INDEX,
@@ -20,6 +21,7 @@ from repro.analytic.contention import (
     surrogate_prediction,
 )
 from repro.analytic import network_for_params
+from repro.analytic.mva import DELAY, QUEUEING
 from repro.core import RunConfig, SimulationParameters, run_simulation
 
 BASE = SimulationParameters.table2()
@@ -221,3 +223,163 @@ class TestNoopSimulatorAgreement:
         ).throughput
         predicted = surrogate_prediction(params, "noop").throughput
         assert predicted == pytest.approx(simulated, rel=0.10)
+
+
+def _reference_solve_fixed_m(groups, n, z, m_eff, algorithm, k, k_w, db,
+                             alpha, beta, capped, queues):
+    """The generic per-group Schweitzer loop, kept as the reference.
+
+    ``groups`` holds one ``(kind, demand, servers, count)`` per DBMS
+    center of :func:`network_for_params`, and ``queues`` one queue
+    length per group. Every kind branches to its own residence formula
+    and every per-solve constant is recomputed each iteration.
+    """
+    p, attempts, clamped = contention._contention_terms(
+        algorithm, m_eff, k, k_w, db, alpha, beta
+    )
+    waste = 0.5 * beta if algorithm == "immediate_restart" else beta
+    inflation = 1.0 + (attempts - 1.0) * waste
+    ratio = (n - 1.0) / n
+    blocking = algorithm == "blocking"
+    restarting = algorithm == "immediate_restart" and not capped
+    count = len(groups)
+    throughput = 0.0
+    r_proc = 0.0
+    blocked = 0.0
+    converged = False
+    for _ in range(contention.MAX_ITERATIONS):
+        r_proc = 0.0
+        residences = []
+        for index in range(count):
+            kind, demand, servers, group_count = groups[index]
+            demand_eff = demand * inflation
+            if kind == DELAY:
+                r = demand_eff
+            else:
+                seen = queues[index] * ratio
+                if kind == QUEUEING:
+                    busy = throughput * demand_eff
+                    if busy > seen:
+                        busy = seen
+                    if busy > 1.0:
+                        busy = 1.0
+                    r = demand_eff * (1.0 + seen - 0.5 * busy)
+                else:
+                    busy = throughput * demand_eff / servers
+                    if busy > seen:
+                        busy = seen
+                    if busy > 1.0:
+                        busy = 1.0
+                    r = (
+                        demand_eff * (servers - 1.0) / servers
+                        + demand_eff / servers
+                        * (1.0 + seen - 0.5 * busy)
+                    )
+            residences.append(r)
+            r_proc += r * group_count
+        if blocking:
+            fraction = k * p / 2.0
+            denominator = beta * fraction
+            if denominator > contention.CASCADE_CLAMP:
+                denominator = contention.CASCADE_CLAMP
+                clamped = True
+            blocked = r_proc * fraction / (1.0 - denominator)
+        else:
+            blocked = 0.0
+        r_in = r_proc + blocked
+        if capped:
+            cycle = r_in
+        else:
+            delay_out = (attempts - 1.0) * r_proc if restarting else 0.0
+            cycle = z + delay_out + r_in
+        new_throughput = n / cycle if cycle > 0.0 else 0.0
+        for index in range(count):
+            queues[index] = new_throughput * residences[index]
+        if abs(new_throughput - throughput) <= contention.TOLERANCE * max(
+            new_throughput, 1e-12
+        ):
+            throughput = new_throughput
+            converged = True
+            break
+        throughput = new_throughput
+    return throughput, r_proc, blocked, attempts, converged, clamped
+
+
+#: Default coefficients, and coefficients large enough to force the
+#: probability, attempt and cascade clamps.
+PARITY_COEFFS = (None, CorrectionCoefficients(2.0, 9.0))
+PARITY_MPLS = (1, 5, 50, 200)
+
+
+def _parity_grid(int_think_time, num_cpus, num_disks):
+    params = BASE.with_changes(
+        int_think_time=int_think_time, num_cpus=num_cpus,
+        num_disks=num_disks,
+    )
+    for algorithm in SUPPORTED_ALGORITHMS:
+        for mpl in PARITY_MPLS:
+            for coeffs in PARITY_COEFFS:
+                yield params.with_changes(mpl=mpl), algorithm, coeffs
+
+
+def _reference_prediction(monkeypatch, params, algorithm, coeffs):
+    """``surrogate_prediction`` with the reference loop as its solver."""
+    groups = [
+        (center.kind, center.demand, center.servers, center.count)
+        for center in network_for_params(params)[1:]
+    ]
+
+    def solve(layout, n, z, m_eff, algorithm, k, k_w, db, alpha, beta,
+              capped, queues):
+        # One queue per group; the solver's warm-start list holds the
+        # CPU's and the disks', the last two groups (an internal-think
+        # delay's queue is never read).
+        group_queues = [0.0] * (len(groups) - 2) + list(queues)
+        result = _reference_solve_fixed_m(
+            groups, n, z, m_eff, algorithm, k, k_w, db, alpha, beta,
+            capped, group_queues,
+        )
+        queues[:] = group_queues[-2:]
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(contention, "_solve_fixed_m", solve)
+        return surrogate_prediction(params, algorithm, coeffs)
+
+
+class TestSolverParity:
+    """The straight-line solver against the generic per-group loop.
+
+    Every center layout :func:`network_for_params` can build (internal
+    think or not; infinite, single and pooled CPUs; infinite, one and
+    several disks), every algorithm, default and clamp-forcing
+    coefficients: the predictions must be equal field for field, not
+    merely close. The exploration golden digests cover finite CPUs and
+    disks without internal think or clamps only.
+    """
+
+    @pytest.mark.parametrize("num_disks", [None, 1, 2, 8])
+    @pytest.mark.parametrize("num_cpus", [None, 1, 2, 10])
+    @pytest.mark.parametrize("int_think_time", [0.0, 0.3])
+    def test_bit_identical(self, monkeypatch, int_think_time, num_cpus,
+                           num_disks):
+        for params, algorithm, coeffs in _parity_grid(
+            int_think_time, num_cpus, num_disks
+        ):
+            expected = _reference_prediction(
+                monkeypatch, params, algorithm, coeffs
+            )
+            assert surrogate_prediction(
+                params, algorithm, coeffs
+            ) == expected, (params, algorithm, coeffs)
+
+    def test_grid_reaches_clamps_and_both_regimes(self):
+        predictions = [
+            surrogate_prediction(params, algorithm, coeffs)
+            for params, algorithm, coeffs in _parity_grid(0.3, 2, 2)
+        ]
+        assert any(p.clamped for p in predictions)
+        assert any(not p.clamped for p in predictions)
+        assert {p.binding for p in predictions} == {
+            "admission", "population"
+        }

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import repro.analytic.explore as explore_module
+from repro.analytic.contention import surrogate_prediction
 from repro.analytic.explore import (
     ExplorationReport,
     ExplorationSpace,
@@ -104,6 +105,57 @@ class TestExplore:
         assert first.optimal == second.optimal
         assert first.flagged == second.flagged
         assert first.flagged_count == second.flagged_count
+
+
+class TestFlaggedRetention:
+    #: 144 evaluations, 74 of them flagged at ``max_index`` 20.
+    #: Points tie at the clamp floor of 2.0, and the 64th and 65th
+    #: most uncertain tie too, so the cap cuts through a tie.
+    HOT = ExplorationSpace(
+        db_sizes=(100, 250, 1000),
+        max_sizes=(12, 24),
+        num_disks=(2,),
+        num_cpus=(1,),
+        write_probs=(0.25, 1.0),
+        ext_think_times=(1.0,),
+        mpls=(5, 25, 100, 200),
+        algorithms=("blocking", "immediate_restart", "optimistic"),
+    )
+    MAX_INDEX = 20.0
+
+    def all_flagged(self):
+        """Every flagged point, in evaluation order."""
+        flagged = []
+        for axes, params in self.HOT.configurations():
+            for algorithm in self.HOT.algorithms:
+                for mpl in self.HOT.mpls:
+                    prediction = surrogate_prediction(
+                        params.with_changes(mpl=mpl), algorithm
+                    )
+                    uncertainty = prediction.uncertainty(self.MAX_INDEX)
+                    if uncertainty > 1.0:
+                        flagged.append({
+                            "axes": axes,
+                            "algorithm": algorithm,
+                            "mpl": mpl,
+                            "predicted": prediction.throughput,
+                            "uncertainty": uncertainty,
+                        })
+        return flagged
+
+    def test_matches_sort_then_slice(self):
+        flagged = self.all_flagged()
+        ranked = sorted(flagged, key=lambda f: -f["uncertainty"])
+        assert len(flagged) > MAX_FLAGGED_RETAINED
+        uncertainties = [f["uncertainty"] for f in ranked]
+        assert uncertainties.count(2.0) > 1
+        assert (
+            uncertainties[MAX_FLAGGED_RETAINED - 1]
+            == uncertainties[MAX_FLAGGED_RETAINED]
+        )
+        report = explore(space=self.HOT, max_index=self.MAX_INDEX)
+        assert report.flagged_count == len(flagged)
+        assert report.flagged == ranked[:MAX_FLAGGED_RETAINED]
 
 
 class TestSpotCheckTriggering:
