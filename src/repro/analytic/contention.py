@@ -524,21 +524,18 @@ def surrogate_prediction(params, algorithm, coeffs=None):
         layout, population, z, mpl, algorithm, k, k_w, db,
         coeffs.alpha, coeffs.beta,
     )
-    if mpl < population:
-        capped = _solve_capped(
-            layout, population, z, mpl, algorithm, k, k_w, db,
-            coeffs.alpha, coeffs.beta,
-        )
-    else:
-        capped = None
-    if capped is not None and closed[7]:
+    if mpl < population and closed[7]:
         # The closed loop drives the in-DBMS population into the mpl
         # cap: admission saturates and the capped solve is the right
         # regime. An interior closed root (cap_binding False) means
         # steady state leaves the admission queue empty — e.g. the
         # adaptive restart delay throttling entry — and the capped
-        # saturation assumption would be wrong.
-        solution, binding = capped, "admission"
+        # saturation assumption would be wrong, so it is not solved.
+        solution = _solve_capped(
+            layout, population, z, mpl, algorithm, k, k_w, db,
+            coeffs.alpha, coeffs.beta,
+        )
+        binding = "admission"
     else:
         solution, binding = closed, "population"
     (throughput, r_in, attempts, blocked, m_eff, converged, clamped,

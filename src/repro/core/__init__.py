@@ -27,7 +27,6 @@ from repro.core.simulation import (
 from repro.core.store import ObjectStore, Version
 from repro.core.transaction import ACTIVE_STATES, Transaction, TxState
 from repro.core.workload import WorkloadGenerator
-from repro.resources import PhysicalModel
 
 __all__ = [
     "SimulationParameters",
@@ -47,7 +46,6 @@ __all__ = [
     "TxState",
     "ACTIVE_STATES",
     "WorkloadGenerator",
-    "PhysicalModel",
     "MetricsCollector",
     "RunningAverage",
     "ObjectStore",

@@ -3,12 +3,13 @@
 * :mod:`repro.experiments.configs` — Experiments 1-5 (and the
   extensions exp6-exp12) as presets.
 * :mod:`repro.experiments.runner` — algorithm x mpl sweep driver.
-* :mod:`repro.experiments.figures` — the figure registry: each of
+* :mod:`repro.experiments.figures` — the claim registry: each of
   Figures 3-21 with its experiment, metrics, caption, pinned run and
-  claim; ``FigureBuilder().reproduce(n)`` regenerates and checks one.
+  claim, and each named finding with its fixed arms, pinned run and
+  claim; ``FigureBuilder().reproduce(key)`` regenerates and checks one.
 * :mod:`repro.experiments.report` — ASCII tables and plots.
 * :mod:`repro.experiments.cli` — the ``repro-experiments`` command;
-  ``--figure N|all`` is the one reproduction path.
+  ``--figure N|NAME|all`` is the one reproduction path.
 """
 
 from repro.experiments.configs import ExperimentConfig, experiment_configs

@@ -2,9 +2,11 @@
 
 Examples::
 
-    # regenerate one figure (or all) at its pinned run and check the
-    # paper's claim; stdout is benchmarks/results/figure08.txt
+    # regenerate one figure or finding (or all) at its pinned run and
+    # check its claim; stdout is benchmarks/results/figure08.txt or
+    # benchmarks/results/victim_policy.txt
     repro-experiments --figure 8
+    repro-experiments --figure victim_policy
     repro-experiments --figure all --workers 2
 
     # run a whole experiment with custom statistics
@@ -63,7 +65,12 @@ import sys
 from repro.cc.registry import algorithm_names, commit_protocol_names
 from repro.experiments.configs import experiment_configs
 from repro.experiments.errors import CheckpointMismatchError
-from repro.experiments.figures import FIGURES, FigureBuilder, figures_of
+from repro.experiments.figures import (
+    FINDINGS,
+    FigureBuilder,
+    figures_of,
+    registry_keys,
+)
 from repro.experiments.report import sweep_report
 from repro.experiments.runner import (
     DEFAULT_RUN,
@@ -108,12 +115,14 @@ def build_parser():
     what.add_argument(
         "--figure",
         type=_figure_arg,
-        choices=[*sorted(FIGURES), "all"],
-        metavar="N|all",
+        choices=[*registry_keys(), "all"],
+        metavar="N|NAME|all",
         help=(
-            "regenerate one paper figure (3..21) or all of them; with "
-            "no run flag, grid restriction or overlay, run each at its "
-            "pinned run and check its claim (exit 1 on a failure)"
+            "regenerate one paper figure (3..21), one named finding "
+            f"({', '.join(FINDINGS)}) "
+            "or all of them; with no run flag, grid restriction or "
+            "overlay, run each at its pinned run and check its claim "
+            "(exit 1 on a failure)"
         ),
     )
     what.add_argument(
@@ -367,8 +376,8 @@ def build_parser():
 
 
 def _figure_arg(text):
-    """A ``--figure`` value: a figure number, or ``all``."""
-    return text if text == "all" else int(text)
+    """A ``--figure`` value: a figure number, a finding name or ``all``."""
+    return int(text) if text.isdigit() else text
 
 
 def resolve_run(args, default=DEFAULT_RUN):
@@ -442,6 +451,17 @@ def main(argv=None):
         parser.error(
             f"--replications must be >= 1, got {args.replications}"
         )
+    if isinstance(args.figure, str) and args.figure != "all":
+        for flag, value in (
+            ("--mpl", args.mpls), ("--algorithm", args.algorithms),
+            ("--checkpoint", args.checkpoint), ("--trace", args.trace),
+            ("--timeseries", args.timeseries), ("--csv", args.csv),
+        ):
+            if value:
+                parser.error(
+                    f"{flag} applies to figure sweeps; a finding's arms "
+                    "are fixed runs"
+                )
     if args.single is not None and args.invariants == "spot":
         parser.error(
             "--invariants spot audits sweeps; use strict/warn/off "
@@ -708,28 +728,29 @@ def _dispatch(args):
 
 
 def _reproduce_figures(args, builder):
-    """``--figure N|all``: print each figure's table text, check it.
+    """``--figure N|NAME|all``: print each entry's table text, check it.
 
-    The pinned reproduction (:attr:`FigureBuilder.pinned`) prints text
-    byte-identical to ``benchmarks/results/figureNN.txt`` and writes
-    each figure's claim and bounds-oracle verdict to stderr. Other runs
-    are not checked. Returns the distinct sweeps and whether any check
-    failed.
+    The pinned reproduction (see :meth:`FigureBuilder.reproduce`)
+    prints text byte-identical to ``benchmarks/results/figureNN.txt``
+    or ``benchmarks/results/NAME.txt`` and writes each entry's claim
+    and bounds-oracle verdict to stderr. Other runs are not checked.
+    Returns the distinct sweeps and whether any check failed.
     """
-    numbers = sorted(FIGURES) if args.figure == "all" else [args.figure]
+    keys = registry_keys() if args.figure == "all" else [args.figure]
     sweeps = {}
     failed = False
-    for number in numbers:
-        reproduction = builder.reproduce(
-            number, with_plots=not args.no_plots
-        )
+    for key in keys:
+        reproduction = builder.reproduce(key, with_plots=not args.no_plots)
         print(reproduction.text, end="", flush=True)
         data = reproduction.data
-        sweeps[data.experiment_id] = data.sweep
+        if isinstance(key, int):
+            name, runs = f"figure {key}", f"{len(data.sweep.results)} points"
+            sweeps[data.experiment_id] = data.sweep
+        else:
+            name, runs = key, f"{len(data.arms)} arms"
         if reproduction.failures is None:
             print(
-                f"figure {number}: claim not checked: not the pinned "
-                "reproduction",
+                f"{name}: claim not checked: not the pinned reproduction",
                 file=sys.stderr,
             )
         elif reproduction.failures:
@@ -738,9 +759,8 @@ def _reproduce_figures(args, builder):
                 print(f"FAILED {message}", file=sys.stderr)
         else:
             print(
-                f"figure {number}: claim holds; all "
-                f"{len(data.sweep.results)} points within the "
-                "operational bounds",
+                f"{name}: claim holds; all {runs} within the operational "
+                "bounds",
                 file=sys.stderr,
             )
     return list(sweeps.values()), failed

@@ -8,7 +8,8 @@ constructs whichever one ``SimulationParameters.resource_model`` names:
 
 * ``classic`` — the paper's Figure 2 tier: pooled CPUs + uniformly
   partitioned disks (bit-identical to the original hard-coded model);
-* ``infinite`` — unbounded servers, no queueing (paper Section 4);
+  ``num_cpus``/``num_disks`` of None make a resource infinite (paper
+  Section 4);
 * ``buffered`` — a buffer pool in front of the disks (LRU or fixed hit
   ratio): disk service only on a miss;
 * ``skewed_disks`` — explicit object→disk placement, so hot-spot
@@ -24,7 +25,6 @@ from repro.resources.base import CC_PRIORITY, OBJECT_PRIORITY, ResourceModel
 from repro.resources.buffered import BufferedResourceModel
 from repro.resources.classic import ClassicResourceModel
 from repro.resources.distributed import DistributedResourceModel
-from repro.resources.infinite import InfiniteResourceModel
 from repro.resources.registry import (
     create_resource_model,
     register_resource_model,
@@ -32,19 +32,12 @@ from repro.resources.registry import (
 )
 from repro.resources.skewed import SkewedDisksResourceModel
 
-#: Historical name for the classic tier: the class name of the removed
-#: ``repro.core.physical`` module, still exported here and by
-#: :mod:`repro.core`.
-PhysicalModel = ClassicResourceModel
-
 __all__ = [
     "ResourceModel",
     "ClassicResourceModel",
-    "InfiniteResourceModel",
     "BufferedResourceModel",
     "SkewedDisksResourceModel",
     "DistributedResourceModel",
-    "PhysicalModel",
     "create_resource_model",
     "register_resource_model",
     "resource_model_names",

@@ -38,7 +38,7 @@ Accounting and hooks:
   utilization instruments;
 * ``faults`` — optional :class:`~repro.faults.FaultInjector`, attached
   by its ``start()``; ``disk_fault_targets()`` names the finite disks a
-  disk-fault process may claim (empty for infinite models);
+  disk-fault process may claim (empty for infinite disks);
 * ``buffer_summary()`` — cache statistics for models with a buffer
   pool (None for models without one);
 * ``describe_resources()`` — per-model resource labels for reports and
@@ -79,10 +79,10 @@ _DISK_PICK_BATCH = 256
 class ResourceModel:
     """Base resource model: CPU pool + partitioned disks + accounting.
 
-    Subclasses override :meth:`_resource_counts` (how many servers to
-    instantiate), the service composites (``read_access`` /
-    ``deferred_update``), or both. See the registered models:
-    ``classic``, ``infinite``, ``buffered``, ``skewed_disks``.
+    Subclasses override the service composites (``read_access`` /
+    ``deferred_update``), :meth:`_build_resources`, or both. See the
+    registered models: ``classic``, ``buffered``, ``skewed_disks``,
+    ``distributed``.
     """
 
     #: Registry name; subclasses must set a unique non-empty string.
@@ -120,15 +120,6 @@ class ResourceModel:
 
     # -- construction hooks --------------------------------------------------
 
-    def _resource_counts(self):
-        """``(num_cpus, num_disks)`` to instantiate; None = infinite.
-
-        The default honors the parameters as-is (the paper's in-band
-        infinite-resources convention); the ``infinite`` model overrides
-        this to force infinite servers regardless of the counts.
-        """
-        return self.params.num_cpus, self.params.num_disks
-
     def _build_resources(self):
         """Instantiate the server pools and their utilization trackers.
 
@@ -139,7 +130,7 @@ class ResourceModel:
         utilization trackers stay uniform).
         """
         env = self.env
-        num_cpus, num_disks = self._resource_counts()
+        num_cpus, num_disks = self.params.num_cpus, self.params.num_disks
         if num_cpus is None:
             self.cpu = InfiniteResource(env)
             cpu_capacity = float("inf")
@@ -442,7 +433,7 @@ class ResourceModel:
 
     def describe_resources(self):
         """Per-model resource labels (reports, diagnostics)."""
-        num_cpus, num_disks = self._resource_counts()
+        num_cpus, num_disks = self.params.num_cpus, self.params.num_disks
         return {
             "model": self.name,
             "cpus": "inf" if num_cpus is None else num_cpus,

@@ -5,14 +5,12 @@ A pool of identical CPU servers drains one global queue FCFS
 uniformly partitioned across the disks: each object access selects a
 disk uniformly at random and waits in that disk's FCFS queue.
 
-This is the physical tier once hard-coded as
-``repro.core.physical.PhysicalModel`` (a module since removed), now
-behind the resource-model interface and bit-identical for fixed seeds
-(golden-output verified in ``tests/resources/test_golden_parity.py``).
-It keeps the in-band infinite-resources convention for backward
-compatibility: ``num_cpus``/``num_disks`` of None makes the
-corresponding resource infinite — the ``infinite`` model is the
-explicit spelling of that branch.
+This is the physical tier once hard-coded in the since-removed
+``repro.core.physical`` module, now behind the resource-model
+interface and bit-identical for fixed seeds (golden-output verified in
+``tests/resources/test_golden_parity.py``). It keeps the paper's
+in-band infinite-resources convention: ``num_cpus``/``num_disks`` of
+None makes the corresponding resource infinite.
 """
 
 from repro.resources.base import ResourceModel

@@ -127,7 +127,7 @@ class DistributedResourceModel(ResourceModel):
         env = self.env
         params = self.params
         self.nodes = params.nodes
-        num_cpus, num_disks = self._resource_counts()
+        num_cpus, num_disks = params.num_cpus, params.num_disks
         self.disks_per_node = num_disks
         self._cpus_per_node = num_cpus
         self._striped = params.disk_placement == PLACEMENT_STRIPED

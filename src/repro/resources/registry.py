@@ -9,14 +9,12 @@ from repro.resources.base import ResourceModel
 from repro.resources.buffered import BufferedResourceModel
 from repro.resources.classic import ClassicResourceModel
 from repro.resources.distributed import DistributedResourceModel
-from repro.resources.infinite import InfiniteResourceModel
 from repro.resources.skewed import SkewedDisksResourceModel
 
 _MODELS = {
     cls.name: cls
     for cls in (
         ClassicResourceModel,
-        InfiniteResourceModel,
         BufferedResourceModel,
         SkewedDisksResourceModel,
         DistributedResourceModel,

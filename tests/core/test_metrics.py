@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import RunningAverage, SimulationParameters
 from repro.core.metrics import MetricsCollector
-from repro.resources import PhysicalModel
+from repro.resources import ClassicResourceModel
 from repro.core.transaction import Transaction
 from repro.des import Environment, StreamFactory
 
@@ -24,7 +24,7 @@ class TestRunningAverage:
 def make_collector():
     env = Environment()
     params = SimulationParameters.table2()
-    physical = PhysicalModel(env, params, StreamFactory(1))
+    physical = ClassicResourceModel(env, params, StreamFactory(1))
     return env, MetricsCollector(env, params, physical)
 
 

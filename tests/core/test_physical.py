@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SimulationParameters
-from repro.resources import CC_PRIORITY, PhysicalModel
+from repro.resources import CC_PRIORITY, ClassicResourceModel
 from repro.core.transaction import Transaction
 from repro.des import Environment, InfiniteResource, Resource, StreamFactory
 
@@ -13,7 +13,7 @@ def build(num_cpus=1, num_disks=2, **overrides):
         num_cpus=num_cpus, num_disks=num_disks, **overrides
     )
     env = Environment()
-    physical = PhysicalModel(env, params, StreamFactory(5))
+    physical = ClassicResourceModel(env, params, StreamFactory(5))
     return env, physical, params
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.cli import build_parser, main, resolve_run
-from repro.experiments.figures import FIGURES, FigureBuilder
+from repro.experiments.figures import FIGURES, FINDINGS, FigureBuilder
 from repro.experiments.runner import DEFAULT_RUN, QUICK_RUN
 
 
@@ -23,6 +23,32 @@ class TestParser:
         for value in ("2", "22", "every"):
             with pytest.raises(SystemExit):
                 parser.parse_args(["--figure", value])
+
+    def test_figure_accepts_finding_names(self):
+        parser = build_parser()
+        for name in FINDINGS:
+            assert parser.parse_args(["--figure", name]).figure == name
+
+    def test_unknown_finding_exits_2_listing_the_names(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--figure", "no_such_finding"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "no_such_finding" in err
+        for name in FINDINGS:
+            assert name in err
+
+    def test_finding_rejects_sweep_flags(self, capsys):
+        for flags in (
+            ["--mpl", "5"], ["--algorithm", "blocking"],
+            ["--checkpoint", "ckpt"], ["--trace"], ["--timeseries", "2"],
+            ["--csv", "out.csv"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--figure", "victim_policy", *flags])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"{flags[0]} applies to figure sweeps" in err
 
     def test_experiment_and_figure_mutually_exclusive(self):
         parser = build_parser()
@@ -120,6 +146,42 @@ class TestMain:
         captured = capsys.readouterr()
         assert verdict in captured.err
         assert "claim not checked" not in captured.err
+        assert captured.out.startswith("=" * 72)
+
+    def test_unpinned_finding_run_is_not_checked(self, capsys):
+        code = main([
+            "--figure", "upgrade_policy",
+            "--batches", "1", "--batch-time", "3", "--warmup-batches", "0",
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "Finding upgrade_policy: " in captured.out
+        assert (
+            "upgrade_policy: claim not checked: not the pinned reproduction"
+            in captured.err
+        )
+
+    @pytest.mark.parametrize("claim, code, verdict", [
+        (lambda data: [], 0,
+         "upgrade_policy: claim holds; all 2 arms within the operational "
+         "bounds"),
+        (lambda data: ["upgrade_policy: forced"], 1,
+         "FAILED upgrade_policy: forced"),
+    ])
+    def test_pinned_finding_run_reports_its_verdict(
+        self, capsys, monkeypatch, claim, code, verdict
+    ):
+        # A tiny pinned run stands in for the real one: the verdict and
+        # the exit status are under test, not the finding's numbers.
+        monkeypatch.setitem(FINDINGS, "upgrade_policy", replace(
+            FINDINGS["upgrade_policy"], claim=claim,
+            run=QUICK_RUN.with_changes(
+                batches=2, batch_time=3.0, warmup_batches=0
+            ),
+        ))
+        assert main(["--figure", "upgrade_policy"]) == code
+        captured = capsys.readouterr()
+        assert verdict in captured.err
         assert captured.out.startswith("=" * 72)
 
     def test_experiment_run(self, capsys):

@@ -1,18 +1,27 @@
-"""Tests for the figure registry, its builder and the figure claims."""
+"""Tests for the claim registry (figures and findings), its builder and
+the claims."""
 
+import functools
+import os
 from dataclasses import replace
 
 import pytest
 
+from repro.cc.blocking import BlockingCC
 from repro.core import RunConfig
 from repro.experiments import FigureBuilder, FigureData, experiment_configs
 from repro.experiments import figures as figures_module
 from repro.experiments.figures import (
     FIGURES,
+    FINDINGS,
     PINNED_RUN,
     THINK_RUN,
+    FindingData,
+    algorithm_label,
     figures_of,
     pinned_run,
+    registry_keys,
+    table_name,
 )
 from repro.experiments.runner import QUICK_RUN
 
@@ -261,3 +270,236 @@ class TestClaims:
                 message.startswith(f"Figure {number}: ")
                 for message in failures
             )
+
+
+RESULTS_DIR = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "results"
+)
+
+
+class TestFindingRegistry:
+    def test_eight_findings_of_49_arms(self):
+        assert list(FINDINGS) == [
+            "restart_delay", "victim_policy", "extensions",
+            "static_locking", "hotspot", "deadlock_detection",
+            "upgrade_policy", "granularity",
+        ]
+        assert sum(len(entry.arms) for entry in FINDINGS.values()) == 49
+
+    def test_every_entry_has_a_claim_pinned_run_and_unique_arms(self):
+        for name, entry in FINDINGS.items():
+            assert entry.name == name
+            assert entry.claim.__doc__.startswith(f"{name} — ")
+            assert entry.run == PINNED_RUN
+            keys = [
+                (label, algorithm_label(algorithm))
+                for label, _, algorithm in entry.arms
+            ]
+            assert len(set(keys)) == len(keys)
+
+    def test_registry_keys_are_figures_then_findings(self):
+        assert registry_keys() == [*range(3, 22), *FINDINGS]
+
+    def test_every_key_has_exactly_one_table(self):
+        tables = sorted(os.listdir(RESULTS_DIR))
+        expected = sorted(table_name(key) for key in registry_keys())
+        # No table without a key, no key without a table.
+        assert tables == expected
+        assert table_name(3) == "figure03.txt"
+        assert table_name("victim_policy") == "victim_policy.txt"
+
+    def test_algorithm_label(self):
+        assert algorithm_label("mvto") == "mvto"
+        assert algorithm_label(
+            functools.partial(BlockingCC, victim_policy="oldest")
+        ) == "blocking(victim_policy=oldest)"
+
+    def test_unknown_finding_rejected(self, builder):
+        with pytest.raises(ValueError, match="victim_policy"):
+            builder.finding("no_such_finding")
+
+
+class TestFindingBuilder:
+    def test_unpinned_finding_runs_every_arm_unchecked(self, builder):
+        reproduction = builder.reproduce("upgrade_policy")
+        assert reproduction.failures is None
+        data = reproduction.data
+        assert [(label, algorithm) for label, algorithm, _ in data.arms] == [
+            ("upgrade", "blocking"),
+            ("immediate_exclusive",
+             "blocking(write_lock_policy=immediate_exclusive)"),
+        ]
+        assert data.run == TINY_RUN
+        assert data["upgrade"].algorithm == "blocking"
+        lines = reproduction.text.splitlines()
+        assert lines[1].startswith("Finding upgrade_policy: ")
+        assert lines[2] == (
+            "(run: 2 batches of 5 s after 0 warmup, seed 17; throughput "
+            "± 90% half-width)"
+        )
+        assert lines[4].split() == [
+            "label", "algorithm", "throughput", "(tps)",
+            "blocks/commit", "restarts/commit",
+        ]
+        assert len(lines) == 6 + len(data.arms)
+
+    def test_overlays_apply_to_every_arm(self):
+        data = FigureBuilder(run=TINY_RUN, nodes=2).finding("upgrade_policy")
+        assert all(result.params.nodes == 2 for _, _, result in data.arms)
+
+    def test_pinned_finding_checks_every_arm_and_the_claim(self, monkeypatch):
+        def over_the_ceiling(result):
+            raise AssertionError("over the ceiling")
+
+        monkeypatch.setattr(
+            figures_module, "check_result_against_bounds", over_the_ceiling
+        )
+        monkeypatch.setitem(FINDINGS, "upgrade_policy", replace(
+            FINDINGS["upgrade_policy"], run=TINY_RUN,
+            claim=lambda data: ["upgrade_policy: forced"],
+        ))
+        failures = FigureBuilder().reproduce("upgrade_policy").failures
+        assert failures == [
+            "upgrade_policy: upgrade [blocking] breaks the operational "
+            "bounds: over the ceiling",
+            "upgrade_policy: immediate_exclusive "
+            "[blocking(write_lock_policy=immediate_exclusive)] breaks the "
+            "operational bounds: over the ceiling",
+            "upgrade_policy: forced",
+        ]
+
+    def test_lookup_needs_exactly_one_arm(self):
+        data = FindingData("x", "x", TINY_RUN, [
+            ("a", "blocking", 1), ("a", "optimistic", 2), ("b", "mvto", 3),
+        ])
+        assert data["b"] == 3
+        assert data["a", "optimistic"] == 2
+        with pytest.raises(KeyError):
+            data["a"]
+        with pytest.raises(KeyError):
+            data["c"]
+
+
+class StubResult:
+    """What a finding's claim reads of a SimulationResult."""
+
+    def __init__(self, throughput, blocks=0.0, restarts=0.0, commits=500,
+                 restart_count=None):
+        self.throughput = throughput
+        self._means = {"block_ratio": blocks, "restart_ratio": restarts}
+        if restart_count is None:
+            restart_count = round(restarts * commits)
+        self.totals = {"commits": commits, "restarts": restart_count}
+
+    def mean(self, name):
+        return self._means[name]
+
+
+def finding_data(name, results):
+    """FindingData of finding ``name`` with ``results`` in arm order."""
+    entry = FINDINGS[name]
+    assert len(results) == len(entry.arms)
+    return FindingData(name, entry.title, entry.run, [
+        (label, algorithm_label(algorithm), result)
+        for (label, _, algorithm), result in zip(entry.arms, results)
+    ])
+
+
+def stubs(throughputs, blocks=None, restarts=None):
+    blocks = blocks or [0.0] * len(throughputs)
+    restarts = restarts or [0.0] * len(throughputs)
+    return [
+        StubResult(t, b, r) for t, b, r in zip(throughputs, blocks, restarts)
+    ]
+
+
+#: Finding -> (results the claim accepts, results it rejects, a message
+#: the rejection carries), each shaped like the pinned table.
+SYNTHETIC = {
+    "restart_delay": (
+        stubs([24.75, 33.96, 50.81, 34.83, 18.67, 49.31]),
+        stubs([24.75, 33.96, 40.0, 45.0, 50.81, 20.0]),
+        "optimum delay should be interior, got fixed 60 s",
+    ),
+    "victim_policy": (
+        stubs([4.675, 4.512, 4.625]),
+        stubs([4.675, 1.2 * 4.675, 4.625]),
+        "youngest should not lose to oldest by more than 10%",
+    ),
+    "extensions": (
+        stubs(
+            [5.46, 4.62, 4.51, 4.60, 4.62, 5.28, 5.03,
+             4.68, 2.49, 3.06, 2.67, 2.71, 4.30, 3.33],
+        ),
+        stubs(
+            [5.46, 4.62, 4.51, 4.60, 4.62, 5.28, 5.03,
+             4.68, 2.49, 3.06, 2.67, 2.71, 4.30, 3.33],
+            blocks=[0.0] * 4 + [0.01] + [0.0] * 9,
+        ),
+        "mvto must never block a read (mpl 25)",
+    ),
+    "static_locking": (
+        stubs(
+            [4.98, 5.46, 4.68, 3.54, 4.91, 5.60, 5.69, 5.69],
+            restarts=[0.005, 0.037, 0.245, 0.775, 0.0, 0.0, 0.0, 0.0],
+        ),
+        stubs(
+            [4.98, 5.46, 4.68, 3.54, 4.91, 5.60, 5.69, 5.69],
+            restarts=[0.005, 0.037, 0.245, 0.775, 0.0, 0.0, 0.1, 0.0],
+        ),
+        "static locking must never restart (mpl 100)",
+    ),
+    "hotspot": (
+        stubs(
+            [5.15, 3.91, 4.81, 3.14, 2.64, 1.90, 0.76, 0.86],
+            blocks=[0.83, 0.0, 1.36, 0.0, 5.75, 0.0, 28.20, 0.0],
+            restarts=[0.0, 0.51, 0.0, 0.94, 0.0, 2.35, 0.0, 6.73],
+        ),
+        stubs(
+            [5.15, 3.91, 4.81, 3.14, 2.64, 1.90, 2.0, 0.86],
+            blocks=[0.83, 0.0, 1.36, 0.0, 5.75, 0.0, 5.0, 0.0],
+            restarts=[0.0, 0.51, 0.0, 0.94, 0.0, 2.35, 0.0, 6.73],
+        ),
+        "blocking should exceed 10 blocks/commit at extreme 2/80",
+    ),
+    "deadlock_detection": (
+        stubs([2.50, 2.50, 1.89, 0.66]),
+        stubs([1.0, 2.50, 1.89, 0.66]),
+        "on-block detection should reach 85% of the best periodic scan",
+    ),
+    "upgrade_policy": (
+        stubs([2.60, 3.30], restarts=[1.217, 0.324]),
+        stubs([2.60, 3.30], restarts=[1.217, 1.5]),
+        "immediate_exclusive should not restart more than upgrade",
+    ),
+    "granularity": (
+        stubs(
+            [0.45, 0.57, 2.65, 5.46],
+            blocks=[31.18, 31.66, 4.97, 0.37],
+            restarts=[15.08, 12.92, 1.35, 0.04],
+        ),
+        stubs(
+            [0.45, 0.57, 2.65, 3.0],
+            blocks=[31.18, 31.66, 4.97, 0.37],
+            restarts=[15.08, 12.92, 1.35, 0.04],
+        ),
+        "object-level locking should beat 100 granules by 1.5x",
+    ),
+}
+
+
+class TestFindingClaims:
+    def test_every_finding_has_synthetic_cases(self):
+        assert set(SYNTHETIC) == set(FINDINGS)
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC))
+    def test_claim_holds_for_the_pinned_shape(self, name):
+        holding, _, _ = SYNTHETIC[name]
+        assert FINDINGS[name].claim(finding_data(name, holding)) == []
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC))
+    def test_claim_fails_when_the_shape_breaks(self, name):
+        _, failing, message = SYNTHETIC[name]
+        failures = FINDINGS[name].claim(finding_data(name, failing))
+        assert f"{name}: {message}" in failures
+        assert all(failure.startswith(f"{name}: ") for failure in failures)

@@ -1,7 +1,7 @@
 """Golden-output parity: the registry refactor changed no behavior.
 
 The digests below were generated by the pre-refactor code (the
-``PhysicalModel`` then hard-coded in ``repro.core.physical``, a module
+physical tier then hard-coded in ``repro.core.physical``, a module
 since removed) at commit 8ba5005,
 for all three paper algorithms under finite and infinite resources.
 The ``classic`` resource model — and the in-band infinite branch it
@@ -64,19 +64,3 @@ def test_classic_matches_pre_refactor_golden(algorithm, resources):
     result = run_simulation(params, algorithm=algorithm, run=RUN)
     assert _fingerprint(result) == GOLDEN[(algorithm, resources)]
 
-
-@pytest.mark.parametrize("algorithm", ["blocking", "optimistic"])
-def test_explicit_infinite_model_matches_in_band_none(algorithm):
-    """``infinite`` is exactly the classic None/None branch.
-
-    The explicit model must reproduce the in-band spelling bit-for-bit
-    — including against the pre-refactor golden digests — even when the
-    parameter set carries finite counts for it to ignore.
-    """
-    explicit = run_simulation(
-        FINITE.with_changes(resource_model="infinite"),
-        algorithm=algorithm, run=RUN,
-    )
-    assert (
-        _fingerprint(explicit) == GOLDEN[(algorithm, "infinite")]
-    )

@@ -7,7 +7,6 @@ from repro.des import Environment, InfiniteResource, StreamFactory
 from repro.resources import (
     BufferedResourceModel,
     ClassicResourceModel,
-    InfiniteResourceModel,
     ResourceModel,
     SkewedDisksResourceModel,
     create_resource_model,
@@ -28,16 +27,18 @@ class TestRegistry:
     def test_ships_at_least_four_models(self):
         names = resource_model_names()
         assert len(names) >= 4
-        assert {"classic", "infinite", "buffered", "skewed_disks"} <= set(
+        assert {"classic", "buffered", "skewed_disks", "distributed"} <= set(
             names
         )
+        # One configuration, one spelling: infinite resources are
+        # num_cpus/num_disks of None, not a model of their own.
+        assert "infinite" not in names
 
     def test_names_are_sorted(self):
         assert resource_model_names() == sorted(resource_model_names())
 
     def test_create_by_name(self):
         assert isinstance(make("classic"), ClassicResourceModel)
-        assert isinstance(make("infinite"), InfiniteResourceModel)
         assert isinstance(make("buffered"), BufferedResourceModel)
         assert isinstance(
             make("skewed_disks"), SkewedDisksResourceModel
@@ -73,8 +74,8 @@ class TestInterface:
         assert len(model.disks) == 4
         assert len(model.disk_fault_targets()) == 4
 
-    def test_infinite_ignores_parameter_counts(self):
-        model = make("infinite", num_cpus=3, num_disks=4)
+    def test_classic_none_counts_are_infinite(self):
+        model = make("classic", num_cpus=None, num_disks=None)
         assert isinstance(model.cpu, InfiniteResource)
         assert isinstance(model.disks[0], InfiniteResource)
         # No crashable disks: the fault injector must refuse, not no-op.
@@ -82,7 +83,6 @@ class TestInterface:
 
     def test_buffer_summary_default_is_none(self):
         assert make("classic").buffer_summary() is None
-        assert make("infinite").buffer_summary() is None
         assert make("skewed_disks").buffer_summary() is None
         assert make("buffered").buffer_summary() is not None
 
@@ -91,7 +91,7 @@ class TestInterface:
         assert classic.describe_resources() == {
             "model": "classic", "cpus": 1, "disks": 2,
         }
-        infinite = make("infinite")
+        infinite = make("classic", num_cpus=None, num_disks=None)
         assert infinite.describe_resources()["cpus"] == "inf"
         buffered = make("buffered", buffer_capacity=50)
         assert buffered.describe_resources()["buffer"] == "lru:50"
@@ -105,8 +105,3 @@ class TestInterface:
             SimulationParameters.table2(resource_model="buffered")
         )
         assert isinstance(model.physical, BufferedResourceModel)
-
-    def test_physical_model_shim_is_classic(self):
-        from repro.resources import PhysicalModel
-
-        assert PhysicalModel is ClassicResourceModel
