@@ -8,8 +8,14 @@ This is the library's main entry point::
     result = run_simulation(params, algorithm="blocking",
                             run=RunConfig(batches=20, batch_time=30.0))
     print(result.mean("throughput"), result.interval("throughput"))
+
+Every driver steps one batch loop and assembles its results one way:
+:func:`run_point_replications` carves a point's replications from one
+trajectory, :func:`run_simulation` is its one-replication case, and
+:func:`run_until_precision` differs only in its stopping rule.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -18,11 +24,16 @@ from repro.core.params import RunConfig, SimulationParameters
 from repro.obs.invariants import InvariantChecker, resolve_invariant_mode
 from repro.stats import BatchMeansAnalyzer, assess_stability
 
-__all__ = ["SimulationResult", "run_simulation", "run_until_precision"]
+__all__ = [
+    "SimulationResult",
+    "run_point_replications",
+    "run_simulation",
+    "run_until_precision",
+]
 
 
 def _collect_totals(model):
-    """Cumulative whole-run totals (shared by both drivers)."""
+    """Cumulative whole-run totals, as of the model's current time."""
     totals = {
         "commits": model.metrics.commits.total,
         "restarts": model.metrics.restarts.total,
@@ -66,38 +77,6 @@ def _collect_totals(model):
             open_totals.update(extra)
         totals["open_system"] = open_totals
     return totals
-
-
-def _buffer_diagnostics(model):
-    """The diagnostics payload for buffer-pool models (else None)."""
-    buffer = model.physical.buffer_summary()
-    if buffer is None:
-        return None
-    return {"buffer": dict(buffer)}
-
-
-def _resolve_checker(invariants, subscribers):
-    """(checker or None, subscribers) for the requested invariant mode.
-
-    ``invariants`` is ``"strict"``/``"warn"``/``"off"``/None (None
-    defers to the ``REPRO_INVARIANTS`` environment variable, default
-    off). The checker joins the subscriber list, so it rides the same
-    attach path as every other observer; ``"off"`` attaches nothing at
-    all, which keeps the bus's fast-path flags down and the hot loops
-    allocation-free.
-    """
-    mode = resolve_invariant_mode(invariants)
-    if mode == "off":
-        return None, subscribers
-    checker = InvariantChecker(mode=mode)
-    return checker, (*tuple(subscribers), checker)
-
-
-def _merge_invariant_diagnostics(diagnostics, checker):
-    """Fold the checker's report into a diagnostics payload."""
-    if checker is None:
-        return diagnostics
-    return {**(diagnostics or {}), "invariants": checker.report()}
 
 
 @dataclass
@@ -166,6 +145,143 @@ class SimulationResult:
         return line
 
 
+def _open_trajectory(params, algorithm, run, workload, subscribers,
+                     invariants):
+    """``(model, checker)``: one seeded trajectory, observers attached.
+
+    ``invariants`` is ``"strict"``/``"warn"``/``"off"``/None (None
+    defers to the ``REPRO_INVARIANTS`` environment variable, default
+    off). The checker joins the subscribers, so it rides the same
+    attach path as every other observer; ``"off"`` attaches nothing at
+    all, which keeps the bus's fast-path flags down and the hot loops
+    allocation-free.
+    """
+    mode = resolve_invariant_mode(invariants)
+    checker = None if mode == "off" else InvariantChecker(mode=mode)
+    if checker is not None:
+        subscribers = (*subscribers, checker)
+    model = SystemModel(
+        params,
+        algorithm=algorithm,
+        seed=run.seed,
+        workload=workload,
+        subscribers=subscribers,
+    )
+    return model, checker
+
+
+def _batch_values(model, batch_time):
+    """Advance ``model`` one batch per step; yield each batch's values.
+
+    The library's one batch loop: batch ``i`` (1-based) ends at
+    ``i * batch_time`` simulated seconds, and its per-batch output
+    variables are the metrics' change across it. The generator never
+    ends on its own; each driver's stopping rule ends it.
+    """
+    metrics, env = model.metrics, model.env
+    for boundary in itertools.count(1):
+        snapshot = metrics.snapshot()
+        env.run(until=boundary * batch_time)
+        yield metrics.batch_values(snapshot)
+
+
+def _end_of_run(model, params, run, analyzer, checker, extra=None):
+    """The :class:`SimulationResult` of a run ending at this boundary.
+
+    Every totals source is cumulative and non-mutating, so a result
+    read at a batch boundary equals what a run stopping there collects
+    at its end. The diagnostics hold the buffer pool's summary (buffer
+    models only), the checker's report and ``extra`` (a dict or None);
+    None when all three are absent.
+    """
+    diagnostics = {}
+    buffer = model.physical.buffer_summary()
+    if buffer is not None:
+        diagnostics["buffer"] = dict(buffer)
+    if checker is not None:
+        diagnostics["invariants"] = checker.report()
+    diagnostics.update(extra or {})
+    return SimulationResult(
+        algorithm=model.cc.name,
+        params=params,
+        run=run,
+        analyzer=analyzer,
+        totals=_collect_totals(model),
+        diagnostics=diagnostics or None,
+    )
+
+
+def run_point_replications(params, algorithm, run, replications,
+                           workload=None, batch_callback=None,
+                           invariants=None, subscribers=(),
+                           boundary_diagnostics=None):
+    """One fused trajectory; all ``replications`` results carved from it.
+
+    Replication ``r`` is the ``r``-th ``run.batches``-sized segment of
+    one deterministic trajectory (``warmup_batches = w + r*B``).
+    Running each as its own trajectory would re-simulate the prefix
+    every time; this simulates ``w + R*B`` batches once. ``R``
+    :class:`~repro.stats.BatchMeansAnalyzer`\\ s, one per replication
+    and with its warmup, record the same per-batch values, and each
+    replication's totals and diagnostics are read at its end boundary.
+
+    Returns a list of ``replications`` :class:`SimulationResult`\\ s;
+    element ``r`` is bit-identical to ``run_simulation(params,
+    algorithm, run=run.with_changes(warmup_batches=run.warmup_batches
+    + r * run.batches))`` (both read the same model, same seed, same
+    event order, at the same boundaries), and ``run_simulation`` is
+    itself the ``replications=1`` case. ``batch_callback`` fires with
+    the model after every batch boundary (warmup included); it exists
+    for run supervision — the sweep runner's stall watchdog and
+    wall-clock deadline live there — and may raise to abort the run,
+    the exception propagating unchanged. ``workload`` is forwarded to
+    the model (the sweep runner passes a tape-backed source).
+
+    ``subscribers`` observe the whole trajectory.
+    ``boundary_diagnostics`` (a zero-argument callable returning a dict
+    or None) is read at each replication's end boundary and merged into
+    that replication's diagnostics — the sweep runner reports its time
+    series and trace file there, so replication ``r`` sees exactly what
+    a stand-alone run of it would have observed.
+    """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    model, checker = _open_trajectory(
+        params, algorithm, run, workload, subscribers, invariants
+    )
+    warmup, batches = run.warmup_batches, run.batches
+    # Analyzer r retires at replication r's end boundary: the
+    # stand-alone run of r has stopped there, so it must not see later
+    # batches.
+    active = [
+        BatchMeansAnalyzer(
+            warmup_batches=warmup + rep * batches,
+            confidence=run.confidence,
+        )
+        for rep in range(replications)
+    ]
+    results = []
+    for index, values in enumerate(
+            _batch_values(model, run.batch_time), 1):
+        for analyzer in active:
+            analyzer.record(values)
+        if batch_callback is not None:
+            batch_callback(model)
+        rep = len(results)
+        if index < warmup + (rep + 1) * batches:
+            continue
+        results.append(_end_of_run(
+            model, params,
+            run if rep == 0 else run.with_changes(
+                warmup_batches=warmup + rep * batches
+            ),
+            active.pop(0), checker,
+            boundary_diagnostics() if boundary_diagnostics else None,
+        ))
+        if not active:
+            return results
+
+
 def run_simulation(params, algorithm="blocking", run=None, seed=None,
                    batch_callback=None, subscribers=(), invariants=None,
                    workload=None):
@@ -173,7 +289,10 @@ def run_simulation(params, algorithm="blocking", run=None, seed=None,
 
     ``run.warmup_batches`` initial batches are simulated but discarded;
     each retained batch contributes one sample per output variable.
-    ``seed`` overrides ``run.seed`` when given.
+    ``seed`` overrides ``run.seed`` when given. This is the one-
+    replication case of :func:`run_point_replications`, the executor
+    every sweep point runs on, so a stand-alone run and a sweep point
+    share one code path.
 
     ``workload`` substitutes the model's transaction source (anything
     with a ``new_transaction(terminal_id)`` method and a ``generated``
@@ -207,35 +326,13 @@ def run_simulation(params, algorithm="blocking", run=None, seed=None,
         run = RunConfig()
     if seed is not None:
         run = run.with_changes(seed=seed)
-    checker, subscribers = _resolve_checker(invariants, subscribers)
-    model = SystemModel(
-        params,
-        algorithm=algorithm,
-        seed=run.seed,
+    return run_point_replications(
+        params, algorithm, run, 1,
         workload=workload,
+        batch_callback=batch_callback,
+        invariants=invariants,
         subscribers=subscribers,
-    )
-    analyzer = BatchMeansAnalyzer(
-        warmup_batches=run.warmup_batches, confidence=run.confidence
-    )
-    total_batches = run.batches + run.warmup_batches
-    for batch_index in range(total_batches):
-        snapshot = model.metrics.snapshot()
-        model.run_until((batch_index + 1) * run.batch_time)
-        analyzer.record(model.metrics.batch_values(snapshot))
-        if batch_callback is not None:
-            batch_callback(model)
-    totals = _collect_totals(model)
-    return SimulationResult(
-        algorithm=model.cc.name,
-        params=params,
-        run=run,
-        analyzer=analyzer,
-        totals=totals,
-        diagnostics=_merge_invariant_diagnostics(
-            _buffer_diagnostics(model), checker
-        ),
-    )
+    )[0]
 
 
 def run_until_precision(params, algorithm="blocking", run=None,
@@ -252,8 +349,12 @@ def run_until_precision(params, algorithm="blocking", run=None,
     ``max_batches``, whichever comes first). A minimum of three batches
     is always collected so the interval is meaningful.
 
-    Returns a :class:`SimulationResult` whose ``run.batches`` reflects
-    the number of batches actually retained.
+    It steps the same batch loop and assembles its result the same way
+    as :func:`run_simulation`; only the stopping rule differs, so a run
+    that stops after ``N`` retained batches is bit-identical to
+    ``run_simulation`` with ``batches=N``. Returns a
+    :class:`SimulationResult` whose ``run.batches`` reflects the number
+    of batches actually retained.
     """
     if not 0.0 < target_relative_hw:
         raise ValueError(
@@ -264,35 +365,21 @@ def run_until_precision(params, algorithm="blocking", run=None,
     run = run or RunConfig()
     if seed is not None:
         run = run.with_changes(seed=seed)
-    checker, subscribers = _resolve_checker(invariants, subscribers)
-    model = SystemModel(
-        params, algorithm=algorithm, seed=run.seed,
-        subscribers=subscribers,
+    model, checker = _open_trajectory(
+        params, algorithm, run, None, subscribers, invariants
     )
     analyzer = BatchMeansAnalyzer(
         warmup_batches=run.warmup_batches, confidence=run.confidence
     )
-    batch_index = 0
-    while True:
-        snapshot = model.metrics.snapshot()
-        model.run_until((batch_index + 1) * run.batch_time)
-        analyzer.record(model.metrics.batch_values(snapshot))
-        batch_index += 1
+    for values in _batch_values(model, run.batch_time):
+        analyzer.record(values)
         retained = analyzer.batches_recorded
-        if retained >= 3:
-            interval = analyzer.interval(metric)
-            if interval.relative_half_width <= target_relative_hw:
-                break
-        if retained >= max_batches:
+        if retained >= max_batches or (
+                retained >= 3
+                and analyzer.interval(metric).relative_half_width
+                <= target_relative_hw):
             break
-    totals = _collect_totals(model)
-    return SimulationResult(
-        algorithm=model.cc.name,
-        params=params,
-        run=run.with_changes(batches=analyzer.batches_recorded),
-        analyzer=analyzer,
-        totals=totals,
-        diagnostics=_merge_invariant_diagnostics(
-            _buffer_diagnostics(model), checker
-        ),
+    return _end_of_run(
+        model, params, run.with_changes(batches=retained), analyzer,
+        checker,
     )

@@ -46,7 +46,7 @@ Examples::
         --trace-kinds submit,restart,commit \
         --timeseries 2 --timeseries-csv fig8_ts.csv
 
-    # one diagnostic run of a single algorithm (no sweep)
+    # one diagnostic run of a single algorithm: a one-point sweep
     repro-experiments --single blocking --mpl 50 --quick --trace
 
     # analytic surrogate: calibrate against simulation, then sweep
@@ -59,11 +59,11 @@ Examples::
 
 import argparse
 import difflib
-import os
 import sys
 
 from repro.cc.registry import algorithm_names, commit_protocol_names
-from repro.experiments.configs import experiment_configs
+from repro.core import SimulationParameters
+from repro.experiments.configs import ExperimentConfig, experiment_configs
 from repro.experiments.errors import CheckpointMismatchError
 from repro.experiments.figures import (
     FINDINGS,
@@ -132,9 +132,9 @@ def build_parser():
         "--single", metavar="ALGORITHM", default=None,
         help=(
             "one diagnostic run of a single algorithm on the paper's "
-            "base (Table 2) parameters instead of a sweep; combine "
-            "with --mpl (first value; default 25), --inject, "
-            "--resource-model, --trace and --timeseries"
+            "base (Table 2) parameters: a one-point sweep named "
+            "'single' at --mpl (default 25); the overlays, resilience, "
+            "observability and --csv flags apply as to any sweep"
         ),
     )
     what.add_argument(
@@ -462,11 +462,27 @@ def main(argv=None):
                     f"{flag} applies to figure sweeps; a finding's arms "
                     "are fixed runs"
                 )
-    if args.single is not None and args.invariants == "spot":
-        parser.error(
-            "--invariants spot audits sweeps; use strict/warn/off "
-            "with --single"
-        )
+    if args.single is not None:
+        if args.invariants == "spot":
+            parser.error(
+                "--invariants spot audits sweeps; use strict/warn/off "
+                "with --single"
+            )
+        if args.replications != 1:
+            parser.error(
+                "--replications applies to sweeps; --single runs one "
+                "simulation"
+            )
+        if args.algorithms:
+            parser.error("--algorithm applies to sweeps; --single names "
+                         "its algorithm")
+        if args.mpls and len(args.mpls) > 1:
+            parser.error("--single runs one point; give one --mpl")
+        if args.single not in algorithm_names():
+            parser.error(
+                f"--single: unknown algorithm {args.single!r} "
+                f"(choose from {', '.join(algorithm_names())})"
+            )
     if args.trace_out is not None and not args.trace:
         parser.error("--trace-out requires --trace")
     if args.trace_kinds is not None and not args.trace:
@@ -486,16 +502,6 @@ def main(argv=None):
         parser.error(f"--timeseries must be > 0, got {args.timeseries}")
     if args.timeseries_csv is not None and args.timeseries is None:
         parser.error("--timeseries-csv requires --timeseries")
-    if args.single is not None and args.replications != 1:
-        parser.error(
-            "--replications applies to sweeps; --single runs one "
-            "simulation"
-        )
-    if args.single is not None and args.single not in algorithm_names():
-        parser.error(
-            f"--single: unknown algorithm {args.single!r} "
-            f"(choose from {', '.join(algorithm_names())})"
-        )
     _validate_registry_name(
         parser, "--inject", args.inject, scenario_names(), "fault scenario"
     )
@@ -524,7 +530,6 @@ def main(argv=None):
         # Probe the model against Table 2 parameters so option typos
         # (unknown keys, mmpp without rates, a missing trace file) are
         # usage errors before any simulation starts.
-        from repro.core import SimulationParameters
         from repro.workloads import create_workload_model
 
         probe = SimulationParameters.table2().with_changes(
@@ -674,8 +679,6 @@ def _dispatch(args):
         return _run_calibrate(args, run)
     if args.command == "explore":
         return _run_explore(args, run)
-    if args.single is not None:
-        return _run_single(args, run)
     builder = FigureBuilder(
         run=run,
         mpls=args.mpls,
@@ -699,7 +702,9 @@ def _dispatch(args):
         replications=args.replications,
     )
     failed = False
-    if args.figure is not None:
+    if args.single is not None:
+        sweeps = [_run_single(args, builder)]
+    elif args.figure is not None:
         sweeps, failed = _reproduce_figures(args, builder)
     elif args.experiment is not None or args.all:
         experiment_ids = (
@@ -843,52 +848,26 @@ def _run_explore(args, run):
     return 0
 
 
-def _run_single(args, run):
+def _run_single(args, builder):
     """One diagnostic run of one algorithm (the ``--single`` command).
 
-    Observers are wired exactly as for a sweep point of an experiment
-    named ``single``: the trace lands in ``single.<alg>.mpl<NNN>.jsonl``
-    and the time-series CSV carries the sweep's point columns.
+    A one-point sweep of an experiment named ``single`` on the paper's
+    Table 2 parameters, run by the same builder as every other sweep,
+    so overlays, supervision, checkpoints and observers apply as they
+    do to any sweep point: the trace lands in
+    ``single.<alg>.mpl<NNN>.jsonl``. Prints the point's result line
+    and whole-run counts (a failed point is reported by the sweep's
+    progress instead) and returns the sweep.
     """
-    from dataclasses import replace
-
-    from repro.core import SimulationParameters, run_simulation
-    from repro.experiments.configs import ExperimentConfig
-    from repro.experiments.runner import (
-        SweepResult,
-        _point_diagnostics,
-        _point_subscribers,
-    )
-
     mpl = args.mpls[0] if args.mpls else 25
-    params = SimulationParameters.table2(mpl=mpl)
-    if args.inject:
-        params = params.with_changes(faults=scenario(args.inject))
-    if args.resource_model:
-        params = params.with_changes(resource_model=args.resource_model)
-    if args.workload_model:
-        params = params.with_changes(workload_model=args.workload_model)
-    if args.workload_spec is not None:
-        params = params.with_changes(workload_spec=args.workload_spec)
-    if args.nodes is not None:
-        params = params.with_changes(nodes=args.nodes)
-    if args.commit_protocol:
-        params = params.with_changes(commit_protocol=args.commit_protocol)
-    trace = _trace_option(args)
-    if trace is not None:
-        os.makedirs(trace.directory, exist_ok=True)
-    sampler, sink, subscribers = _point_subscribers(
-        "single", args.single, mpl, args.timeseries, trace
-    )
-    try:
-        result = run_simulation(
-            params, algorithm=args.single, run=run,
-            subscribers=subscribers,
-            invariants=args.invariants,
-        )
-    finally:
-        if sink is not None:
-            sink.close()
+    sweep = builder.sweep(ExperimentConfig(
+        experiment_id="single", title=f"--single {args.single}",
+        params=SimulationParameters.table2(mpl=mpl),
+        algorithms=(args.single,), mpls=(mpl,),
+    ))
+    result = sweep.results.get((args.single, mpl))
+    if result is None:
+        return sweep
     print(result.describe())
     totals = result.totals
     commits = totals.get("commits", 0)
@@ -898,33 +877,21 @@ def _run_single(args, run):
             f"blocks/commit={totals.get('blocks', 0) / commits:.2f}  "
             f"restarts/commit={totals.get('restarts', 0) / commits:.2f}"
         )
-    if sink is not None:
+    diagnostics = result.diagnostics or {}
+    if "trace" in diagnostics:
+        trace = diagnostics["trace"]
         print(
-            f"[trace: {sink.events_written} events -> {sink.path}]",
+            f"[trace: {trace['events']} events -> {trace['path']}]",
             file=sys.stderr,
         )
-    if sampler is not None:
+    if "timeseries" in diagnostics:
+        samples = len(diagnostics["timeseries"]["series"]["time"])
         print(
-            f"[timeseries: {len(sampler)} samples at "
+            f"[timeseries: {samples} samples at "
             f"{args.timeseries:g}s interval]",
             file=sys.stderr,
         )
-        if args.timeseries_csv:
-            observed = replace(result, diagnostics={
-                **(result.diagnostics or {}),
-                **_point_diagnostics(args.timeseries, sampler, sink),
-            })
-            config = ExperimentConfig(
-                experiment_id="single", title=f"--single {args.single}",
-                params=params, algorithms=(args.single,),
-                mpls=(mpl,),
-            )
-            sweep = SweepResult(
-                config=config, run=run,
-                results={(args.single, mpl): observed},
-            )
-            _export_timeseries_csv([sweep], args.timeseries_csv)
-    return 0
+    return sweep
 
 
 def _export_csv(sweeps, path):

@@ -273,28 +273,31 @@ class FigureBuilder:
             self.checkpoint_dir, f"{experiment_id}.ckpt.jsonl"
         )
 
-    def config_for(self, experiment_id):
-        """The experiment config, with any overlays applied."""
-        config = self._configs[experiment_id]
-        if not self.overlays:
-            return config
-        return replace(
-            config, params=config.params.with_changes(**self.overlays)
-        )
-
     def sweep_for(self, experiment_id):
         """The (cached) sweep of one experiment."""
         if experiment_id not in self._sweeps:
-            self._sweeps[experiment_id] = run_sweep(
-                self.config_for(experiment_id),
-                run=self.run or pinned_run(experiment_id),
-                mpls=self.mpls,
-                algorithms=self.algorithms,
-                progress=self.progress,
-                checkpoint=self.checkpoint_path(experiment_id),
-                **self.sweep_options,
+            self._sweeps[experiment_id] = self.sweep(
+                self._configs[experiment_id], pinned_run(experiment_id)
             )
         return self._sweeps[experiment_id]
+
+    def sweep(self, config, run=None):
+        """Run ``config``'s sweep under the builder's overlays, grid
+        restrictions and sweep options, at the builder's run (else
+        ``run``, else :func:`run_sweep`'s default)."""
+        if self.overlays:
+            config = replace(
+                config, params=config.params.with_changes(**self.overlays)
+            )
+        return run_sweep(
+            config,
+            run=self.run or run,
+            mpls=self.mpls,
+            algorithms=self.algorithms,
+            progress=self.progress,
+            checkpoint=self.checkpoint_path(config.experiment_id),
+            **self.sweep_options,
+        )
 
     def figure(self, number):
         """Build the data behind paper figure ``number`` (3..21)."""

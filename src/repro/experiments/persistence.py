@@ -208,47 +208,30 @@ def _status_from_document(document):
 def save_sweep(sweep, path):
     """Serialize a sweep (config id, run settings, all batch series).
 
-    The write is atomic: a kill mid-save leaves any previous file at
-    ``path`` exactly as it was.
+    One ``points`` entry per recorded replication and one ``statuses``
+    entry per attempted one, each sorted by (algorithm, mpl, rep).
+    Replication 0 carries no ``rep`` key and a one-replication sweep no
+    ``replications`` key, so every R=1 document has the original
+    layout. The write is atomic: a kill mid-save leaves any previous
+    file at ``path`` exactly as it was.
     """
-    if sweep.replications == 1:
-        # The historical layout, byte-identical to earlier versions
-        # (and correct for hand-assembled sweeps that only populate
-        # ``results``/``statuses``).
-        points = [
-            {
-                "algorithm": algorithm,
-                "mpl": mpl,
-                **_point_payload(result),
-            }
-            for (algorithm, mpl), result in sorted(sweep.results.items())
-        ]
-        statuses = [
-            {
-                "algorithm": algorithm,
-                "mpl": mpl,
-                **_status_document(status),
-            }
-            for (algorithm, mpl), status in sorted(sweep.statuses.items())
-        ]
-    else:
-        points = []
-        for (algorithm, mpl), reps in sorted(sweep.replicates.items()):
-            for rep in sorted(reps):
-                entry = {"algorithm": algorithm, "mpl": mpl}
-                if rep:
-                    entry["rep"] = rep
-                entry.update(_point_payload(reps[rep]))
-                points.append(entry)
-        statuses = []
-        for (algorithm, mpl, rep) in sorted(sweep.replicate_statuses):
+    points = []
+    for (algorithm, mpl), reps in sorted(sweep.replicates.items()):
+        for rep in sorted(reps):
             entry = {"algorithm": algorithm, "mpl": mpl}
             if rep:
                 entry["rep"] = rep
-            entry.update(_status_document(
-                sweep.replicate_statuses[(algorithm, mpl, rep)]
-            ))
-            statuses.append(entry)
+            entry.update(_point_payload(reps[rep]))
+            points.append(entry)
+    statuses = []
+    for (algorithm, mpl, rep) in sorted(sweep.replicate_statuses):
+        entry = {"algorithm": algorithm, "mpl": mpl}
+        if rep:
+            entry["rep"] = rep
+        entry.update(_status_document(
+            sweep.replicate_statuses[(algorithm, mpl, rep)]
+        ))
+        statuses.append(entry)
     document = {
         "format": FORMAT,
         "experiment_id": sweep.config.experiment_id,

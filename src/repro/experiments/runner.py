@@ -238,11 +238,10 @@ class SweepResult:
     With ``replications > 1`` every grid point is measured
     ``replications`` times (replication ``r`` is the ``r``-th
     ``run.batches``-sized segment of one deterministic trajectory; see
-    :func:`run_sweep`).  ``results``/``statuses`` keep their historical
-    meaning — replication 0, which is byte-identical to what a
-    non-replicated sweep produces — so every existing consumer
-    (reports, figures, persistence) reads replicated sweeps unchanged;
-    the extra replications live in ``replicates`` and are summarized by
+    :func:`run_sweep`).  ``results`` holds each point's replication 0
+    and ``statuses`` the aggregate over its replications, so reports
+    and figures read every sweep the same way; every replication lives
+    in ``replicates``/``replicate_statuses`` and is summarized by
     :meth:`cross_replication`.
     """
 
@@ -422,38 +421,34 @@ class _PointWatchdog:
                 )
 
 
-def _validate_algorithms(algorithms, workers=1):
-    """Fail fast on unknown algorithm names, before any simulation.
+def _validate_algorithms(algorithms):
+    """Fail fast on anything but registry algorithm names.
 
-    Non-string entries (pre-built ConcurrencyControl instances) pass
-    through when the sweep is sequential; the engine validates those
-    itself.  Parallel sweeps require registry names: a live algorithm
-    instance cannot be shipped to worker processes.
+    Every point and every retry builds its algorithm afresh from its
+    name. A pre-built instance would carry its state (timestamps,
+    object tables) from one point into the next, and it cannot be sent
+    to worker processes either.
     """
     known = algorithm_names()
-    unknown = [
-        name for name in algorithms
-        if isinstance(name, str) and name not in known
-    ]
+    instances = [a for a in algorithms if not isinstance(a, str)]
+    if instances:
+        raise ValueError(
+            "run_sweep takes algorithm names from the registry, not "
+            f"pre-built instances (got {instances!r}); choose from "
+            f"{known}"
+        )
+    unknown = [name for name in algorithms if name not in known]
     if unknown:
         raise ValueError(
             f"unknown concurrency control algorithm(s) "
             f"{sorted(unknown)}; choose from {known}"
         )
-    if workers > 1:
-        instances = [a for a in algorithms if not isinstance(a, str)]
-        if instances:
-            raise ValueError(
-                "workers > 1 requires algorithm names from the "
-                "registry; pre-built instances cannot be sent to "
-                f"worker processes (got {instances!r})"
-            )
 
 
 class _Point(NamedTuple):
     """One unit of sweep work: a grid point and its pending replications."""
 
-    algorithm: object
+    algorithm: str
     mpl: int
     #: Replication indexes still to record, ascending.
     reps: Tuple[int, ...]
@@ -520,7 +515,8 @@ def _run_point(plan, point, store, progress=None):
     disabled, since only the parent talks to the user.  Each attempt
     simulates the point's trajectory once, through its last pending
     replication, and carves every replication from it
-    (:func:`repro.fastlane.backend.run_point_replications`).
+    (:func:`~repro.core.simulation.run_point_replications`, called
+    through :mod:`repro.fastlane.backend`).
     ``store`` shares workload tapes between the points one process
     runs.
 
@@ -899,7 +895,11 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
     """Run every (algorithm, mpl) point of ``config``.
 
     ``mpls``/``algorithms`` restrict the sweep (benchmarks use a subset
-    of the paper's seven mpl points to stay fast). ``progress`` is an
+    of the paper's seven mpl points to stay fast). Algorithms are
+    registry names (:func:`~repro.cc.algorithm_names`) at every worker
+    count: each point and each retry builds its algorithm afresh from
+    the name, and a pre-built instance — whose state would carry from
+    one point into the next — raises ``ValueError``. ``progress`` is an
     optional callable invoked with a status line after each point and
     one carrying the sweep's wall time at the end (``print`` and
     logging functions both work).
@@ -912,13 +912,15 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
     the trajectory instead of reseeding it (the method of batch means
     applied across replications; common random numbers survive intact
     across algorithms, mpls *and* replications). Replication 0 is
-    byte-identical to the single result a non-replicated sweep
-    produces and keeps its historical home in ``SweepResult.results``.
+    the result a one-replication sweep produces; every point's
+    replication 0 is in ``SweepResult.results``, and all of its
+    replications are in ``SweepResult.replicates``.
 
     Every point is computed the same way: one trajectory of ``warmup +
     R * batches`` batches, simulated once, with all ``R`` replication
-    results carved from it (:mod:`repro.fastlane`); ``R = 1`` is the
-    ordinary single-measurement sweep. Points run under the same seed
+    results carved from it
+    (:func:`~repro.core.simulation.run_point_replications`, whose
+    ``R = 1`` case is ``run_simulation``). Points run under the same seed
     (every first attempt) share one precomputed transaction tape per
     process (see :class:`repro.fastlane.TapeStore`).
 
@@ -1035,7 +1037,7 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
     algorithms = (
         tuple(algorithms) if algorithms is not None else config.algorithms
     )
-    _validate_algorithms(algorithms, workers=workers)
+    _validate_algorithms(algorithms)
 
     sweep = SweepResult(config=config, run=run, replications=replications)
     ckpt = None

@@ -5,6 +5,7 @@ import pytest
 from repro.core import (
     RunConfig,
     SimulationParameters,
+    run_simulation,
     run_until_precision,
 )
 
@@ -90,3 +91,33 @@ class TestMinimumBatches:
             target_relative_hw=1e9, max_batches=50,
         )
         assert result.analyzer.batches_recorded == 3
+
+
+class TestDriverAgreement:
+    """The stopping rule is the only difference from a fixed-length run."""
+
+    @pytest.mark.parametrize("algorithm,target", [
+        ("blocking", 1e-12),       # stopped by max_batches
+        ("optimistic", 1e-12),
+        ("blocking", 0.25),        # stopped by the interval
+    ])
+    def test_matches_run_simulation_at_the_batches_it_kept(
+            self, algorithm, target):
+        precise = run_until_precision(
+            params(), algorithm, RUN, target_relative_hw=target,
+            max_batches=6, invariants="warn",
+        )
+        kept = precise.run.batches
+        fixed = run_simulation(
+            params(), algorithm, RUN.with_changes(batches=kept),
+            invariants="warn",
+        )
+        assert precise.run == fixed.run
+        assert precise.algorithm == fixed.algorithm
+        assert precise.analyzer.names() == fixed.analyzer.names()
+        for name in fixed.analyzer.names():
+            assert (precise.analyzer.series(name).values
+                    == fixed.analyzer.series(name).values)
+        assert precise.totals == fixed.totals
+        assert precise.diagnostics == fixed.diagnostics
+        assert "invariants" in fixed.diagnostics

@@ -107,6 +107,15 @@ class TestRunSimulation:
         )
         assert result.analyzer.batches_recorded == 1
 
+    def test_fused_executor_needs_a_replication(self):
+        # The batch loop runs until the last replication retires, so
+        # zero replications must be refused, not looped on forever.
+        from repro.core.simulation import run_point_replications
+
+        params, run = quick_run()
+        with pytest.raises(ValueError, match="replications"):
+            run_point_replications(params, "blocking", run, 0)
+
 
 class TestClosedFormCalibration:
     """Contention-free runs must match queueing-theory expectations."""

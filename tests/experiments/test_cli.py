@@ -424,6 +424,51 @@ class TestSingleRun:
         assert "cc_grant" in {e["kind"] for e in events}
 
 
+    def test_single_applies_deadline_and_retries(self, capsys, tmp_path):
+        csv_path = tmp_path / "single.csv"
+        code = main([
+            "--single", "blocking", "--mpl", "5", "--quick",
+            "--deadline", "0.000001", "--retries", "1",
+            "--csv", str(csv_path),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "failed after 2 attempt(s) (PointDeadlineExceeded" in (
+            captured.err
+        )
+        assert csv_path.read_text().count("\n") == 1  # header only
+
+    def test_single_writes_its_csv_row(self, tmp_path):
+        import csv
+
+        csv_path = tmp_path / "single.csv"
+        code = main([
+            "--single", "blocking", "--mpl", "5",
+            "--batches", "1", "--batch-time", "3", "--warmup-batches", "0",
+            "--csv", str(csv_path),
+        ])
+        assert code == 0
+        rows = list(csv.DictReader(csv_path.open()))
+        assert [
+            (r["experiment"], r["algorithm"], r["mpl"], r["metric"],
+             r["batches"])
+            for r in rows
+        ] == [("single", "blocking", "5", "throughput", "1")]
+
+    @pytest.mark.parametrize("flags", [
+        ["--algorithm", "optimistic"],
+        ["--mpl", "5", "--mpl", "10"],
+        ["--replications", "2"],
+        ["--invariants", "spot"],
+    ])
+    def test_single_refuses_what_a_point_cannot_take(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--single", "blocking", *flags])
+        assert exit_info.value.code == 2
+        assert "--single" in capsys.readouterr().err
+
+
 class TestFigureObservability:
     def test_figure_run_writes_traces_and_timeseries(self, capsys, tmp_path):
         import csv

@@ -252,13 +252,15 @@ class TestValidation:
             run_sweep(tiny_config(algorithms=(instance,)),
                       run=TINY_RUN, workers=2)
 
-    def test_algorithm_instances_still_allowed_sequentially(self):
+    def test_algorithm_instances_rejected_sequentially(self):
+        # One instance would serve every point and retry, carrying its
+        # state (optimistic write stamps, timestamp tables) across them.
         from repro.cc import create_algorithm
 
-        instance = create_algorithm("blocking")
-        sweep = run_sweep(tiny_config(algorithms=(instance,)),
-                          run=TINY_RUN, mpls=[2], workers=1)
-        assert len(sweep.results) == 1
+        instance = create_algorithm("optimistic")
+        with pytest.raises(ValueError, match="registry"):
+            run_sweep(tiny_config(algorithms=(instance,)),
+                      run=TINY_RUN, mpls=[2], workers=1)
 
 
 class TestHardBackstop:

@@ -7,6 +7,8 @@ import pytest
 
 from repro.core import RunConfig
 from repro.experiments import (
+    PointStatus,
+    SweepResult,
     experiment_configs,
     format_table,
     load_sweep,
@@ -102,3 +104,51 @@ class TestErrors:
         path.write_text(json.dumps(document))
         with pytest.raises(ValueError, match="unknown experiment"):
             load_sweep(path)
+
+
+class TestOneReplicationLayout:
+    """An R=1 document has one layout, however its sweep was filled."""
+
+    def test_layout_is_pinned(self, sweep, tmp_path):
+        layout = SweepResult(config=sweep.config, run=TINY_RUN)
+        # Recorded out of grid order; the document sorts them.
+        layout.record_replicate(
+            "blocking", 25, 0, sweep.result("blocking", 25),
+            PointStatus("ok"),
+        )
+        layout.record_replicate(
+            "blocking", 10, 0, None,
+            PointStatus("failed", error="SimulationStalledError: stuck"),
+        )
+        layout.record_replicate(
+            "blocking", 5, 0, sweep.result("blocking", 5),
+            PointStatus("ok"),
+        )
+        path = tmp_path / "sweep.json"
+        save_sweep(layout, path)
+        document = json.loads(path.read_text())
+        assert "replications" not in document
+        assert [(p["algorithm"], p["mpl"]) for p in document["points"]] == [
+            ("blocking", 5), ("blocking", 25),
+        ]
+        assert [
+            (s["algorithm"], s["mpl"], s["status"])
+            for s in document["statuses"]
+        ] == [
+            ("blocking", 5, "ok"),
+            ("blocking", 10, "failed"),
+            ("blocking", 25, "ok"),
+        ]
+        for point in document["points"]:
+            assert list(point) == ["algorithm", "mpl", "series", "totals"]
+        for status in document["statuses"]:
+            assert list(status) == [
+                "algorithm", "mpl", "status", "attempts", "error",
+                "wall_seconds",
+            ]
+
+    def test_reloaded_sweep_saves_the_same_bytes(self, sweep, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_sweep(sweep, first)
+        save_sweep(load_sweep(first), second)
+        assert second.read_text() == first.read_text()
