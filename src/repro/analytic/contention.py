@@ -486,6 +486,36 @@ def _solve_capped(layout, n, z, mpl, algorithm, k, k_w, db,
     )
 
 
+#: ``(key, (z, layout))`` of the last network built; the key is every
+#: input :func:`network_for_params` reads. ``explore`` evaluates all
+#: (mpl, algorithm) pairs of a configuration in a row, and neither
+#: enters the network, so they share one build.
+_last_network = None
+
+
+def _network_layout(params, accesses):
+    """External think ``z`` and the DBMS centers in their fixed order.
+
+    An optional internal-think delay, the CPU pool and the disks (one
+    counted center, so solver cost is independent of num_disks).
+    """
+    global _last_network
+    key = (
+        accesses, params.obj_cpu, params.obj_io, params.ext_think_time,
+        params.int_think_time, params.num_cpus, params.num_disks,
+    )
+    last = _last_network
+    if last is None or last[0] != key:
+        terminals, *inner, cpu, disks = network_for_params(params)
+        last = _last_network = key, (terminals.demand, (
+            inner[0].demand if inner else 0.0,
+            (cpu.demand, cpu.servers, cpu.kind == DELAY),
+            (disks.demand, disks.servers, disks.kind == DELAY),
+            disks.count,
+        ))
+    return last[1]
+
+
 def surrogate_prediction(params, algorithm, coeffs=None):
     """Contention-corrected throughput prediction for one grid point.
 
@@ -502,20 +532,9 @@ def surrogate_prediction(params, algorithm, coeffs=None):
         )
     if coeffs is None:
         coeffs = DEFAULT_COEFFS[algorithm]
-    # External think, then the DBMS centers in their fixed order: an
-    # optional internal-think delay, the CPU pool and the disks (one
-    # counted center, so solver cost is independent of num_disks).
-    terminals, *inner, cpu, disks = network_for_params(params)
-    z = terminals.demand
-    layout = (
-        inner[0].demand if inner else 0.0,
-        (cpu.demand, cpu.servers, cpu.kind == DELAY),
-        (disks.demand, disks.servers, disks.kind == DELAY),
-        disks.count,
-    )
-    k_r = params.expected_reads()
     k_w = params.expected_writes()
-    k = k_r + k_w
+    k = params.expected_reads() + k_w
+    z, layout = _network_layout(params, k)
     db = float(params.db_size)
     population = params.num_terms
     mpl = params.mpl

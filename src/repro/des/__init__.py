@@ -22,7 +22,7 @@ from repro.des.errors import EmptySchedule, Interrupt, SimulationError, StopSimu
 from repro.des.events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
 from repro.des.monitor import BusyTracker, Counter, LevelMonitor, Tally
 from repro.des.process import Process
-from repro.des.resources import InfiniteResource, Request, Resource, Store
+from repro.des.resources import InfiniteResource, Request, Resource, Service, Store
 from repro.des.rng import RandomStream, StreamFactory
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "Resource",
     "InfiniteResource",
     "Request",
+    "Service",
     "Store",
     "RandomStream",
     "StreamFactory",

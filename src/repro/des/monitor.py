@@ -88,8 +88,8 @@ class BusyTracker:
     transaction attempt resolves (commit vs. restart), which yields the
     paper's total and useful utilization curves.
 
-    ``acquire``/``release`` run twice per CPU or disk service — among
-    the hottest calls of a simulation — so the tracker integrates a
+    ``acquire``/``release`` run once each per CPU or disk service —
+    among the hottest calls of a simulation — so the tracker integrates a
     :class:`~repro.stats.timeweighted.TimeWeighted` directly rather
     than going through a :class:`LevelMonitor` indirection.
     """

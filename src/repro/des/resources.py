@@ -4,13 +4,18 @@ These map directly onto the paper's physical queuing model: the CPU pool is
 one :class:`Resource` with ``capacity = num_cpus`` and a single global queue
 (concurrency-control requests enter with a higher priority class); each disk
 is a ``capacity=1`` :class:`Resource` with its own queue.
+
+A CPU or disk leg is :meth:`Resource.serve`: the pool starts the service
+when it assigns a server and schedules its completion itself, so a leg
+is one kernel event and one process wake-up. :meth:`Resource.request`
+is the open-ended claim (held until released), queued in the same order.
 """
 
 from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count
 
-from repro.des.events import PENDING, Event
+from repro.des.events import NORMAL, PENDING, Event
 
 
 class Request(Event):
@@ -27,10 +32,8 @@ class Request(Event):
     __slots__ = ("resource", "priority", "_withdrawn")
 
     def __init__(self, resource, priority=0):
-        # Two requests per object access make this one of the
-        # most-created event types; assign every field directly rather
-        # than paying for the Event.__init__ call (same fields, same
-        # values).
+        # Assign every field directly rather than paying for the
+        # Event.__init__ call (same fields, same values).
         self.env = resource.env
         self.callbacks = []
         self._value = PENDING
@@ -50,6 +53,68 @@ class Request(Event):
     def cancel(self):
         """Withdraw an ungranted request (alias for release)."""
         self.resource.release(self)
+
+    def _grant(self):
+        # Event.succeed(self) without the already-triggered check: the
+        # pool grants only pending claims.
+        self._ok = True
+        self._value = self
+        self.env.schedule(self, NORMAL)
+
+
+class Service(Event):
+    """``delay`` of service on one server; fires when it completes.
+
+    Made by a pool's ``serve`` and ended by its ``finish``, which must
+    run even if the waiting process is interrupted::
+
+        service = pool.serve(0.035, tracker=disk_tracker)
+        try:
+            yield service
+        finally:
+            consumed = pool.finish(service)
+
+    The service starts when it gets a server: ``start`` records the
+    instant, the optional ``tracker`` (a :class:`~repro.des.BusyTracker`)
+    is acquired, ``watch.started()`` runs if a ``watch`` is given (its
+    ``ended()`` runs at ``finish``; a false ``watch`` means none), and
+    the completion is scheduled.
+    """
+
+    __slots__ = ("delay", "tracker", "watch", "start", "_withdrawn")
+
+    def __init__(self, env, delay, tracker, watch):
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
+        self.delay = delay
+        self.tracker = tracker
+        self.watch = watch
+        self.start = None
+        self._withdrawn = False
+
+    def _grant(self):
+        env = self.env
+        self.start = env._now
+        if self.tracker is not None:
+            self.tracker.acquire()
+        if self.watch:
+            self.watch.started()
+        self._ok = True
+        self._value = None
+        env.schedule(self, NORMAL, self.delay)
+
+    def _end(self):
+        # Close _grant's bookkeeping; the service time consumed.
+        if self.tracker is not None:
+            self.tracker.release()
+        if self.watch:
+            self.watch.ended()
+        return self.env._now - self.start
 
 
 class Resource:
@@ -102,11 +167,41 @@ class Resource:
         req = Request(self, priority)
         if not self._live and len(self.users) < self.capacity:
             self.users.add(req)
-            req.succeed(req)
+            req._grant()
         else:
             heappush(self._queue, (priority, self._order(), req))
             self._live += 1
         return req
+
+    def serve(self, delay, priority=0, tracker=None, watch=None):
+        """A :class:`Service` of ``delay``, started now if a server is free.
+
+        Otherwise it queues and starts when a release frees a server.
+        """
+        service = Service(self.env, delay, tracker, watch)
+        if not self._live and len(self.users) < self.capacity:
+            self.users.add(service)
+            service._grant()
+        else:
+            heappush(self._queue, (priority, self._order(), service))
+            self._live += 1
+        return service
+
+    def finish(self, service):
+        """End ``service``; the service time it consumed (idempotent).
+
+        A running service frees its server for the next claim at once;
+        a queued one is withdrawn, having consumed 0.0.
+        """
+        users = self.users
+        if service in users:
+            users.remove(service)
+            consumed = service._end()
+            if self._queue:
+                self._grant_next()
+            return consumed
+        self._discard_queued(service)
+        return 0.0
 
     def release(self, request):
         """Return a server to the pool (or withdraw a queued request).
@@ -155,41 +250,21 @@ class Resource:
             if req._value is not PENDING:
                 continue  # triggered behind our back; never re-grant
             users.add(req)
-            req.succeed(req)
+            req._grant()
 
 
-class InfiniteResource:
-    """A resource with unbounded servers: every request granted instantly.
+class InfiniteResource(Resource):
+    """A resource with unbounded servers: every claim granted instantly.
 
     Models the paper's "infinite resources" assumption — transactions
-    never wait for CPU or I/O service. Mirrors the :class:`Resource` API
-    so the physical layer can swap it in transparently.
+    never wait for CPU or I/O service. It is a :class:`Resource` whose
+    capacity is infinite, so nothing ever queues.
     """
 
-    capacity = float("inf")
-
-    __slots__ = ("env", "users")
+    __slots__ = ()
 
     def __init__(self, env):
-        self.env = env
-        self.users = set()
-
-    @property
-    def in_use(self):
-        return len(self.users)
-
-    @property
-    def queue_length(self):
-        return 0
-
-    def request(self, priority=0):
-        req = Request(self, priority)
-        self.users.add(req)
-        req.succeed(req)
-        return req
-
-    def release(self, request):
-        self.users.discard(request)
+        super().__init__(env, capacity=float("inf"))
 
 
 class Store:

@@ -58,9 +58,11 @@ database uniformly partitioned across the disks, and
 ``num_cpus``/``num_disks`` of None modeling infinite resources
 in-band. The service primitives are hot-path code: disk selections are
 drawn in batches from the disk stream (same draws, same order as
-one-at-a-time), timeouts are constructed directly, and request/release
-pairing uses explicit try/finally — identical semantics, fewer calls
-per service.
+one-at-a-time), and every CPU or disk leg is one
+:meth:`~repro.des.Resource.serve` call — the pool starts the service,
+charges the busy tracker and schedules the completion itself, so a leg
+costs one kernel event and one wake-up of the transaction — closed by
+one ``finish`` in a ``finally``.
 """
 
 from repro.des import BusyTracker, InfiniteResource, Resource
@@ -74,6 +76,22 @@ OBJECT_PRIORITY = 1
 #: Disk selections drawn from the disk stream per refill. Batching only
 #: amortizes call overhead; the value sequence is unchanged.
 _DISK_PICK_BATCH = 256
+
+
+class _Watch:
+    """``resource_busy``/``resource_idle`` around one observed service."""
+
+    __slots__ = ("emit", "fields")
+
+    def __init__(self, bus, tx, resource, **where):
+        self.emit = bus.emit
+        self.fields = {"resource": resource, **where, "tx": tx}
+
+    def started(self):
+        self.emit(RESOURCE_BUSY, **self.fields)
+
+    def ended(self):
+        self.emit(RESOURCE_IDLE, **self.fields)
 
 
 class ResourceModel:
@@ -146,6 +164,7 @@ class ResourceModel:
                 Resource(env, capacity=1) for _ in range(num_disks)
             ]
             disk_capacity = num_disks
+        self.disks_per_node = len(self.disks)
 
         self.cpu_tracker = BusyTracker(env, "cpu", cpu_capacity)
         self.disk_tracker = BusyTracker(env, "disk", disk_capacity)
@@ -241,33 +260,32 @@ class ResourceModel:
             return
         if self.faults is not None:
             amount *= self.faults.cpu_factor
-        env = self.env
         bus = self.bus
-        tracker = self.cpu_tracker
-        request = self.cpu.request(priority=priority)
+        watch = bus is not None and bus.wants_resource and _Watch(
+            bus, tx, "cpu")
+        cpu = self.cpu
+        service = cpu.serve(amount, priority, self.cpu_tracker, watch)
         try:
-            yield request
-            tracker.acquire()
-            if bus is not None and bus.wants_resource:
-                bus.emit(RESOURCE_BUSY, resource="cpu", tx=tx)
-            start = env._now
-            try:
-                yield Timeout(env, amount)
-            finally:
-                tracker.release()
-                tx.attempt_cpu_time += env._now - start
-                if bus is not None and bus.wants_resource:
-                    bus.emit(RESOURCE_IDLE, resource="cpu", tx=tx)
+            yield service
         finally:
-            self.cpu.release(request)
+            tx.attempt_cpu_time += cpu.finish(service)
 
     def _pick_disk(self):
-        """Index of a uniformly chosen disk (batched draws)."""
+        """Index of a uniformly chosen disk within a node (batched draws).
+
+        Bounded by ``disks_per_node``: all disks of a single site, the
+        local ones of a sharded model (the same draws at one node). One
+        disk leaves nothing to choose: the stream, which feeds nothing
+        else, is not drawn.
+        """
+        count = self.disks_per_node
+        if count == 1:
+            return 0
         at = self._disk_pick_at
         picks = self._disk_picks
         if at >= len(picks):
             self._disk_picks = picks = self._disk_rng.uniform_int_many(
-                0, len(self.disks) - 1, _DISK_PICK_BATCH
+                0, count - 1, _DISK_PICK_BATCH
             )
             at = 0
         self._disk_pick_at = at + 1
@@ -288,26 +306,15 @@ class ResourceModel:
         """
         if amount <= 0.0:
             return
-        env = self.env
         bus = self.bus
-        tracker = self.disk_tracker
         disk = self.disks[disk_index]
-        request = disk.request()
+        watch = bus is not None and bus.wants_resource and _Watch(
+            bus, tx, "disk", disk=disk_index)
+        service = disk.serve(amount, 0, self.disk_tracker, watch)
         try:
-            yield request
-            tracker.acquire()
-            if bus is not None and bus.wants_resource:
-                bus.emit(RESOURCE_BUSY, resource="disk", disk=disk_index, tx=tx)
-            start = env._now
-            try:
-                yield Timeout(env, amount)
-            finally:
-                tracker.release()
-                tx.attempt_disk_time += env._now - start
-                if bus is not None and bus.wants_resource:
-                    bus.emit(RESOURCE_IDLE, resource="disk", disk=disk_index, tx=tx)
+            yield service
         finally:
-            disk.release(request)
+            tx.attempt_disk_time += disk.finish(service)
 
     # -- model-level composites -----------------------------------------------
     #
@@ -327,60 +334,33 @@ class ResourceModel:
         faults = self.faults
         if faults is not None:
             faults.check_access_fault(tx)
-        env = self.env
         bus = self.bus
+        watched = bus is not None and bus.wants_resource
         params = self.params
 
         amount = params.obj_io
         if amount > 0.0:
             disk_index = self._pick_disk()
-            tracker = self.disk_tracker
             disk = self.disks[disk_index]
-            request = disk.request()
+            watch = watched and _Watch(bus, tx, "disk", disk=disk_index)
+            service = disk.serve(amount, 0, self.disk_tracker, watch)
             try:
-                yield request
-                tracker.acquire()
-                if bus is not None and bus.wants_resource:
-                    bus.emit(
-                        RESOURCE_BUSY, resource="disk",
-                        disk=disk_index, tx=tx,
-                    )
-                start = env._now
-                try:
-                    yield Timeout(env, amount)
-                finally:
-                    tracker.release()
-                    tx.attempt_disk_time += env._now - start
-                    if bus is not None and bus.wants_resource:
-                        bus.emit(
-                            RESOURCE_IDLE, resource="disk",
-                            disk=disk_index, tx=tx,
-                        )
+                yield service
             finally:
-                disk.release(request)
+                tx.attempt_disk_time += disk.finish(service)
 
         amount = params.obj_cpu
         if amount <= 0.0:
             return
         if faults is not None:
             amount *= faults.cpu_factor
-        tracker = self.cpu_tracker
-        request = self.cpu.request(priority=OBJECT_PRIORITY)
+        cpu = self.cpu
+        watch = watched and _Watch(bus, tx, "cpu")
+        service = cpu.serve(amount, OBJECT_PRIORITY, self.cpu_tracker, watch)
         try:
-            yield request
-            tracker.acquire()
-            if bus is not None and bus.wants_resource:
-                bus.emit(RESOURCE_BUSY, resource="cpu", tx=tx)
-            start = env._now
-            try:
-                yield Timeout(env, amount)
-            finally:
-                tracker.release()
-                tx.attempt_cpu_time += env._now - start
-                if bus is not None and bus.wants_resource:
-                    bus.emit(RESOURCE_IDLE, resource="cpu", tx=tx)
+            yield service
         finally:
-            self.cpu.release(request)
+            tx.attempt_cpu_time += cpu.finish(service)
 
     def write_request_work(self, tx, obj=None):
         """CPU work at write-request time (updates are deferred).

@@ -37,10 +37,11 @@ instead of a ring walk and a ``min`` (object ids lie in
 ``[0, db_size)``, as every workload draws them).
 
 The service composites are flat: ``read_access`` and
-``deferred_update`` inline the disk and CPU service bodies (as the
-base model's ``read_access`` does) and call ``network_leg`` only for a
-remote node, so a local access runs one generator, the same as a
-single-site one. Per-message bus events (``msg_send``/``msg_recv``,
+``deferred_update`` inline the disk and CPU legs (as the base model's
+``read_access`` does: each leg is one ``serve``/``finish`` pair on the
+serving node's pool) and call ``network_leg`` only for a remote node,
+so a local access runs one generator, the same as a single-site one.
+Per-message bus events (``msg_send``/``msg_recv``,
 and the commit protocol's ``2pc_prepare``/``2pc_vote``) are built only
 when the bus's ``wants_msg`` flag says a subscriber handles them; the
 message *accounting* (``network_summary``) never depends on observers.
@@ -72,21 +73,10 @@ indices ``n*num_disks .. (n+1)*num_disks-1`` (labels in
 from collections import OrderedDict
 
 from repro.des import BusyTracker, Resource
-from repro.des.events import Timeout
 from repro.obs.bus import InstrumentationBus
-from repro.obs.events import (
-    BUFFER_HIT,
-    BUFFER_MISS,
-    BUFFER_WRITEBACK,
-    RESOURCE_BUSY,
-    RESOURCE_IDLE,
-)
+from repro.obs.events import BUFFER_HIT, BUFFER_MISS, BUFFER_WRITEBACK
 from repro.obs.subscribers import BufferAccountingSubscriber
-from repro.resources.base import (
-    _DISK_PICK_BATCH,
-    OBJECT_PRIORITY,
-    ResourceModel,
-)
+from repro.resources.base import OBJECT_PRIORITY, ResourceModel, _Watch
 
 PLACEMENT_STRIPED = "striped"
 
@@ -236,24 +226,6 @@ class DistributedResourceModel(ResourceModel):
 
     # -- service primitives --------------------------------------------------
 
-    def _pick_disk(self):
-        """A uniformly chosen *local* disk index (batched draws).
-
-        Same stream, same batching as the classic model, but bounded by
-        the per-node disk count — identical bounds (and therefore
-        identical draws) at one node, where disks_per_node is the whole
-        disk list.
-        """
-        at = self._disk_pick_at
-        picks = self._disk_picks
-        if at >= len(picks):
-            self._disk_picks = picks = self._disk_rng.uniform_int_many(
-                0, self.disks_per_node - 1, _DISK_PICK_BATCH
-            )
-            at = 0
-        self._disk_pick_at = at + 1
-        return picks[at]
-
     def cpu_service(self, tx, amount, priority=OBJECT_PRIORITY):
         """Hold one CPU server of the transaction's home node."""
         if amount <= 0.0:
@@ -261,28 +233,15 @@ class DistributedResourceModel(ResourceModel):
         if self.faults is not None:
             amount *= self.faults.cpu_factor
         node = self.home_node(tx)
-        env = self.env
         bus = self.bus
-        tracker = self.cpu_tracker
         pool = self.node_cpus[node]
-        request = pool.request(priority=priority)
+        watch = bus is not None and bus.wants_resource and _Watch(
+            bus, tx, "cpu", node=node)
+        service = pool.serve(amount, priority, self.cpu_tracker, watch)
         try:
-            yield request
-            tracker.acquire()
-            if bus is not None and bus.wants_resource:
-                bus.emit(RESOURCE_BUSY, resource="cpu", node=node, tx=tx)
-            start = env._now
-            try:
-                yield Timeout(env, amount)
-            finally:
-                tracker.release()
-                tx.attempt_cpu_time += env._now - start
-                if bus is not None and bus.wants_resource:
-                    bus.emit(
-                        RESOURCE_IDLE, resource="cpu", node=node, tx=tx
-                    )
+            yield service
         finally:
-            pool.release(request)
+            tx.attempt_cpu_time += pool.finish(service)
 
     # -- buffer mechanics (per-node LRU, optional) ---------------------------
 
@@ -316,15 +275,15 @@ class DistributedResourceModel(ResourceModel):
         Request leg out, disk (unless a per-node buffer hit) at the
         serving node, data leg back, CPU at the home node. Local reads
         (one node, or a co-resident replica) skip both legs entirely.
-        The disk and CPU bodies are inlined: the yields, their order and
+        The disk and CPU legs are inlined: the yields, their order and
         the interrupt-time accounting are exactly those of
         ``disk_service_at`` and ``cpu_service``.
         """
         faults = self.faults
         if faults is not None:
             faults.check_access_fault(tx)
-        env = self.env
         bus = self.bus
+        watched = bus is not None and bus.wants_resource
         params = self.params
         home = tx.id % self.nodes
         node = home if obj is None else self._read_from[home][obj]
@@ -340,30 +299,13 @@ class DistributedResourceModel(ResourceModel):
             amount = params.obj_io
             if amount > 0.0:
                 disk_index = node * self.disks_per_node + self._pick_disk()
-                tracker = self.disk_tracker
                 disk = self.disks[disk_index]
-                request = disk.request()
+                watch = watched and _Watch(bus, tx, "disk", disk=disk_index)
+                service = disk.serve(amount, 0, self.disk_tracker, watch)
                 try:
-                    yield request
-                    tracker.acquire()
-                    if bus is not None and bus.wants_resource:
-                        bus.emit(
-                            RESOURCE_BUSY, resource="disk",
-                            disk=disk_index, tx=tx,
-                        )
-                    start = env._now
-                    try:
-                        yield Timeout(env, amount)
-                    finally:
-                        tracker.release()
-                        tx.attempt_disk_time += env._now - start
-                        if bus is not None and bus.wants_resource:
-                            bus.emit(
-                                RESOURCE_IDLE, resource="disk",
-                                disk=disk_index, tx=tx,
-                            )
+                    yield service
                 finally:
-                    disk.release(request)
+                    tx.attempt_disk_time += disk.finish(service)
             if lru_pools is not None:
                 self._fill(node, obj)
 
@@ -375,26 +317,13 @@ class DistributedResourceModel(ResourceModel):
             return
         if faults is not None:
             amount *= faults.cpu_factor
-        tracker = self.cpu_tracker
         pool = self.node_cpus[home]
-        request = pool.request(priority=OBJECT_PRIORITY)
+        watch = watched and _Watch(bus, tx, "cpu", node=home)
+        service = pool.serve(amount, OBJECT_PRIORITY, self.cpu_tracker, watch)
         try:
-            yield request
-            tracker.acquire()
-            if bus is not None and bus.wants_resource:
-                bus.emit(RESOURCE_BUSY, resource="cpu", node=home, tx=tx)
-            start = env._now
-            try:
-                yield Timeout(env, amount)
-            finally:
-                tracker.release()
-                tx.attempt_cpu_time += env._now - start
-                if bus is not None and bus.wants_resource:
-                    bus.emit(
-                        RESOURCE_IDLE, resource="cpu", node=home, tx=tx
-                    )
+            yield service
         finally:
-            pool.release(request)
+            tx.attempt_cpu_time += pool.finish(service)
 
     def deferred_update(self, tx, obj=None):
         """Write one deferred update to every replica at commit time.
@@ -403,11 +332,11 @@ class DistributedResourceModel(ResourceModel):
         before its disk transfer; acknowledgements are not charged —
         past the commit point the outcome is decided, so the writer
         need not wait on them (the commit *decision* legs are the
-        commit protocol's job). The disk body is inlined as in
+        commit protocol's job). The disk leg is inlined as in
         :meth:`read_access`.
         """
-        env = self.env
         bus = self.bus
+        watched = bus is not None and bus.wants_resource
         amount = self.params.obj_io
         lru_pools = self._node_lru
         home = tx.id % self.nodes
@@ -419,30 +348,13 @@ class DistributedResourceModel(ResourceModel):
                 bus.emit(BUFFER_WRITEBACK, tx=tx, obj=obj, node=node)
             if amount > 0.0:
                 disk_index = node * self.disks_per_node + self._pick_disk()
-                tracker = self.disk_tracker
                 disk = self.disks[disk_index]
-                request = disk.request()
+                watch = watched and _Watch(bus, tx, "disk", disk=disk_index)
+                service = disk.serve(amount, 0, self.disk_tracker, watch)
                 try:
-                    yield request
-                    tracker.acquire()
-                    if bus is not None and bus.wants_resource:
-                        bus.emit(
-                            RESOURCE_BUSY, resource="disk",
-                            disk=disk_index, tx=tx,
-                        )
-                    start = env._now
-                    try:
-                        yield Timeout(env, amount)
-                    finally:
-                        tracker.release()
-                        tx.attempt_disk_time += env._now - start
-                        if bus is not None and bus.wants_resource:
-                            bus.emit(
-                                RESOURCE_IDLE, resource="disk",
-                                disk=disk_index, tx=tx,
-                            )
+                    yield service
                 finally:
-                    disk.release(request)
+                    tx.attempt_disk_time += disk.finish(service)
             if lru_pools is not None:
                 self._fill(node, obj)
 
