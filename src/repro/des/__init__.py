@@ -19,24 +19,21 @@ programming model follows the classic process-interaction style:
 
 from repro.des.environment import Environment
 from repro.des.errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
-from repro.des.events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
+from repro.des.events import NORMAL, URGENT, Event, Timeout
 from repro.des.monitor import BusyTracker, Counter, LevelMonitor, Tally
 from repro.des.process import Process
-from repro.des.resources import InfiniteResource, Request, Resource, Service, Store
+from repro.des.resources import InfiniteResource, Request, Resource, Service
 from repro.des.rng import RandomStream, StreamFactory
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
-    "AllOf",
-    "AnyOf",
     "Process",
     "Resource",
     "InfiniteResource",
     "Request",
     "Service",
-    "Store",
     "RandomStream",
     "StreamFactory",
     "Counter",

@@ -4,7 +4,7 @@ from heapq import heappop, heappush
 from itertools import count
 
 from repro.des.errors import EmptySchedule, StopSimulation
-from repro.des.events import NORMAL, AllOf, AnyOf, Event, Timeout
+from repro.des.events import NORMAL, Event, Timeout
 from repro.des.process import Process
 
 _INF = float("inf")
@@ -19,23 +19,17 @@ class Environment:
     deterministic for a fixed seed.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process")
+    __slots__ = ("_now", "_queue", "_eid")
 
     def __init__(self, initial_time=0.0):
         self._now = initial_time
         self._queue = []
         self._eid = count().__next__
-        self._active_process = None
 
     @property
     def now(self):
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self):
-        """The process currently executing, if any (for interrupts/debug)."""
-        return self._active_process
 
     # -- event construction helpers ------------------------------------
 
@@ -50,12 +44,6 @@ class Environment:
     def process(self, generator):
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator)
-
-    def all_of(self, events):
-        return AllOf(self, events)
-
-    def any_of(self, events):
-        return AnyOf(self, events)
 
     # -- scheduling and the run loop ------------------------------------
 

@@ -90,14 +90,6 @@ class Event:
         self.env.schedule(self, priority)
         return self
 
-    def trigger(self, event):
-        """Trigger with the same outcome as another (triggered) event."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-        return self
-
     def __repr__(self):
         state = (
             "processed" if self.processed
@@ -128,85 +120,3 @@ class Timeout(Event):
 
     def __repr__(self):
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
-
-
-class Condition(Event):
-    """Base for composite events over a set of sub-events.
-
-    Fires when :meth:`_satisfied` says enough sub-events have fired. A
-    failing sub-event fails the condition immediately.
-    """
-
-    __slots__ = ("events", "_fired")
-
-    def __init__(self, env, events):
-        super().__init__(env)
-        self.events = tuple(events)
-        self._fired = []
-        for event in self.events:
-            if event.env is not env:
-                raise ValueError("all events must share one environment")
-        if not self.events:
-            self.succeed(self._collect())
-            return
-        if len(self.events) == 1:
-            # Single-event wait: AllOf and AnyOf are both satisfied by
-            # that one event firing, so skip the _satisfied() dispatch
-            # entirely. The condition's value keeps the same shape.
-            event = self.events[0]
-            if event.processed:
-                self._on_fire_single(event)
-            else:
-                event.callbacks.append(self._on_fire_single)
-            return
-        for event in self.events:
-            if event.processed:
-                self._on_fire(event)
-            else:
-                event.callbacks.append(self._on_fire)
-
-    def _on_fire_single(self, event):
-        if self._value is not PENDING:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._fired.append(event)
-        self.succeed({event: event._value})
-
-    def _on_fire(self, event):
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._fired.append(event)
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self):
-        raise NotImplementedError
-
-    def _collect(self):
-        """Value of the condition: fired sub-events and their values."""
-        return {event: event._value for event in self._fired}
-
-
-class AllOf(Condition):
-    """Fires when every sub-event has fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self):
-        return len(self._fired) == len(self.events)
-
-
-class AnyOf(Condition):
-    """Fires when at least one sub-event has fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self):
-        return len(self._fired) >= 1

@@ -93,8 +93,6 @@ class Process(Event):
         self._resume(event)
 
     def _resume(self, event):
-        env = self.env
-        env._active_process = self
         send = self._send
         while True:
             self._target = None
@@ -105,15 +103,12 @@ class Process(Event):
                     event._defused = True
                     next_target = self._throw(event._value)
             except StopIteration as stop:
-                env._active_process = None
                 self.succeed(stop.value)
                 return
             except BaseException as error:
-                env._active_process = None
                 self.fail(error)
                 return
             if not isinstance(next_target, Event):
-                env._active_process = None
                 self.fail(
                     TypeError(
                         f"process {self.name!r} yielded a non-event: "
@@ -128,7 +123,6 @@ class Process(Event):
             next_target.callbacks.append(self._resume_cb)
             self._target = next_target
             break
-        env._active_process = None
 
     def __repr__(self):
         return f"<Process {self.name!r} at {id(self):#x}>"

@@ -1,4 +1,4 @@
-"""Shared resources: multi-server pools with FCFS/priority queueing, stores.
+"""Shared resources: multi-server pools with FCFS/priority queueing.
 
 These map directly onto the paper's physical queuing model: the CPU pool is
 one :class:`Resource` with ``capacity = num_cpus`` and a single global queue
@@ -11,7 +11,6 @@ is one kernel event and one process wake-up. :meth:`Resource.request`
 is the open-ended claim (held until released), queued in the same order.
 """
 
-from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count
 
@@ -265,45 +264,3 @@ class InfiniteResource(Resource):
 
     def __init__(self, env):
         super().__init__(env, capacity=float("inf"))
-
-
-class Store:
-    """An unbounded FIFO buffer of items with blocking ``get``.
-
-    Used for simple producer/consumer hand-offs (e.g. admission control
-    feeding the ready queue into the active set).
-    """
-
-    __slots__ = ("env", "_items", "_getters")
-
-    def __init__(self, env):
-        self.env = env
-        self._items = deque()
-        self._getters = deque()
-
-    @property
-    def items(self):
-        """Snapshot of buffered items (read-only view by convention)."""
-        return list(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def put(self, item):
-        """Add ``item``; wakes the oldest blocked getter, if any."""
-        self._items.append(item)
-        self._dispatch()
-
-    def get(self):
-        """Event that fires with the oldest item once one is available."""
-        event = Event(self.env)
-        self._getters.append(event)
-        self._dispatch()
-        return event
-
-    def _dispatch(self):
-        while self._items and self._getters:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(self._items.popleft())

@@ -255,8 +255,11 @@ def load_sweep(path):
     an unknown id (e.g. a renamed preset) or recorded ``params`` that
     differ from the preset's (a sweep run with overlaid fields) are
     errors rather than results labelled with the wrong parameters.
-    Documents written before ``params`` or per-point statuses were
-    recorded load without that check or with an empty status map.
+    Each saved point is paired with its status entry and both are
+    recorded through :meth:`SweepResult.record_replicate`, the write
+    path the runner and checkpoint restore share. Documents written
+    before ``params`` was recorded load without that check; documents
+    written before per-point statuses were recorded are refused.
     """
     with open(path) as f:
         document = json.load(f)
@@ -282,34 +285,33 @@ def load_sweep(path):
             f"{experiment_id!r} preset in {', '.join(differing)}; "
             f"reloading it would label its results with the preset's"
         )
+    if "statuses" not in document:
+        raise ValueError(
+            f"{path}: saved before per-point statuses were recorded; "
+            f"cannot be reloaded, start fresh"
+        )
     run = RunConfig(**document["run"])
     sweep = SweepResult(
         config=config, run=run,
         replications=document.get("replications", 1),
     )
     sweep.wall_seconds = document.get("wall_seconds", 0.0)
-    for point in document["points"]:
-        algorithm, mpl = point["algorithm"], point["mpl"]
-        rep = point.get("rep", 0)
-        result = _rebuild_result(
-            algorithm, mpl, point["series"],
-            point.get("totals", {}), config, run,
-            diagnostics=point.get("diagnostics"),
+    points = {
+        (point["algorithm"], point["mpl"], point.get("rep", 0)): point
+        for point in document["points"]
+    }
+    for entry in document["statuses"]:
+        key = (entry["algorithm"], entry["mpl"], entry.get("rep", 0))
+        point = points.pop(key, None)
+        result = None if point is None else _rebuild_result(
+            key[0], key[1], point["series"], point.get("totals", {}),
+            config, run, diagnostics=point.get("diagnostics"),
         )
-        sweep.replicates.setdefault((algorithm, mpl), {})[rep] = result
-        if rep == 0:
-            sweep.results[(algorithm, mpl)] = result
-    for entry in document.get("statuses", []):
-        pair = (entry["algorithm"], entry["mpl"])
-        status = _status_from_document(entry)
-        sweep.replicate_statuses[(*pair, entry.get("rep", 0))] = status
-        if sweep.replications == 1:
-            sweep.statuses[pair] = status
-    if sweep.replications != 1:
-        for (algorithm, mpl, _) in list(sweep.replicate_statuses):
-            sweep.statuses[(algorithm, mpl)] = (
-                sweep._aggregate_status((algorithm, mpl))
-            )
+        sweep.record_replicate(*key, result, _status_from_document(entry))
+    if points:
+        raise ValueError(
+            f"{path}: points without a status entry: {sorted(points)}"
+        )
     return sweep
 
 

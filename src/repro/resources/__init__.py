@@ -18,7 +18,9 @@ constructs whichever one ``SimulationParameters.resource_model`` names:
   and disk pools, network legs on cross-node accesses, and optional
   replicated reads (DESIGN.md §18).
 
-See DESIGN.md §13 for the interface contract.
+All four are configurations of one pipeline in
+:class:`ResourceModel` (placement tables, an optional buffer, per-node
+CPU pools); see DESIGN.md §13 for the interface contract.
 """
 
 from repro.resources.base import CC_PRIORITY, OBJECT_PRIORITY, ResourceModel

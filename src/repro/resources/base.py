@@ -1,4 +1,4 @@
-"""The resource-model service interface (and its default machinery).
+"""The resource-model service interface: one pipeline for every model.
 
 A *resource model* is the physical tier of the simulation: it decides
 what CPU and I/O service an object access costs and which server queues
@@ -26,8 +26,9 @@ released.
   request (priority class; no-op unless ``cc_cpu`` is set — callers
   check ``has_cc_work`` and skip the generator entirely);
 * ``cpu_service(tx, amount, priority)`` / ``disk_service(tx, amount)``
-  / ``disk_service_at(tx, disk_index, amount)`` — the raw legs the
-  composites are built from.
+  — the raw legs (one CPU leg at the transaction's home node, one leg
+  on a uniformly chosen disk);
+* ``network_leg(tx, src, dst)`` — one cross-node message.
 
 Accounting and hooks:
 
@@ -45,29 +46,70 @@ Accounting and hooks:
   diagnostics.
 
 ``obj`` — the object (page) id being accessed — is accepted by every
-per-object primitive so placement- and cache-aware models can use it;
-the classic model ignores it, which is what keeps it bit-identical to
-the original hard-coded physical tier. ``obj=None`` (direct driving in
-tests) falls back to object-blind behavior everywhere.
+per-object primitive so placement- and cache-aware models can use it.
+``obj=None`` (direct driving in tests) falls back to object-blind
+behavior everywhere: a uniform disk draw, a home-node read, no LRU hit.
 
-The default implementations in :class:`ResourceModel` are the paper's
+One pipeline
+------------
+
+:class:`ResourceModel` is the only class that defines the service
+composites. Every object read, in every model, runs one body::
+
+    [request leg out] -> buffer probe -> disk at placement(node, obj)
+        -> fill -> [data leg back] -> CPU at home node
+
+and a deferred update runs its write half (message leg, write-back,
+fill) once per copy of the object. What distinguishes the registered
+models is data set at construction:
+
+* **placement** — ``_disk_of`` (object -> spindle, ``skewed_disks``)
+  and ``_read_from``/``_replicas`` (object -> serving node, object ->
+  every copy, ``distributed``), all built by :func:`placement_table`;
+  left None, a read is served at the one site from a uniformly drawn
+  disk;
+* **buffer** — per-node LRU directories or the fixed-ratio
+  ``resources.buffer`` stream (:meth:`ResourceModel._attach_buffer`);
+  without either, no probe, fill or buffer event happens;
+* **CPU pools** — ``node_cpus``, which is ``[cpu]`` at one site.
+
+With every table None and no buffer, the pipeline is the paper's
 Figure 2 model exactly as once hard-coded in the since-removed
 ``repro.core.physical``: a pool of identical CPU servers draining one
 global queue FCFS (concurrency-control requests have priority), the
 database uniformly partitioned across the disks, and
-``num_cpus``/``num_disks`` of None modeling infinite resources
-in-band. The service primitives are hot-path code: disk selections are
-drawn in batches from the disk stream (same draws, same order as
-one-at-a-time), and every CPU or disk leg is one
+``num_cpus``/``num_disks`` of None modeling infinite resources in-band.
+Subclasses keep only what differs: validation, table building,
+``buffer_summary`` and ``describe_resources``.
+
+The composites are hot-path code and are flat: each inlines its disk
+and CPU legs, so an access runs one generator (plus one per network
+leg of a remote access). Every CPU or disk leg is one
 :meth:`~repro.des.Resource.serve` call — the pool starts the service,
 charges the busy tracker and schedules the completion itself, so a leg
 costs one kernel event and one wake-up of the transaction — closed by
-one ``finish`` in a ``finally``.
+one ``finish`` in a ``finally``. Uniform disk selections are drawn in
+batches from the disk stream (same draws, same order as one at a
+time). Buffer events and CPU ``resource_busy``/``resource_idle`` carry
+the ``node`` they happen at, 0 on a single site.
 """
 
+from collections import OrderedDict
+
+from repro.core.params import DISK_PLACEMENT_STRIPED
 from repro.des import BusyTracker, InfiniteResource, Resource
 from repro.des.events import Timeout
-from repro.obs.events import MSG_RECV, MSG_SEND, RESOURCE_BUSY, RESOURCE_IDLE
+from repro.obs.bus import InstrumentationBus
+from repro.obs.events import (
+    BUFFER_HIT,
+    BUFFER_MISS,
+    BUFFER_WRITEBACK,
+    MSG_RECV,
+    MSG_SEND,
+    RESOURCE_BUSY,
+    RESOURCE_IDLE,
+)
+from repro.obs.subscribers import BufferAccountingSubscriber
 
 #: CPU queue priority classes: CC requests beat object processing.
 CC_PRIORITY = 0
@@ -76,6 +118,33 @@ OBJECT_PRIORITY = 1
 #: Disk selections drawn from the disk stream per refill. Batching only
 #: amortizes call overhead; the value sequence is unchanged.
 _DISK_PICK_BATCH = 256
+
+#: The copies a deferred update writes on a single site: node 0's.
+_ONE_SITE = (0,)
+
+
+def placement_table(count, params):
+    """Which of ``count`` units (disks or nodes) holds each object id.
+
+    ``params.disk_placement`` picks the formula. ``contiguous`` maps
+    runs of db_size/count ids to one unit each (``obj * count //
+    db_size``), so a hotspot workload's hot region — the first
+    ``hot_fraction`` of the id space — lands on the low-numbered units
+    and data skew becomes resource skew. ``striped`` deals ids
+    round-robin (``obj % count``): perfect striping, the control arm.
+    Placement is a pure function of the id, so no stream is drawn.
+    """
+    db_size = params.db_size
+    if params.disk_placement == DISK_PLACEMENT_STRIPED:
+        return [obj % count for obj in range(db_size)]
+    return [obj * count // db_size for obj in range(db_size)]
+
+
+def _pools(env, count, capacity):
+    """``count`` server pools of ``capacity`` servers (None: infinite)."""
+    if capacity is None:
+        return [InfiniteResource(env) for _ in range(count)]
+    return [Resource(env, capacity=capacity) for _ in range(count)]
 
 
 class _Watch:
@@ -95,12 +164,10 @@ class _Watch:
 
 
 class ResourceModel:
-    """Base resource model: CPU pool + partitioned disks + accounting.
+    """The one resource pipeline: CPU pools, disks, buffer, placement.
 
-    Subclasses override the service composites (``read_access`` /
-    ``deferred_update``), :meth:`_build_resources`, or both. See the
-    registered models: ``classic``, ``buffered``, ``skewed_disks``,
-    ``distributed``.
+    The registered models (``classic``, ``buffered``, ``skewed_disks``,
+    ``distributed``) configure it; see the module docstring.
     """
 
     #: Registry name; subclasses must set a unique non-empty string.
@@ -123,10 +190,19 @@ class ResourceModel:
         #: False when ``cc_cpu`` is zero (the paper's tables): lets the
         #: engine skip the whole cc_request_work generator per request.
         self.has_cc_work = params.cc_cpu > 0.0
-        #: Number of sites in the model's topology. Single-site models
-        #: stay at 1 (node addressing collapses to the flat indices);
-        #: the ``distributed`` model sets ``params.nodes``.
+        #: Number of sites. Single-site models stay at 1; the
+        #: ``distributed`` model sets ``params.nodes``.
         self.nodes = 1
+        #: Placement tables (None: uniform disk draw at the one site).
+        self._disk_of = None
+        self._read_from = None
+        self._replicas = None
+        #: Buffer pool (see _attach_buffer): off by default.
+        self._buffered = False
+        self._lru = None
+        self._hit_rng = None
+        self.buffer_capacity = None
+        self.accounting = None
         #: Cross-node message accounting (count, summed delay). Stays
         #: zero for single-site models — ``network_summary`` reports
         #: None then, so their totals keep the exact pre-topology
@@ -139,62 +215,97 @@ class ResourceModel:
     # -- construction hooks --------------------------------------------------
 
     def _build_resources(self):
-        """Instantiate the server pools and their utilization trackers.
+        """Build ``self.nodes`` CPU pools and disk sets, and trackers.
 
-        The default is the paper's single-site tier: one pooled CPU
-        queue and one flat disk list. Multi-site models override this to
-        build per-node pools (keeping ``self.disks`` as the flattened
-        node-major list so disk addressing, fault targeting and the
-        utilization trackers stay uniform).
+        ``self.disks`` is the flattened node-major disk list (node n's
+        disks occupy indices [n*disks_per_node, (n+1)*disks_per_node)),
+        so disk addressing, fault targeting and the utilization
+        trackers are the same for every topology. ``self.cpu`` is node
+        0's pool: the paper's single pooled CPU queue on one site.
         """
         env = self.env
+        nodes = self.nodes
         num_cpus, num_disks = self.params.num_cpus, self.params.num_disks
-        if num_cpus is None:
-            self.cpu = InfiniteResource(env)
-            cpu_capacity = float("inf")
-        else:
-            self.cpu = Resource(env, capacity=num_cpus)
-            cpu_capacity = num_cpus
+        self.node_cpus = _pools(env, nodes, num_cpus)
+        self.cpu = self.node_cpus[0]
+        self.disks_per_node = 1 if num_disks is None else num_disks
+        self.disks = _pools(
+            env, nodes * self.disks_per_node,
+            None if num_disks is None else 1,
+        )
+        self.cpu_tracker = BusyTracker(
+            env, "cpu",
+            float("inf") if num_cpus is None else nodes * num_cpus,
+        )
+        self.disk_tracker = BusyTracker(
+            env, "disk",
+            float("inf") if num_disks is None else nodes * num_disks,
+        )
 
-        if num_disks is None:
-            self.disks = [InfiniteResource(env)]
-            disk_capacity = float("inf")
-        else:
-            self.disks = [
-                Resource(env, capacity=1) for _ in range(num_disks)
-            ]
-            disk_capacity = num_disks
-        self.disks_per_node = len(self.disks)
+    def _attach_buffer(self, capacity=None, hit_ratio=None):
+        """Put a buffer pool in front of every node's disks.
 
-        self.cpu_tracker = BusyTracker(env, "cpu", cpu_capacity)
-        self.disk_tracker = BusyTracker(env, "disk", disk_capacity)
+        With ``hit_ratio`` unset, each node gets an exact LRU directory
+        over object ids holding ``capacity`` pages: deterministic given
+        the access sequence, no draws. With ``hit_ratio`` set, every
+        probe hits with that probability, drawn from the dedicated
+        ``resources.buffer`` stream. Cache activity rides the bus (a
+        private one when the model was built without) into a
+        :class:`~repro.obs.BufferAccountingSubscriber`, mirroring the
+        fault injector's accounting.
+        """
+        if hit_ratio is None:
+            self._lru = [OrderedDict() for _ in range(self.nodes)]
+            self.buffer_capacity = capacity
+        else:
+            self._hit_rng = self._streams.stream("resources.buffer")
+            self._hit_ratio = hit_ratio
+        self._buffered = True
+        if self.bus is None:
+            self.bus = InstrumentationBus(self.env)
+        self.accounting = self.bus.attach(BufferAccountingSubscriber())
 
     # -- node addressing -----------------------------------------------------
     #
     # Every model is node-addressable; single-site models are the
-    # degenerate one-node case, so placement-blind callers and the
-    # invariant checker can use the same interface everywhere.
+    # degenerate one-node case, so placement-blind callers, the commit
+    # protocol and the invariant checker use one interface everywhere.
 
     def node_of(self, obj):
-        """The node whose shard holds ``obj`` (always 0 single-site)."""
-        return 0
+        """The node holding the primary copy of ``obj`` (0 single-site)."""
+        replicas = self._replicas
+        if replicas is None or obj is None:
+            return 0
+        return replicas[obj][0]
 
     def home_node(self, tx):
-        """The node a transaction originates at (always 0 single-site)."""
-        return 0
+        """The node a transaction originates at (``tx.id % nodes``)."""
+        if tx is None:
+            return 0
+        return tx.id % self.nodes
 
     def cpu_capacity_at(self, node):
         """CPU servers at one node (the invariant checker's bound)."""
-        return getattr(self.cpu, "capacity", float("inf"))
+        return self.node_cpus[node].capacity
 
     def participant_nodes(self, tx):
         """Remote nodes a transaction touched (commit-protocol seam).
 
-        Single-site models involve no remote participants, so a 2PC
-        commit protocol composed with them degenerates to the atomic
-        commit point.
+        The serving node of every read plus every copy of every write,
+        sorted, home excluded. Without placement tables (one site) no
+        remote participant exists, so a 2PC commit protocol composed
+        with the model degenerates to the atomic commit point.
         """
-        return ()
+        replicas = self._replicas
+        if replicas is None:
+            return ()
+        home = tx.id % self.nodes
+        read_from = self._read_from[home]
+        touched = {read_from[obj] for obj in tx.read_set}
+        for obj in tx.write_set:
+            touched.update(replicas[obj])
+        touched.discard(home)
+        return sorted(touched)
 
     def network_leg(self, tx, src, dst):
         """One cross-node message: an explicit service stage.
@@ -243,14 +354,65 @@ class ResourceModel:
             "mean_delay": self.network_time / self.messages_sent,
         }
 
+    # -- placement and buffer mechanics --------------------------------------
+
+    def _disk_at(self, node, obj):
+        """Index in ``self.disks`` of the disk serving ``obj`` at ``node``.
+
+        The placed spindle when ``_disk_of`` is set, else a uniform
+        draw among the node's disks (batched draws from the disk
+        stream). One disk per node leaves nothing to choose: the
+        stream, which feeds nothing else, is not drawn.
+        """
+        count = self.disks_per_node
+        disk_of = self._disk_of
+        if disk_of is not None and obj is not None:
+            return node * count + disk_of[obj]
+        if count == 1:
+            return node
+        at = self._disk_pick_at
+        picks = self._disk_picks
+        if at >= len(picks):
+            self._disk_picks = picks = self._disk_rng.uniform_int_many(
+                0, count - 1, _DISK_PICK_BATCH
+            )
+            at = 0
+        self._disk_pick_at = at + 1
+        return node * count + picks[at]
+
+    def _probe(self, node, obj):
+        """True if reading ``obj`` hits ``node``'s buffer pool.
+
+        The fixed policy draws on every probe. Under LRU, ``obj`` of
+        None (object-blind callers) never hits: there is no identity
+        to find.
+        """
+        hit_rng = self._hit_rng
+        if hit_rng is not None:
+            return hit_rng.bernoulli(self._hit_ratio)
+        if obj is None:
+            return False
+        lru = self._lru[node]
+        if obj in lru:
+            lru.move_to_end(obj)
+            return True
+        return False
+
+    def _fill(self, node, obj):
+        """Make ``obj`` resident at ``node`` after a completed transfer."""
+        lru_pools = self._lru
+        if lru_pools is None or obj is None:
+            return
+        lru = lru_pools[node]
+        lru[obj] = None
+        lru.move_to_end(obj)
+        if len(lru) > self.buffer_capacity:
+            lru.popitem(last=False)
+
     # -- service primitives -------------------------------------------------
-    #
-    # Each returns a generator to be driven with ``yield from`` inside a
-    # transaction process. They are interrupt-safe: on abort mid-service
-    # the partial service time is still charged and the server released.
 
     def cpu_service(self, tx, amount, priority=OBJECT_PRIORITY):
-        """Hold one CPU server for ``amount`` seconds.
+        """Hold one CPU server of the home node for ``amount`` seconds.
 
         Under an injected CPU degradation window the demand is
         multiplied by the factor in effect when service *starts* (a
@@ -260,53 +422,23 @@ class ResourceModel:
             return
         if self.faults is not None:
             amount *= self.faults.cpu_factor
+        home = tx.id % self.nodes
         bus = self.bus
+        cpu = self.node_cpus[home]
         watch = bus is not None and bus.wants_resource and _Watch(
-            bus, tx, "cpu")
-        cpu = self.cpu
+            bus, tx, "cpu", node=home)
         service = cpu.serve(amount, priority, self.cpu_tracker, watch)
         try:
             yield service
         finally:
             tx.attempt_cpu_time += cpu.finish(service)
 
-    def _pick_disk(self):
-        """Index of a uniformly chosen disk within a node (batched draws).
-
-        Bounded by ``disks_per_node``: all disks of a single site, the
-        local ones of a sharded model (the same draws at one node). One
-        disk leaves nothing to choose: the stream, which feeds nothing
-        else, is not drawn.
-        """
-        count = self.disks_per_node
-        if count == 1:
-            return 0
-        at = self._disk_pick_at
-        picks = self._disk_picks
-        if at >= len(picks):
-            self._disk_picks = picks = self._disk_rng.uniform_int_many(
-                0, count - 1, _DISK_PICK_BATCH
-            )
-            at = 0
-        self._disk_pick_at = at + 1
-        return picks[at]
-
     def disk_service(self, tx, amount):
-        """Hold a uniformly chosen disk for ``amount`` seconds."""
-        if amount <= 0.0:
-            return
-        yield from self.disk_service_at(tx, self._pick_disk(), amount)
-
-    def disk_service_at(self, tx, disk_index, amount):
-        """Hold disk ``disk_index`` (of ``self.disks``) for ``amount`` s.
-
-        The placement-aware leg: callers that map objects to specific
-        spindles (``skewed_disks``) or that decide queueing per access
-        (``buffered``) pick the index themselves.
-        """
+        """Hold a uniformly chosen disk of node 0 for ``amount`` seconds."""
         if amount <= 0.0:
             return
         bus = self.bus
+        disk_index = self._disk_at(0, None)
         disk = self.disks[disk_index]
         watch = bus is not None and bus.wants_resource and _Watch(
             bus, tx, "disk", disk=disk_index)
@@ -316,19 +448,16 @@ class ResourceModel:
         finally:
             tx.attempt_disk_time += disk.finish(service)
 
-    # -- model-level composites -----------------------------------------------
-    #
-    # The composites inline the disk/cpu service bodies instead of
-    # delegating with ``yield from``: an object access is the single
-    # most-executed code path of a simulator, and the flattened form
-    # creates one generator per access instead of three. The yields,
-    # their order, and the interrupt-time accounting are exactly those
-    # of ``disk_service`` followed by ``cpu_service``.
+    # -- the pipeline ------------------------------------------------------------
 
     def read_access(self, tx, obj=None):
-        """Read one object: obj_io of disk, then obj_cpu of CPU.
+        """Read one object through the pipeline.
 
-        With fault injection, the access may fault first (raising
+        Request leg out to the node serving ``obj`` (the nearest copy),
+        a buffer probe there, ``obj_io`` of disk unless the probe hit,
+        the fill, the data leg back, then ``obj_cpu`` of CPU at the
+        transaction's home node. A local read skips both legs. With
+        fault injection, the access may fault first (raising
         RestartTransaction before any service is consumed).
         """
         faults = self.faults
@@ -337,25 +466,46 @@ class ResourceModel:
         bus = self.bus
         watched = bus is not None and bus.wants_resource
         params = self.params
+        read_from = self._read_from
+        if read_from is None:
+            home = node = 0
+        else:
+            home = tx.id % self.nodes
+            node = home if obj is None else read_from[home][obj]
+            if node != home:
+                yield from self.network_leg(tx, home, node)
 
-        amount = params.obj_io
-        if amount > 0.0:
-            disk_index = self._pick_disk()
-            disk = self.disks[disk_index]
-            watch = watched and _Watch(bus, tx, "disk", disk=disk_index)
-            service = disk.serve(amount, 0, self.disk_tracker, watch)
-            try:
-                yield service
-            finally:
-                tx.attempt_disk_time += disk.finish(service)
+        buffered = self._buffered
+        if buffered and self._probe(node, obj):
+            bus.emit(BUFFER_HIT, tx=tx, obj=obj, node=node)
+        else:
+            if buffered:
+                bus.emit(BUFFER_MISS, tx=tx, obj=obj, node=node)
+            amount = params.obj_io
+            if amount > 0.0:
+                disk_index = self._disk_at(node, obj)
+                disk = self.disks[disk_index]
+                watch = watched and _Watch(bus, tx, "disk", disk=disk_index)
+                service = disk.serve(amount, 0, self.disk_tracker, watch)
+                try:
+                    yield service
+                finally:
+                    tx.attempt_disk_time += disk.finish(service)
+            if buffered:
+                # Resident only once the transfer completed: an abort
+                # mid-service leaves the cache unchanged.
+                self._fill(node, obj)
+
+        if node != home:
+            yield from self.network_leg(tx, node, home)
 
         amount = params.obj_cpu
         if amount <= 0.0:
             return
         if faults is not None:
             amount *= faults.cpu_factor
-        cpu = self.cpu
-        watch = watched and _Watch(bus, tx, "cpu")
+        cpu = self.node_cpus[home]
+        watch = watched and _Watch(bus, tx, "cpu", node=home)
         service = cpu.serve(amount, OBJECT_PRIORITY, self.cpu_tracker, watch)
         try:
             yield service
@@ -374,8 +524,42 @@ class ResourceModel:
         yield from self.cpu_service(tx, self.params.obj_cpu)
 
     def deferred_update(self, tx, obj=None):
-        """Write one deferred update to disk at commit time."""
-        yield from self.disk_service(tx, self.params.obj_io)
+        """Write one deferred update to every copy of ``obj`` at commit.
+
+        Per copy: a message leg shipping the write to a remote copy's
+        node, the write-back charged in full as ``obj_io`` of disk
+        there, then the written page becomes resident in that node's
+        buffer. Acknowledgements are not charged: past the commit point
+        the outcome is decided (the commit *decision* legs are the
+        commit protocol's job).
+        """
+        bus = self.bus
+        watched = bus is not None and bus.wants_resource
+        amount = self.params.obj_io
+        buffered = self._buffered
+        replicas = self._replicas
+        if replicas is None:
+            home = 0
+            nodes = _ONE_SITE
+        else:
+            home = tx.id % self.nodes
+            nodes = (home,) if obj is None else replicas[obj]
+        for node in nodes:
+            if node != home:
+                yield from self.network_leg(tx, home, node)
+            if buffered:
+                bus.emit(BUFFER_WRITEBACK, tx=tx, obj=obj, node=node)
+            if amount > 0.0:
+                disk_index = self._disk_at(node, obj)
+                disk = self.disks[disk_index]
+                watch = watched and _Watch(bus, tx, "disk", disk=disk_index)
+                service = disk.serve(amount, 0, self.disk_tracker, watch)
+                try:
+                    yield service
+                finally:
+                    tx.attempt_disk_time += disk.finish(service)
+            if buffered:
+                self._fill(node, obj)
 
     def cc_request_work(self, tx):
         """CPU work for one concurrency-control request (priority class).

@@ -1,7 +1,7 @@
 """The ``buffered`` resource model: a main-memory buffer pool.
 
-Extends the classic CPU/disk tier with a database buffer cache in front
-of the disks, after Thomasian's heterogeneous data access modeling
+The classic CPU/disk tier with a database buffer cache in front of the
+disks, after Thomasian's heterogeneous data access modeling
 (arXiv:2404.02276): an object read probes the cache first and consumes
 disk service only on a miss, so the effective I/O demand per
 transaction drops with the hit ratio while CPU demand is unchanged.
@@ -20,19 +20,18 @@ Two probe policies, selected by ``params.buffer_policy``:
   ``resources.buffer`` stream — the analytic-model convention when the
   miss process, not the reference pattern, is what's being studied.
 
-Cache activity is published on the instrumentation bus as
-``buffer_hit``/``buffer_miss``/``buffer_writeback`` events; the model's
-own counters ride a :class:`~repro.obs.BufferAccountingSubscriber` it
-attaches (mirroring the fault injector's accounting), and surface via
+The model is a configuration of the one resource pipeline
+(:mod:`repro.resources.base`): one site, uniform disk placement, and a
+buffer attached at construction; the probe, the fill and the service
+legs are the pipeline's. Cache activity is published on the
+instrumentation bus as ``buffer_hit``/``buffer_miss``/
+``buffer_writeback`` events; the counters ride a
+:class:`~repro.obs.BufferAccountingSubscriber` and surface via
 :meth:`buffer_summary` in run totals, ``SimulationResult.diagnostics``,
 and the sweep report's hit-ratio table.
 """
 
-from collections import OrderedDict
-
-from repro.obs.bus import InstrumentationBus
-from repro.obs.events import BUFFER_HIT, BUFFER_MISS, BUFFER_WRITEBACK
-from repro.obs.subscribers import BufferAccountingSubscriber
+from repro.core.params import BUFFER_POLICY_FIXED
 from repro.resources.base import ResourceModel
 
 #: Default LRU capacity when ``buffer_capacity`` is unset: one tenth of
@@ -48,95 +47,24 @@ class BufferedResourceModel(ResourceModel):
     def __init__(self, env, params, streams, bus=None):
         super().__init__(env, params, streams, bus=bus)
         self.policy = params.buffer_policy
-        if self.policy == "fixed":
+        if self.policy == BUFFER_POLICY_FIXED:
             if params.buffer_hit_ratio is None:
                 raise ValueError(
                     "buffer_policy='fixed' requires buffer_hit_ratio"
                 )
-            self.capacity = None
-            self._hit_rng = streams.stream("resources.buffer")
-            self._lru = None
+            self._attach_buffer(hit_ratio=params.buffer_hit_ratio)
         else:
-            self.capacity = (
+            self._attach_buffer(
                 params.buffer_capacity
                 if params.buffer_capacity is not None
                 else max(1, params.db_size // DEFAULT_CAPACITY_FRACTION)
             )
-            self._hit_rng = None
-            #: LRU directory: object id -> None, oldest first.
-            self._lru = OrderedDict()
-        # Cache accounting rides the event stream like fault accounting
-        # does; standalone use (tests) without a bus gets a private one.
-        if self.bus is None:
-            self.bus = InstrumentationBus(env)
-        self.accounting = self.bus.attach(BufferAccountingSubscriber())
-
-    # -- cache mechanics ----------------------------------------------------
-
-    def _probe(self, obj):
-        """True if reading ``obj`` hits the buffer pool.
-
-        ``obj`` of None (object-blind callers, e.g. tests driving the
-        service interface directly) never hits under LRU — there is no
-        identity to find — and draws normally under the fixed policy.
-        """
-        if self._hit_rng is not None:
-            return self._hit_rng.bernoulli(self.params.buffer_hit_ratio)
-        if obj is None:
-            return False
-        lru = self._lru
-        if obj in lru:
-            lru.move_to_end(obj)
-            return True
-        return False
-
-    def _fill(self, obj):
-        """Make ``obj`` resident after a completed disk transfer."""
-        lru = self._lru
-        if lru is None or obj is None:
-            return
-        lru[obj] = None
-        lru.move_to_end(obj)
-        if len(lru) > self.capacity:
-            lru.popitem(last=False)
-
-    # -- service composites -------------------------------------------------
-
-    def read_access(self, tx, obj=None):
-        """Read one object: disk only on a buffer miss, then CPU."""
-        faults = self.faults
-        if faults is not None:
-            faults.check_access_fault(tx)
-        bus = self.bus
-        if self._probe(obj):
-            bus.emit(BUFFER_HIT, tx=tx, obj=obj)
-        else:
-            bus.emit(BUFFER_MISS, tx=tx, obj=obj)
-            yield from self.disk_service_at(
-                tx, self._pick_disk(), self.params.obj_io
-            )
-            # Resident only once the transfer completed: an abort
-            # mid-service leaves the cache unchanged.
-            self._fill(obj)
-        yield from self.cpu_service(tx, self.params.obj_cpu)
-
-    def deferred_update(self, tx, obj=None):
-        """Write one deferred update through to disk at commit time.
-
-        The write-back is charged here, in full, and the written page
-        becomes resident for subsequent readers.
-        """
-        self.bus.emit(BUFFER_WRITEBACK, tx=tx, obj=obj)
-        yield from self.disk_service(tx, self.params.obj_io)
-        self._fill(obj)
-
-    # -- reporting ----------------------------------------------------------
 
     def buffer_summary(self):
         accounting = self.accounting
         return {
             "policy": self.policy,
-            "capacity": self.capacity,
+            "capacity": self.buffer_capacity,
             "hits": accounting.hits,
             "misses": accounting.misses,
             "hit_ratio": accounting.hit_ratio,
@@ -147,7 +75,7 @@ class BufferedResourceModel(ResourceModel):
         labels = super().describe_resources()
         labels["buffer"] = (
             f"fixed:{self.params.buffer_hit_ratio}"
-            if self.policy == "fixed"
-            else f"lru:{self.capacity}"
+            if self.policy == BUFFER_POLICY_FIXED
+            else f"lru:{self.buffer_capacity}"
         )
         return labels

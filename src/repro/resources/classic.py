@@ -8,9 +8,11 @@ disk uniformly at random and waits in that disk's FCFS queue.
 This is the physical tier once hard-coded in the since-removed
 ``repro.core.physical`` module, now behind the resource-model
 interface and bit-identical for fixed seeds (golden-output verified in
-``tests/resources/test_golden_parity.py``). It keeps the paper's
-in-band infinite-resources convention: ``num_cpus``/``num_disks`` of
-None makes the corresponding resource infinite.
+``tests/resources/test_golden_parity.py``). It is the resource pipeline
+of :mod:`repro.resources.base` with nothing configured: one site, no
+buffer, uniform disk placement. It keeps the paper's in-band
+infinite-resources convention: ``num_cpus``/``num_disks`` of None makes
+the corresponding resource infinite.
 """
 
 from repro.resources.base import ResourceModel

@@ -10,25 +10,21 @@ one disk, so a skewed reference pattern piles its accesses onto the hot
 object's spindle and disk queueing amplifies the contention the
 workload skew creates.
 
-Two placements, selected by ``params.disk_placement``:
+``params.disk_placement`` selects the placement
+(:func:`~repro.resources.base.placement_table`): ``contiguous`` id runs
+make the low-numbered disks the hot spindles under hotspot skew;
+``striped`` round-robin is the control arm that isolates queueing-skew
+effects from placement itself.
 
-* ``contiguous`` — object ids map to disks in db_size/num_disks runs
-  (``obj * num_disks // db_size``). The workload's hot region is the
-  *first* ``hot_fraction`` of the id space, so with hotspot skew the
-  low-numbered disks become the hot spindles — the interesting case.
-* ``striped`` — round-robin (``obj % num_disks``): explicit perfect
-  striping. Hot objects spread over all disks; useful as the control
-  arm that isolates queueing-skew effects from placement itself.
-
-Placement is a pure function of the object id — no RNG draws, so the
-disk-choice stream is untouched. Requires finite disks: placement on an
-infinite server pool is meaningless.
+The model is a configuration of the one resource pipeline
+(:mod:`repro.resources.base`): one site, no buffer, and the object→disk
+table the pipeline's disk leg reads. Placement is a pure function of
+the object id — no RNG draws, so the disk-choice stream is untouched.
+Requires finite disks: placement on an infinite server pool is
+meaningless.
 """
 
-from repro.resources.base import ResourceModel
-
-PLACEMENT_CONTIGUOUS = "contiguous"
-PLACEMENT_STRIPED = "striped"
+from repro.resources.base import ResourceModel, placement_table
 
 
 class SkewedDisksResourceModel(ResourceModel):
@@ -44,38 +40,13 @@ class SkewedDisksResourceModel(ResourceModel):
                 "meaningless)"
             )
         super().__init__(env, params, streams, bus=bus)
-        self._striped = params.disk_placement == PLACEMENT_STRIPED
-        self._num_disks = params.num_disks
-        self._db_size = params.db_size
+        self._disk_of = placement_table(params.num_disks, params)
 
     def disk_for(self, obj):
         """The disk holding ``obj`` (None → uniform fallback draw)."""
-        if obj is None:
-            return self._pick_disk()
-        if self._striped:
-            return obj % self._num_disks
-        return obj * self._num_disks // self._db_size
-
-    # -- service composites -------------------------------------------------
-
-    def read_access(self, tx, obj=None):
-        """Read one object from the disk that holds it, then CPU."""
-        if self.faults is not None:
-            self.faults.check_access_fault(tx)
-        yield from self.disk_service_at(
-            tx, self.disk_for(obj), self.params.obj_io
-        )
-        yield from self.cpu_service(tx, self.params.obj_cpu)
-
-    def deferred_update(self, tx, obj=None):
-        """Write one deferred update to the disk that holds it."""
-        yield from self.disk_service_at(
-            tx, self.disk_for(obj), self.params.obj_io
-        )
+        return self._disk_at(0, obj)
 
     def describe_resources(self):
         labels = super().describe_resources()
-        labels["placement"] = (
-            PLACEMENT_STRIPED if self._striped else PLACEMENT_CONTIGUOUS
-        )
+        labels["placement"] = self.params.disk_placement
         return labels

@@ -1,8 +1,8 @@
-"""Tests for event primitives: triggering, failure, conditions."""
+"""Tests for event primitives: triggering, failure, timeouts."""
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment
+from repro.des import Environment
 
 
 class TestEventLifecycle:
@@ -44,12 +44,6 @@ class TestEventLifecycle:
         with pytest.raises(ValueError, match="boom"):
             ev.value
 
-    def test_trigger_copies_outcome(self):
-        env = Environment()
-        src = env.event().succeed(5)
-        dst = env.event().trigger(src)
-        assert dst.value == 5
-
     def test_callbacks_none_after_processing(self):
         env = Environment()
         ev = env.event().succeed()
@@ -89,62 +83,3 @@ class TestTimeout:
 
         assert env.run(until=env.process(proc(env))) == "tick"
 
-
-class TestConditions:
-    def test_all_of_waits_for_every_event(self):
-        env = Environment()
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(2.0, value="b")
-        cond = AllOf(env, [t1, t2])
-
-        def proc(env):
-            results = yield cond
-            return sorted(results.values())
-
-        assert env.run(until=env.process(proc(env))) == ["a", "b"]
-        assert env.now == 2.0
-
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(5.0, value="slow")
-
-        def proc(env):
-            results = yield AnyOf(env, [t1, t2])
-            return list(results.values())
-
-        assert env.run(until=env.process(proc(env))) == ["fast"]
-        assert env.now == 1.0
-
-    def test_empty_all_of_fires_immediately(self):
-        env = Environment()
-        cond = env.all_of([])
-        assert cond.triggered
-
-    def test_condition_failure_propagates(self):
-        env = Environment()
-        bad = env.event()
-
-        def failer(env):
-            yield env.timeout(1.0)
-            bad.fail(RuntimeError("inner"))
-
-        def waiter(env):
-            yield env.all_of([bad, env.timeout(10.0)])
-
-        env.process(failer(env))
-        p = env.process(waiter(env))
-        with pytest.raises(RuntimeError, match="inner"):
-            env.run(until=p)
-
-    def test_condition_with_already_processed_event(self):
-        env = Environment()
-        done = env.timeout(0.0, value=1)
-        env.run()
-        cond = env.all_of([done])
-        assert cond.triggered
-
-    def test_cross_environment_events_rejected(self):
-        env1, env2 = Environment(), Environment()
-        with pytest.raises(ValueError):
-            AllOf(env1, [env1.event(), env2.event()])

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.des import (
-    AnyOf,
     Environment,
     Interrupt,
     Resource,
@@ -19,53 +18,8 @@ class TestEventEdges:
         with pytest.raises(AttributeError):
             event.callbacks.append(lambda ev: None)
 
-    def test_any_of_failure_before_success(self):
-        env = Environment()
-        bad = env.event()
-        slow = env.timeout(10.0)
-
-        def failer(env):
-            yield env.timeout(1.0)
-            bad.fail(RuntimeError("first"))
-
-        def waiter(env):
-            yield AnyOf(env, [bad, slow])
-
-        env.process(failer(env))
-        process = env.process(waiter(env))
-        with pytest.raises(RuntimeError, match="first"):
-            env.run(until=process)
-
-    def test_condition_value_preserves_fire_order(self):
-        env = Environment()
-        fast = env.timeout(1.0, value="fast")
-        slow = env.timeout(2.0, value="slow")
-
-        def waiter(env):
-            got = yield env.all_of([slow, fast])
-            return list(got.values())
-
-        # Values ordered by firing, not by declaration.
-        assert env.run(until=env.process(waiter(env))) == [
-            "fast", "slow"
-        ]
-
 
 class TestProcessEdges:
-    def test_active_process_visible_during_execution(self):
-        env = Environment()
-        seen = []
-
-        def proc(env):
-            seen.append(env.active_process)
-            yield env.timeout(1.0)
-            seen.append(env.active_process)
-
-        process = env.process(proc(env))
-        env.run()
-        assert seen == [process, process]
-        assert env.active_process is None
-
     def test_target_exposed_while_waiting(self):
         env = Environment()
         gate = env.event()

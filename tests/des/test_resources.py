@@ -1,10 +1,10 @@
-"""Tests for resource pools: capacity, FCFS and priority order, stores."""
+"""Tests for resource pools: capacity, FCFS and priority order."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.des import Environment, InfiniteResource, Resource, Store
+from repro.des import Environment, InfiniteResource, Resource
 
 
 def hold(env, resource, log, tag, duration, priority=0):
@@ -242,59 +242,3 @@ class TestInfiniteResource:
         env.run()
         assert res.in_use == 0
 
-
-class TestStore:
-    def test_put_then_get(self):
-        env = Environment()
-        store = Store(env)
-        store.put("x")
-
-        def getter(env):
-            item = yield store.get()
-            return item
-
-        assert env.run(until=env.process(getter(env))) == "x"
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-
-        def getter(env):
-            item = yield store.get()
-            return (item, env.now)
-
-        def putter(env):
-            yield env.timeout(3.0)
-            store.put("late")
-
-        env.process(putter(env))
-        assert env.run(until=env.process(getter(env))) == ("late", 3.0)
-
-    def test_fifo_items_and_getters(self):
-        env = Environment()
-        store = Store(env)
-        results = []
-
-        def getter(env, tag):
-            item = yield store.get()
-            results.append((tag, item))
-
-        env.process(getter(env, "g1"))
-        env.process(getter(env, "g2"))
-
-        def putter(env):
-            yield env.timeout(1.0)
-            store.put("first")
-            store.put("second")
-
-        env.process(putter(env))
-        env.run()
-        assert results == [("g1", "first"), ("g2", "second")]
-
-    def test_len_and_items(self):
-        env = Environment()
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-        assert store.items == [1, 2]

@@ -96,6 +96,24 @@ class TestErrors:
         path.write_text(json.dumps(document))
         assert load_sweep(path).results.keys() == sweep.results.keys()
 
+    def test_document_without_statuses_refused(self, sweep, tmp_path):
+        path = tmp_path / "sweep.json"
+        save_sweep(sweep, path)
+        document = json.loads(path.read_text())
+        del document["statuses"]
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="start fresh"):
+            load_sweep(path)
+
+    def test_point_without_status_refused(self, sweep, tmp_path):
+        path = tmp_path / "sweep.json"
+        save_sweep(sweep, path)
+        document = json.loads(path.read_text())
+        document["statuses"] = document["statuses"][1:]
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="without a status entry"):
+            load_sweep(path)
+
     def test_unknown_experiment_rejected(self, sweep, tmp_path):
         path = tmp_path / "sweep.json"
         save_sweep(sweep, path)

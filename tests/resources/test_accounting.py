@@ -5,10 +5,10 @@ interrupted mid-service, the partial service time already consumed is
 charged to the attempt, the server is released on unwind, and
 ``charge_attempt(useful=False)`` books exactly that partial time as
 wasted in the utilization trackers. These tests pin the contract for
-both legs (disk and CPU) of the flattened ``read_access`` hot path, for
-the generic composed legs the buffered model uses, and for the
-distributed model's flattened composites (network legs, remote disk,
-replicated deferred updates).
+both legs (disk and CPU) of the one ``read_access`` pipeline, for the
+raw ``disk_service``/``cpu_service`` legs, for the buffered model's
+miss path, and for the distributed configuration (network legs,
+remote disk, replicated deferred updates).
 """
 
 import pytest

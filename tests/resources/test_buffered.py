@@ -77,7 +77,7 @@ class TestLruPolicy:
 
     def test_default_capacity_is_a_tenth_of_db(self):
         _, model, params = build()
-        assert model.capacity == params.db_size // 10
+        assert model.buffer_capacity == params.db_size // 10
 
 
 class TestFixedPolicy:
