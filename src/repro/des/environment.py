@@ -55,18 +55,29 @@ class Environment:
 
     def peek(self):
         """Time of the next scheduled event (inf if none)."""
-        if not self._queue:
+        queue = self._queue
+        while queue and queue[0][3].callbacks is None:
+            heappop(queue)  # withdrawn
+        if not queue:
             return _INF
-        return self._queue[0][0]
+        return queue[0][0]
 
     def step(self):
-        """Process exactly one event."""
-        try:
-            when, _, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no more events") from None
+        """Process exactly one event.
+
+        A withdrawn entry (an event whose callbacks were cleared while
+        it was queued, see :meth:`repro.des.resources.Resource.finish`)
+        is discarded on the way without touching the clock.
+        """
+        callbacks = None
+        while callbacks is None:
+            try:
+                when, _, _, event = heappop(self._queue)
+            except IndexError:
+                raise EmptySchedule("no more events") from None
+            callbacks = event.callbacks
         self._now = when
-        callbacks, event.callbacks = event.callbacks, None
+        event.callbacks = None
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:
@@ -113,8 +124,11 @@ class Environment:
                 if when >= deadline:
                     break
                 event = pop(queue)[3]
+                callbacks = event.callbacks
+                if callbacks is None:
+                    continue  # withdrawn: discarded, the clock stays
                 self._now = when
-                callbacks, event.callbacks = event.callbacks, None
+                event.callbacks = None
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:

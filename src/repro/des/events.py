@@ -28,6 +28,8 @@ class Event:
     Callbacks are callables of one argument (the event); they run when the
     event is processed. After processing, ``callbacks`` is None — appending
     to a processed event is an error, which surfaces use-after-fire bugs.
+    A queued event whose ``callbacks`` are set to None before it is popped
+    is withdrawn: the run loop discards it without advancing the clock.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")

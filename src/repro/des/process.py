@@ -103,12 +103,15 @@ class Process(Event):
                     event._defused = True
                     next_target = self._throw(event._value)
             except StopIteration as stop:
+                self._drop_bound_methods()
                 self.succeed(stop.value)
                 return
             except BaseException as error:
+                self._drop_bound_methods()
                 self.fail(error)
                 return
             if not isinstance(next_target, Event):
+                self._drop_bound_methods()
                 self.fail(
                     TypeError(
                         f"process {self.name!r} yielded a non-event: "
@@ -123,6 +126,13 @@ class Process(Event):
             next_target.callbacks.append(self._resume_cb)
             self._target = next_target
             break
+
+    def _drop_bound_methods(self):
+        # The generator has ended: without the caches a finished
+        # process is no reference cycle (``_resume_cb`` is a bound
+        # method of the process itself), so reference counting frees
+        # it instead of the cyclic collector.
+        self._send = self._throw = self._resume_cb = None
 
     def __repr__(self):
         return f"<Process {self.name!r} at {id(self):#x}>"

@@ -190,12 +190,17 @@ class Resource:
         """End ``service``; the service time it consumed (idempotent).
 
         A running service frees its server for the next claim at once;
-        a queued one is withdrawn, having consumed 0.0.
+        if its completion is still queued and nobody waits on it, the
+        completion is withdrawn (the run loop discards it without
+        advancing the clock). A queued service is withdrawn, having
+        consumed 0.0.
         """
         users = self.users
         if service in users:
             users.remove(service)
             consumed = service._end()
+            if not service.callbacks:
+                service.callbacks = None
             if self._queue:
                 self._grant_next()
             return consumed

@@ -25,6 +25,7 @@ Experiment 2's sweep — simulate once.
 
 import functools
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -324,7 +325,9 @@ class FigureBuilder:
         """Run every arm of finding ``name``.
 
         The builder's run and parameter overlays apply to each arm; grid
-        restrictions and sweep options do not (the arms are fixed runs).
+        restrictions do not (the arms are fixed runs), and of the sweep
+        options only ``workers`` does: with ``workers > 1`` the arms,
+        independent seeded runs, go to a process pool of that size.
         """
         if name not in FINDINGS:
             raise ValueError(
@@ -334,14 +337,20 @@ class FigureBuilder:
         entry = FINDINGS[name]
         run = self.run or entry.run
         data = FindingData(name, entry.title, run)
-        for label, params, algorithm in entry.arms:
-            if self.overlays:
-                params = params.with_changes(**self.overlays)
-            instance = algorithm if isinstance(algorithm, str) else algorithm()
-            data.arms.append((
-                label, algorithm_label(algorithm),
-                run_simulation(params, instance, run),
-            ))
+        overlays = self.overlays
+        jobs = [
+            (params.with_changes(**overlays) if overlays else params,
+             algorithm, run)
+            for _, params, algorithm in entry.arms
+        ]
+        workers = self.sweep_options.get("workers", 1) or os.cpu_count() or 1
+        if workers > 1 and len(jobs) > 1:
+            with ProcessPoolExecutor(min(workers, len(jobs))) as pool:
+                results = list(pool.map(_run_arm, jobs))
+        else:
+            results = [_run_arm(job) for job in jobs]
+        for (label, _, algorithm), result in zip(entry.arms, results):
+            data.arms.append((label, algorithm_label(algorithm), result))
         return data
 
     def reproduce(self, key, with_plots=True):
@@ -374,6 +383,15 @@ class FigureBuilder:
                 )
             )) + FIGURES[key].claim(data, self)
         return Reproduction(data, data.report(with_plots), failures)
+
+
+def _run_arm(job):
+    """One finding arm's run, ``job = (params, algorithm, run)``. A
+    factory algorithm is called here, so a pooled arm builds its CC
+    instance in the worker."""
+    params, algorithm, run = job
+    instance = algorithm if isinstance(algorithm, str) else algorithm()
+    return run_simulation(params, instance, run)
 
 
 def _bound_failures(prefix, runs):

@@ -1,17 +1,15 @@
 """Student-t confidence intervals.
 
-scipy is used for exact t quantiles when importable; otherwise an embedded
-two-sided table (the classic textbook values) with interpolation is used, so
-the core library carries no hard third-party dependency.
+scipy gives exact t quantiles when importable; it is imported by the
+first :func:`t_quantile` call, not with this module, so code that never
+builds an interval never pays for loading it. Without scipy an embedded
+two-sided table (the classic textbook values) with interpolation is used,
+so the core library carries no hard third-party dependency.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-
-try:  # pragma: no cover - exercised indirectly depending on environment
-    from scipy.stats import t as _scipy_t
-except ImportError:  # pragma: no cover
-    _scipy_t = None
 
 # Two-sided critical values t_{df, 1 - alpha/2} for the confidence levels the
 # harness uses. Rows are degrees of freedom; the df=inf row is the normal
@@ -38,6 +36,17 @@ _T_TABLE = {
 }
 
 
+@functools.cache
+def _student_t():
+    """scipy's Student-t distribution, imported on the first call; None
+    when scipy is not importable."""
+    try:
+        from scipy.stats import t
+    except ImportError:
+        return None
+    return t
+
+
 def t_quantile(confidence, df):
     """Two-sided Student-t critical value for the given confidence level.
 
@@ -48,8 +57,9 @@ def t_quantile(confidence, df):
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    if _scipy_t is not None:
-        return float(_scipy_t.ppf(0.5 + confidence / 2.0, df))
+    student_t = _student_t()
+    if student_t is not None:
+        return float(student_t.ppf(0.5 + confidence / 2.0, df))
     if confidence not in _T_TABLE:
         raise ValueError(
             "without scipy, only confidence levels "

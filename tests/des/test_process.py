@@ -1,8 +1,10 @@
 """Tests for generator-based processes: waiting, returning, interrupts."""
 
+import gc
+
 import pytest
 
-from repro.des import Environment, Interrupt
+from repro.des import Environment, Interrupt, Process
 
 
 class TestProcessBasics:
@@ -108,6 +110,36 @@ class TestProcessBasics:
         assert p.is_alive
         env.run()
         assert not p.is_alive
+
+    def test_finished_processes_are_freed_without_the_cyclic_collector(self):
+        env = Environment()
+
+        def child(env):
+            yield env.timeout(1.0)
+            return 1
+
+        def parent(env):
+            total = 0
+            for _ in range(50):
+                total += yield env.process(child(env))
+            return total
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            top = env.process(parent(env))
+            env.run()
+            assert top.value == 50
+            del top
+            alive = [
+                obj for obj in gc.get_objects()
+                if isinstance(obj, Process) and obj.env is env
+            ]
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive == []
 
     def test_name_defaults_to_function_name(self):
         env = Environment()

@@ -13,6 +13,7 @@ import pytest
 
 from repro.des import (
     BusyTracker,
+    EmptySchedule,
     Environment,
     InfiniteResource,
     Interrupt,
@@ -204,9 +205,44 @@ class TestService:
         # The waiter started in the instant the victim let go.
         assert services[0].start == 1.5
         assert waiter.value == 1.0
-        assert env.now == 4.0  # the victim's stale completion still pops
+        # finish withdrew the victim's completion (due at 4.0): the run
+        # loop discards it without moving the clock.
+        assert env.now == 2.5
         assert tracker.busy_area() == 2.5
         assert pool.in_use == 0
+
+    def test_withdrawn_completion_is_skipped_by_step_and_peek(self):
+        env = Environment()
+        pool = Resource(env, capacity=1)
+        service = pool.serve(4.0)
+        env.timeout(1.0)
+        assert pool.finish(service) == 0.0
+        assert service.processed  # withdrawn: it will never fire
+        assert env.peek() == 1.0
+        env.step()
+        assert env.now == 1.0
+        assert env.peek() == float("inf")
+        with pytest.raises(EmptySchedule):
+            env.step()
+        assert env.now == 1.0
+
+    def test_completion_with_another_waiter_is_not_withdrawn(self):
+        # finish withdraws a completion only when nobody waits on it.
+        env = Environment()
+        pool = Resource(env, capacity=1)
+        service = pool.serve(4.0)
+        woken = []
+
+        def bystander():
+            yield service
+            woken.append(env.now)
+
+        env.process(bystander())
+        env.run(until=1.0)
+        assert pool.finish(service) == 1.0
+        env.run()
+        assert woken == [4.0]
+        assert env.now == 4.0
 
     def test_interrupt_in_the_grant_instant_consumes_nothing(self):
         # A waiter granted by a release and interrupted in that same

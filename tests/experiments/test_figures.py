@@ -347,6 +347,19 @@ class TestFindingBuilder:
         data = FigureBuilder(run=TINY_RUN, nodes=2).finding("upgrade_policy")
         assert all(result.params.nodes == 2 for _, _, result in data.arms)
 
+    def test_pooled_arms_match_serial_arms(self):
+        # workers=2 runs the arms (one of them a functools.partial CC
+        # factory) in a process pool; each arm is the same seeded run.
+        serial = FigureBuilder(run=TINY_RUN).finding("upgrade_policy")
+        pooled = FigureBuilder(run=TINY_RUN, workers=2).finding(
+            "upgrade_policy"
+        )
+        assert [(label, algorithm, result.totals)
+                for label, algorithm, result in pooled.arms] == [
+            (label, algorithm, result.totals)
+            for label, algorithm, result in serial.arms
+        ]
+
     def test_pinned_finding_checks_every_arm_and_the_claim(self, monkeypatch):
         def over_the_ceiling(result):
             raise AssertionError("over the ceiling")
