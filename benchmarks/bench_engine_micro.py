@@ -54,9 +54,11 @@ def test_resource_contention(benchmark):
 
         def worker(env):
             for _ in range(10):
-                with pool.request() as req:
-                    yield req
-                    yield env.timeout(0.01)
+                service = pool.serve(0.01)
+                try:
+                    yield service
+                finally:
+                    pool.finish(service)
 
         for _ in range(100):
             env.process(worker(env))

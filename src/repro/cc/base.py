@@ -134,7 +134,9 @@ class ConcurrencyControl:
     def reader_version_key(self, tx):
         """Version-selection key for reads (None = read latest installed).
 
-        Only multiversion algorithms override this.
+        Asked once per attempt, before its first read: the key must be
+        fixed for the attempt. Only multiversion algorithms override
+        this.
         """
         return None
 

@@ -263,8 +263,18 @@ class LockManager:
         The union of :meth:`blockers` over ``tx``'s live queued
         requests; empty when it waits for nobody.
         """
+        requests = self._requests.get(tx)
+        if not requests:
+            return set()
+        if len(requests) == 1:
+            # The common case: a blocked transaction waits on one
+            # request at a time.
+            request = requests[0]
+            if request.is_dead:
+                return set()
+            return self.blockers(request)
         edges = set()
-        for request in self._requests.get(tx, ()):
+        for request in requests:
             if not request.is_dead:
                 edges |= self.blockers(request)
         return edges
@@ -275,21 +285,32 @@ class LockManager:
         Incompatible current holders, plus transactions queued ahead with
         an incompatible requested mode (they will be granted first under
         FCFS, so the requester transitively waits for them).
+
+        Compatibility is open-coded as in :meth:`_grantable`: an
+        EXCLUSIVE request conflicts with every other holder and queued
+        request, a SHARED one only with EXCLUSIVE ones.
         """
         lock = self._locks.get(request.obj)
         if lock is None:
             return set()
-        waiting_for = {
-            holder
-            for holder, held in lock.holders.items()
-            if holder is not request.tx and not compatible(request.mode, held)
-        }
+        tx = request.tx
+        exclusive = request.mode is LockMode.EXCLUSIVE
+        if exclusive:
+            waiting_for = {
+                holder for holder in lock.holders if holder is not tx
+            }
+        else:
+            waiting_for = {
+                holder
+                for holder, held in lock.holders.items()
+                if held is LockMode.EXCLUSIVE and holder is not tx
+            }
         for queued in lock.queue:
             if queued is request:
                 break
-            if queued.is_dead or queued.tx is request.tx:
+            if queued.tx is tx or queued.is_dead:
                 continue
-            if not compatible(request.mode, queued.mode):
+            if exclusive or queued.mode is LockMode.EXCLUSIVE:
                 waiting_for.add(queued.tx)
         return waiting_for
 

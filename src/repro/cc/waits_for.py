@@ -25,84 +25,80 @@ def build_waits_for(lock_manager):
     return graph
 
 
-class _OnDemandGraph:
-    """The waits-for graph as :func:`find_cycle_containing` reads it.
-
-    A node's edges come from the lock manager on first access and are
-    cached for the rest of one search; a node is in the graph iff it
-    waits for someone, as in :func:`build_waits_for`.
-    """
-
-    __slots__ = ("_lock_manager", "_edges")
-
-    def __init__(self, lock_manager):
-        self._lock_manager = lock_manager
-        self._edges = {}
-
-    def get(self, tx, default=None):
-        edges = self._edges.get(tx)
-        if edges is None:
-            edges = self._edges[tx] = self._lock_manager.waits_for(tx)
-        return edges or default
-
-    def __contains__(self, tx):
-        return bool(self.get(tx))
-
-
 def find_deadlock(lock_manager, requester):
     """A waits-for cycle through ``requester`` (see
     :func:`find_cycle_containing`), or None, searching only the part of
-    the graph reachable from it."""
-    return find_cycle_containing(_OnDemandGraph(lock_manager), requester)
+    the graph reachable from it.
+
+    A node's edges come from :meth:`LockManager.waits_for` when the
+    search first reaches it; the search reaches each node at most once,
+    so nothing needs caching.
+    """
+    return _search(requester, lock_manager.waits_for)
 
 
 def _by_id(tx):
     return tx.id
 
 
-def _successors(graph, node):
-    """Successors of ``node`` in ascending transaction-id order.
+def _ordered(edges):
+    """``edges`` in ascending transaction-id order.
 
-    The adjacency values are sets of transactions, whose iteration
-    order depends on identity hashes — i.e. on memory layout, which
-    varies across processes. The DFS must visit successors in a stable
-    order or the cycle it finds (and hence the deadlock victim chosen
-    from it) would differ from run to run whenever the graph holds
-    more than one cycle through the requester.
+    The edges are sets of transactions, whose iteration order depends
+    on identity hashes — i.e. on memory layout, which varies across
+    processes. The DFS must visit successors in a stable order or the
+    cycle it finds (and hence the deadlock victim chosen from it) would
+    differ from run to run whenever the graph holds more than one cycle
+    through the requester. Zero or one edge has one order already, so
+    only two or more are sorted.
     """
-    return iter(sorted(graph.get(node, ()), key=_by_id))
+    if len(edges) < 2:
+        return iter(edges)
+    return iter(sorted(edges, key=_by_id))
 
 
 def find_cycle_containing(graph, start):
     """A cycle through ``start`` as a list of transactions, or None.
 
-    Iterative DFS over the waits-for edges; returns the cycle path
+    Iterative DFS over the waits-for edges of ``graph`` (a mapping tx
+    -> set of transactions it waits for); returns the cycle path
     ``[start, t1, ..., tk]`` such that ``tk`` waits for ``start``.
     The DFS visits successors in transaction-id order, so the returned
     cycle is a deterministic function of the graph alone.
     """
-    if start not in graph:
+    return _search(start, lambda tx: graph.get(tx, ()))
+
+
+def _search(start, edges_of):
+    """:func:`find_cycle_containing` with edges read from ``edges_of``.
+
+    ``edges_of(tx)`` is the set of transactions ``tx`` waits for (empty
+    when it waits for nobody). It is asked once per node reached: a
+    node leaves the path only into ``visited``, so it is never
+    expanded twice.
+    """
+    edges = edges_of(start)
+    if not edges:
         return None
     path = [start]
     on_path = {start}
-    iterators = [_successors(graph, start)]
+    iterators = [_ordered(edges)]
     visited = set()
     while iterators:
-        found_next = False
         for successor in iterators[-1]:
-            if successor is start and len(path) >= 1:
+            if successor is start:
                 return list(path)
             if successor in on_path or successor in visited:
                 continue
-            if successor in graph:
+            edges = edges_of(successor)
+            if edges:
                 path.append(successor)
                 on_path.add(successor)
-                iterators.append(_successors(graph, successor))
-                found_next = True
+                iterators.append(_ordered(edges))
                 break
             # A node with no outgoing edges cannot be on a cycle.
             visited.add(successor)
-        if not found_next:
+        else:
             node = path.pop()
             on_path.discard(node)
             visited.add(node)

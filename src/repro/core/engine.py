@@ -234,20 +234,28 @@ class SystemModel:
         physical = self.physical
         params = self.params
         cc_unit = params.cc_unit_of
+        # Object-level CC (the paper's setting): every object is its own
+        # unit, so the hot loops skip the cc_unit_of call.
+        identity_units = params.lock_granules is None
         reads_seen = tx.reads_seen
         bus = self.bus
         has_cc_work = physical.has_cc_work
         read_request = cc.read_request
         read_access = physical.read_access
         store_read = store.read
+        # Fixed for the attempt: the key only reads attempt state.
+        version_key = cc.reader_version_key(tx)
         try:
             for obj in tx.read_set:
-                # Inline of _cc_request for the read leg: one request
-                # per object on the hottest loop of the simulator, so
-                # the grant fast path must not build a sub-generator.
+                # One CC request per object on the hottest loop of the
+                # simulator, issued in line: the grant fast path builds
+                # no sub-generator. After each wait the request is
+                # re-issued, so algorithms with re-check semantics
+                # (basic TO readers waiting on prewrites) are driven
+                # correctly; lock-based ones grant the re-issue at once.
                 if has_cc_work:
                     yield from physical.cc_request_work(tx)
-                unit = cc_unit(obj)
+                unit = obj if identity_units else cc_unit(obj)
                 while True:
                     event = read_request(tx, unit)
                     if event is None:
@@ -257,7 +265,7 @@ class SystemModel:
                     tx.state = TxState.BLOCKED
                     yield event
                     tx.state = TxState.RUNNING
-                version = store_read(obj, cc.reader_version_key(tx))
+                version = store_read(obj, version_key)
                 reads_seen[obj] = version.writer_id
                 yield from read_access(tx, obj)
 
@@ -270,10 +278,21 @@ class SystemModel:
                 )
                 tx.state = TxState.RUNNING
 
+            write_request = cc.write_request
             for obj in self._write_order(tx):
-                yield from self._cc_request(
-                    tx, cc.write_request, cc_unit(obj), "write"
-                )
+                # The same inline CC request as the read loop's.
+                if has_cc_work:
+                    yield from physical.cc_request_work(tx)
+                unit = obj if identity_units else cc_unit(obj)
+                while True:
+                    event = write_request(tx, unit)
+                    if event is None:
+                        if bus.wants_cc:
+                            bus.emit(CC_GRANT, tx=tx, obj=unit, op="write")
+                        break
+                    tx.state = TxState.BLOCKED
+                    yield event
+                    tx.state = TxState.RUNNING
                 yield from physical.write_request_work(tx, obj)
 
             # The prepare window: the commit protocol collects votes
@@ -319,27 +338,6 @@ class SystemModel:
             if not isinstance(cause, RestartTransaction):
                 raise
             self._handle_restart(tx, cause)
-
-    def _cc_request(self, tx, request_method, obj, op):
-        """Issue one CC request, waiting (possibly repeatedly) as needed.
-
-        Re-issues the request after each wait so algorithms with
-        re-check semantics (basic TO readers waiting on prewrites) are
-        driven correctly; lock-based algorithms return "granted" on the
-        re-issue immediately.
-        """
-        if self.physical.has_cc_work:
-            yield from self.physical.cc_request_work(tx)
-        while True:
-            event = request_method(tx, obj)
-            if event is None:
-                bus = self.bus
-                if bus.wants_cc:
-                    bus.emit(CC_GRANT, tx=tx, obj=obj, op=op)
-                return
-            tx.state = TxState.BLOCKED
-            yield event
-            tx.state = TxState.RUNNING
 
     def _write_order(self, tx):
         """Write objects in read-set order (deterministic replay order)."""

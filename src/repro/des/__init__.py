@@ -22,7 +22,7 @@ from repro.des.errors import EmptySchedule, Interrupt, SimulationError, StopSimu
 from repro.des.events import NORMAL, URGENT, Event, Timeout
 from repro.des.monitor import BusyTracker, Counter, LevelMonitor, Tally
 from repro.des.process import Process
-from repro.des.resources import InfiniteResource, Request, Resource, Service
+from repro.des.resources import InfiniteResource, Resource, Service
 from repro.des.rng import RandomStream, StreamFactory
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "Process",
     "Resource",
     "InfiniteResource",
-    "Request",
     "Service",
     "RandomStream",
     "StreamFactory",

@@ -83,39 +83,56 @@ class LevelMonitor:
 class BusyTracker:
     """Accumulates server busy-time for a resource pool.
 
-    ``total_busy`` integrates busy-server-seconds. Model code additionally
+    :meth:`busy_area` integrates busy-server-seconds. Model code additionally
     classifies consumed service time as *useful* or *wasted* when each
     transaction attempt resolves (commit vs. restart), which yields the
     paper's total and useful utilization curves.
 
-    ``acquire``/``release`` run once each per CPU or disk service —
-    among the hottest calls of a simulation — so the tracker integrates a
-    :class:`~repro.stats.timeweighted.TimeWeighted` directly rather
-    than going through a :class:`LevelMonitor` indirection.
+    The busy-server count is a piecewise-constant signal integrated in
+    three fields: ``_level`` (servers busy now), ``_area`` (the integral
+    up to ``_last``) and ``_last`` (the instant of the last change) —
+    the arithmetic of :class:`~repro.stats.timeweighted.TimeWeighted`,
+    held flat. A pool's ``serve`` and ``finish`` run once per CPU or
+    disk leg, the hottest calls of a simulation, so they update these
+    fields in line, exactly as :meth:`acquire`/:meth:`release` do.
     """
 
     __slots__ = (
-        "env", "name", "capacity", "_busy", "useful_time", "wasted_time"
+        "env", "name", "capacity", "_level", "_area", "_last",
+        "useful_time", "wasted_time",
     )
 
     def __init__(self, env, name, capacity):
         self.env = env
         self.name = name
         self.capacity = capacity
-        self._busy = TimeWeighted(initial=0.0, start_time=env.now)
+        self._level = 0.0
+        self._area = 0.0
+        self._last = env.now
         self.useful_time = 0.0
         self.wasted_time = 0.0
 
     def acquire(self):
-        self._busy.add(1, self.env._now)
+        """One more server busy from now on."""
+        self._shift(1)
 
     def release(self):
-        self._busy.add(-1, self.env._now)
+        """One server fewer busy from now on."""
+        self._shift(-1)
+
+    def _shift(self, delta):
+        now = self.env._now
+        last = self._last
+        if now < last:
+            raise ValueError(f"time went backwards: {now} < {last}")
+        self._area += self._level * (now - last)
+        self._last = now
+        self._level += delta
 
     @property
     def busy_now(self):
         """Servers busy at this instant (time-series sampling)."""
-        return self._busy.value
+        return self._level
 
     def record_outcome(self, service_time, useful):
         """Attribute ``service_time`` of consumed service to an outcome."""
@@ -126,7 +143,10 @@ class BusyTracker:
 
     def busy_area(self):
         """Busy-server-seconds accumulated so far."""
-        return self._busy.area(self.env.now)
+        now = self.env.now
+        if now < self._last:
+            raise ValueError(f"time went backwards: {now} < {self._last}")
+        return self._area + self._level * (now - self._last)
 
     def utilization(self, busy_area_at_start, window_start):
         """Mean fraction of servers busy over [window_start, now]."""
@@ -135,7 +155,7 @@ class BusyTracker:
             return 0.0
         if self.capacity == float("inf"):
             return 0.0
-        area = self._busy.area(self.env.now) - busy_area_at_start
+        area = self.busy_area() - busy_area_at_start
         return area / (elapsed * self.capacity)
 
     def useful_utilization(self, useful_at_start, window_start):

@@ -16,11 +16,12 @@ ride the same event stream.
 Fault mechanics:
 
 * **Disk crash/repair** — one lifecycle process per disk.  A failure
-  claims the disk through its normal request queue at
-  :data:`REPAIR_PRIORITY` (above all transaction I/O), holds it for the
-  repair time, and releases it.  In-flight service completes (crash-
-  consistency of individual transfers is out of scope); everything
-  queued behind the failure waits out the repair.  Repair holds are
+  is a repair-time service on the disk's normal queue at
+  :data:`REPAIR_PRIORITY` (above all transaction I/O): the disk fails
+  when the repair gets it and is repaired when the service ends.
+  In-flight service completes (crash-consistency of individual
+  transfers is out of scope); everything queued behind the failure
+  waits out the repair.  Repair holds are
   *not* recorded in the disk's :class:`~repro.des.BusyTracker`, so
   utilization metrics keep meaning "time spent serving transactions".
 * **CPU degradation** — a single process toggles the injector's
@@ -45,11 +46,32 @@ from repro.obs.events import (
 )
 from repro.obs.subscribers import FaultAccountingSubscriber
 
-#: Priority for repair claims on a disk: above every transaction request
-#: (disk requests use the default priority 0; lower sorts first).
+#: Priority of a repair on a disk's queue: above every transaction leg
+#: (disk legs use the default priority 0; lower sorts first).
 REPAIR_PRIORITY = -1
 
 __all__ = ["FaultInjector", "REPAIR_PRIORITY"]
+
+
+class _RepairWatch:
+    """``disk_fail``/``disk_repair`` around one repair of one disk."""
+
+    __slots__ = ("bus", "disk", "failed_at")
+
+    def __init__(self, bus, disk):
+        self.bus = bus
+        self.disk = disk
+        self.failed_at = None
+
+    def started(self):
+        self.failed_at = self.bus.env.now
+        self.bus.emit(FAULT_DISK_FAIL, disk=self.disk)
+
+    def ended(self):
+        self.bus.emit(
+            FAULT_DISK_REPAIR, disk=self.disk,
+            downtime=self.bus.env.now - self.failed_at,
+        )
 
 
 class FaultInjector:
@@ -128,18 +150,16 @@ class FaultInjector:
         rng = self.streams.stream(f"faults.disk.{index}")
         while True:
             yield self.env.timeout(rng.exponential(spec.mttf))
-            with disk.request(priority=REPAIR_PRIORITY) as claim:
-                yield claim
-                # Disk is now ours: down for the repair duration.
-                failed_at = self.env.now
-                self.bus.emit(FAULT_DISK_FAIL, disk=index)
-                try:
-                    yield self.env.timeout(rng.exponential(spec.mttr))
-                finally:
-                    self.bus.emit(
-                        FAULT_DISK_REPAIR, disk=index,
-                        downtime=self.env.now - failed_at,
-                    )
+            # The repair is a service on the disk's own queue: down from
+            # the instant it gets the disk until the repair time is out.
+            repair = disk.serve(
+                rng.exponential(spec.mttr), priority=REPAIR_PRIORITY,
+                watch=_RepairWatch(self.bus, index),
+            )
+            try:
+                yield repair
+            finally:
+                disk.finish(repair)
 
     # -- CPU degradation windows ---------------------------------------------
 

@@ -519,9 +519,24 @@ class ResourceModel:
         at commit time are not (past the commit point the transaction
         can no longer abort).
         """
-        if self.faults is not None:
-            self.faults.check_access_fault(tx)
-        yield from self.cpu_service(tx, self.params.obj_cpu)
+        faults = self.faults
+        if faults is not None:
+            faults.check_access_fault(tx)
+        amount = self.params.obj_cpu
+        if amount <= 0.0:
+            return
+        if faults is not None:
+            amount *= faults.cpu_factor
+        home = tx.id % self.nodes
+        bus = self.bus
+        cpu = self.node_cpus[home]
+        watch = bus is not None and bus.wants_resource and _Watch(
+            bus, tx, "cpu", node=home)
+        service = cpu.serve(amount, OBJECT_PRIORITY, self.cpu_tracker, watch)
+        try:
+            yield service
+        finally:
+            tx.attempt_cpu_time += cpu.finish(service)
 
     def deferred_update(self, tx, obj=None):
         """Write one deferred update to every copy of ``obj`` at commit.

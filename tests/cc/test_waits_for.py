@@ -8,6 +8,7 @@ from repro.cc import (
     LockManager,
     LockMode,
     build_waits_for,
+    compatible,
     find_any_cycle,
     find_cycle_containing,
     find_deadlock,
@@ -108,6 +109,70 @@ class TestOnDemandSearch:
                     find_deadlock(lm, requester)
                     == find_cycle_containing(full, requester)
                 )
+
+
+def _reference_blockers(lm, request):
+    """``blockers`` by its definition, through ``compatible()``."""
+    lock = lm._locks.get(request.obj)
+    if lock is None:
+        return set()
+    waiting_for = {
+        holder
+        for holder, held in lock.holders.items()
+        if holder is not request.tx and not compatible(request.mode, held)
+    }
+    for queued in lock.queue:
+        if queued is request:
+            break
+        if queued.is_dead or queued.tx is request.tx:
+            continue
+        if not compatible(request.mode, queued.mode):
+            waiting_for.add(queued.tx)
+    return waiting_for
+
+
+def _reference_waits_for(lm, tx):
+    """The union of the reference blockers over live requests."""
+    edges = set()
+    for request in lm._requests.get(tx, ()):
+        if not request.is_dead:
+            edges |= _reference_blockers(lm, request)
+    return edges
+
+
+class TestOpenCodedEdges:
+    """``blockers`` and ``waits_for`` equal their ``compatible()`` forms.
+
+    Random lock tables with shared and exclusive holders, upgrades
+    queued ahead of ordinary requests, transactions queued on several
+    objects, and dead requests (failed waits still in the table).
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=lock_operations)
+    def test_match_the_compatibility_definitions(self, ops):
+        lm = LockManager(Environment())
+        txs = [FakeTx(tx_id=8000 + i) for i in range(8)]
+        for kind, tx_index, obj, mode in ops:
+            tx = txs[tx_index]
+            if kind == "acquire":
+                result = lm.acquire(tx, obj, mode)
+                if result.event is not None:
+                    tx.lock_wait_event = result.event
+            elif kind == "release":
+                lm.release_all(tx)
+            elif (tx.lock_wait_event is not None
+                    and not tx.lock_wait_event.triggered):
+                tx.lock_wait_event.fail(
+                    RestartTransaction(REASON_DEADLOCK, "test")
+                )
+            for lock in lm._locks.values():
+                for request in lock.queue:
+                    assert (lm.blockers(request)
+                            == _reference_blockers(lm, request))
+            for candidate in txs:
+                assert (lm.waits_for(candidate)
+                        == _reference_waits_for(lm, candidate))
 
 
 class TestFindCycle:

@@ -67,36 +67,38 @@ class TestProcessEdges:
 
 
 class TestResourceEdges:
-    def test_release_of_never_granted_request_is_safe(self):
+    def test_finish_of_never_started_service_is_safe(self):
         env = Environment()
         pool = Resource(env, capacity=1)
-        first = pool.request()
-        queued = pool.request()
-        pool.release(queued)   # withdraw from queue
-        pool.release(queued)   # and again: idempotent
-        pool.release(first)
+        first = pool.serve(1.0)
+        queued = pool.serve(1.0)
+        assert pool.finish(queued) == 0.0   # withdraw from queue
+        assert pool.finish(queued) == 0.0   # and again: idempotent
+        pool.finish(first)
         assert pool.in_use == 0
         assert pool.queue_length == 0
 
-    def test_interrupted_holder_releases_via_context_manager(self):
+    def test_interrupted_holder_frees_the_server_in_finally(self):
         env = Environment()
         pool = Resource(env, capacity=1)
         order = []
 
         def holder(env):
-            with pool.request() as grant:
-                yield grant
-                order.append("held")
-                try:
-                    yield env.timeout(100.0)
-                except Interrupt:
-                    order.append("interrupted")
-                    return
+            service = pool.serve(100.0)
+            try:
+                yield service
+            except Interrupt:
+                order.append("interrupted")
+            finally:
+                pool.finish(service)
 
         def waiter(env):
-            with pool.request() as grant:
-                yield grant
-                order.append("waiter-in")
+            service = pool.serve(1.0)
+            try:
+                yield service
+                order.append("waiter-done")
+            finally:
+                pool.finish(service)
 
         victim = env.process(holder(env))
         env.process(waiter(env))
@@ -107,7 +109,8 @@ class TestResourceEdges:
 
         env.process(killer(env))
         env.run()
-        assert order == ["held", "interrupted", "waiter-in"]
+        assert order == ["interrupted", "waiter-done"]
+        assert env.now == 2.0
         assert pool.in_use == 0
 
 

@@ -7,11 +7,28 @@ from hypothesis import strategies as st
 from repro.des import Environment, InfiniteResource, Resource
 
 
+class StartLog:
+    """A watch logging the instant its service starts."""
+
+    def __init__(self, env, log, tag):
+        self.env = env
+        self.log = log
+        self.tag = tag
+
+    def started(self):
+        self.log.append((self.tag, "start", self.env.now))
+
+    def ended(self):
+        pass
+
+
 def hold(env, resource, log, tag, duration, priority=0):
-    with resource.request(priority=priority) as req:
-        yield req
-        log.append((tag, "start", env.now))
-        yield env.timeout(duration)
+    service = resource.serve(duration, priority,
+                             watch=StartLog(env, log, tag))
+    try:
+        yield service
+    finally:
+        resource.finish(service)
     log.append((tag, "end", env.now))
 
 
@@ -60,7 +77,7 @@ class TestResource:
         # "high" arrived later but has a better priority class than "low"
         assert starts == ["running", "high", "low"]
 
-    def test_release_via_context_manager(self):
+    def test_finish_frees_the_server(self):
         env = Environment()
         res = Resource(env, capacity=1)
         log = []
@@ -68,38 +85,38 @@ class TestResource:
         env.run()
         assert res.in_use == 0
 
-    def test_double_release_is_noop(self):
+    def test_double_finish_is_noop(self):
         env = Environment()
         res = Resource(env, capacity=1)
-        req = res.request()
+        service = res.serve(1.0)
         env.run()
-        res.release(req)
-        res.release(req)
+        assert res.finish(service) == 1.0
+        assert res.finish(service) == 0.0
         assert res.in_use == 0
 
-    def test_cancel_queued_request(self):
+    def test_withdraw_queued_service(self):
         env = Environment()
         res = Resource(env, capacity=1)
-        first = res.request()
-        queued = res.request()
+        first = res.serve(1.0)
+        queued = res.serve(1.0)
         assert res.queue_length == 1
-        queued.cancel()
+        res.finish(queued)
         assert res.queue_length == 0
-        res.release(first)
+        res.finish(first)
         assert res.in_use == 0
 
     def test_no_overtaking_when_queue_nonempty(self):
-        # Even if capacity is momentarily free, a new request must not jump
-        # ahead of the queue.
+        # A service arriving while others queue must not jump ahead of
+        # them, whatever the server does meanwhile.
         env = Environment()
         res = Resource(env, capacity=1)
         log = []
 
-        def releaser(env, req):
+        def releaser(env, service):
             yield env.timeout(1.0)
-            res.release(req)
+            res.finish(service)
 
-        first = res.request()
+        first = res.serve(5.0)
         env.process(hold(env, res, log, "queued", 1.0))
         env.process(releaser(env, first))
         env.process(hold(env, res, log, "late", 1.0))
@@ -114,10 +131,12 @@ class TestResource:
         max_seen = []
 
         def proc(env):
-            with res.request() as req:
-                yield req
+            service = res.serve(1.0)
+            try:
+                yield service
                 max_seen.append(res.in_use)
-                yield env.timeout(1.0)
+            finally:
+                res.finish(service)
 
         for _ in range(n_procs):
             env.process(proc(env))
@@ -127,36 +146,37 @@ class TestResource:
 
 
 class TestLazyDeletion:
-    """Withdrawn queued requests are tombstoned, not eagerly removed.
+    """Withdrawn queued services are tombstoned, not eagerly removed.
 
-    Regressions for the lazy-deletion queue: a withdrawn request must
-    never be granted (even when it sits at the heap top as capacity
+    Regressions for the lazy-deletion queue: a withdrawn service must
+    never be started (even when it sits at the heap top as capacity
     frees), and tombstones — including a compaction pass — must not
-    disturb the (priority, FIFO) grant discipline.
+    disturb the (priority, FIFO) start discipline.
     """
 
-    def test_withdrawn_request_is_never_granted(self):
+    def test_withdrawn_service_is_never_started(self):
         env = Environment()
         res = Resource(env, capacity=1)
-        holder = res.request()
-        withdrawn = res.request()
-        waiter = res.request()
-        withdrawn.cancel()  # tombstoned at the front of the queue
-        res.release(holder)
+        holder = res.serve(1.0)
+        withdrawn = res.serve(1.0)
+        waiter = res.serve(1.0)
+        res.finish(withdrawn)  # tombstoned at the front of the queue
+        res.finish(holder)
         env.run()
         assert withdrawn.triggered is False
+        assert withdrawn.start is None
         assert waiter.triggered is True
         assert res.in_use == 1
 
-    def test_withdrawn_then_released_again_is_noop(self):
+    def test_withdrawn_then_finished_again_is_noop(self):
         env = Environment()
         res = Resource(env, capacity=1)
-        holder = res.request()
-        withdrawn = res.request()
-        withdrawn.cancel()
-        withdrawn.cancel()  # idempotent: still one tombstone
+        holder = res.serve(1.0)
+        withdrawn = res.serve(1.0)
+        res.finish(withdrawn)
+        res.finish(withdrawn)  # idempotent: still one tombstone
         assert res.queue_length == 0
-        res.release(holder)
+        res.finish(holder)
         env.run()
         assert withdrawn.triggered is False
         assert res.in_use == 0
@@ -169,11 +189,11 @@ class TestLazyDeletion:
         def scenario(env):
             env.process(hold(env, res, log, "running", 5.0))
             yield env.timeout(1.0)
-            doomed = res.request(priority=0)
+            doomed = res.serve(1.0, priority=0)
             env.process(hold(env, res, log, "low", 1.0, priority=1))
             yield env.timeout(1.0)
             env.process(hold(env, res, log, "high", 1.0, priority=0))
-            doomed.cancel()
+            res.finish(doomed)
 
         env.process(scenario(env))
         env.run()
@@ -183,46 +203,47 @@ class TestLazyDeletion:
     def test_fifo_preserved_across_compaction(self):
         # Overfill the queue past the compaction threshold, withdraw
         # enough to trigger a rebuild, and check the survivors are
-        # still granted in arrival order.
+        # still started in arrival order.
         env = Environment()
         res = Resource(env, capacity=1)
-        holder = res.request()
-        requests = [res.request() for _ in range(200)]
-        for i, req in enumerate(requests):
+        holder = res.serve(1.0)
+        services = [res.serve(1.0) for _ in range(200)]
+        for i, service in enumerate(services):
             if i % 4 != 0:
-                req.cancel()
-        survivors = [req for i, req in enumerate(requests) if i % 4 == 0]
+                res.finish(service)
+        survivors = [s for i, s in enumerate(services) if i % 4 == 0]
         assert res.queue_length == len(survivors)
         assert len(res._queue) < 200  # compaction actually ran
-        granted = []
+        started = []
 
         def driver(env):
             yield env.timeout(1.0)
-            res.release(holder)
+            res.finish(holder)
             for _ in survivors:
                 yield env.timeout(1.0)
-                grantee = next(
-                    req for req in survivors if req in res.users
+                running = next(
+                    s for s in survivors
+                    if s.start is not None and s not in started
                 )
-                granted.append(grantee)
-                res.release(grantee)
+                started.append(running)
+                res.finish(running)
 
         env.process(driver(env))
         env.run()
-        assert granted == survivors
+        assert started == survivors
 
-    def test_queue_length_counts_only_live_requests(self):
+    def test_queue_length_counts_only_live_services(self):
         env = Environment()
         res = Resource(env, capacity=1)
-        res.request()
-        queued = [res.request() for _ in range(5)]
-        queued[1].cancel()
-        queued[3].cancel()
+        res.serve(1.0)
+        queued = [res.serve(1.0) for _ in range(5)]
+        res.finish(queued[1])
+        res.finish(queued[3])
         assert res.queue_length == 3
 
 
 class TestInfiniteResource:
-    def test_everything_granted_instantly(self):
+    def test_everything_started_instantly(self):
         env = Environment()
         res = InfiniteResource(env)
         log = []
@@ -234,11 +255,10 @@ class TestInfiniteResource:
         assert res.in_use == 50
         assert res.queue_length == 0
 
-    def test_release(self):
+    def test_finish(self):
         env = Environment()
         res = InfiniteResource(env)
         log = []
         env.process(hold(env, res, log, "a", 1.0))
         env.run()
         assert res.in_use == 0
-

@@ -1,13 +1,16 @@
 """Tests for the seize-and-hold service primitive (``serve``/``finish``).
 
 A service is one event per CPU or disk leg: the pool starts it (at once,
-or when a release frees a server) and schedules its completion itself.
-The parity test pins it to the request + ``Timeout`` pattern it
-replaced, kept here as the reference: completion times and order,
-consumed service and busy area must be equal, not merely close.
+or when a ``finish`` frees a server) and schedules its completion
+itself. The parity test pins it to the request + ``Timeout`` pattern it
+replaced, kept here as the reference (:class:`RequestPool`): completion
+times and order, consumed service and busy area must be equal, not
+merely close.
 """
 
 import random
+from heapq import heappop, heappush
+from itertools import count
 
 import pytest
 
@@ -15,6 +18,7 @@ from repro.des import (
     BusyTracker,
     EmptySchedule,
     Environment,
+    Event,
     InfiniteResource,
     Interrupt,
     Resource,
@@ -22,6 +26,59 @@ from repro.des import (
     Timeout,
 )
 from repro.faults import REPAIR_PRIORITY
+
+
+class Request(Event):
+    """An open-ended claim on a :class:`RequestPool` server."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.withdrawn = False
+
+
+class RequestPool:
+    """The reference: the request/release pool ``serve`` replaced.
+
+    A claim is granted (its event scheduled) when a server is free and
+    nobody queues, else it queues in (priority, arrival) order until a
+    release frees a server. Releasing a queued claim withdraws it.
+    """
+
+    def __init__(self, env, capacity):
+        self.env = env
+        self.capacity = capacity
+        self.users = set()
+        self.queue = []
+        self.live = 0
+        self.order = count().__next__
+
+    @property
+    def in_use(self):
+        return len(self.users)
+
+    def request(self, priority):
+        claim = Request(self.env)
+        if not self.live and len(self.users) < self.capacity:
+            self.users.add(claim)
+            claim.succeed(claim)
+        else:
+            heappush(self.queue, (priority, self.order(), claim))
+            self.live += 1
+        return claim
+
+    def release(self, claim):
+        if claim in self.users:
+            self.users.remove(claim)
+            while self.queue and len(self.users) < self.capacity:
+                waiter = heappop(self.queue)[2]
+                if waiter.withdrawn:
+                    continue
+                self.live -= 1
+                self.users.add(waiter)
+                waiter.succeed(waiter)
+        elif not claim.withdrawn and not claim.triggered:
+            claim.withdrawn = True
+            self.live -= 1
 
 
 def request_leg(env, pool, tracker, amount, priority, spent):
@@ -48,11 +105,19 @@ def serve_leg(env, pool, tracker, amount, priority, spent):
         spent[0] += pool.finish(service)
 
 
-def run_scenario(leg, seed, infinite, capacity, equal):
+def serve_pool(env, infinite, capacity):
+    return InfiniteResource(env) if infinite else Resource(env, capacity)
+
+
+def request_pool(env, infinite, capacity):
+    return RequestPool(env, float("inf") if infinite else capacity)
+
+
+def run_scenario(leg, make_pool, seed, infinite, capacity, equal):
     """Workers doing legs under random interrupts; the observable log."""
     rng = random.Random(seed)
     env = Environment()
-    pool = InfiniteResource(env) if infinite else Resource(env, capacity)
+    pool = make_pool(env, infinite, capacity)
     tracker = BusyTracker(env, "pool", pool.capacity)
     log = []
     workers = []
@@ -104,8 +169,10 @@ class TestParityWithRequestPattern:
     )
     def test_identical_to_request_and_timeout(self, seed, equal, infinite,
                                               capacity):
-        expected = run_scenario(request_leg, seed, infinite, capacity, equal)
-        actual = run_scenario(serve_leg, seed, infinite, capacity, equal)
+        expected = run_scenario(
+            request_leg, request_pool, seed, infinite, capacity, equal)
+        actual = run_scenario(
+            serve_leg, serve_pool, seed, infinite, capacity, equal)
         assert actual == expected
         log = actual[0]
         assert any(kind == "interrupted" for *_, kind, _spent in log)
@@ -291,7 +358,7 @@ class TestService:
         pool.finish(high)
         assert low.start == 0.1
 
-    def test_repair_request_and_services_share_one_disk_queue(self):
+    def test_repair_and_services_share_one_disk_queue(self):
         env = Environment()
         disk = Resource(env, capacity=1)
         log = []
@@ -300,23 +367,32 @@ class TestService:
             yield from hold(env, disk, amount)
             log.append((tag, env.now))
 
-        def repair():
-            with disk.request(priority=REPAIR_PRIORITY) as claim:
-                yield claim
+        class RepairWatch:
+            def started(self):
                 log.append(("repair-start", env.now))
-                yield env.timeout(5.0)
-            log.append(("repair-end", env.now))
+
+            def ended(self):
+                log.append(("repair-end", env.now))
+
+        def repair():
+            service = disk.serve(5.0, priority=REPAIR_PRIORITY,
+                                 watch=RepairWatch())
+            try:
+                yield service
+            finally:
+                disk.finish(service)
 
         env.process(io("first", 2.0))
         env.run(until=1.0)
         env.process(io("queued", 1.0))
         env.process(repair())
         env.run()
-        # The repair claim outranks the earlier-queued service; the
-        # service starts when the repair releases the disk.
+        # The repair outranks the earlier-queued service; the service
+        # starts when the repair ends. The repair starts inside the
+        # first service's finish, before its process logs.
         assert log == [
-            ("first", 2.0),
             ("repair-start", 2.0),
+            ("first", 2.0),
             ("repair-end", 7.0),
             ("queued", 8.0),
         ]
@@ -369,6 +445,77 @@ class TestService:
         assert pool.finish(services[0]) == 0.5
         assert pool.finish(services[0]) == 0.0
         assert pool.in_use == 4
+
+    def test_infinite_pool_counts_running_services(self):
+        env = Environment()
+        pool = InfiniteResource(env)
+        first = pool.serve(1.0)
+        second = pool.serve(2.0)
+        assert pool.in_use == 2
+        assert pool.queue_length == 0
+        env.run()
+        # Completed but not finished: still running as far as the
+        # pool is concerned.
+        assert pool.in_use == 2
+        assert pool.finish(second) == 2.0
+        assert pool.in_use == 1
+        assert pool.finish(second) == 0.0  # idempotent
+        assert pool.in_use == 1
+        assert pool.finish(first) == 2.0
+        assert pool.finish(first) == 0.0
+        assert pool.in_use == 0
+
+    def test_interrupt_mid_infinite_leg(self):
+        env = Environment()
+        pool = InfiniteResource(env)
+        tracker = BusyTracker(env, "cpu", pool.capacity)
+        consumed = []
+
+        def victim():
+            service = pool.serve(4.0, tracker=tracker)
+            try:
+                yield service
+            except Interrupt:
+                pass
+            finally:
+                consumed.append(pool.finish(service))
+
+        target = env.process(victim())
+
+        def interrupter():
+            yield env.timeout(1.25)
+            target.interrupt()
+
+        env.process(interrupter())
+        env.run()
+        assert consumed == [1.25]
+        assert tracker.busy_now == 0
+        assert tracker.busy_area() == 1.25
+        assert pool.in_use == 0
+        # The withdrawn completion (due at 4.0) never moved the clock.
+        assert env.now == 1.25
+
+    def test_queued_start_charges_tracker_at_release_instant(self):
+        # Two legs on one server, the second queued behind the first:
+        # it starts inside the first one's finish, so the tracker is
+        # charged from that instant on, exactly as the request
+        # reference charges it.
+        def legs(leg, pool):
+            env = Environment()
+            pool = pool(env, False, 1)
+            tracker = BusyTracker(env, "disk", 1)
+            spent = [0.0]
+            env.process(leg(env, pool, tracker, 1.5, 0, spent))
+            env.process(leg(env, pool, tracker, 0.75, 0, spent))
+            env.run(until=2.0)
+            charged = (tracker.busy_now, tracker.busy_area())
+            env.run()
+            return charged, tracker.busy_area(), spent[0], env.now
+
+        served = legs(serve_leg, serve_pool)
+        assert served[0] == (1, 2.0)
+        assert served == legs(request_leg, request_pool)
+        assert served[1:] == (2.25, 2.25, 2.25)
 
     def test_negative_delay_rejected(self):
         env = Environment()

@@ -47,7 +47,7 @@ def assert_all_released(model):
         assert cpu.in_use == 0
     for disk in model.disks:
         assert disk.in_use == 0
-        assert not disk.users
+        assert disk.queue_length == 0
     assert model.cpu_tracker.busy_now == 0
     assert model.disk_tracker.busy_now == 0
 
