@@ -88,6 +88,7 @@ class AcquireResult:
     Not granted with ``wait=True`` — ``event`` fires when granted (or
     fails with :class:`RestartTransaction` if the waiter is victimized).
     Not granted with ``wait=False`` — nothing was queued.
+    Every grant returns one shared instance, so callers only read it.
     """
 
     __slots__ = ("granted", "event", "request")
@@ -96,6 +97,10 @@ class AcquireResult:
         self.granted = granted
         self.event = event
         self.request = request
+
+
+#: The result every grant returns.
+_GRANTED = AcquireResult(granted=True)
 
 
 class LockManager:
@@ -203,16 +208,20 @@ class LockManager:
         """
         lock = self._locks.get(obj)
         if lock is None:
+            # A new entry has no holders and no queue: grant at once.
             lock = self._locks[obj] = _Lock(self._next_seq())
+            lock.holders[tx] = mode
+            self._objects[tx].add(obj)
+            return _GRANTED
         held = lock.holders.get(tx)
         if held is not None and held >= mode:
-            return AcquireResult(granted=True)
+            return _GRANTED
 
         is_upgrade = held is LockMode.SHARED and mode is LockMode.EXCLUSIVE
         if self._grantable(lock, tx, mode, is_upgrade):
             lock.holders[tx] = mode
             self._objects[tx].add(obj)
-            return AcquireResult(granted=True)
+            return _GRANTED
 
         if not wait:
             return AcquireResult(granted=False)

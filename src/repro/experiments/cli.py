@@ -140,8 +140,9 @@ def build_parser():
     what.add_argument(
         "--verify-checkpoint", metavar="PATH", default=None,
         help=(
-            "audit a sweep checkpoint file's integrity (header, "
-            "per-line CRC32s) without modifying it and print its "
+            "audit a sweep file's integrity (a checkpoint or a "
+            "saved sweep: header, per-line CRC32s) without "
+            "modifying it and print its "
             "replications and params fingerprint, then exit: 0 = "
             "clean, 1 = corrupt (the report shows the salvageable "
             "prefix a --resume run would recover) or not resumable"

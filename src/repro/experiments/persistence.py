@@ -1,27 +1,32 @@
-"""Saving and reloading experiment sweeps, and sweep checkpoints.
+"""Sweep files: saving, checkpointing and reloading experiment sweeps.
 
 Full-fidelity sweeps take real time; this module persists everything a
 report or shape-check needs — the per-batch values of every output
-variable at every (algorithm, mpl) point — as a single JSON document,
-and reconstructs a :class:`~repro.experiments.runner.SweepResult` whose
-results answer ``mean``/``interval``/``describe`` exactly like live
-ones (they are rebuilt on real ``BatchMeansAnalyzer``s).
+variable at every (algorithm, mpl) point — and reconstructs a
+:class:`~repro.experiments.runner.SweepResult` whose results answer
+``mean``/``interval``/``describe`` exactly like live ones (they are
+rebuilt on real ``BatchMeansAnalyzer``s).
+
+Every sweep file has one format: a JSONL file holding one header line
+plus one line per attempted point (failed points included, so their
+statuses survive), each line carrying a CRC32 suffix.
+:class:`SweepCheckpoint` appends the point lines while the resilient
+runner works, flushed and fsynced as each point finishes;
+:func:`save_sweep` writes a finished sweep's file in one go, with its
+lines sorted by (algorithm, mpl, rep) and its wall time in the header.
+One scanner reads both::
 
     sweep = run_sweep(config, run=RunConfig(batches=20, batch_time=120))
-    save_sweep(sweep, "exp3.json")
+    save_sweep(sweep, "exp3.ckpt.jsonl")
     ...
-    sweep = load_sweep("exp3.json")   # plot/report without resimulating
+    sweep = load_sweep("exp3.ckpt.jsonl")   # report without resimulating
 
-:class:`SweepCheckpoint` is the incremental sibling used by the
-resilient runner: an append-only JSONL file holding one header line
-plus one line per completed point (failed points included, so their
-statuses survive), flushed and fsynced as each point finishes.  Point
-lines may appear in *any* order — a parallel sweep's parent flushes
-them in completion order, which varies with worker scheduling — and
-:meth:`SweepCheckpoint.load_into` keys them by (algorithm, mpl), so a
-checkpoint written with ``workers=N`` resumes identically to one
-written sequentially.  A sweep killed mid-flight resumes by loading
-the checkpoint and re-running only the missing points::
+Point lines may appear in *any* order — a parallel sweep's parent
+flushes them in completion order, which varies with worker scheduling —
+and restoring keys them by (algorithm, mpl, rep), so a checkpoint
+written with ``workers=N`` resumes identically to one written
+sequentially.  A sweep killed mid-flight resumes by loading the
+checkpoint and re-running only the missing points::
 
     run_sweep(config, checkpoint="exp3.ckpt.jsonl")            # killed...
     run_sweep(config, checkpoint="exp3.ckpt.jsonl", resume=True)
@@ -40,20 +45,21 @@ Crash safety:
   flush + fsync, then ``os.replace`` — so a kill mid-write can never
   destroy the previous good file, and an fsync failure abandons the
   tmp file instead of publishing unsynced data.
-* Every checkpoint line carries a CRC32 suffix
-  (``<json>\\t#crc32:<8 hex>``). Loading salvages the longest valid
-  prefix: the first torn, garbled or CRC-mismatched line ends the
-  salvage, everything before it is restored, and (on resume) the file
-  is repaired by truncating the corrupt tail so subsequent appends
-  start on a clean line boundary.
+* Every line carries a CRC32 suffix (``<json>\\t#crc32:<8 hex>``).
+  Reading keeps the longest valid prefix: the first torn, garbled or
+  CRC-mismatched line ends it. A resume restores that prefix and
+  repairs the file by truncating the corrupt tail, so subsequent
+  appends start on a clean line boundary; :func:`load_sweep` refuses
+  the file instead.
 * :func:`verify_checkpoint` is the read-only auditor behind the CLI's
-  ``--verify-checkpoint``: it reports the salvageable prefix without
-  modifying the file.
+  ``--verify-checkpoint``: it reports the valid prefix of any sweep
+  file without modifying it.
 """
 
 import binascii
 import json
 import os
+from collections import namedtuple
 from dataclasses import asdict
 
 from repro.core import RunConfig
@@ -67,19 +73,20 @@ from repro.experiments.errors import (
 from repro.experiments.runner import PointStatus, SweepResult
 from repro.stats import BatchMeansAnalyzer
 
-#: Format marker for forward compatibility.
-FORMAT = "repro-sweep-v1"
-
-#: Format marker of the incremental checkpoint file (v3 = whole-params
-#: identity; every version before it is refused).
+#: Format marker of a sweep file (v3 = whole-params identity; every
+#: version before it is refused).
 CHECKPOINT_FORMAT = "repro-sweep-checkpoint-v3"
 
-#: How every checkpoint header line starts, whatever its version
-#: (json.dumps keeps the header's insertion order, "format" first).
-_HEADER_PREFIX = '{"format": "repro-sweep-checkpoint-'
+#: How every sweep file this package ever wrote starts, whatever its
+#: version (json.dumps keeps the header's insertion order, "format"
+#: first).
+_HEADER_PREFIX = '{"format": "repro-sweep-'
 
 #: Why an older-format checkpoint is refused.
 _OLDER_FORMAT = "older checkpoint format; cannot be resumed, start fresh"
+
+#: Why an empty file is no sweep file.
+_EMPTY = "empty file (no header line)"
 
 #: Separator between a line's JSON payload and its CRC32 suffix.
 CRC_SEPARATOR = "\t#crc32:"
@@ -144,174 +151,154 @@ def decode_checkpoint_line(raw):
     return json.loads(text)
 
 
-def _point_payload(result):
-    """The serializable measurement payload of one successful point.
+def _point_line(algorithm, mpl, rep, result, status):
+    """The encoded line of one attempted point (result None = failed).
 
-    ``diagnostics`` (per-point observability: sampled time-series,
-    trace-file pointers) is included only when present, so documents
-    written without observability are byte-identical to the v1 layout
-    and old readers simply ignore the extra key.
+    ``rep`` 0 is omitted, and ``diagnostics`` (per-point observability:
+    sampled time-series, trace-file pointers) is included only when
+    present, so lines written without either keep the original layout.
     """
-    payload = {
-        "series": {
+    line = {
+        "algorithm": algorithm,
+        "mpl": mpl,
+        "status": {
+            "status": status.status,
+            "attempts": status.attempts,
+            "error": status.error,
+            "wall_seconds": status.wall_seconds,
+        },
+    }
+    if rep:
+        line["rep"] = rep
+    if result is not None:
+        line["series"] = {
             name: result.analyzer.series(name).values
             for name in result.analyzer.names()
-        },
-        "totals": _jsonable(result.totals),
-    }
-    if result.diagnostics is not None:
-        payload["diagnostics"] = _jsonable(result.diagnostics)
-    return payload
+        }
+        line["totals"] = _jsonable(result.totals)
+        if result.diagnostics is not None:
+            line["diagnostics"] = _jsonable(result.diagnostics)
+    return encode_checkpoint_line(line)
 
 
-def _rebuild_result(algorithm, mpl, series, totals, config, run,
-                    diagnostics=None):
-    """Reconstruct a SimulationResult from its saved batch series."""
-    analyzer = BatchMeansAnalyzer(
-        warmup_batches=0, confidence=run.confidence
-    )
-    length = max((len(v) for v in series.values()), default=0)
-    for index in range(length):
-        analyzer.record({
-            name: values[index]
-            for name, values in series.items()
-            if index < len(values)
-        })
-    return SimulationResult(
-        algorithm=algorithm,
-        params=config.params_for(mpl),
-        run=run,
-        analyzer=analyzer,
-        totals=totals or {},
-        diagnostics=diagnostics,
-    )
+def _restore(sweep, points):
+    """Record decoded point lines into ``sweep``, rebuilding results.
 
-
-def _status_document(status):
-    return {
-        "status": status.status,
-        "attempts": status.attempts,
-        "error": status.error,
-        "wall_seconds": status.wall_seconds,
-    }
-
-
-def _status_from_document(document):
-    return PointStatus(
-        status=document["status"],
-        attempts=document.get("attempts", 1),
-        error=document.get("error"),
-        wall_seconds=document.get("wall_seconds", 0.0),
-    )
+    Each successful point's batch series is replayed into a fresh
+    ``BatchMeansAnalyzer``; every point goes through
+    :meth:`SweepResult.record_replicate`, the write path the runner
+    shares.
+    """
+    for point in points:
+        algorithm, mpl = point["algorithm"], point["mpl"]
+        status = point["status"]
+        result = None
+        if "series" in point:
+            series = point["series"]
+            analyzer = BatchMeansAnalyzer(
+                warmup_batches=0, confidence=sweep.run.confidence
+            )
+            length = max((len(v) for v in series.values()), default=0)
+            for index in range(length):
+                analyzer.record({
+                    name: values[index]
+                    for name, values in series.items()
+                    if index < len(values)
+                })
+            result = SimulationResult(
+                algorithm=algorithm,
+                params=sweep.config.params_for(mpl),
+                run=sweep.run,
+                analyzer=analyzer,
+                totals=point.get("totals") or {},
+                diagnostics=point.get("diagnostics"),
+            )
+        sweep.record_replicate(
+            algorithm, mpl, point.get("rep", 0), result,
+            PointStatus(
+                status=status["status"],
+                attempts=status.get("attempts", 1),
+                error=status.get("error"),
+                wall_seconds=status.get("wall_seconds", 0.0),
+            ),
+        )
 
 
 def save_sweep(sweep, path):
-    """Serialize a sweep (config id, run settings, all batch series).
+    """Write a finished sweep as a complete sweep file.
 
-    One ``points`` entry per recorded replication and one ``statuses``
-    entry per attempted one, each sorted by (algorithm, mpl, rep).
-    Replication 0 carries no ``rep`` key and a one-replication sweep no
-    ``replications`` key, so every R=1 document has the original
-    layout. The write is atomic: a kill mid-save leaves any previous
-    file at ``path`` exactly as it was.
+    The header is :class:`SweepCheckpoint`'s plus the sweep's
+    ``wall_seconds``; then one line per attempted replication, sorted
+    by (algorithm, mpl, rep), in the bytes
+    :meth:`SweepCheckpoint.record` appends. The write is atomic: a
+    kill mid-save leaves any previous file at ``path`` exactly as it
+    was.
     """
-    points = []
-    for (algorithm, mpl), reps in sorted(sweep.replicates.items()):
-        for rep in sorted(reps):
-            entry = {"algorithm": algorithm, "mpl": mpl}
-            if rep:
-                entry["rep"] = rep
-            entry.update(_point_payload(reps[rep]))
-            points.append(entry)
-    statuses = []
-    for (algorithm, mpl, rep) in sorted(sweep.replicate_statuses):
-        entry = {"algorithm": algorithm, "mpl": mpl}
-        if rep:
-            entry["rep"] = rep
-        entry.update(_status_document(
-            sweep.replicate_statuses[(algorithm, mpl, rep)]
-        ))
-        statuses.append(entry)
-    document = {
-        "format": FORMAT,
-        "experiment_id": sweep.config.experiment_id,
-        "params": sweep.config.params.canonical(),
-        "fingerprint": sweep.config.params.fingerprint(),
-        "run": asdict(sweep.run),
-        "wall_seconds": sweep.wall_seconds,
-        "points": points,
-        "statuses": statuses,
-    }
-    if sweep.replications != 1:
-        document["replications"] = sweep.replications
-    atomic_write_text(path, json.dumps(document))
+    header = SweepCheckpoint(
+        path, sweep.config, sweep.run, sweep.replications
+    )._header()
+    header["wall_seconds"] = sweep.wall_seconds
+    lines = [encode_checkpoint_line(header)]
+    for (algorithm, mpl, rep), status in sorted(
+            sweep.replicate_statuses.items()):
+        result = sweep.replicates.get((algorithm, mpl), {}).get(rep)
+        lines.append(_point_line(algorithm, mpl, rep, result, status))
+    atomic_write_text(path, "".join(lines))
     return path
 
 
 def load_sweep(path):
-    """Rebuild a :class:`SweepResult` from :func:`save_sweep` output.
+    """Rebuild a :class:`SweepResult` from a sweep file.
 
-    The experiment config is resolved from the current registry by id;
-    an unknown id (e.g. a renamed preset) or recorded ``params`` that
-    differ from the preset's (a sweep run with overlaid fields) are
-    errors rather than results labelled with the wrong parameters.
-    Each saved point is paired with its status entry and both are
-    recorded through :meth:`SweepResult.record_replicate`, the write
-    path the runner and checkpoint restore share. Documents written
-    before ``params`` was recorded load without that check; documents
-    written before per-point statuses were recorded are refused.
+    Reads what :func:`save_sweep` writes and what a checkpointed
+    ``run_sweep`` leaves. The experiment config is resolved from the
+    current registry by the header's id; an unknown id (e.g. a renamed
+    preset) or recorded ``params`` that differ from the preset's (a
+    sweep run with overlaid fields) are errors rather than results
+    labelled with the wrong parameters. Points are restored through the
+    code :meth:`SweepCheckpoint.load_into` uses. Every refusal is a
+    ``ValueError`` naming ``path``, a corrupt line included: a partial
+    file is never loaded silently (a resume salvages one instead).
     """
-    with open(path) as f:
-        document = json.load(f)
-    if document.get("format") != FORMAT:
+    try:
+        scan = _scan(path)
+    except CheckpointMismatchError as error:
+        raise ValueError(str(error)) from None
+    if scan is None:
+        raise ValueError(f"{path}: {_EMPTY}")
+    if scan.corrupt_line is not None:
         raise ValueError(
-            f"{path}: not a saved sweep (format "
-            f"{document.get('format')!r})"
+            f"{path}: line {scan.corrupt_line} is corrupt "
+            f"({scan.detail}); refusing to load a partial sweep"
         )
+    header = scan.header
     configs = experiment_configs()
-    experiment_id = document["experiment_id"]
+    experiment_id = header.get("experiment_id")
     if experiment_id not in configs:
         raise ValueError(
             f"{path}: unknown experiment {experiment_id!r}; "
             f"known: {sorted(configs)}"
         )
     config = configs[experiment_id]
-    differing = params_differences(
-        document["params"], config.params
-    ) if "params" in document else []
+    differing = params_differences(header.get("params") or {},
+                                   config.params)
     if differing:
         raise ValueError(
             f"{path}: the sweep ran with params that differ from the "
             f"{experiment_id!r} preset in {', '.join(differing)}; "
             f"reloading it would label its results with the preset's"
         )
-    if "statuses" not in document:
+    try:
+        sweep = SweepResult(
+            config=config, run=RunConfig(**header["run"]),
+            replications=header["replications"],
+        )
+    except (KeyError, TypeError) as error:
         raise ValueError(
-            f"{path}: saved before per-point statuses were recorded; "
-            f"cannot be reloaded, start fresh"
-        )
-    run = RunConfig(**document["run"])
-    sweep = SweepResult(
-        config=config, run=run,
-        replications=document.get("replications", 1),
-    )
-    sweep.wall_seconds = document.get("wall_seconds", 0.0)
-    points = {
-        (point["algorithm"], point["mpl"], point.get("rep", 0)): point
-        for point in document["points"]
-    }
-    for entry in document["statuses"]:
-        key = (entry["algorithm"], entry["mpl"], entry.get("rep", 0))
-        point = points.pop(key, None)
-        result = None if point is None else _rebuild_result(
-            key[0], key[1], point["series"], point.get("totals", {}),
-            config, run, diagnostics=point.get("diagnostics"),
-        )
-        sweep.record_replicate(*key, result, _status_from_document(entry))
-    if points:
-        raise ValueError(
-            f"{path}: points without a status entry: {sorted(points)}"
-        )
+            f"{path}: unreadable header ({error!r})"
+        ) from None
+    sweep.wall_seconds = header.get("wall_seconds", 0.0)
+    _restore(sweep, scan.points)
     return sweep
 
 
@@ -329,12 +316,12 @@ def params_differences(stored, params):
 
 
 def read_checkpoint_header(path, raw):
-    """Decode a checkpoint's header line and check its format.
+    """Decode a sweep file's header line and check its format.
 
-    Raises :class:`CheckpointMismatchError` for an older-format
-    checkpoint (it cannot prove which parameters it ran under) or a
-    file that is no checkpoint at all, and
-    :class:`CheckpointCorruptError` when the line cannot be read.
+    Raises :class:`CheckpointMismatchError` for an older-format file
+    (it cannot prove which parameters it ran under) or a file that is
+    no sweep file at all, and :class:`CheckpointCorruptError` when the
+    line cannot be read.
     """
     if (raw.startswith(_HEADER_PREFIX)
             and not raw.startswith(f'{{"format": "{CHECKPOINT_FORMAT}"')):
@@ -353,6 +340,41 @@ def read_checkpoint_header(path, raw):
             f"(format {header.get('format')!r})"
         )
     return header
+
+
+#: What :func:`_scan` read: the header, the file's raw lines, the
+#: decoded points of the valid prefix, and the first invalid line's
+#: 1-based number and reason (both None when every line is valid).
+_Scan = namedtuple("_Scan", "header lines points corrupt_line detail")
+
+
+def _scan(path):
+    """Read a sweep file: its header, then its valid prefix of points.
+
+    Returns None for an empty file. The prefix ends at the first torn,
+    garbled or CRC-mismatched point line. Raises
+    :func:`read_checkpoint_header`'s errors when the header is not a
+    readable current-format one.
+    """
+    with open(path, "rb") as f:
+        text = f.read().decode("utf-8", errors="replace")
+    lines = text.splitlines(keepends=True)
+    if not lines:
+        return None
+    header = read_checkpoint_header(path, lines[0])
+    points = []
+    for number, raw in enumerate(lines[1:], start=2):
+        # A line without its newline is a torn tail by definition:
+        # even if its content decodes, appending after it would merge
+        # records, so the valid prefix ends before it.
+        if not raw.endswith("\n"):
+            return _Scan(header, lines, points, number,
+                         "torn trailing line (no newline)")
+        try:
+            points.append(decode_checkpoint_line(raw))
+        except ValueError as error:
+            return _Scan(header, lines, points, number, str(error))
+    return _Scan(header, lines, points, None, None)
 
 
 class SweepCheckpoint:
@@ -380,7 +402,12 @@ class SweepCheckpoint:
         self.salvage_dropped = 0
 
     def exists(self):
-        return os.path.exists(self.path)
+        """True when the file holds something to resume from.
+
+        An empty file (say, created before a kill) counts as absent,
+        so a resume starts fresh and writes the header.
+        """
+        return os.path.exists(self.path) and os.path.getsize(self.path) > 0
 
     def _header(self):
         return {
@@ -396,23 +423,9 @@ class SweepCheckpoint:
         atomic_write_text(self.path, encode_checkpoint_line(self._header()))
 
     def record(self, algorithm, mpl, result, status, rep=0):
-        """Append one completed point (result is None for failures).
-
-        ``rep`` is the replication index; 0 is omitted from the line,
-        so non-replicated checkpoints stay byte-identical to the
-        pre-replication layout.
-        """
-        line = {
-            "algorithm": algorithm,
-            "mpl": mpl,
-            "status": _status_document(status),
-        }
-        if rep:
-            line["rep"] = rep
-        if result is not None:
-            line.update(_point_payload(result))
+        """Append one completed point (result is None for failures)."""
         with open(self.path, "a") as f:
-            f.write(encode_checkpoint_line(line))
+            f.write(_point_line(algorithm, mpl, rep, result, status))
             f.flush()
             _fsync(f.fileno())
 
@@ -421,7 +434,8 @@ class SweepCheckpoint:
 
         The error names every differing field: ``experiment_id``,
         ``run``, ``replications`` or a :class:`SimulationParameters`
-        field.
+        field. Other header keys (a saved sweep's ``wall_seconds``)
+        are not compared.
         """
         expected = self._header()
         differing = [
@@ -457,39 +471,17 @@ class SweepCheckpoint:
         is left untouched (read-only auditing).
         """
         self.salvage_dropped = 0
-        with open(self.path, "rb") as f:
-            text = f.read().decode("utf-8", errors="replace")
-        lines = text.splitlines(keepends=True)
-        if not lines:
+        scan = _scan(self.path)
+        if scan is None:
             return 0
-        self._check_header(read_checkpoint_header(self.path, lines[0]))
-        valid_bytes = len(lines[0].encode("utf-8"))
-        restored = 0
-        for raw in lines[1:]:
-            # A line without its newline is a torn tail by definition:
-            # even if its content decodes, appending after it would
-            # merge records, so the salvage stops before it.
-            if not raw.endswith("\n"):
-                break
-            try:
-                point = decode_checkpoint_line(raw)
-            except ValueError:
-                break
-            algorithm, mpl = point["algorithm"], point["mpl"]
-            rep = point.get("rep", 0)
-            status = _status_from_document(point["status"])
-            result = None
-            if "series" in point:
-                result = _rebuild_result(
-                    algorithm, mpl, point["series"],
-                    point.get("totals", {}), self.config, self.run,
-                    diagnostics=point.get("diagnostics"),
-                )
-            sweep.record_replicate(algorithm, mpl, rep, result, status)
-            restored += 1
-            valid_bytes += len(raw.encode("utf-8"))
-        self.salvage_dropped = max(0, len(lines) - 1 - restored)
+        self._check_header(scan.header)
+        _restore(sweep, scan.points)
+        restored = len(scan.points)
+        self.salvage_dropped = len(scan.lines) - 1 - restored
         if repair and self.salvage_dropped:
+            valid_bytes = sum(
+                len(raw.encode("utf-8")) for raw in scan.lines[:1 + restored]
+            )
             with open(self.path, "r+b") as f:
                 f.truncate(valid_bytes)
                 _fsync(f.fileno())
@@ -497,7 +489,7 @@ class SweepCheckpoint:
 
 
 def verify_checkpoint(path):
-    """Read-only integrity audit of a checkpoint file.
+    """Read-only integrity audit of a sweep file.
 
     Returns a report dict: ``ok`` (every line valid), ``format``,
     ``experiment_id``, ``replications`` and the params ``fingerprint``
@@ -520,17 +512,10 @@ def verify_checkpoint(path):
         "detail": None,
     }
     try:
-        with open(path, "rb") as f:
-            text = f.read().decode("utf-8", errors="replace")
+        scan = _scan(path)
     except OSError as error:
         report["detail"] = str(error)
         return report
-    lines = text.splitlines(keepends=True)
-    if not lines:
-        report["detail"] = "empty file (no header line)"
-        return report
-    try:
-        header = read_checkpoint_header(path, lines[0])
     except CheckpointCorruptError as error:
         report["first_corrupt_line"] = 1
         report["detail"] = str(error)
@@ -538,24 +523,21 @@ def verify_checkpoint(path):
     except CheckpointMismatchError as error:
         report["detail"] = str(error)
         return report
-    report["format"] = header["format"]
-    report["experiment_id"] = header.get("experiment_id")
-    report["replications"] = header.get("replications")
-    report["fingerprint"] = canonical_fingerprint(header.get("params"))
-    report["point_lines"] = len(lines) - 1
-    for number, raw in enumerate(lines[1:], start=2):
-        if not raw.endswith("\n"):
-            report["first_corrupt_line"] = number
-            report["detail"] = "torn trailing line (no newline)"
-            return report
-        try:
-            decode_checkpoint_line(raw)
-        except ValueError as error:
-            report["first_corrupt_line"] = number
-            report["detail"] = str(error)
-            return report
-        report["valid_points"] += 1
-    report["ok"] = True
+    if scan is None:
+        report["detail"] = _EMPTY
+        return report
+    header = scan.header
+    report.update(
+        ok=scan.corrupt_line is None,
+        format=header["format"],
+        experiment_id=header.get("experiment_id"),
+        replications=header.get("replications"),
+        fingerprint=canonical_fingerprint(header.get("params")),
+        point_lines=len(scan.lines) - 1,
+        valid_points=len(scan.points),
+        first_corrupt_line=scan.corrupt_line,
+        detail=scan.detail,
+    )
     return report
 
 

@@ -4,7 +4,6 @@ experiments layer: run_sweep diagnostics -> persistence -> CSV export
 
 import csv
 import io
-import json
 
 import pytest
 
@@ -21,6 +20,7 @@ from repro.experiments import (
     write_timeseries_csv,
 )
 from repro.experiments.export import TIMESERIES_COLUMNS
+from repro.experiments.persistence import decode_checkpoint_line
 from repro.experiments.report import sweep_report
 from repro.obs import read_jsonl
 from repro.obs.timeseries import SAMPLE_FIELDS
@@ -122,9 +122,8 @@ class TestPersistenceRoundTrip:
         sweep = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2])
         path = tmp_path / "sweep.json"
         save_sweep(sweep, str(path))
-        document = json.loads(path.read_text())
-        for point in document["points"]:
-            assert "diagnostics" not in point
+        for raw in path.read_text().splitlines()[1:]:
+            assert "diagnostics" not in decode_checkpoint_line(raw)
 
 
 class TestTimeseriesExport:

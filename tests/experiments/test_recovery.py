@@ -226,14 +226,14 @@ class TestAtomicWrites:
 
     def test_save_sweep_is_loadable_after_interrupted_rewrite(
             self, tmp_path):
-        # The document save_sweep writes is one atomic JSON file.
+        # The file save_sweep writes is one atomic sweep file.
         sweep = run_sweep(
             tiny_config(experiment_id="exp3_finite"),
             run=TINY_RUN, mpls=[2],
         )
-        path = tmp_path / "sweep.json"
+        path = tmp_path / "sweep.ckpt.jsonl"
         save_sweep(sweep, str(path))
-        json.loads(path.read_text())  # plain JSON, no tmp suffix junk
+        assert verify_checkpoint(str(path))["ok"]  # no tmp suffix junk
 
 
 class TestVerifyCheckpointCli:

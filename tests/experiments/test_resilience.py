@@ -354,6 +354,24 @@ class TestCheckpointResume:
         assert os.path.exists(path)
         assert sweep.status("blocking", 2).status == STATUS_OK
 
+    def test_resume_on_empty_file_starts_fresh(self, tmp_path):
+        # An empty file has no header to resume from. Resuming on it
+        # must write one, or its points land header-less and every
+        # later resume refuses the file.
+        path = str(tmp_path / "empty.ckpt.jsonl")
+        open(path, "w").close()
+        first = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2],
+                          checkpoint=path, resume=True)
+        for _ in range(2):
+            messages = []
+            resumed = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2],
+                                checkpoint=path, resume=True,
+                                progress=messages.append)
+            assert any("resumed 1 point(s)" in m for m in messages)
+            assert resumed.result("blocking", 2).totals == (
+                first.result("blocking", 2).totals
+            )
+
 
 class TestPersistedStatuses:
     def test_save_load_roundtrip_preserves_statuses(self, tmp_path):
