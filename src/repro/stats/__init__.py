@@ -1,9 +1,10 @@
 """Output-analysis substrate: running statistics, batch means, confidence intervals.
 
-This package is dependency-free (scipy is used opportunistically for exact
-Student-t quantiles, imported by the first quantile asked for, with an
-embedded table as fallback) and contains no simulation logic, so both the
-DES kernel and the model layers can build on it.
+This package is dependency-free (the Student-t quantiles the harness uses
+are embedded as scipy's exact floats; scipy is imported only for an
+untabulated quantile, with interpolation in the table as fallback) and
+contains no simulation logic, so both the DES kernel and the model layers
+can build on it.
 
 The centerpiece is :class:`repro.stats.batch_means.BatchMeansAnalyzer`, an
 implementation of the modified batch-means method the paper attributes to

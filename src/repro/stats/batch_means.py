@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.stats.confidence import ConfidenceInterval, t_quantile
+from repro.stats.confidence import interval_from_samples
 
 
 @dataclass
@@ -48,13 +48,9 @@ class BatchSeries:
 
     def interval(self, confidence=0.90):
         """Confidence interval for the grand mean over the batch means."""
-        n = len(self.values)
-        if n == 0:
+        if not self.values:
             raise ValueError(f"series {self.name!r} has no batches")
-        if n == 1:
-            return ConfidenceInterval(self.mean, math.inf, confidence, 1)
-        half = t_quantile(confidence, n - 1) * math.sqrt(self.variance / n)
-        return ConfidenceInterval(self.mean, half, confidence, n)
+        return interval_from_samples(self.values, confidence)
 
     def lag1_autocorrelation(self):
         """Lag-1 autocorrelation of the batch means.

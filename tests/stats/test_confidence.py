@@ -17,13 +17,18 @@ from repro.stats.confidence import _T_TABLE, interval_from_samples
 LEVELS = [0.90, 0.95, 0.99]
 
 
-@pytest.fixture
-def without_scipy(monkeypatch):
-    """scipy made unimportable in this process, the quantile loader reset
-    on both sides so it resolves again."""
+def hide_scipy(monkeypatch):
+    """Make scipy unimportable in this process and reset the quantile
+    loader so it resolves again."""
     monkeypatch.setitem(sys.modules, "scipy", None)
     monkeypatch.setitem(sys.modules, "scipy.stats", None)
     confidence_module._student_t.cache_clear()
+
+
+@pytest.fixture
+def without_scipy(monkeypatch):
+    """scipy hidden for the test, the loader reset again afterwards."""
+    hide_scipy(monkeypatch)
     yield
     confidence_module._student_t.cache_clear()
 
@@ -35,14 +40,12 @@ class TestTQuantile:
         expected = float(scipy_t.ppf(0.5 + confidence / 2.0, df))
         assert t_quantile(confidence, df) == expected
 
-    def test_table_fallback_close_to_scipy(self):
-        # Validate the embedded table itself (used when scipy is absent).
+    def test_table_is_scipy_exact(self):
+        # Every embedded entry, the df=inf row included, is scipy's float.
         for confidence, rows in _T_TABLE.items():
             for df, value in rows.items():
-                if df is math.inf:
-                    continue
                 expected = float(scipy_t.ppf(0.5 + confidence / 2.0, df))
-                assert value == pytest.approx(expected, abs=5e-3)
+                assert value == expected, (confidence, df)
 
     def test_rejects_bad_confidence(self):
         with pytest.raises(ValueError):
@@ -63,12 +66,24 @@ class TestTableFallback:
         assert confidence_module._student_t() is None
         assert t_quantile(confidence, 10) == _T_TABLE[confidence][10]
 
+    def test_tabulated_pairs_same_without_scipy(self, monkeypatch):
+        assert confidence_module._student_t() is scipy_t
+        pairs = [(c, df) for c, rows in _T_TABLE.items() for df in rows]
+        present = [t_quantile(c, df) for c, df in pairs]
+        hide_scipy(monkeypatch)
+        try:
+            assert confidence_module._student_t() is None
+            hidden = [t_quantile(c, df) for c, df in pairs]
+        finally:
+            confidence_module._student_t.cache_clear()
+        assert hidden == present
+
     @pytest.mark.parametrize("confidence", LEVELS)
     def test_interpolates_in_df_between_rows(self, without_scipy, confidence):
         table = _T_TABLE[confidence]
-        expected = table[15] + (19 - 15) / (20 - 15) * (table[20] - table[15])
-        assert t_quantile(confidence, 19) == expected
-        exact = float(scipy_t.ppf(0.5 + confidence / 2.0, 19))
+        expected = table[30] + (35 - 30) / (40 - 30) * (table[40] - table[30])
+        assert t_quantile(confidence, 35) == expected
+        exact = float(scipy_t.ppf(0.5 + confidence / 2.0, 35))
         assert expected == pytest.approx(exact, abs=5e-3)
 
     @pytest.mark.parametrize("confidence", LEVELS)
@@ -88,16 +103,24 @@ class TestTableFallback:
 
 
 #: Run in a fresh interpreter: imports, an exploration, a direct model
-#: run and a batch-means run must leave scipy and numpy unimported; the
-#: first interval (``describe`` prints one) imports scipy.
+#: run, a batch-means run with its interval, a checkpointed sweep with
+#: progress lines and a report of the reloaded checkpoint must leave
+#: scipy and numpy unimported (their quantiles are tabulated); an
+#: untabulated quantile (df 49) imports scipy.
 HYGIENE_SCRIPT = textwrap.dedent("""
+    import os
     import sys
+    import tempfile
 
     import repro
     import repro.experiments.cli
     from repro.analytic.explore import explore, smoke_space
     from repro.core import RunConfig, SimulationParameters, run_simulation
     from repro.core.engine import SystemModel
+    from repro.experiments import (
+        QUICK_RUN, experiment_configs, load_sweep, run_sweep, sweep_report,
+    )
+    from repro.stats import t_quantile
 
     def heavy():
         return sorted({"scipy", "numpy"} & set(sys.modules))
@@ -112,14 +135,26 @@ HYGIENE_SCRIPT = textwrap.dedent("""
     print("before", heavy())
     run = RunConfig(batches=3, batch_time=2.0, warmup_batches=0, seed=7)
     result = run_simulation(params, "blocking", run)
-    print("run", heavy())
-    print("describe", "±" in result.describe())
-    print("after", "scipy" in sys.modules)
+    print("describe", "±" in result.describe(), heavy())
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.ckpt.jsonl")
+        run_sweep(
+            experiment_configs()["exp1_low_conflict_finite"],
+            run=QUICK_RUN.with_changes(batches=4, batch_time=2.0),
+            mpls=[5], algorithms=["blocking"], checkpoint=path,
+            progress=lines.append,
+        )
+        print("sweep", any("±" in line for line in lines), heavy())
+        report = sweep_report(load_sweep(path), with_plots=False)
+        print("report", "±" in report, heavy())
+    t_quantile(0.90, 49)
+    print("untabulated", "scipy" in sys.modules)
 """)
 
 
-class TestScipyLoadsAtTheFirstInterval:
-    def test_only_an_interval_imports_scipy(self):
+class TestScipyLoadsOnlyForAnUntabulatedQuantile:
+    def test_intervals_sweeps_and_reports_never_import_scipy(self):
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         child = subprocess.run(
@@ -127,7 +162,8 @@ class TestScipyLoadsAtTheFirstInterval:
             capture_output=True, text=True, timeout=120, check=True,
         )
         assert child.stdout.splitlines() == [
-            "before []", "run []", "describe True", "after True",
+            "before []", "describe True []", "sweep True []",
+            "report True []", "untabulated True",
         ]
 
 
