@@ -516,6 +516,36 @@ def _network_layout(params, accesses):
     return last[1]
 
 
+def _check_domain(params):
+    """Refuse a configuration the surrogate has no calibrated terms for.
+
+    The network and the contention terms model the paper's closed,
+    single-site, uniform-access system. A sharded tier, a buffer pool,
+    skewed disks, hotspot access or an open arrival process would get a
+    silent, wrong prediction (5.67 tps for a 4-node run that measures
+    16.77), so each raises ``ValueError`` naming the field instead.
+    """
+    if params.resource_model != "classic":
+        raise ValueError(
+            f"surrogate models only resource_model='classic', got "
+            f"resource_model={params.resource_model!r}"
+        )
+    if params.nodes > 1:
+        raise ValueError(
+            f"surrogate models a single site, got nodes={params.nodes}"
+        )
+    if params.has_hotspot:
+        raise ValueError(
+            f"surrogate models uniform access, got hotspot skew "
+            f"(hot_fraction={params.hot_fraction!r})"
+        )
+    if params.workload_model != "closed_classic":
+        raise ValueError(
+            f"surrogate models only workload_model='closed_classic', got "
+            f"workload_model={params.workload_model!r}"
+        )
+
+
 def surrogate_prediction(params, algorithm, coeffs=None):
     """Contention-corrected throughput prediction for one grid point.
 
@@ -523,13 +553,15 @@ def surrogate_prediction(params, algorithm, coeffs=None):
     ``coeffs`` is a :class:`CorrectionCoefficients` (None looks the
     algorithm up in :data:`DEFAULT_COEFFS`). Unknown algorithms raise
     ``ValueError`` — the surrogate only has correction terms for
-    :data:`SUPPORTED_ALGORITHMS`.
+    :data:`SUPPORTED_ALGORITHMS` — and so does any configuration
+    outside the calibrated domain (see :func:`_check_domain`).
     """
     if algorithm not in SUPPORTED_ALGORITHMS:
         raise ValueError(
             f"surrogate has no contention terms for {algorithm!r}; "
             f"supported: {SUPPORTED_ALGORITHMS}"
         )
+    _check_domain(params)
     if coeffs is None:
         coeffs = DEFAULT_COEFFS[algorithm]
     k_w = params.expected_writes()

@@ -9,11 +9,13 @@ physical tier's network legs:
   message to every remote participant and waits for its vote, one
   round trip per participant (``2pc_prepare``/``2pc_vote`` bus
   events bracket each; like the legs' ``msg_*`` events, they are built
-  only when the bus's ``wants_msg`` flag is up). For blocking-style
-  algorithms the transaction's locks are naturally held across this
-  window (they are released in ``finalize_commit``, which runs after
-  the decision stage); for optimistic the local validation that
-  follows the window is the coordinator's own vote.
+  only when the bus's ``wants_msg`` flag is up). Each leg is one
+  ``network_leg`` call: it emits ``msg_send`` and returns the event the
+  message arrives at; the protocol yields it and emits ``msg_recv``.
+  For blocking-style algorithms the transaction's locks are naturally
+  held across this window (they are released in ``finalize_commit``,
+  which runs after the decision stage); for optimistic the local
+  validation that follows the window is the coordinator's own vote.
 * **Decision phase** (after the writes install, before
   ``finalize_commit``): one ``2pc_decide`` event records the commit
   decision with its vote quorum, then one decision message ships to
@@ -57,11 +59,13 @@ class TwoPhaseCommit(CommitProtocol):
         # repro.core.engine into repro.cc). By attach time the import
         # graph is settled.
         from repro.obs.events import (
+            MSG_RECV,
             TWO_PC_DECIDE,
             TWO_PC_PREPARE,
             TWO_PC_VOTE,
         )
 
+        self._kind_recv = MSG_RECV
         self._kind_prepare = TWO_PC_PREPARE
         self._kind_vote = TWO_PC_VOTE
         self._kind_decide = TWO_PC_DECIDE
@@ -80,6 +84,8 @@ class TwoPhaseCommit(CommitProtocol):
             return
         bus = model.bus
         home = physical.home_node(tx)
+        network_leg = physical.network_leg
+        recv = self._kind_recv
         for node in participants:
             # Per-message events, built only when observed (wants_msg).
             if bus.wants_msg:
@@ -87,9 +93,16 @@ class TwoPhaseCommit(CommitProtocol):
             # One round trip per participant: the prepare message out,
             # the participant's vote back. Sequential — the modeled
             # coordinator processes one participant channel at a time.
-            yield from physical.network_leg(tx, home, node)
-            yield from physical.network_leg(tx, node, home)
+            leg = network_leg(tx, home, node)
+            if leg is not None:
+                yield leg
             if bus.wants_msg:
+                bus.emit(recv, tx=tx, src=home, dst=node)
+            leg = network_leg(tx, node, home)
+            if leg is not None:
+                yield leg
+            if bus.wants_msg:
+                bus.emit(recv, tx=tx, src=node, dst=home)
                 bus.emit(self._kind_vote, tx=tx, node=node, vote="yes")
 
     def decide(self, tx):
@@ -100,9 +113,14 @@ class TwoPhaseCommit(CommitProtocol):
             quorum=len(participants),
         )
         physical = model.physical
+        bus = model.bus
         home = physical.home_node(tx)
         for node in participants:
-            yield from physical.network_leg(tx, home, node)
+            leg = physical.network_leg(tx, home, node)
+            if leg is not None:
+                yield leg
+            if bus.wants_msg:
+                bus.emit(self._kind_recv, tx=tx, src=home, dst=node)
 
     def abort(self, tx):
         self._prepared.pop(tx.id, None)

@@ -13,6 +13,8 @@ processed, at which point the event's value is sent back into the generator
 (or its exception thrown into it).
 """
 
+from heapq import heappush
+
 PENDING = object()
 
 # Scheduling priority bands. Lower sorts earlier among events at the same
@@ -111,14 +113,15 @@ class Timeout(Event):
             raise ValueError(f"negative delay {delay}")
         # Timeouts are the single most-created event type; initialize
         # every field directly instead of paying for Event.__init__
-        # assigning _ok/_value only to overwrite them here.
+        # assigning _ok/_value only to overwrite them here, and push the
+        # queue entry in line: the key Environment.schedule would build.
         self.env = env
         self.callbacks = []
         self._defused = False
         self.delay = delay
         self._ok = True
         self._value = value
-        env.schedule(self, NORMAL, delay)
+        heappush(env._queue, (env._now + delay, NORMAL, env._eid(), self))
 
     def __repr__(self):
         return f"<Timeout delay={self.delay} at {id(self):#x}>"

@@ -41,6 +41,20 @@ class RandomStream:
             return 0.0
         return self._random.expovariate(1.0 / mean)
 
+    def exponential_many(self, mean, n):
+        """``n`` draws of :meth:`exponential`, batched (same draws, in order).
+
+        A mean of zero gives ``n`` zeros without consuming generator
+        state, as the single draw does.
+        """
+        if mean < 0:
+            raise ValueError(f"mean must be >= 0, got {mean}")
+        if mean == 0:
+            return [0.0] * n
+        rate = 1.0 / mean
+        expovariate = self._random.expovariate
+        return [expovariate(rate) for _ in range(n)]
+
     def uniform(self, low, high):
         """Sample Uniform[low, high] (continuous)."""
         return self._random.uniform(low, high)

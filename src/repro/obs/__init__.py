@@ -29,7 +29,6 @@ from repro.obs.events import (
 )
 from repro.obs.jsonl import JsonlSink, read_jsonl
 from repro.obs.subscribers import (
-    BufferAccountingSubscriber,
     FaultAccountingSubscriber,
     MetricsSubscriber,
     Subscriber,
@@ -47,7 +46,6 @@ __all__ = [
     "Subscriber",
     "MetricsSubscriber",
     "FaultAccountingSubscriber",
-    "BufferAccountingSubscriber",
     "TimeSeriesSampler",
     "JsonlSink",
     "read_jsonl",

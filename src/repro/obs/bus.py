@@ -15,9 +15,12 @@ Design constraints, in order:
    nothing at all. The flags are derived from the handler tables, never
    set: ``wants_commit_point`` (the engine's commit point),
    ``wants_resource`` (``resource_busy``/``resource_idle`` around every
-   service), ``wants_cc`` (``cc_grant``) and ``wants_msg`` (the
+   service), ``wants_cc`` (``cc_grant``), ``wants_msg`` (the
    message-level kinds: ``msg_send``/``msg_recv`` around every network
-   leg and the ``2pc_prepare``/``2pc_vote`` exchange they carry).
+   leg and the ``2pc_prepare``/``2pc_vote`` exchange they carry) and
+   ``wants_buffer`` (``buffer_hit``/``buffer_miss``/``buffer_writeback``
+   per buffer probe and write-back; the resource model keeps its own
+   cache counters, so these events exist only for observers).
 2. **Synchronous, deterministic dispatch.** Handlers run inline, in
    subscriber attach order, at the simulated instant of the event.
    Subscribers only *observe* — they must not mutate model state — so
@@ -39,6 +42,7 @@ Subscriber` is a convenience base):
 """
 
 from repro.obs.events import (
+    BUFFER_KINDS,
     CC_GRANT,
     MSG_RECV,
     MSG_SEND,
@@ -64,6 +68,7 @@ class InstrumentationBus:
         "wants_resource",
         "wants_cc",
         "wants_msg",
+        "wants_buffer",
     )
 
     def __init__(self, env):
@@ -115,6 +120,9 @@ class InstrumentationBus:
         self.wants_cc = CC_GRANT in self._handlers
         self.wants_msg = any(
             kind in self._handlers for kind in _MESSAGE_LEVEL_KINDS
+        )
+        self.wants_buffer = any(
+            kind in self._handlers for kind in BUFFER_KINDS
         )
 
     # -- emission ------------------------------------------------------------

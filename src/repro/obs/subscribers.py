@@ -1,4 +1,4 @@
-"""Built-in bus subscribers: metrics, buffer and fault accounting.
+"""Built-in bus subscribers: metrics and fault accounting.
 
 Each class adapts one pre-existing measurement consumer to the
 :class:`~repro.obs.bus.InstrumentationBus` subscriber protocol, so the
@@ -11,10 +11,6 @@ subscribers is attached.
 from repro.core.transaction import Transaction
 from repro.obs.events import (
     ALL_KINDS,
-    BUFFER_HIT,
-    BUFFER_KINDS,
-    BUFFER_MISS,
-    BUFFER_WRITEBACK,
     FAULT_ACCESS,
     FAULT_CPU_DEGRADE,
     FAULT_CPU_RESTORE,
@@ -136,53 +132,6 @@ class MetricsSubscriber:
             TX_BLOCK: block,
             TX_RESTART: restart,
             TX_COMPLETE: commit,
-        }
-
-
-class BufferAccountingSubscriber:
-    """Accumulates the cache statistics of one run.
-
-    The ``buffered`` resource model emits ``buffer_hit``/``buffer_miss``
-    per object read and ``buffer_writeback`` per deferred update; this
-    subscriber (attached by the model itself, mirroring the fault
-    injector's accounting) turns them into the counters behind
-    ``buffer_summary()``, the run diagnostics, and the sweep report's
-    hit-ratio table.
-    """
-
-    kinds = BUFFER_KINDS
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
-
-    @property
-    def probes(self):
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self):
-        """Realized hit ratio, or None before any probe."""
-        probes = self.hits + self.misses
-        if probes == 0:
-            return None
-        return self.hits / probes
-
-    def handlers(self):
-        def hit(time, fields):
-            self.hits += 1
-
-        def miss(time, fields):
-            self.misses += 1
-
-        def writeback(time, fields):
-            self.writebacks += 1
-
-        return {
-            BUFFER_HIT: hit,
-            BUFFER_MISS: miss,
-            BUFFER_WRITEBACK: writeback,
         }
 
 

@@ -16,7 +16,7 @@ Service interface (what the engine consumes)
 Each service primitive returns a generator driven with ``yield from``
 inside a transaction process, and is interrupt-safe: on abort
 mid-service the partial service time is still charged and the server
-released.
+released. The one exception is the network leg, a plain call:
 
 * ``read_access(tx, obj)`` — one pre-commit object read (I/O + CPU);
 * ``write_request_work(tx, obj)`` — CPU work at write-request time;
@@ -28,7 +28,11 @@ released.
 * ``cpu_service(tx, amount, priority)`` / ``disk_service(tx, amount)``
   — the raw legs (one CPU leg at the transaction's home node, one leg
   on a uniformly chosen disk);
-* ``network_leg(tx, src, dst)`` — one cross-node message.
+* ``network_leg(tx, src, dst)`` — one cross-node message: counts it,
+  emits ``msg_send`` when observed and returns the leg's
+  :class:`~repro.des.Timeout` (None for a zero delay or a local leg).
+  The caller yields the event, then emits ``msg_recv`` when observed,
+  so a leg interrupted in flight sends without receiving.
 
 Accounting and hooks:
 
@@ -41,7 +45,8 @@ Accounting and hooks:
   by its ``start()``; ``disk_fault_targets()`` names the finite disks a
   disk-fault process may claim (empty for infinite disks);
 * ``buffer_summary()`` — cache statistics for models with a buffer
-  pool (None for models without one);
+  pool (None for models without one), from the hit, miss and
+  write-back counters the model keeps itself;
 * ``describe_resources()`` — per-model resource labels for reports and
   diagnostics.
 
@@ -70,7 +75,7 @@ models is data set at construction:
   disk;
 * **buffer** — per-node LRU directories or the fixed-ratio
   ``resources.buffer`` stream (:meth:`ResourceModel._attach_buffer`);
-  without either, no probe, fill or buffer event happens;
+  without either, no probe, fill, count or buffer event happens;
 * **CPU pools** — ``node_cpus``, which is ``[cpu]`` at one site.
 
 With every table None and no buffer, the pipeline is the paper's
@@ -83,15 +88,19 @@ Subclasses keep only what differs: validation, table building,
 ``buffer_summary`` and ``describe_resources``.
 
 The composites are hot-path code and are flat: each inlines its disk
-and CPU legs, so an access runs one generator (plus one per network
-leg of a remote access). Every CPU or disk leg is one
-:meth:`~repro.des.Resource.serve` call — the pool starts the service,
-charges the busy tracker and schedules the completion itself, so a leg
-costs one kernel event and one wake-up of the transaction — closed by
-one ``finish`` in a ``finally``. Uniform disk selections are drawn in
-batches from the disk stream (same draws, same order as one at a
-time). Buffer events and CPU ``resource_busy``/``resource_idle`` carry
-the ``node`` they happen at, 0 on a single site.
+and CPU legs, so an access runs one generator, remote or not. Every
+CPU or disk leg is one :meth:`~repro.des.Resource.serve` call — the
+pool starts the service, charges the busy tracker and schedules the
+completion itself, so a leg costs one kernel event and one wake-up of
+the transaction — closed by one ``finish`` in a ``finally``. A network
+leg is one ``network_leg`` call returning one
+:class:`~repro.des.Timeout`. Uniform disk selections and network delays
+are drawn in batches from their streams (same draws, same order as one
+at a time). Buffer hits, misses and write-backs are counted by the
+model; their ``buffer_*`` events are built only under the bus's
+``wants_buffer`` flag. Buffer events and CPU
+``resource_busy``/``resource_idle`` carry the ``node`` they happen at,
+0 on a single site.
 """
 
 from collections import OrderedDict
@@ -99,7 +108,6 @@ from collections import OrderedDict
 from repro.core.params import DISK_PLACEMENT_STRIPED
 from repro.des import BusyTracker, InfiniteResource, Resource
 from repro.des.events import Timeout
-from repro.obs.bus import InstrumentationBus
 from repro.obs.events import (
     BUFFER_HIT,
     BUFFER_MISS,
@@ -109,7 +117,6 @@ from repro.obs.events import (
     RESOURCE_BUSY,
     RESOURCE_IDLE,
 )
-from repro.obs.subscribers import BufferAccountingSubscriber
 
 #: CPU queue priority classes: CC requests beat object processing.
 CC_PRIORITY = 0
@@ -118,6 +125,10 @@ OBJECT_PRIORITY = 1
 #: Disk selections drawn from the disk stream per refill. Batching only
 #: amortizes call overhead; the value sequence is unchanged.
 _DISK_PICK_BATCH = 256
+
+#: Network delays drawn from the network stream per refill. The stream
+#: feeds only network legs, so drawing ahead changes no value.
+_NETWORK_DRAW_BATCH = 256
 
 #: The copies a deferred update writes on a single site: node 0's.
 _ONE_SITE = (0,)
@@ -176,9 +187,10 @@ class ResourceModel:
     def __init__(self, env, params, streams, bus=None):
         self.env = env
         self.params = params
-        #: Optional repro.obs.InstrumentationBus for resource busy/idle
-        #: events; emission is guarded by its ``wants_resource`` flag so
-        #: the unobserved case costs one attribute load per service.
+        #: Optional repro.obs.InstrumentationBus for resource busy/idle,
+        #: message and buffer events; emission is guarded by its
+        #: ``wants_resource``/``wants_msg``/``wants_buffer`` flags so the
+        #: unobserved case costs one attribute load per service.
         self.bus = bus
         self._streams = streams
         self._disk_rng = streams.stream("physical.disk_choice")
@@ -202,7 +214,11 @@ class ResourceModel:
         self._lru = None
         self._hit_rng = None
         self.buffer_capacity = None
-        self.accounting = None
+        #: Cache counters, kept whether or not anyone observes the
+        #: ``buffer_*`` events (see buffer_summary).
+        self.buffer_hits = 0
+        self.buffer_misses = 0
+        self.buffer_writebacks = 0
         #: Cross-node message accounting (count, summed delay). Stays
         #: zero for single-site models — ``network_summary`` reports
         #: None then, so their totals keep the exact pre-topology
@@ -210,6 +226,8 @@ class ResourceModel:
         self.messages_sent = 0
         self.network_time = 0.0
         self._network_rng = None
+        self._network_draws = []
+        self._network_draw_at = 0
         self._build_resources()
 
     # -- construction hooks --------------------------------------------------
@@ -249,10 +267,8 @@ class ResourceModel:
         over object ids holding ``capacity`` pages: deterministic given
         the access sequence, no draws. With ``hit_ratio`` set, every
         probe hits with that probability, drawn from the dedicated
-        ``resources.buffer`` stream. Cache activity rides the bus (a
-        private one when the model was built without) into a
-        :class:`~repro.obs.BufferAccountingSubscriber`, mirroring the
-        fault injector's accounting.
+        ``resources.buffer`` stream. Every probe and write-back is
+        counted by the model itself, with or without a bus.
         """
         if hit_ratio is None:
             self._lru = [OrderedDict() for _ in range(self.nodes)]
@@ -261,9 +277,6 @@ class ResourceModel:
             self._hit_rng = self._streams.stream("resources.buffer")
             self._hit_ratio = hit_ratio
         self._buffered = True
-        if self.bus is None:
-            self.bus = InstrumentationBus(self.env)
-        self.accounting = self.bus.attach(BufferAccountingSubscriber())
 
     # -- node addressing -----------------------------------------------------
     #
@@ -308,35 +321,47 @@ class ResourceModel:
         return sorted(touched)
 
     def network_leg(self, tx, src, dst):
-        """One cross-node message: an explicit service stage.
+        """Send one cross-node message; return the event it arrives at.
 
         A message from ``src`` to ``dst`` waits an exponential
         ``params.network_delay`` drawn from the dedicated
         ``resources.network`` stream (the interconnect is modeled as a
-        delay, not a queued server) and emits ``msg_send``/``msg_recv``
-        bus events around the transfer (built only when the bus's
-        ``wants_msg`` flag says someone handles them). Local messages
-        (``src == dst``) are free and draw nothing, which is what keeps
-        one-node topologies bit-identical to the single-site models: no
-        cross-node traffic can ever arise there.
+        delay, not a queued server; delays are drawn in batches, the
+        same values in the same order as one at a time). The call
+        counts the message, emits ``msg_send`` when the bus's
+        ``wants_msg`` flag says someone handles it, and returns the
+        leg's :class:`~repro.des.Timeout`, or None for a zero delay.
+        The caller yields the event and then emits ``msg_recv`` itself
+        when ``wants_msg`` is set, so a leg interrupted in flight sends
+        without receiving. Local messages (``src == dst``) are free:
+        None, nothing counted, nothing drawn — which is what keeps
+        one-node topologies bit-identical to the single-site models.
         """
         if src == dst:
-            return
+            return None
         bus = self.bus
         if bus is not None and bus.wants_msg:
             bus.emit(MSG_SEND, tx=tx, src=src, dst=dst)
         self.messages_sent += 1
-        delay = self.params.network_delay
-        if delay > 0.0:
-            if self._network_rng is None:
-                self._network_rng = self._streams.stream(
+        mean = self.params.network_delay
+        if mean <= 0.0:
+            return None
+        at = self._network_draw_at
+        draws = self._network_draws
+        if at >= len(draws):
+            rng = self._network_rng
+            if rng is None:
+                self._network_rng = rng = self._streams.stream(
                     "resources.network"
                 )
-            delay = self._network_rng.exponential(delay)
-            self.network_time += delay
-            yield Timeout(self.env, delay)
-        if bus is not None and bus.wants_msg:
-            bus.emit(MSG_RECV, tx=tx, src=src, dst=dst)
+            self._network_draws = draws = rng.exponential_many(
+                mean, _NETWORK_DRAW_BATCH
+            )
+            at = 0
+        self._network_draw_at = at + 1
+        delay = draws[at]
+        self.network_time += delay
+        return Timeout(self.env, delay)
 
     def network_summary(self):
         """Message accounting, or None when no cross-node traffic ran.
@@ -383,20 +408,25 @@ class ResourceModel:
     def _probe(self, node, obj):
         """True if reading ``obj`` hits ``node``'s buffer pool.
 
-        The fixed policy draws on every probe. Under LRU, ``obj`` of
-        None (object-blind callers) never hits: there is no identity
-        to find.
+        Counts the hit or the miss. The fixed policy draws on every
+        probe. Under LRU, ``obj`` of None (object-blind callers) never
+        hits: there is no identity to find.
         """
         hit_rng = self._hit_rng
         if hit_rng is not None:
-            return hit_rng.bernoulli(self._hit_ratio)
-        if obj is None:
-            return False
-        lru = self._lru[node]
-        if obj in lru:
-            lru.move_to_end(obj)
-            return True
-        return False
+            hit = hit_rng.bernoulli(self._hit_ratio)
+        elif obj is None:
+            hit = False
+        else:
+            lru = self._lru[node]
+            hit = obj in lru
+            if hit:
+                lru.move_to_end(obj)
+        if hit:
+            self.buffer_hits += 1
+        else:
+            self.buffer_misses += 1
+        return hit
 
     def _fill(self, node, obj):
         """Make ``obj`` resident at ``node`` after a completed transfer."""
@@ -473,13 +503,18 @@ class ResourceModel:
             home = tx.id % self.nodes
             node = home if obj is None else read_from[home][obj]
             if node != home:
-                yield from self.network_leg(tx, home, node)
+                leg = self.network_leg(tx, home, node)
+                if leg is not None:
+                    yield leg
+                if bus is not None and bus.wants_msg:
+                    bus.emit(MSG_RECV, tx=tx, src=home, dst=node)
 
         buffered = self._buffered
         if buffered and self._probe(node, obj):
-            bus.emit(BUFFER_HIT, tx=tx, obj=obj, node=node)
+            if bus is not None and bus.wants_buffer:
+                bus.emit(BUFFER_HIT, tx=tx, obj=obj, node=node)
         else:
-            if buffered:
+            if buffered and bus is not None and bus.wants_buffer:
                 bus.emit(BUFFER_MISS, tx=tx, obj=obj, node=node)
             amount = params.obj_io
             if amount > 0.0:
@@ -497,7 +532,11 @@ class ResourceModel:
                 self._fill(node, obj)
 
         if node != home:
-            yield from self.network_leg(tx, node, home)
+            leg = self.network_leg(tx, node, home)
+            if leg is not None:
+                yield leg
+            if bus is not None and bus.wants_msg:
+                bus.emit(MSG_RECV, tx=tx, src=node, dst=home)
 
         amount = params.obj_cpu
         if amount <= 0.0:
@@ -561,9 +600,15 @@ class ResourceModel:
             nodes = (home,) if obj is None else replicas[obj]
         for node in nodes:
             if node != home:
-                yield from self.network_leg(tx, home, node)
+                leg = self.network_leg(tx, home, node)
+                if leg is not None:
+                    yield leg
+                if bus is not None and bus.wants_msg:
+                    bus.emit(MSG_RECV, tx=tx, src=home, dst=node)
             if buffered:
-                bus.emit(BUFFER_WRITEBACK, tx=tx, obj=obj, node=node)
+                self.buffer_writebacks += 1
+                if bus is not None and bus.wants_buffer:
+                    bus.emit(BUFFER_WRITEBACK, tx=tx, obj=obj, node=node)
             if amount > 0.0:
                 disk_index = self._disk_at(node, obj)
                 disk = self.disks[disk_index]
@@ -609,6 +654,17 @@ class ResourceModel:
     def buffer_summary(self):
         """Cache statistics, or None for models without a buffer pool."""
         return None
+
+    def _buffer_counts(self):
+        """The counter fields every ``buffer_summary`` reports."""
+        hits, misses = self.buffer_hits, self.buffer_misses
+        probes = hits + misses
+        return {
+            "hits": hits,
+            "misses": misses,
+            "hit_ratio": hits / probes if probes else None,
+            "writebacks": self.buffer_writebacks,
+        }
 
     def describe_resources(self):
         """Per-model resource labels (reports, diagnostics)."""

@@ -23,12 +23,12 @@ Two probe policies, selected by ``params.buffer_policy``:
 The model is a configuration of the one resource pipeline
 (:mod:`repro.resources.base`): one site, uniform disk placement, and a
 buffer attached at construction; the probe, the fill and the service
-legs are the pipeline's. Cache activity is published on the
-instrumentation bus as ``buffer_hit``/``buffer_miss``/
-``buffer_writeback`` events; the counters ride a
-:class:`~repro.obs.BufferAccountingSubscriber` and surface via
-:meth:`buffer_summary` in run totals, ``SimulationResult.diagnostics``,
-and the sweep report's hit-ratio table.
+legs are the pipeline's. The pipeline counts every hit, miss and
+write-back itself; the counters surface via :meth:`buffer_summary` in
+run totals, ``SimulationResult.diagnostics``, and the sweep report's
+hit-ratio table. ``buffer_hit``/``buffer_miss``/``buffer_writeback``
+bus events are built only for observers (the bus's ``wants_buffer``
+flag).
 """
 
 from repro.core.params import BUFFER_POLICY_FIXED
@@ -61,14 +61,10 @@ class BufferedResourceModel(ResourceModel):
             )
 
     def buffer_summary(self):
-        accounting = self.accounting
         return {
             "policy": self.policy,
             "capacity": self.buffer_capacity,
-            "hits": accounting.hits,
-            "misses": accounting.misses,
-            "hit_ratio": accounting.hit_ratio,
-            "writebacks": accounting.writebacks,
+            **self._buffer_counts(),
         }
 
     def describe_resources(self):

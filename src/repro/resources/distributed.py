@@ -37,20 +37,23 @@ instead of a ring walk and a ``min`` (object ids lie in
 The model is a configuration of the one resource pipeline
 (:mod:`repro.resources.base`): per-node CPU pools and disk sets, these
 two tables, and an optional buffer. The pipeline calls
-``network_leg`` only for a remote node, so a local access runs one
-generator, the same as a single-site one. Per-message bus events
-(``msg_send``/``msg_recv``, and the commit protocol's
+``network_leg`` only for a remote node. The leg is a plain call that
+counts the message and returns one :class:`~repro.des.Timeout` for
+the pipeline to yield, so a remote access, like a local one, runs one
+generator; the delays come from the network stream in batches (the
+same values in the same order as one draw at a time). Per-message bus
+events (``msg_send``/``msg_recv``, and the commit protocol's
 ``2pc_prepare``/``2pc_vote``) are built only when the bus's
 ``wants_msg`` flag says a subscriber handles them; the message
 *accounting* (``network_summary``) never depends on observers.
 
 ``params.buffer_capacity`` (explicitly set) composes a per-node LRU
 buffer pool with the sharded tier — the same probe and fill the
-``buffered`` model runs: each node caches the objects *it* served,
-probes emit the same ``buffer_hit``/``buffer_miss``/
-``buffer_writeback`` events, and the accounting rides the same
-:class:`~repro.obs.BufferAccountingSubscriber`. Left None (the
-default), no cache exists — which is one of the properties that make a
+``buffered`` model runs: each node caches the objects *it* served, and
+the model counts hits, misses and write-backs itself, building
+``buffer_hit``/``buffer_miss``/``buffer_writeback`` events only under
+the bus's ``wants_buffer`` flag. Left None (the default), no cache
+exists — which is one of the properties that make a
 one-node topology with zero network delay *bit-identical* to the
 ``classic`` model, the anchor the golden-parity suite pins:
 
@@ -154,17 +157,13 @@ class DistributedResourceModel(ResourceModel):
     # -- cache and labelling hooks -------------------------------------------
 
     def buffer_summary(self):
-        accounting = self.accounting
-        if accounting is None:
+        if not self._buffered:
             return None
         return {
             "policy": "lru",
             "capacity": self.buffer_capacity,
             "per_node_capacity": self.buffer_capacity,
-            "hits": accounting.hits,
-            "misses": accounting.misses,
-            "hit_ratio": accounting.hit_ratio,
-            "writebacks": accounting.writebacks,
+            **self._buffer_counts(),
         }
 
     def describe_resources(self):

@@ -48,6 +48,38 @@ class TestValidation:
         assert DEFAULT_COEFFS["noop"] == CorrectionCoefficients(0.0, 0.0)
 
 
+class TestDomain:
+    """Configurations without calibrated terms are refused, by field."""
+
+    def test_non_classic_resource_model_refused(self):
+        params = BASE.with_changes(
+            mpl=5, resource_model="buffered", buffer_capacity=100,
+        )
+        with pytest.raises(ValueError, match="resource_model='buffered'"):
+            surrogate_prediction(params, "blocking")
+
+    def test_multiple_nodes_refused(self):
+        with pytest.raises(ValueError, match="nodes=4"):
+            surrogate_prediction(
+                BASE.with_changes(mpl=5, nodes=4), "blocking"
+            )
+
+    def test_hotspot_refused(self):
+        params = BASE.with_changes(
+            mpl=5, hot_fraction=0.02, hot_access_prob=0.8,
+        )
+        with pytest.raises(ValueError, match="hot_fraction=0.02"):
+            surrogate_prediction(params, "blocking")
+
+    def test_open_workload_refused(self):
+        params = BASE.with_changes(
+            mpl=5, workload_model="open_poisson",
+            workload_spec={"rate": 8.0},
+        )
+        with pytest.raises(ValueError, match="workload_model='open_poisson'"):
+            surrogate_prediction(params, "optimistic")
+
+
 class TestSolverInvariants:
     @pytest.mark.parametrize("algorithm", SUPPORTED_ALGORITHMS)
     @pytest.mark.parametrize("mpl", [1, 5, 25, 100, 200])

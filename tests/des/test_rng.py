@@ -147,3 +147,25 @@ class TestBatchDraws:
             stream.bernoulli_many(-0.1, 3)
         with pytest.raises(ValueError):
             stream.bernoulli_many(1.1, 3)
+
+    def test_exponential_many_matches_single_draw_loop(self):
+        batched = RandomStream(42)
+        looped = RandomStream(42)
+        assert batched.exponential_many(0.005, 100) == [
+            looped.exponential(0.005) for _ in range(100)
+        ]
+        # Both consumed identical generator state: follow-up draws agree.
+        assert batched.random() == looped.random()
+
+    def test_exponential_many_zero_mean_consumes_no_state(self):
+        stream = RandomStream(7)
+        assert stream.exponential_many(0.0, 4) == [0.0] * 4
+        assert stream.exponential_many(0.5, 0) == []
+        assert stream.random() == RandomStream(7).random()
+
+    def test_exponential_many_negative_mean_rejected(self):
+        stream = RandomStream(7)
+        with pytest.raises(ValueError, match="mean must be >= 0"):
+            stream.exponential(-1.0)
+        with pytest.raises(ValueError, match="mean must be >= 0"):
+            stream.exponential_many(-1.0, 3)

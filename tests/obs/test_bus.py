@@ -4,7 +4,13 @@ import pytest
 
 from repro.des import Environment
 from repro.obs import InstrumentationBus, Subscriber
-from repro.obs.events import ALL_KINDS, CC_GRANT, RESOURCE_BUSY, TX_COMMIT_POINT
+from repro.obs.events import (
+    ALL_KINDS,
+    BUFFER_KINDS,
+    CC_GRANT,
+    RESOURCE_BUSY,
+    TX_COMMIT_POINT,
+)
 
 
 class Recording(Subscriber):
@@ -124,6 +130,16 @@ class TestFastPathFlags:
         assert not bus.wants_resource
         assert not bus.wants_cc
 
+    @pytest.mark.parametrize("kind", BUFFER_KINDS)
+    def test_any_buffer_kind_raises_wants_buffer(self, kind):
+        bus = InstrumentationBus(Environment())
+        assert not bus.wants_buffer
+        sub = bus.attach(Recording(kinds=(kind,)))
+        assert bus.wants_buffer
+        assert not bus.wants_msg
+        bus.detach(sub)
+        assert not bus.wants_buffer
+
     def test_lifecycle_subscriber_leaves_optional_kinds_cold(self):
         # The default engine configuration: a metrics-style subscriber
         # listening to lifecycle kinds must not force the high-volume
@@ -133,3 +149,4 @@ class TestFastPathFlags:
         assert not bus.wants_commit_point
         assert not bus.wants_resource
         assert not bus.wants_cc
+        assert not bus.wants_buffer

@@ -8,7 +8,9 @@ on for a misbehaving sweep point without invalidating the comparison
 against its neighbors.
 """
 
+import hashlib
 import io
+import json
 
 import pytest
 
@@ -62,8 +64,8 @@ def test_repeated_observed_runs_are_deterministic():
 
 #: The sharded tier with every message-level emitter live: four nodes,
 #: two copies of each object, 5 ms network legs, two-phase commit and
-#: per-node LRU buffers (whose accounting rides the bus even when
-#: nobody else listens).
+#: per-node LRU buffers (whose hit, miss and write-back counters the
+#: resource model keeps itself, observed or not).
 SHARDED = SimulationParameters.table2(
     db_size=200, num_terms=20, mpl=10, num_cpus=1, num_disks=2,
     resource_model="distributed", nodes=4, replication_factor=2,
@@ -99,3 +101,45 @@ def test_message_observers_leave_sharded_runs_bit_identical(algorithm):
     assert report["messages"]["sent"] == messages
     assert report["violations"] == []
     assert report["serializability"]["reads"] > 0
+
+
+#: sha256 of the unfiltered JSONL trace of one SHARDED/SHARDED_RUN run.
+#: Any change to the emission order, the fields or the simulated times
+#: of the sharded tier's events (messages, 2PC, buffer probes, resource
+#: busy/idle, lifecycle) moves these.
+SHARDED_TRACE_SHA256 = {
+    "blocking":
+        "04bd56d3c5a9aae6bc4ecacf6c4cbe135872edbaacefd78b3bfc4e16020eb395",
+    "optimistic":
+        "afe30035a0c05706377062a2b382beab2db2f91fee8da58b5d9e89dc523424a1",
+    "wound_wait":
+        "ad7521204d0a4d66dbf946186ded1767832fa90500d45ff29dcd361863aa3892",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(SHARDED_TRACE_SHA256))
+def test_sharded_trace_bytes_are_pinned(algorithm):
+    """The full event stream of the sharded tier is byte-stable.
+
+    wound_wait wounds transactions with a message in flight, so its
+    trace holds more ``msg_send`` than ``msg_recv`` lines: an
+    interrupted leg sends without receiving.
+    """
+    buffer = io.StringIO()
+    result = run_simulation(
+        SHARDED, algorithm=algorithm, run=SHARDED_RUN,
+        subscribers=(JsonlSink(buffer),),
+    )
+    text = buffer.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        SHARDED_TRACE_SHA256[algorithm]
+    )
+    kinds = [json.loads(line)["kind"] for line in text.splitlines()]
+    counts = result.totals["buffer"]
+    assert sum(kind.startswith("buffer_") for kind in kinds) == (
+        counts["hits"] + counts["misses"] + counts["writebacks"]
+    )
+    sent, received = kinds.count("msg_send"), kinds.count("msg_recv")
+    assert sent == result.totals["network"]["messages"]
+    if algorithm == "wound_wait":
+        assert sent > received

@@ -141,8 +141,8 @@ class TestBufferedMissPath:
         reader = tx()
         done = env.process(model.read_access(reader, 7))
         env.run(until=done)
-        assert model.accounting.hits == 0
-        assert model.accounting.misses == 2
+        assert model.buffer_hits == 0
+        assert model.buffer_misses == 2
 
         model.charge_attempt(t, useful=False)
         assert model.disk_tracker.wasted_time == pytest.approx(cut)
@@ -175,7 +175,7 @@ def leg_delays(count):
     def legs(env):
         for _ in range(count):
             before = model.network_time
-            yield from model.network_leg(sharded_tx(), 0, 1)
+            yield model.network_leg(sharded_tx(), 0, 1)
             delays.append(model.network_time - before)
 
     env.run(until=env.process(legs(env)))

@@ -1,20 +1,28 @@
 """Tests for the buffered resource model (buffer pool in front of disks)."""
 
+import io
+
 import pytest
 
 from repro.core import RunConfig, SimulationParameters, run_simulation
 from repro.core.transaction import Transaction
 from repro.des import Environment, StreamFactory
+from repro.obs import BUFFER_KINDS, InstrumentationBus, JsonlSink
 from repro.resources import create_resource_model
 
 
-def build(**overrides):
+def build(observed=False, **overrides):
+    """A buffered model; ``observed`` gives it a bus with a buffer sink."""
     params = SimulationParameters.table2(
         resource_model="buffered", **overrides
     )
     env = Environment()
+    bus = None
+    if observed:
+        bus = InstrumentationBus(env)
+        bus.attach(JsonlSink(io.StringIO(), kinds=BUFFER_KINDS))
     model = create_resource_model(
-        "buffered", env, params, StreamFactory(5)
+        "buffered", env, params, StreamFactory(5), bus=bus
     )
     return env, model, params
 
@@ -33,8 +41,8 @@ class TestLruPolicy:
         env, model, params = build(buffer_capacity=10)
         t = tx()
         drive(env, model.read_access(t, 7))
-        assert model.accounting.misses == 1
-        assert model.accounting.hits == 0
+        assert model.buffer_misses == 1
+        assert model.buffer_hits == 0
         # Full disk + CPU service consumed on the miss.
         assert t.attempt_disk_time == pytest.approx(params.obj_io)
         assert t.attempt_cpu_time == pytest.approx(params.obj_cpu)
@@ -44,7 +52,7 @@ class TestLruPolicy:
         first, second = tx(), tx()
         drive(env, model.read_access(first, 7))
         drive(env, model.read_access(second, 7))
-        assert model.accounting.hits == 1
+        assert model.buffer_hits == 1
         assert second.attempt_disk_time == 0.0
         assert second.attempt_cpu_time == pytest.approx(params.obj_cpu)
 
@@ -54,26 +62,26 @@ class TestLruPolicy:
         for obj in (1, 2, 3):  # 3 evicts 1 (capacity 2)
             drive(env, model.read_access(t, obj))
         drive(env, model.read_access(t, 2))  # still resident
-        assert model.accounting.hits == 1
+        assert model.buffer_hits == 1
         drive(env, model.read_access(t, 1))  # evicted: miss again
-        assert model.accounting.misses == 4
+        assert model.buffer_misses == 4
 
     def test_writeback_charges_disk_and_fills(self):
         env, model, params = build(buffer_capacity=10)
         writer, reader = tx(), tx()
         drive(env, model.deferred_update(writer, 9))
-        assert model.accounting.writebacks == 1
+        assert model.buffer_writebacks == 1
         assert writer.attempt_disk_time == pytest.approx(params.obj_io)
         drive(env, model.read_access(reader, 9))
-        assert model.accounting.hits == 1  # written page is resident
+        assert model.buffer_hits == 1  # written page is resident
 
     def test_object_blind_calls_never_hit(self):
         env, model, _ = build(buffer_capacity=10)
         t = tx()
         drive(env, model.read_access(t))
         drive(env, model.read_access(t))
-        assert model.accounting.hits == 0
-        assert model.accounting.misses == 2
+        assert model.buffer_hits == 0
+        assert model.buffer_misses == 2
 
     def test_default_capacity_is_a_tenth_of_db(self):
         _, model, params = build()
@@ -92,7 +100,7 @@ class TestFixedPolicy:
         t = tx()
         for obj in range(500):
             drive(env, model.read_access(t, obj))
-        ratio = model.accounting.hit_ratio
+        ratio = model.buffer_summary()["hit_ratio"]
         assert ratio == pytest.approx(0.7, abs=0.08)
 
     def test_all_hits_consume_no_disk(self):
@@ -103,7 +111,7 @@ class TestFixedPolicy:
         for obj in range(20):
             drive(env, model.read_access(t, obj))
         assert t.attempt_disk_time == 0.0
-        assert model.accounting.hits == 20
+        assert model.buffer_hits == 20
 
 
 class TestReporting:
@@ -153,4 +161,60 @@ class TestReporting:
         assert (
             cached.analyzer.mean("disk_util")
             < uncached.analyzer.mean("disk_util")
+        )
+
+
+class TestCountsKeptByTheModel:
+    """The model counts its cache activity; observers only see events."""
+
+    @staticmethod
+    def drive_mix(env, model):
+        t = tx()
+        for obj in (1, 2, 3, 1, 4, 2, 5, 1):
+            drive(env, model.read_access(t, obj))
+        for obj in (3, 6):
+            drive(env, model.deferred_update(t, obj))
+        drive(env, model.read_access(t, 6))
+
+    @pytest.mark.parametrize("policy", [
+        dict(buffer_capacity=3),
+        dict(buffer_policy="fixed", buffer_hit_ratio=0.5),
+    ])
+    def test_bus_free_model_reports_the_observed_summary(self, policy):
+        env, bare, _ = build(**policy)
+        assert bare.bus is None  # no private bus is built
+        self.drive_mix(env, bare)
+        env, observed, _ = build(observed=True, **policy)
+        self.drive_mix(env, observed)
+        assert observed.bus.wants_buffer
+        summary = bare.buffer_summary()
+        assert summary == observed.buffer_summary()
+        assert summary["hits"] + summary["misses"] == 9
+        assert summary["writebacks"] == 2
+
+    def test_unobserved_run_emits_no_buffer_event(self, monkeypatch):
+        emitted = []
+        emit = InstrumentationBus.emit
+
+        def spy(bus, kind, **fields):
+            emitted.append(kind)
+            emit(bus, kind, **fields)
+
+        monkeypatch.setattr(InstrumentationBus, "emit", spy)
+        bare = run_simulation(
+            TestReporting.PARAMS, algorithm="blocking", run=TestReporting.RUN
+        )
+        assert emitted
+        assert not set(emitted) & set(BUFFER_KINDS)
+
+        sink = io.StringIO()
+        observed = run_simulation(
+            TestReporting.PARAMS, algorithm="blocking",
+            run=TestReporting.RUN,
+            subscribers=(JsonlSink(sink, kinds=BUFFER_KINDS),),
+        )
+        assert observed.totals["buffer"] == bare.totals["buffer"]
+        buffer = bare.totals["buffer"]
+        assert sink.getvalue().count("\n") == (
+            buffer["hits"] + buffer["misses"] + buffer["writebacks"]
         )

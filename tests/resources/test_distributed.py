@@ -233,9 +233,9 @@ class TestNetworkAccounting:
 
     def test_local_leg_is_free(self):
         model = build(nodes=4, network_delay=1.0)
-        steps = list(model.network_leg(tx(0), 2, 2))
-        assert steps == []
+        assert model.network_leg(tx(0), 2, 2) is None
         assert model.messages_sent == 0
+        assert model._network_rng is None
         assert model.network_summary() is None
 
 
