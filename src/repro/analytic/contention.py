@@ -616,25 +616,3 @@ def surrogate_prediction(params, algorithm, coeffs=None):
         clamped=clamped,
         binding=binding,
     )
-
-
-def surrogate_curve(params, algorithm, mpls, coeffs=None):
-    """[(mpl, SurrogatePrediction)] over an mpl sweep."""
-    return [
-        (mpl, surrogate_prediction(
-            params.with_changes(mpl=mpl), algorithm, coeffs
-        ))
-        for mpl in mpls
-    ]
-
-
-def optimal_mpl(params, algorithm, mpls, coeffs=None):
-    """(mpl, prediction) maximizing predicted throughput over ``mpls``.
-
-    Ties break toward the *lowest* mpl (less concurrency for the same
-    throughput is strictly better operationally).
-    """
-    curve = surrogate_curve(params, algorithm, mpls, coeffs)
-    if not curve:
-        raise ValueError("mpls must be non-empty")
-    return max(curve, key=lambda pair: (pair[1].throughput, -pair[0]))

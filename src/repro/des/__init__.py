@@ -20,7 +20,7 @@ programming model follows the classic process-interaction style:
 from repro.des.environment import Environment
 from repro.des.errors import EmptySchedule, Interrupt, SimulationError, StopSimulation
 from repro.des.events import NORMAL, URGENT, Event, Timeout
-from repro.des.monitor import BusyTracker, Counter, LevelMonitor, Tally
+from repro.des.monitor import BusyTracker, Counter, LevelMonitor
 from repro.des.process import Process
 from repro.des.resources import InfiniteResource, Resource, Service
 from repro.des.rng import RandomStream, StreamFactory
@@ -36,7 +36,6 @@ __all__ = [
     "RandomStream",
     "StreamFactory",
     "Counter",
-    "Tally",
     "LevelMonitor",
     "BusyTracker",
     "Interrupt",

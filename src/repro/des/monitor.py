@@ -6,7 +6,6 @@ observations without passing ``now`` around.
 """
 
 from repro.stats.timeweighted import TimeWeighted
-from repro.stats.welford import Welford
 
 
 class Counter:
@@ -26,19 +25,6 @@ class Counter:
 
     def __repr__(self):
         return f"Counter({self.name!r}, total={self.total})"
-
-
-class Tally(Welford):
-    """A named Welford accumulator for per-observation statistics."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        super().__init__()
-        self.name = name
-
-    def __repr__(self):
-        return f"Tally({self.name!r}, {super().__repr__()})"
 
 
 class LevelMonitor:

@@ -116,20 +116,6 @@ class RandomStream:
         mu = math.log(mean) - sigma2 / 2.0
         return self._random.lognormvariate(mu, math.sqrt(sigma2))
 
-    def lognormal_many(self, mean, cv, n):
-        """``n`` draws of :meth:`lognormal`, batched (same draws, in order)."""
-        if mean <= 0:
-            raise ValueError(f"mean must be > 0, got {mean}")
-        if cv < 0:
-            raise ValueError(f"cv must be >= 0, got {cv}")
-        if cv == 0:
-            return [mean] * n
-        sigma2 = math.log(1.0 + cv * cv)
-        mu = math.log(mean) - sigma2 / 2.0
-        sigma = math.sqrt(sigma2)
-        lognormvariate = self._random.lognormvariate
-        return [lognormvariate(mu, sigma) for _ in range(n)]
-
     def pareto(self, alpha, mean):
         """Sample a Pareto (Lomax-free, ``x >= xm``) with the given mean.
 
@@ -147,18 +133,6 @@ class RandomStream:
             raise ValueError(f"mean must be > 0, got {mean}")
         xm = mean * (alpha - 1.0) / alpha
         return xm * self._random.paretovariate(alpha)
-
-    def pareto_many(self, alpha, mean, n):
-        """``n`` draws of :meth:`pareto`, batched (same draws, in order)."""
-        if alpha <= 1.0:
-            raise ValueError(
-                f"alpha must be > 1 for a finite mean, got {alpha}"
-            )
-        if mean <= 0:
-            raise ValueError(f"mean must be > 0, got {mean}")
-        xm = mean * (alpha - 1.0) / alpha
-        paretovariate = self._random.paretovariate
-        return [xm * paretovariate(alpha) for _ in range(n)]
 
     def sample_without_replacement(self, population_size, k):
         """``k`` distinct integers from range(population_size).

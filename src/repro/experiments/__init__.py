@@ -1,8 +1,10 @@
 """The paper's evaluation: experiment presets, sweeps, figures, reports.
 
 * :mod:`repro.experiments.configs` — Experiments 1-5 (and the
-  extensions exp6-exp12) as presets.
-* :mod:`repro.experiments.runner` — algorithm x mpl sweep driver.
+  extensions exp6-exp12) as presets, and the fixed grids findings
+  sweep.
+* :mod:`repro.experiments.runner` — the one sweep driver, for every
+  grid.
 * :mod:`repro.experiments.figures` — the claim registry: each of
   Figures 3-21 with its experiment, metrics, caption, pinned run and
   claim, and each named finding with its fixed arms, pinned run and
@@ -21,7 +23,6 @@ from repro.experiments.errors import (
     PointDeadlineExceeded,
     PointExecutionError,
     SimulationStalledError,
-    WorkerCrashError,
     error_severity,
 )
 from repro.experiments.figures import FIGURES, FigureBuilder, FigureData
@@ -90,7 +91,6 @@ __all__ = [
     "SimulationStalledError",
     "PointDeadlineExceeded",
     "PointCancelledError",
-    "WorkerCrashError",
     "CheckpointMismatchError",
     "CheckpointCorruptError",
     "error_severity",

@@ -196,7 +196,8 @@ def build_parser():
         "--checkpoint", metavar="DIR", default=None,
         help=(
             "flush each completed point to DIR/<experiment>.ckpt.jsonl "
-            "as the sweep runs"
+            "(a finding's arms to DIR/<finding>.ckpt.jsonl) as the "
+            "sweep runs"
         ),
     )
     resilience.add_argument(
@@ -455,8 +456,8 @@ def main(argv=None):
     if isinstance(args.figure, str) and args.figure != "all":
         for flag, value in (
             ("--mpl", args.mpls), ("--algorithm", args.algorithms),
-            ("--checkpoint", args.checkpoint), ("--trace", args.trace),
-            ("--timeseries", args.timeseries), ("--csv", args.csv),
+            ("--trace", args.trace), ("--timeseries", args.timeseries),
+            ("--csv", args.csv),
         ):
             if value:
                 parser.error(
@@ -645,9 +646,11 @@ def _verify_checkpoint(path):
         print(f"  format:        {report['format']}")
     if report["experiment_id"] is not None:
         print(f"  experiment:    {report['experiment_id']}")
-    if report["fingerprint"] is not None:
+    if report["fingerprints"] is not None:
         print(f"  replications:  {report['replications']}")
-        print(f"  params:        sha256 {report['fingerprint']}")
+        if report["fingerprint"] is not None:
+            print(f"  params:        sha256 {report['fingerprint']}")
+        print(f"  grid params:   {len(report['fingerprints'])} distinct sha256")
     print(f"  point lines:   {report['point_lines']}")
     print(f"  valid points:  {report['valid_points']}")
     if report["ok"]:
@@ -740,7 +743,8 @@ def _reproduce_figures(args, builder):
     prints text byte-identical to ``benchmarks/results/figureNN.txt``
     or ``benchmarks/results/NAME.txt`` and writes each entry's claim
     and bounds-oracle verdict to stderr. Other runs are not checked.
-    Returns the distinct sweeps and whether any check failed.
+    Returns the distinct figure sweeps and whether any check or any
+    finding arm failed.
     """
     keys = registry_keys() if args.figure == "all" else [args.figure]
     sweeps = {}
@@ -754,6 +758,7 @@ def _reproduce_figures(args, builder):
             sweeps[data.experiment_id] = data.sweep
         else:
             name, runs = key, f"{len(data.arms)} arms"
+            failed = failed or not data.sweep.complete
         if reproduction.failures is None:
             print(
                 f"{name}: claim not checked: not the pinned reproduction",

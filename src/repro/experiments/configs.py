@@ -1,13 +1,15 @@
-"""Experiment presets: one config per paper experiment.
+"""What a sweep runs: a grid of points, each with its own key, params
+and algorithm.
 
-The figure registry in :mod:`repro.experiments.figures` maps every
-figure of the paper's evaluation (Figures 3-21) to one of these
-presets, runs its sweep and extracts the plotted series. Table 2's base
+An :class:`ExperimentConfig` sweeps one preset over ``(algorithm,
+mpl)``; the figure registry in :mod:`repro.experiments.figures` maps
+every figure of the paper's evaluation (Figures 3-21) to one of these
+presets. A :class:`FixedGrid` holds a finding's arms. Table 2's base
 settings come from :meth:`repro.core.SimulationParameters.table2`.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.cc import PAPER_ALGORITHMS
 from repro.core import (
@@ -16,6 +18,18 @@ from repro.core import (
     SimulationParameters,
 )
 from repro.faults import DiskFaultSpec, FaultSpec
+
+
+class GridPoint(NamedTuple):
+    """One point of a sweep's grid."""
+
+    #: Names the point in the sweep's results, checkpoint lines and
+    #: retry seeds: ``(algorithm, mpl)`` in an experiment's grid.
+    key: Tuple
+    params: SimulationParameters
+    #: A CC registry name, or a picklable factory of a CC instance
+    #: (called afresh for every attempt).
+    algorithm: object
 
 
 @dataclass(frozen=True)
@@ -37,6 +51,59 @@ class ExperimentConfig:
 
     def params_for(self, mpl):
         return self.params.with_changes(mpl=mpl)
+
+    def point(self, key):
+        """The grid point of key ``(algorithm, mpl)``."""
+        algorithm, mpl = key
+        return GridPoint(key, self.params_for(mpl), algorithm)
+
+    @staticmethod
+    def point_name(key):
+        """A key as progress lines print it: ``blocking mpl=25``."""
+        algorithm, mpl = key
+        return f"{algorithm} mpl={mpl}"
+
+    def grid(self, mpls=None, algorithms=None):
+        """Every ``(algorithm, mpl)`` point, algorithm-major; ``mpls``
+        and ``algorithms`` restrict the preset's own."""
+        return [
+            self.point((algorithm, mpl))
+            for algorithm in (
+                self.algorithms if algorithms is None else algorithms
+            )
+            for mpl in (self.mpls if mpls is None else mpls)
+        ]
+
+
+@dataclass(frozen=True)
+class FixedGrid:
+    """Fixed points keyed ``(label, algorithm label)``: a finding's
+    arms. No preset (``params`` is None): a sweep file binds the
+    points' params fingerprints alone."""
+
+    experiment_id: str
+    points: Tuple[GridPoint, ...]
+    params = None
+
+    def point(self, key):
+        for point in self.points:
+            if point.key == key:
+                return point
+        raise KeyError(key)
+
+    @staticmethod
+    def point_name(key):
+        """A key as progress lines print it: ``label [algorithm]``."""
+        label, algorithm = key
+        return f"{label} [{algorithm}]"
+
+    def grid(self, mpls=None, algorithms=None):
+        if mpls is not None or algorithms is not None:
+            raise ValueError(
+                f"{self.experiment_id}: a fixed grid takes no mpl or "
+                "algorithm restriction"
+            )
+        return list(self.points)
 
 
 def _table2(**overrides):

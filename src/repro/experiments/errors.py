@@ -7,11 +7,10 @@ bad" (catchable, degradable) from programming errors (which propagate).
 Hierarchy::
 
     ExperimentError
-    ├── PointExecutionError          one (algorithm, mpl) point went bad
+    ├── PointExecutionError          one grid point went bad
     │   ├── SimulationStalledError   no commits for N simulated seconds
     │   ├── PointDeadlineExceeded    wall-clock budget exhausted
-    │   ├── PointCancelledError      hung worker cancelled by the parent
-    │   └── WorkerCrashError         worker process died mid-point
+    │   └── PointCancelledError      hung worker cancelled by the parent
     └── CheckpointMismatchError      checkpoint belongs to another sweep
         └── CheckpointCorruptError   checkpoint header unreadable
 
@@ -36,7 +35,6 @@ __all__ = [
     "SimulationStalledError",
     "PointDeadlineExceeded",
     "PointCancelledError",
-    "WorkerCrashError",
     "CheckpointMismatchError",
     "CheckpointCorruptError",
     "error_severity",
@@ -101,33 +99,15 @@ class PointCancelledError(PointExecutionError):
     and records the point ``failed`` with this error's text.
     """
 
-    def __init__(self, algorithm, mpl, backstop):
+    def __init__(self, point, backstop):
         super().__init__(
-            f"point ({algorithm}, mpl={mpl}) cancelled: no sweep "
+            f"point ({point}) cancelled: no sweep "
             f"progress within the {backstop:.4g}s parent backstop; "
             "its worker process was terminated"
         )
-        self.algorithm = algorithm
-        self.mpl = mpl
+        #: The point as progress lines name it (``blocking mpl=25``).
+        self.point = point
         self.backstop = backstop
-
-
-class WorkerCrashError(PointExecutionError):
-    """A sweep worker process died (segfault, OOM kill, ...).
-
-    Carries the traceback text the executor observed, so the failure
-    survives into ``PointStatus.error`` and the checkpoint instead of
-    evaporating with the process.
-    """
-
-    def __init__(self, algorithm, mpl, traceback_text):
-        super().__init__(
-            f"point ({algorithm}, mpl={mpl}) lost: its worker process "
-            f"crashed ({traceback_text.strip().splitlines()[-1]})"
-        )
-        self.algorithm = algorithm
-        self.mpl = mpl
-        self.traceback_text = traceback_text
 
 
 class CheckpointMismatchError(ExperimentError):

@@ -18,21 +18,23 @@ table.
 It builds an entry, renders its table text and, for the pinned
 reproduction, checks every run against the operational bounds and
 evaluates the claim. ``repro-experiments --figure N|NAME|all`` and
-``benchmarks/bench_figures.py`` both call it. Sweeps are cached per
+``benchmarks/bench_figures.py`` both call it. Both kinds of entry are
+sweeps through :func:`~repro.experiments.runner.run_sweep` (a finding's
+arms are a :class:`~repro.experiments.configs.FixedGrid`), with one
+sweep file each under a checkpoint directory. Sweeps are cached per
 experiment within a builder, so Figures 5, 6 and 7 — which share
 Experiment 2's sweep — simulate once.
 """
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import check_result_against_bounds
 from repro.cc.blocking import DETECT_PERIODIC, IMMEDIATE_EXCLUSIVE, BlockingCC
-from repro.core import RunConfig, SimulationParameters, run_simulation
-from repro.experiments.configs import experiment_configs
+from repro.core import RunConfig, SimulationParameters
+from repro.experiments.configs import FixedGrid, GridPoint, experiment_configs
 from repro.experiments.report import metric_label, sweep_report
 from repro.experiments.runner import run_sweep
 
@@ -122,8 +124,10 @@ class FindingData:
     title: str
     run: RunConfig
     #: [(label, algorithm, SimulationResult)] with the algorithm as
-    #: :func:`algorithm_label` renders it.
+    #: :func:`algorithm_label` renders it; a failed arm is absent.
     arms: List[Tuple] = field(default_factory=list)
+    #: The finding's sweep, keyed ``(label, algorithm)``.
+    sweep: object = None
 
     def __getitem__(self, key):
         """The result of the one arm ``label`` or ``(label, algorithm)``."""
@@ -138,9 +142,9 @@ class FindingData:
 
     def report(self):
         """The finding's table text: one row per arm."""
-        label_width = max(len("label"), *(len(arm[0]) for arm in self.arms))
+        label_width = max([len("label"), *(len(arm[0]) for arm in self.arms)])
         algorithm_width = max(
-            len("algorithm"), *(len(arm[1]) for arm in self.arms)
+            [len("algorithm"), *(len(arm[1]) for arm in self.arms)]
         )
         header = (
             f"{'label':<{label_width}}  {'algorithm':<{algorithm_width}}  "
@@ -210,19 +214,20 @@ class Reproduction:
 
 
 class FigureBuilder:
-    """Builds paper figures, sharing sweeps across figures of one
-    experiment.
+    """Builds paper figures and findings, sharing sweeps across
+    figures of one experiment.
 
-    ``run=None`` runs each experiment at its figures' pinned run;
-    ``mpls`` and ``algorithms`` restrict the grid. ``inject`` (a
+    ``run=None`` runs each experiment at its figures' pinned run (each
+    finding at its own); ``mpls`` and ``algorithms`` restrict an
+    experiment's grid. ``inject`` (a
     :class:`~repro.faults.FaultSpec`), ``resource_model``,
     ``workload_model``, ``workload_spec``, ``nodes`` and
-    ``commit_protocol`` overlay every experiment's parameters (the
-    CLI flags of the same names). ``checkpoint_dir`` checkpoints each
-    experiment's sweep to ``<dir>/<experiment_id>.ckpt.jsonl`` (created
-    on demand); other ``sweep_options`` are forwarded to
-    :func:`run_sweep` verbatim (deadline, retries, stall_timeout,
-    resume, workers, timeseries, trace, ...).
+    ``commit_protocol`` overlay every experiment's and every arm's
+    parameters (the CLI flags of the same names). ``checkpoint_dir``
+    checkpoints each sweep to ``<dir>/<experiment_id or
+    finding>.ckpt.jsonl`` (created on demand); other ``sweep_options``
+    are forwarded to :func:`run_sweep` verbatim (deadline, retries,
+    stall_timeout, resume, workers, timeseries, trace, ...).
     """
 
     def __init__(self, run=None, mpls=None, algorithms=None, progress=None,
@@ -266,7 +271,7 @@ class FigureBuilder:
         )
 
     def checkpoint_path(self, experiment_id):
-        """This experiment's checkpoint file (None without a dir)."""
+        """A sweep's checkpoint file (None without a dir)."""
         if self.checkpoint_dir is None:
             return None
         os.makedirs(self.checkpoint_dir, exist_ok=True)
@@ -322,12 +327,15 @@ class FigureBuilder:
         return data
 
     def finding(self, name):
-        """Run every arm of finding ``name``.
+        """Run every arm of finding ``name`` as one sweep of a
+        :class:`~repro.experiments.configs.FixedGrid` keyed ``(label,
+        algorithm label)``.
 
-        The builder's run and parameter overlays apply to each arm; grid
-        restrictions do not (the arms are fixed runs), and of the sweep
-        options only ``workers`` does: with ``workers > 1`` the arms,
-        independent seeded runs, go to a process pool of that size.
+        The builder's run and parameter overlays apply to each arm, and
+        so do the sweep options (a first attempt runs at the run's seed,
+        so an arm is the stand-alone run of its params); grid
+        restrictions, ``trace`` and ``timeseries`` do not, as the arms
+        are fixed runs.
         """
         if name not in FINDINGS:
             raise ValueError(
@@ -336,21 +344,27 @@ class FigureBuilder:
             )
         entry = FINDINGS[name]
         run = self.run or entry.run
-        data = FindingData(name, entry.title, run)
         overlays = self.overlays
-        jobs = [
-            (params.with_changes(**overlays) if overlays else params,
-             algorithm, run)
-            for _, params, algorithm in entry.arms
-        ]
-        workers = self.sweep_options.get("workers", 1) or os.cpu_count() or 1
-        if workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(min(workers, len(jobs))) as pool:
-                results = list(pool.map(_run_arm, jobs))
-        else:
-            results = [_run_arm(job) for job in jobs]
-        for (label, _, algorithm), result in zip(entry.arms, results):
-            data.arms.append((label, algorithm_label(algorithm), result))
+        grid = FixedGrid(name, tuple(
+            GridPoint(
+                (label, algorithm_label(algorithm)),
+                params.with_changes(**overlays) if overlays else params,
+                algorithm,
+            )
+            for label, params, algorithm in entry.arms
+        ))
+        options = {
+            option: value for option, value in self.sweep_options.items()
+            if option not in ("trace", "timeseries")
+        }
+        sweep = run_sweep(
+            grid, run=run, progress=self.progress,
+            checkpoint=self.checkpoint_path(name), **options,
+        )
+        data = FindingData(name, entry.title, run, sweep=sweep)
+        for point in grid.points:
+            if point.key in sweep.results:
+                data.arms.append((*point.key, sweep.results[point.key]))
         return data
 
     def reproduce(self, key, with_plots=True):
@@ -362,15 +376,20 @@ class FigureBuilder:
         every arm of the finding is checked against the operational
         bounds (:func:`~repro.analysis.check_result_against_bounds`) —
         no concurrency control can beat the queueing theory — and the
-        entry's claim is evaluated. Other builds are not checked.
+        entry's claim is evaluated; a finding with a failed arm fails
+        with that arm's error instead. Other builds are not checked.
         """
         if isinstance(key, str):
             data = self.finding(key)
             failures = None
             if self.run is None and not self.overlays:
-                failures = _bound_failures(key, (
-                    (f"{label} [{algorithm}]", result)
-                    for label, algorithm, result in data.arms
+                sweep, name = data.sweep, FixedGrid.point_name
+                failures = [
+                    f"{key}: {name(arm)} failed "
+                    f"({sweep.statuses[arm].error})"
+                    for arm in sweep.failed_points()
+                ] or _bound_failures(key, (
+                    (name(arm[:2]), arm[2]) for arm in data.arms
                 )) + FINDINGS[key].claim(data)
             return Reproduction(data, data.report(), failures)
         data = self.figure(key)
@@ -383,15 +402,6 @@ class FigureBuilder:
                 )
             )) + FIGURES[key].claim(data, self)
         return Reproduction(data, data.report(with_plots), failures)
-
-
-def _run_arm(job):
-    """One finding arm's run, ``job = (params, algorithm, run)``. A
-    factory algorithm is called here, so a pooled arm builds its CC
-    instance in the worker."""
-    params, algorithm, run = job
-    instance = algorithm if isinstance(algorithm, str) else algorithm()
-    return run_simulation(params, instance, run)
 
 
 def _bound_failures(prefix, runs):

@@ -2,7 +2,7 @@
 
 Full-fidelity sweeps take real time; this module persists everything a
 report or shape-check needs — the per-batch values of every output
-variable at every (algorithm, mpl) point — and reconstructs a
+variable at every grid point — and reconstructs a
 :class:`~repro.experiments.runner.SweepResult` whose results answer
 ``mean``/``interval``/``describe`` exactly like live ones (they are
 rebuilt on real ``BatchMeansAnalyzer``s).
@@ -13,7 +13,7 @@ statuses survive), each line carrying a CRC32 suffix.
 :class:`SweepCheckpoint` appends the point lines while the resilient
 runner works, flushed and fsynced as each point finishes;
 :func:`save_sweep` writes a finished sweep's file in one go, with its
-lines sorted by (algorithm, mpl, rep) and its wall time in the header.
+lines sorted by (key, rep) and its wall time in the header.
 One scanner reads both::
 
     sweep = run_sweep(config, run=RunConfig(batches=20, batch_time=120))
@@ -23,7 +23,7 @@ One scanner reads both::
 
 Point lines may appear in *any* order — a parallel sweep's parent
 flushes them in completion order, which varies with worker scheduling —
-and restoring keys them by (algorithm, mpl, rep), so a checkpoint
+and restoring keys them by (key, rep), so a checkpoint
 written with ``workers=N`` resumes identically to one written
 sequentially.  A sweep killed mid-flight resumes by loading the
 checkpoint and re-running only the missing points::
@@ -31,12 +31,13 @@ checkpoint and re-running only the missing points::
     run_sweep(config, checkpoint="exp3.ckpt.jsonl")            # killed...
     run_sweep(config, checkpoint="exp3.ckpt.jsonl", resume=True)
 
-Identity (format v3): the header binds the experiment id, the run
-config, the replication count and the whole parameter set as
-:meth:`~repro.core.SimulationParameters.canonical` data, so a resume
-under any edited field is refused with every differing field named.
-Older headers cannot prove which parameters they ran under; they are
-refused too, with a hint to start fresh.
+Identity (format v4): the header binds the experiment id, the run
+config, the replication count, the preset's whole parameter set as
+:meth:`~repro.core.SimulationParameters.canonical` data (None for a
+finding's :class:`~repro.experiments.configs.FixedGrid`) and the
+distinct params fingerprints of the config's whole grid, so a resume
+under any edited field is refused, naming it. Point lines carry their
+grid key. Older files are refused, with a hint to start fresh.
 
 Crash safety:
 
@@ -73,9 +74,9 @@ from repro.experiments.errors import (
 from repro.experiments.runner import PointStatus, SweepResult
 from repro.stats import BatchMeansAnalyzer
 
-#: Format marker of a sweep file (v3 = whole-params identity; every
+#: Format marker of a sweep file (v4 = per-point grid identity; every
 #: version before it is refused).
-CHECKPOINT_FORMAT = "repro-sweep-checkpoint-v3"
+CHECKPOINT_FORMAT = "repro-sweep-checkpoint-v4"
 
 #: How every sweep file this package ever wrote starts, whatever its
 #: version (json.dumps keeps the header's insertion order, "format"
@@ -151,16 +152,15 @@ def decode_checkpoint_line(raw):
     return json.loads(text)
 
 
-def _point_line(algorithm, mpl, rep, result, status):
+def _point_line(key, rep, result, status):
     """The encoded line of one attempted point (result None = failed).
 
     ``rep`` 0 is omitted, and ``diagnostics`` (per-point observability:
     sampled time-series, trace-file pointers) is included only when
-    present, so lines written without either keep the original layout.
+    present. A result's ``algorithm`` is the name its CC reports.
     """
     line = {
-        "algorithm": algorithm,
-        "mpl": mpl,
+        "key": list(key),
         "status": {
             "status": status.status,
             "attempts": status.attempts,
@@ -171,6 +171,7 @@ def _point_line(algorithm, mpl, rep, result, status):
     if rep:
         line["rep"] = rep
     if result is not None:
+        line["algorithm"] = result.algorithm
         line["series"] = {
             name: result.analyzer.series(name).values
             for name in result.analyzer.names()
@@ -185,12 +186,12 @@ def _restore(sweep, points):
     """Record decoded point lines into ``sweep``, rebuilding results.
 
     Each successful point's batch series is replayed into a fresh
-    ``BatchMeansAnalyzer``; every point goes through
-    :meth:`SweepResult.record_replicate`, the write path the runner
-    shares.
+    ``BatchMeansAnalyzer`` and labelled with its grid point's params;
+    every point goes through :meth:`SweepResult.record_replicate`, the
+    write path the runner shares.
     """
     for point in points:
-        algorithm, mpl = point["algorithm"], point["mpl"]
+        key = tuple(point["key"])
         status = point["status"]
         result = None
         if "series" in point:
@@ -206,15 +207,15 @@ def _restore(sweep, points):
                     if index < len(values)
                 })
             result = SimulationResult(
-                algorithm=algorithm,
-                params=sweep.config.params_for(mpl),
+                algorithm=point["algorithm"],
+                params=sweep.config.point(key).params,
                 run=sweep.run,
                 analyzer=analyzer,
                 totals=point.get("totals") or {},
                 diagnostics=point.get("diagnostics"),
             )
         sweep.record_replicate(
-            algorithm, mpl, point.get("rep", 0), result,
+            key, point.get("rep", 0), result,
             PointStatus(
                 status=status["status"],
                 attempts=status.get("attempts", 1),
@@ -229,7 +230,7 @@ def save_sweep(sweep, path):
 
     The header is :class:`SweepCheckpoint`'s plus the sweep's
     ``wall_seconds``; then one line per attempted replication, sorted
-    by (algorithm, mpl, rep), in the bytes
+    by (key, rep), in the bytes
     :meth:`SweepCheckpoint.record` appends. The write is atomic: a
     kill mid-save leaves any previous file at ``path`` exactly as it
     was.
@@ -239,10 +240,10 @@ def save_sweep(sweep, path):
     )._header()
     header["wall_seconds"] = sweep.wall_seconds
     lines = [encode_checkpoint_line(header)]
-    for (algorithm, mpl, rep), status in sorted(
-            sweep.replicate_statuses.items()):
-        result = sweep.replicates.get((algorithm, mpl), {}).get(rep)
-        lines.append(_point_line(algorithm, mpl, rep, result, status))
+    for (*key, rep), status in sorted(sweep.replicate_statuses.items()):
+        key = tuple(key)
+        result = sweep.replicates.get(key, {}).get(rep)
+        lines.append(_point_line(key, rep, result, status))
     atomic_write_text(path, "".join(lines))
     return path
 
@@ -381,9 +382,10 @@ class SweepCheckpoint:
     """Append-only per-point checkpoint of one sweep (JSONL + CRC).
 
     Line 1 is a header binding the file to (experiment id, run config,
-    replications, canonical params); each further line records one
-    completed point — its status always, its measurement payload when
-    it succeeded.  Every line carries a
+    replications, the preset's canonical params, the grid's params
+    fingerprints); each further line records one completed point by
+    its key — its status always, its measurement payload when it
+    succeeded.  Every line carries a
     CRC32 suffix.  Writes are flushed and fsynced so a killed process
     loses at most the in-flight point; the header itself is written
     atomically.  On load, the longest valid prefix is salvaged: a
@@ -410,22 +412,26 @@ class SweepCheckpoint:
         return os.path.exists(self.path) and os.path.getsize(self.path) > 0
 
     def _header(self):
+        params = self.config.params
         return {
             "format": CHECKPOINT_FORMAT,
             "experiment_id": self.config.experiment_id,
             "run": asdict(self.run),
             "replications": self.replications,
-            "params": self.config.params.canonical(),
+            "params": None if params is None else params.canonical(),
+            "fingerprints": list(dict.fromkeys(
+                point.params.fingerprint() for point in self.config.grid()
+            )),
         }
 
     def start_fresh(self):
         """Atomically (re)create the file holding only the header line."""
         atomic_write_text(self.path, encode_checkpoint_line(self._header()))
 
-    def record(self, algorithm, mpl, result, status, rep=0):
+    def record(self, key, result, status, rep=0):
         """Append one completed point (result is None for failures)."""
         with open(self.path, "a") as f:
-            f.write(_point_line(algorithm, mpl, rep, result, status))
+            f.write(_point_line(key, rep, result, status))
             f.flush()
             _fsync(f.fileno())
 
@@ -433,18 +439,23 @@ class SweepCheckpoint:
         """Raise CheckpointMismatchError unless the header matches.
 
         The error names every differing field: ``experiment_id``,
-        ``run``, ``replications`` or a :class:`SimulationParameters`
-        field. Other header keys (a saved sweep's ``wall_seconds``)
-        are not compared.
+        ``run``, ``replications``, a :class:`SimulationParameters`
+        field of the preset, or else ``fingerprints`` when a grid
+        point's params changed. Other header keys (a saved sweep's
+        ``wall_seconds``) are not compared.
         """
         expected = self._header()
         differing = [
             key for key in ("experiment_id", "run", "replications")
             if header.get(key) != expected[key]
         ]
-        differing += params_differences(
-            header.get("params") or {}, self.config.params
-        )
+        if self.config.params is not None:
+            differing += params_differences(
+                header.get("params") or {}, self.config.params
+            )
+        if not differing and (
+                header.get("fingerprints") != expected["fingerprints"]):
+            differing.append("fingerprints")
         if differing:
             raise CheckpointMismatchError(
                 f"{self.path}: checkpoint differs from this sweep in "
@@ -457,7 +468,7 @@ class SweepCheckpoint:
 
         Raises :class:`CheckpointMismatchError` unless the header is
         current-format and its experiment id, run config, replication
-        count and parameters match this sweep exactly — resuming
+        count and grid parameters match this sweep exactly — resuming
         replays points verbatim, so a mismatch would silently mix
         results from different settings — and
         :class:`CheckpointCorruptError` when the header itself cannot
@@ -492,9 +503,11 @@ def verify_checkpoint(path):
     """Read-only integrity audit of a sweep file.
 
     Returns a report dict: ``ok`` (every line valid), ``format``,
-    ``experiment_id``, ``replications`` and the params ``fingerprint``
-    from the header (None when the header is unreadable or not
-    current-format), ``point_lines``, ``valid_points`` (the salvageable
+    ``experiment_id``, ``replications``, the preset params
+    ``fingerprint`` (None for a fixed grid) and the grid's distinct
+    params ``fingerprints`` from the header (all None when the header
+    is unreadable or not current-format), ``point_lines``,
+    ``valid_points`` (the salvageable
     prefix), ``first_corrupt_line`` (1-based line number, None when
     clean) and ``detail`` describing the first problem found. Never
     modifies the file.
@@ -506,6 +519,7 @@ def verify_checkpoint(path):
         "experiment_id": None,
         "replications": None,
         "fingerprint": None,
+        "fingerprints": None,
         "point_lines": 0,
         "valid_points": 0,
         "first_corrupt_line": None,
@@ -527,12 +541,14 @@ def verify_checkpoint(path):
         report["detail"] = _EMPTY
         return report
     header = scan.header
+    params = header.get("params")
     report.update(
         ok=scan.corrupt_line is None,
         format=header["format"],
         experiment_id=header.get("experiment_id"),
         replications=header.get("replications"),
-        fingerprint=canonical_fingerprint(header.get("params")),
+        fingerprint=None if params is None else canonical_fingerprint(params),
+        fingerprints=header.get("fingerprints"),
         point_lines=len(scan.lines) - 1,
         valid_points=len(scan.points),
         first_corrupt_line=scan.corrupt_line,

@@ -1,7 +1,11 @@
-"""Sweep runner: algorithms x multiprogramming levels for one experiment.
+"""Sweep runner: every point of one sweep's grid.
+
+Each grid point (:class:`~repro.experiments.configs.GridPoint`) has
+its own key, params and algorithm: an experiment's ``(algorithm,
+mpl)`` grid over one preset, or a finding's fixed arms.
 
 The runner is *resilient*: a sweep no longer dies on its first bad
-point.  Each (algorithm, mpl) point can be supervised by a wall-clock
+point.  Each point can be supervised by a wall-clock
 deadline and a simulated-time livelock watchdog, retried with a
 reseeded RNG, and checkpointed to disk as soon as it completes, so a
 killed multi-hour sweep resumes where it stopped and a pathological
@@ -29,6 +33,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.cc.registry import algorithm_names
 from repro.core import RestartLivelockError, RunConfig
+from repro.experiments.configs import ExperimentConfig
 from repro.experiments.errors import (
     PointCancelledError,
     PointDeadlineExceeded,
@@ -83,12 +88,12 @@ MAX_POOL_RESTARTS = 3
 _sleep = time.sleep
 
 
-def point_seed(seed, algorithm, mpl, attempt):
-    """The RNG seed of one attempt of one grid point.
+def point_seed(seed, key, attempt):
+    """The RNG seed of one attempt of the grid point ``key``.
 
     Attempt 0 uses the sweep seed unchanged for *every* point — the
     common-random-numbers discipline the sequential runner has always
-    used (shared randomness across algorithms, mpls and replications
+    used (shared randomness across points and replications
     reduces the variance of their differences, which is what the
     paper's curves compare).  Replications don't need seeds of their
     own because a replication is a *segment* of the point's trajectory,
@@ -97,15 +102,17 @@ def point_seed(seed, algorithm, mpl, attempt):
     replication with it.
 
     Retry attempts (``attempt >= 1``) take the first 8 bytes of
-    ``sha256(seed:algorithm:mpl:attempt)`` — a full-width stable hash
-    of the whole grid key, so distinct points cannot share an attempt
-    seed.  (An earlier scheme offset by ``crc32(key) % 7919``, which
+    ``sha256(seed:<key parts>:attempt)`` (``seed:algorithm:mpl:attempt``
+    for an experiment's point) — a full-width stable hash of the whole
+    grid key, so distinct points cannot share an attempt seed, even
+    finding arms that share an algorithm and an mpl.  (An earlier
+    scheme offset by ``crc32(key) % 7919``, which
     collides whenever two grid keys are congruent modulo the stride —
     colliding points replayed identical retry trajectories, silently
     correlating their results.)
 
-    The value is a pure function of ``(seed, algorithm, mpl,
-    attempt)``: submission order, completion order and worker count
+    The value is a pure function of ``(seed, key, attempt)``:
+    submission order, completion order and worker count
     never enter, which is what makes parallel sweeps reproducible.
     Negative attempts are a caller bug and raise ``ValueError`` (an
     earlier version silently hashed them into valid-looking seeds).
@@ -114,11 +121,11 @@ def point_seed(seed, algorithm, mpl, attempt):
         raise ValueError(f"attempt must be >= 0, got {attempt}")
     if attempt == 0:
         return seed
-    key = f"{seed}:{algorithm}:{mpl}:{attempt}"
-    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+    text = ":".join([str(seed), *map(str, key), str(attempt)])
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def retry_backoff(seed, algorithm, mpl, attempt):
+def retry_backoff(seed, key, attempt):
     """Seconds to wait before retry ``attempt`` of one grid point.
 
     Capped exponential with *deterministic* jitter: the jitter factor
@@ -136,7 +143,7 @@ def retry_backoff(seed, algorithm, mpl, attempt):
     if attempt == 0:
         return 0.0
     base = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 1)))
-    jitter = 0.5 + (point_seed(seed, algorithm, mpl, attempt) % 1024) / 1024.0
+    jitter = 0.5 + (point_seed(seed, key, attempt) % 1024) / 1024.0
     return min(BACKOFF_CAP, base * jitter)
 
 
@@ -144,7 +151,8 @@ def retry_backoff(seed, algorithm, mpl, attempt):
 class PointTrace:
     """Per-point event-trace request for a sweep.
 
-    Each grid point streams its instrumentation-bus events to
+    Each point of an experiment's grid streams its instrumentation-bus
+    events to
     ``<directory>/<experiment>.<algorithm>.mpl<NNN>.jsonl`` through a
     :class:`~repro.obs.JsonlSink` — one file per point, written once
     along the point's whole trajectory, so replication ``r``'s trace
@@ -165,7 +173,7 @@ class PointTrace:
         )
 
 
-def _point_subscribers(experiment_id, algorithm, mpl, timeseries, trace):
+def _point_subscribers(experiment_id, key, timeseries, trace):
     """Fresh observability subscribers for one point attempt.
 
     Built per attempt — never reused — so a retried point starts from
@@ -180,7 +188,7 @@ def _point_subscribers(experiment_id, algorithm, mpl, timeseries, trace):
         subscribers.append(sampler)
     if trace is not None:
         sink = JsonlSink(
-            trace.point_path(experiment_id, algorithm, mpl),
+            trace.point_path(experiment_id, *key),
             kinds=trace.kinds,
         )
         subscribers.append(sink)
@@ -209,7 +217,7 @@ def _point_diagnostics(timeseries, sampler, sink):
 
 @dataclass
 class PointStatus:
-    """How one (algorithm, mpl) point of a sweep went."""
+    """How one point of a sweep went."""
 
     #: One of STATUS_OK / STATUS_RETRIED / STATUS_FAILED.
     status: str
@@ -228,12 +236,13 @@ class PointStatus:
 
 @dataclass
 class SweepResult:
-    """All simulation results of one experiment sweep.
+    """All simulation results of one sweep, keyed by grid key.
 
     ``results`` holds the successful points only; ``statuses`` records
     the outcome of every attempted point, so partial sweeps stay
-    self-describing (a missing (algorithm, mpl) key is distinguishable
-    from a failed one).
+    self-describing (a missing key is distinguishable from a failed
+    one). An experiment's keys are ``(algorithm, mpl)``, which the
+    helpers below (``result``, ``series``, ``peak``, ...) take apart.
 
     With ``replications > 1`` every grid point is measured
     ``replications`` times (replication ``r`` is the ``r``-th
@@ -247,23 +256,21 @@ class SweepResult:
 
     config: object
     run: RunConfig
-    #: (algorithm, mpl) -> SimulationResult (replication 0).
-    results: Dict[Tuple[str, int], object] = field(default_factory=dict)
-    #: (algorithm, mpl) -> PointStatus (every attempted point; the
-    #: aggregate over its replications when replications > 1).
-    statuses: Dict[Tuple[str, int], PointStatus] = field(
-        default_factory=dict
-    )
+    #: key -> SimulationResult (replication 0).
+    results: Dict[Tuple, object] = field(default_factory=dict)
+    #: key -> PointStatus (every attempted point; the aggregate over
+    #: its replications when replications > 1).
+    statuses: Dict[Tuple, PointStatus] = field(default_factory=dict)
     wall_seconds: float = 0.0
     #: Replications requested per grid point (1 = classic behavior).
     replications: int = 1
-    #: (algorithm, mpl) -> {rep -> SimulationResult} (successes only).
-    replicates: Dict[Tuple[str, int], Dict[int, object]] = field(
+    #: key -> {rep -> SimulationResult} (successes only).
+    replicates: Dict[Tuple, Dict[int, object]] = field(
         default_factory=dict
     )
-    #: (algorithm, mpl, rep) -> PointStatus (every attempted
-    #: replication; the per-rep detail behind ``statuses``).
-    replicate_statuses: Dict[Tuple[str, int, int], PointStatus] = field(
+    #: (*key, rep) -> PointStatus (every attempted replication; the
+    #: per-rep detail behind ``statuses``).
+    replicate_statuses: Dict[Tuple, PointStatus] = field(
         default_factory=dict
     )
 
@@ -301,7 +308,7 @@ class SweepResult:
         variance = sum((m - mean) ** 2 for m in means) / (n - 1)
         return n, mean, variance ** 0.5
 
-    def record_replicate(self, algorithm, mpl, rep, result, status):
+    def record_replicate(self, key, rep, result, status):
         """Fold one finished replication into the sweep's containers.
 
         The single write path shared by the runner and checkpoint
@@ -309,25 +316,22 @@ class SweepResult:
         into ``results``/``statuses`` and the per-point aggregation
         cannot drift between them.
         """
-        pair = (algorithm, mpl)
-        self.replicate_statuses[(algorithm, mpl, rep)] = status
+        self.replicate_statuses[(*key, rep)] = status
         if result is not None:
-            self.replicates.setdefault(pair, {})[rep] = result
+            self.replicates.setdefault(key, {})[rep] = result
             if rep == 0:
-                self.results[pair] = result
+                self.results[key] = result
         if self.replications == 1:
-            self.statuses[pair] = status
+            self.statuses[key] = status
         else:
-            self.statuses[pair] = self._aggregate_status(pair)
+            self.statuses[key] = self._aggregate_status(key)
 
-    def _aggregate_status(self, pair):
-        """One PointStatus summarizing every recorded rep of ``pair``."""
+    def _aggregate_status(self, key):
+        """One PointStatus summarizing every recorded rep of ``key``."""
         entries = [
             status
-            for (alg, mpl, _), status in sorted(
-                self.replicate_statuses.items()
-            )
-            if (alg, mpl) == pair
+            for rep_key, status in sorted(self.replicate_statuses.items())
+            if rep_key[:-1] == key
         ]
         worst = STATUS_OK
         if any(s.status == STATUS_FAILED for s in entries):
@@ -343,7 +347,7 @@ class SweepResult:
         )
 
     def failed_points(self):
-        """Sorted [(algorithm, mpl)] of points that exhausted retries."""
+        """Sorted keys of the points that exhausted their retries."""
         return sorted(
             key for key, status in self.statuses.items()
             if status.status == STATUS_FAILED
@@ -422,22 +426,27 @@ class _PointWatchdog:
 
 
 def _validate_algorithms(algorithms):
-    """Fail fast on anything but registry algorithm names.
+    """Fail fast on anything but registry names and CC factories.
 
-    Every point and every retry builds its algorithm afresh from its
-    name. A pre-built instance would carry its state (timestamps,
-    object tables) from one point into the next, and it cannot be sent
-    to worker processes either.
+    Every point and every retry builds its algorithm afresh, from its
+    name or by calling its factory. A pre-built instance would carry
+    its state (timestamps, object tables) from one point into the
+    next, and it cannot be sent to worker processes either.
     """
     known = algorithm_names()
-    instances = [a for a in algorithms if not isinstance(a, str)]
+    instances = [
+        a for a in algorithms if not isinstance(a, str) and not callable(a)
+    ]
     if instances:
         raise ValueError(
-            "run_sweep takes algorithm names from the registry, not "
-            f"pre-built instances (got {instances!r}); choose from "
-            f"{known}"
+            "run_sweep takes algorithm names from the registry or CC "
+            f"factories, not pre-built instances (got {instances!r}); "
+            f"choose from {known}"
         )
-    unknown = [name for name in algorithms if name not in known]
+    unknown = [
+        name for name in algorithms
+        if isinstance(name, str) and name not in known
+    ]
     if unknown:
         raise ValueError(
             f"unknown concurrency control algorithm(s) "
@@ -448,8 +457,10 @@ def _validate_algorithms(algorithms):
 class _Point(NamedTuple):
     """One unit of sweep work: a grid point and its pending replications."""
 
-    algorithm: str
-    mpl: int
+    key: Tuple
+    params: object
+    #: A registry name or a CC factory (see GridPoint).
+    algorithm: object
     #: Replication indexes still to record, ascending.
     reps: Tuple[int, ...]
     #: This point's invariant mode (``"spot"`` already resolved).
@@ -475,7 +486,7 @@ class _PointPlan:
     chaos: object = None
 
 
-def _pending_points(sweep, algorithms, mpls, replications, invariants):
+def _pending_points(sweep, grid, replications, invariants):
     """The grid points with unrecorded replications, in grid order.
 
     ``invariants="spot"`` audits the first pending point of each
@@ -490,19 +501,18 @@ def _pending_points(sweep, algorithms, mpls, replications, invariants):
     """
     points = []
     audited = set()
-    for algorithm in algorithms:
-        for mpl in mpls:
-            reps = tuple(
-                rep for rep in range(replications)
-                if (algorithm, mpl, rep) not in sweep.replicate_statuses
-            )
-            if not reps:
-                continue
-            mode = invariants
-            if invariants == "spot":
-                mode = "off" if algorithm in audited else "strict"
-                audited.add(algorithm)
-            points.append(_Point(algorithm, mpl, reps, mode))
+    for key, params, algorithm in grid:
+        reps = tuple(
+            rep for rep in range(replications)
+            if (*key, rep) not in sweep.replicate_statuses
+        )
+        if not reps:
+            continue
+        mode = invariants
+        if invariants == "spot":
+            mode = "off" if algorithm in audited else "strict"
+            audited.add(algorithm)
+        points.append(_Point(key, params, algorithm, reps, mode))
     return points
 
 
@@ -521,7 +531,7 @@ def _run_point(plan, point, store, progress=None):
     runs.
 
     A retry reseeds the *whole point* with
-    ``point_seed(seed, algorithm, mpl, attempt)``, after
+    ``point_seed(seed, key, attempt)``, after
     :func:`retry_backoff` seconds; the first attempt never waits.
     Only supervised failures — watchdog trips and the engine's restart
     livelock detector — are degraded to a failed status; anything else
@@ -529,7 +539,8 @@ def _run_point(plan, point, store, progress=None):
     violation is an ``AssertionError`` subclass, so it is never
     degraded either: a broken engine must not be retried into silence.
     ``plan.chaos`` is consulted at the top of every attempt, before
-    any simulation work.
+    any simulation work, and a factory algorithm is called afresh for
+    every attempt.
 
     Per-point ``timeseries``/``trace`` subscribers are fresh per
     attempt (a retry starts from empty series and a truncated trace
@@ -540,8 +551,7 @@ def _run_point(plan, point, store, progress=None):
     ``result`` is None when the point failed.
     """
     config, run = plan.config, plan.run
-    algorithm, mpl, reps, invariants = point
-    params = config.params_for(mpl)
+    key, params, algorithm, reps, invariants = point
     # Non-tapeable workload models (trace playback) build their own
     # content source inside the model; everything else replays a
     # shared tape.
@@ -554,25 +564,26 @@ def _run_point(plan, point, store, progress=None):
     for attempt in range(plan.retries + 1):
         attempts += 1
         if attempt > 0:
-            delay = retry_backoff(run.seed, algorithm, mpl, attempt)
+            delay = retry_backoff(run.seed, key, attempt)
             if delay > 0.0:
                 _sleep(delay)
         if plan.chaos is not None:
-            plan.chaos.on_point_start(algorithm, mpl)
+            plan.chaos.on_point_start(key)
         attempt_run = run if attempt == 0 else run.with_changes(
-            seed=point_seed(run.seed, algorithm, mpl, attempt)
+            seed=point_seed(run.seed, key, attempt)
         )
         watchdog = (
             _PointWatchdog(plan.deadline, plan.stall_timeout)
             if supervised else None
         )
         sampler, sink, subscribers = _point_subscribers(
-            config.experiment_id, algorithm, mpl, plan.timeseries,
-            plan.trace,
+            config.experiment_id, key, plan.timeseries, plan.trace,
         )
         try:
             results = fastlane.run_point_replications(
-                params, algorithm, attempt_run, reps[-1] + 1,
+                params,
+                algorithm if isinstance(algorithm, str) else algorithm(),
+                attempt_run, reps[-1] + 1,
                 workload=(
                     store.workload(params, attempt_run.seed)
                     if tapeable else None
@@ -592,9 +603,8 @@ def _run_point(plan, point, store, progress=None):
                     "retrying" if attempt < plan.retries else "giving up"
                 )
                 progress(
-                    f"  {config.experiment_id}: {algorithm} "
-                    f"mpl={mpl} attempt {attempts} failed "
-                    f"({error}); {outcome}"
+                    f"  {config.experiment_id}: {config.point_name(key)} "
+                    f"attempt {attempts} failed ({error}); {outcome}"
                 )
         finally:
             if sink is not None:
@@ -657,9 +667,7 @@ def _finish_point(sweep, config, point, outcomes, ckpt, progress,
                   counter=""):
     """Record one finished point and report it (parent only)."""
     for rep, result, status in outcomes:
-        _record_point(
-            sweep, (point.algorithm, point.mpl, rep), result, status, ckpt
-        )
+        _record_point(sweep, point.key, rep, result, status, ckpt)
     if progress is None:
         return
     _, result, status = outcomes[0]
@@ -670,9 +678,9 @@ def _finish_point(sweep, config, point, outcomes, ckpt, progress,
         )
     else:
         progress(
-            f"  {counter}{config.experiment_id}: {point.algorithm} "
-            f"mpl={point.mpl}{tag} failed after {status.attempts} "
-            f"attempt(s) ({status.error})"
+            f"  {counter}{config.experiment_id}: "
+            f"{config.point_name(point.key)}{tag} failed after "
+            f"{status.attempts} attempt(s) ({status.error})"
         )
 
 
@@ -793,6 +801,9 @@ def _run_parallel(sweep, points, plan, workers, progress, ckpt):
                     counter=f"[{completed}/{total}] ",
                 )
         if not broken:
+            # Join the idle pool: a manager thread left running races
+            # the interpreter's exit hook on its closed wakeup pipe.
+            executor.shutdown()
             return []
         unfinished = set(crashed) | set(unsubmitted)
         unfinished.update(futures[future] for future in outstanding)
@@ -854,7 +865,8 @@ def _cancel_outstanding(sweep, futures, outstanding, backstop, ckpt,
             # Never started; leave it unattempted (no status), so a
             # --resume run knows to simulate it.
             continue
-        error = PointCancelledError(point.algorithm, point.mpl, backstop)
+        name = config.point_name(point.key)
+        error = PointCancelledError(name, backstop)
         for rep in point.reps:
             status = PointStatus(
                 status=STATUS_FAILED,
@@ -862,29 +874,20 @@ def _cancel_outstanding(sweep, futures, outstanding, backstop, ckpt,
                 error=f"PointCancelledError: {error}",
                 wall_seconds=backstop / len(point.reps),
             )
-            _record_point(
-                sweep, (point.algorithm, point.mpl, rep), None, status,
-                ckpt,
-            )
+            _record_point(sweep, point.key, rep, None, status, ckpt)
         if progress is not None:
-            progress(
-                f"  {config.experiment_id}: {point.algorithm} "
-                f"mpl={point.mpl} cancelled ({error})"
-            )
+            progress(f"  {config.experiment_id}: {name} cancelled ({error})")
 
 
-def _record_point(sweep, key, result, status, ckpt):
+def _record_point(sweep, key, rep, result, status, ckpt):
     """Single-writer bookkeeping for one finished replication (parent only).
 
-    ``key`` is ``(algorithm, mpl, rep)``; the sweep containers and the
-    checkpoint line both carry the replication index (omitted from the
-    line when 0, keeping non-replicated checkpoints byte-identical to
-    earlier formats).
+    The sweep containers and the checkpoint line both carry the
+    replication index (omitted from the line when 0).
     """
-    algorithm, mpl, rep = key
-    sweep.record_replicate(algorithm, mpl, rep, result, status)
+    sweep.record_replicate(key, rep, result, status)
     if ckpt is not None:
-        ckpt.record(algorithm, mpl, result, status, rep=rep)
+        ckpt.record(key, result, status, rep=rep)
 
 
 def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
@@ -892,14 +895,18 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
               retries=0, checkpoint=None, resume=False, workers=1,
               timeseries=None, trace=None, invariants=None, chaos=None,
               replications=1):
-    """Run every (algorithm, mpl) point of ``config``.
+    """Run every point of ``config``'s grid.
 
-    ``mpls``/``algorithms`` restrict the sweep (benchmarks use a subset
-    of the paper's seven mpl points to stay fast). Algorithms are
-    registry names (:func:`~repro.cc.algorithm_names`) at every worker
-    count: each point and each retry builds its algorithm afresh from
-    the name, and a pre-built instance — whose state would carry from
-    one point into the next — raises ``ValueError``. ``progress`` is an
+    ``config`` is an :class:`~repro.experiments.configs.ExperimentConfig`
+    (its ``(algorithm, mpl)`` grid, which ``mpls``/``algorithms``
+    restrict — benchmarks use a subset of the paper's seven mpl points
+    to stay fast) or a :class:`~repro.experiments.configs.FixedGrid`
+    (fixed points, e.g. a finding's arms; no restriction). Every point
+    carries its own params and algorithm: a registry name
+    (:func:`~repro.cc.algorithm_names`) or a picklable factory of a CC
+    instance. Each point and each retry builds its algorithm afresh,
+    and a pre-built instance — whose state would carry from one point
+    into the next — raises ``ValueError``. ``progress`` is an
     optional callable invoked with a status line after each point and
     one carrying the sweep's wall time at the end (``print`` and
     logging functions both work).
@@ -968,8 +975,9 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
       :func:`~repro.experiments.export.write_timeseries_csv`).
       Replication ``r`` carries the rows sampled up to its end.
     * ``trace`` — a :class:`PointTrace` (or a directory path, which
-      becomes ``PointTrace(directory)``); each point streams its
-      instrumentation-bus events to one JSONL file in that directory.
+      becomes ``PointTrace(directory)``); each point of an experiment's
+      grid streams its instrumentation-bus events to one JSONL file in
+      that directory, named by its ``(algorithm, mpl)``.
       Replication ``r`` records the number of events written up to its
       end, so its trace is that prefix of the file.
 
@@ -1032,12 +1040,14 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
     if isinstance(trace, str):
         trace = PointTrace(directory=trace)
     if trace is not None:
+        if not isinstance(config, ExperimentConfig):
+            raise ValueError(
+                "trace files are named by (algorithm, mpl); trace an "
+                "experiment's sweep"
+            )
         os.makedirs(trace.directory, exist_ok=True)
-    mpls = tuple(mpls) if mpls is not None else config.mpls
-    algorithms = (
-        tuple(algorithms) if algorithms is not None else config.algorithms
-    )
-    _validate_algorithms(algorithms)
+    grid = config.grid(mpls, algorithms)
+    _validate_algorithms(dict.fromkeys(point.algorithm for point in grid))
 
     sweep = SweepResult(config=config, run=run, replications=replications)
     ckpt = None
@@ -1064,9 +1074,7 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
         stall_timeout=stall_timeout, retries=retries,
         timeseries=timeseries, trace=trace, chaos=chaos,
     )
-    points = _pending_points(
-        sweep, algorithms, mpls, replications, invariants
-    )
+    points = _pending_points(sweep, grid, replications, invariants)
     started = time.perf_counter()
     if workers > 1 and len(points) > 1:
         # Whatever the supervisor could not finish in parallel (pool

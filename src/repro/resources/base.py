@@ -284,13 +284,6 @@ class ResourceModel:
     # degenerate one-node case, so placement-blind callers, the commit
     # protocol and the invariant checker use one interface everywhere.
 
-    def node_of(self, obj):
-        """The node holding the primary copy of ``obj`` (0 single-site)."""
-        replicas = self._replicas
-        if replicas is None or obj is None:
-            return 0
-        return replicas[obj][0]
-
     def home_node(self, tx):
         """The node a transaction originates at (``tx.id % nodes``)."""
         if tx is None:

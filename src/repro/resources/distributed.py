@@ -130,25 +130,6 @@ class DistributedResourceModel(ResourceModel):
                 [nearest[primary] for primary in primaries]
             )
 
-    # -- placement lookups ---------------------------------------------------
-
-    def replica_nodes(self, obj):
-        """Every node holding a copy of ``obj`` (primary first).
-
-        The placement table's shared row: callers must not mutate it.
-        ``obj=None`` is placed like object 0 (both sit on node 0).
-        """
-        return self._replicas[0 if obj is None else obj]
-
-    def read_node(self, obj, home):
-        """The replica ``home`` reads ``obj`` from: the nearest copy.
-
-        Ring distance from the home node breaks ties deterministically
-        (all distances are distinct mod N); a local copy wins with
-        distance 0, making the read free of network legs.
-        """
-        return self._read_from[home][0 if obj is None else obj]
-
     def disk_label(self, index):
         """Human-readable node-qualified label of one global disk."""
         per_node = self.disks_per_node

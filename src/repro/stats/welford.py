@@ -72,13 +72,6 @@ class Welford:
         return self._m2 / (self.count - 1)
 
     @property
-    def population_variance(self):
-        """Population variance (n denominator); 0.0 when empty."""
-        if self.count == 0:
-            return 0.0
-        return self._m2 / self.count
-
-    @property
     def std(self):
         """Sample standard deviation."""
         return math.sqrt(self.variance)

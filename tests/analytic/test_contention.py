@@ -16,8 +16,6 @@ from repro.analytic.contention import (
     DEFAULT_MAX_INDEX,
     SUPPORTED_ALGORITHMS,
     CorrectionCoefficients,
-    optimal_mpl,
-    surrogate_curve,
     surrogate_prediction,
 )
 from repro.analytic import network_for_params
@@ -152,8 +150,10 @@ class TestContentionFreeLimits:
         )
 
     def test_noop_monotone_in_mpl(self):
-        curve = surrogate_curve(BASE, "noop", (1, 2, 5, 10, 25, 50))
-        throughputs = [p.throughput for _, p in curve]
+        throughputs = [
+            surrogate_prediction(BASE.with_changes(mpl=mpl), "noop").throughput
+            for mpl in (1, 2, 5, 10, 25, 50)
+        ]
         assert throughputs == sorted(throughputs)
 
 
@@ -195,11 +195,15 @@ class TestContentionPhysics:
         assert high.blocked_time > low.blocked_time > 0.0
 
     def test_optimal_mpl_interior_under_contention(self):
-        mpl, prediction = optimal_mpl(
-            HOT, "immediate_restart", (5, 10, 25, 50, 100, 200)
-        )
+        throughput = {
+            mpl: surrogate_prediction(
+                HOT.with_changes(mpl=mpl), "immediate_restart"
+            ).throughput
+            for mpl in (5, 10, 25, 50, 100, 200)
+        }
+        mpl = max(throughput, key=throughput.get)
         assert mpl < 200
-        assert prediction.throughput > 0.0
+        assert throughput[mpl] > 0.0
 
 
 class TestUncertainty:

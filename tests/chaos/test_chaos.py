@@ -23,7 +23,7 @@ FORK_ONLY = pytest.mark.skipif(
 
 
 def _touch_after_chaos(spec, algorithm, mpl, witness):
-    spec.on_point_start(algorithm, mpl)
+    spec.on_point_start((algorithm, mpl))
     with open(witness, "w") as f:
         f.write("survived")
 
@@ -31,15 +31,15 @@ def _touch_after_chaos(spec, algorithm, mpl, witness):
 class TestChaosSpec:
     def test_no_planned_faults_is_inert(self, tmp_path):
         spec = ChaosSpec(state_dir=str(tmp_path))
-        spec.on_point_start("blocking", 2)  # must simply return
+        spec.on_point_start(("blocking", 2))  # must simply return
         assert os.listdir(tmp_path) == []
 
     def test_unmatched_points_do_not_trip(self, tmp_path):
         spec = ChaosSpec(
             state_dir=str(tmp_path), kill_point=("optimistic", 5)
         )
-        spec.on_point_start("blocking", 5)
-        spec.on_point_start("optimistic", 2)
+        spec.on_point_start(("blocking", 5))
+        spec.on_point_start(("optimistic", 2))
         assert os.listdir(tmp_path) == []
 
     @FORK_ONLY
@@ -57,7 +57,7 @@ class TestChaosSpec:
         first.join(30.0)
         assert first.exitcode == -signal.SIGKILL
         assert not os.path.exists(witness)  # died before the write
-        assert os.path.exists(spec.marker_path("kill", "blocking", 2))
+        assert os.path.exists(spec.marker_path("kill", ("blocking", 2)))
         # The marker makes the fault one-shot: the retry survives.
         second = multiprocessing.Process(
             target=_touch_after_chaos,
@@ -74,10 +74,10 @@ class TestChaosSpec:
             hang_seconds=0.2,
         )
         started = time.perf_counter()
-        spec.on_point_start("blocking", 2)
+        spec.on_point_start(("blocking", 2))
         assert time.perf_counter() - started >= 0.2
         started = time.perf_counter()
-        spec.on_point_start("blocking", 2)  # marker exists: no sleep
+        spec.on_point_start(("blocking", 2))  # marker exists: no sleep
         assert time.perf_counter() - started < 0.2
 
     def test_spec_pickles(self, tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import BusyTracker, Counter, Environment, LevelMonitor, Tally
+from repro.des import BusyTracker, Counter, Environment, LevelMonitor
 
 
 class TestCounter:
@@ -28,57 +28,6 @@ class TestCounter:
         assert c.delta_since(boundary) == 7
         assert c.delta_since(start) == 10
         assert c.delta_since(c.total) == 0
-
-
-class TestTally:
-    def test_is_welford_with_name(self):
-        t = Tally("response_time")
-        t.add(2.0)
-        t.add(4.0)
-        assert t.name == "response_time"
-        assert t.mean == pytest.approx(3.0)
-
-    def test_snapshot_is_independent_copy(self):
-        t = Tally("response_time")
-        for x in (1.0, 2.0, 3.0):
-            t.add(x)
-        snap = t.snapshot()
-        t.add(100.0)
-        # The snapshot must be frozen at the moment it was taken.
-        assert snap.count == 3
-        assert snap.mean == pytest.approx(2.0)
-        assert t.count == 4
-
-    def test_delta_since_recovers_batch_statistics(self):
-        t = Tally("response_time")
-        warmup = (5.0, 7.0, 9.0)
-        batch = (1.0, 2.0, 3.0, 4.0)
-        for x in warmup:
-            t.add(x)
-        snap = t.snapshot()
-        for x in batch:
-            t.add(x)
-        delta = t.delta_since(snap)
-        assert delta.count == len(batch)
-        assert delta.mean == pytest.approx(2.5)
-        # Sample variance of 1..4 is 5/3.
-        assert delta.variance == pytest.approx(5.0 / 3.0)
-
-    def test_delta_since_empty_window(self):
-        t = Tally("x")
-        t.add(1.0)
-        snap = t.snapshot()
-        delta = t.delta_since(snap)
-        assert delta.count == 0
-        assert delta.mean == 0.0
-
-    def test_delta_since_rejects_newer_snapshot(self):
-        t = Tally("x")
-        t.add(1.0)
-        snap = t.snapshot()
-        snap.add(2.0)  # snapshot now "ahead" of the accumulator
-        with pytest.raises(ValueError):
-            t.delta_since(snap)
 
 
 class TestLevelMonitor:

@@ -40,9 +40,8 @@ class TestParser:
 
     def test_finding_rejects_sweep_flags(self, capsys):
         for flags in (
-            ["--mpl", "5"], ["--algorithm", "blocking"],
-            ["--checkpoint", "ckpt"], ["--trace"], ["--timeseries", "2"],
-            ["--csv", "out.csv"],
+            ["--mpl", "5"], ["--algorithm", "blocking"], ["--trace"],
+            ["--timeseries", "2"], ["--csv", "out.csv"],
         ):
             with pytest.raises(SystemExit) as exit_info:
                 main(["--figure", "victim_policy", *flags])
@@ -147,6 +146,30 @@ class TestMain:
         assert verdict in captured.err
         assert "claim not checked" not in captured.err
         assert captured.out.startswith("=" * 72)
+
+    def test_finding_checkpoint_is_one_sweep_file(self, capsys, tmp_path):
+        directory = str(tmp_path / "ckpt")
+        args = [
+            "--figure", "upgrade_policy", "--checkpoint", directory,
+            "--batches", "1", "--batch-time", "3", "--warmup-batches", "0",
+        ]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        path = f"{directory}/upgrade_policy.ckpt.jsonl"
+        assert main(["--verify-checkpoint", path]) == 0
+        assert "valid points:  2" in capsys.readouterr().out
+        assert main([*args, "--resume"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == first
+        assert "upgrade_policy: resumed 2 point(s)" in captured.err
+
+    def test_finding_arm_past_its_deadline_exits_1(self, capsys):
+        assert main([
+            "--figure", "upgrade_policy", "--deadline", "1e-9",
+            "--batches", "1", "--batch-time", "3", "--warmup-batches", "0",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "upgrade [blocking] failed after 1 attempt(s)" in captured.err
 
     def test_unpinned_finding_run_is_not_checked(self, capsys):
         code = main([

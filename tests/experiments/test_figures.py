@@ -347,9 +347,30 @@ class TestFindingBuilder:
         data = FigureBuilder(run=TINY_RUN, nodes=2).finding("upgrade_policy")
         assert all(result.params.nodes == 2 for _, _, result in data.arms)
 
+    def test_arms_failing_their_deadline_fail_the_pinned_finding(self):
+        # A deadline no batch can meet fails every arm; the pinned
+        # check names each failed arm instead of evaluating the claim.
+        reproduction = FigureBuilder(deadline=1e-9).reproduce(
+            "upgrade_policy"
+        )
+        assert reproduction.data.arms == []
+        assert not reproduction.data.sweep.complete
+        assert [
+            message.split(" failed (")[0]
+            for message in reproduction.failures
+        ] == [
+            "upgrade_policy: immediate_exclusive "
+            "[blocking(write_lock_policy=immediate_exclusive)]",
+            "upgrade_policy: upgrade [blocking]",
+        ]
+        assert all("PointDeadlineExceeded" in message
+                   for message in reproduction.failures)
+        assert reproduction.text.startswith("=" * 72)
+
     def test_pooled_arms_match_serial_arms(self):
         # workers=2 runs the arms (one of them a functools.partial CC
-        # factory) in a process pool; each arm is the same seeded run.
+        # factory) on run_sweep's process pool; each arm is the same
+        # seeded run.
         serial = FigureBuilder(run=TINY_RUN).finding("upgrade_policy")
         pooled = FigureBuilder(run=TINY_RUN, workers=2).finding(
             "upgrade_policy"

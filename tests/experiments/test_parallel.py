@@ -24,6 +24,7 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.experiments import runner as runner_module
+from repro.experiments.configs import FixedGrid, GridPoint
 from repro.experiments.errors import SimulationStalledError
 from repro.experiments.persistence import decode_checkpoint_line
 
@@ -72,7 +73,7 @@ def tiny_config(**overrides):
 
 
 def checkpoint_points(path):
-    """{(algorithm, mpl): line} of a checkpoint, wall-clock stripped.
+    """{key: line} of a checkpoint, wall-clock stripped.
 
     Wall seconds are measured time and differ between any two runs, so
     equivalence is judged on everything else: the measured batch
@@ -87,7 +88,7 @@ def checkpoint_points(path):
             k: v for k, v in line["status"].items()
             if k != "wall_seconds"
         }
-        points[(line["algorithm"], line["mpl"])] = line
+        points[tuple(line["key"])] = line
     return points
 
 
@@ -95,19 +96,19 @@ class TestPointSeed:
     def test_first_attempt_shares_the_sweep_seed(self):
         # Common random numbers: every point's first attempt uses the
         # sweep seed, exactly like the sequential runner always did.
-        assert point_seed(11, "blocking", 2, 0) == 11
-        assert point_seed(11, "optimistic", 200, 0) == 11
+        assert point_seed(11, ("blocking", 2), 0) == 11
+        assert point_seed(11, ("optimistic", 200), 0) == 11
 
     def test_retries_differ_per_attempt_and_per_point(self):
-        a1 = point_seed(11, "blocking", 2, 1)
-        a2 = point_seed(11, "blocking", 2, 2)
-        b1 = point_seed(11, "optimistic", 2, 1)
-        c1 = point_seed(11, "blocking", 5, 1)
+        a1 = point_seed(11, ("blocking", 2), 1)
+        a2 = point_seed(11, ("blocking", 2), 2)
+        b1 = point_seed(11, ("optimistic", 2), 1)
+        c1 = point_seed(11, ("blocking", 5), 1)
         assert len({11, a1, a2, b1, c1}) == 5
 
     def test_pure_function_of_its_arguments(self):
-        assert point_seed(11, "blocking", 5, 1) == point_seed(
-            11, "blocking", 5, 1
+        assert point_seed(11, ("blocking", 5), 1) == point_seed(
+            11, ("blocking", 5), 1
         )
 
     def test_no_cross_point_collisions(self):
@@ -121,7 +122,7 @@ class TestPointSeed:
         ]
         mpls = list(range(1, 301))
         seeds = [
-            point_seed(11, algorithm, mpl, attempt)
+            point_seed(11, (algorithm, mpl), attempt)
             for algorithm in algorithms
             for mpl in mpls
             for attempt in (1, 2, 3)
@@ -135,7 +136,7 @@ class TestPointSeed:
         for algorithm in ("blocking", "optimistic"):
             for mpl in (2, 25, 200):
                 for attempt in (1, 2, 3):
-                    assert point_seed(11, algorithm, mpl, attempt) != 11
+                    assert point_seed(11, (algorithm, mpl), attempt) != 11
 
 
 class TestParallelSequentialEquivalence:
@@ -217,7 +218,7 @@ class TestKilledSweepResume:
             after[len(before):].splitlines()
         ]
         assert sorted(
-            (line["algorithm"], line["mpl"]) for line in appended
+            tuple(line["key"]) for line in appended
         ) == [("blocking", 5), ("optimistic", 5)]
 
     def test_parallel_resume_matches_uninterrupted_results(self, tmp_path):
@@ -318,9 +319,9 @@ class TestSeedValidationAndReplicationKeys:
         from repro.experiments import retry_backoff
 
         with pytest.raises(ValueError, match="attempt"):
-            point_seed(11, "blocking", 2, -1)
+            point_seed(11, ("blocking", 2), -1)
         with pytest.raises(ValueError, match="attempt"):
-            retry_backoff(11, "blocking", 2, -1)
+            retry_backoff(11, ("blocking", 2), -1)
 
     def test_retry_reseeds_point(self, monkeypatch):
         # Replications have no seeds of their own: a retry reseeds the
@@ -341,7 +342,7 @@ class TestSeedValidationAndReplicationKeys:
         sweep = run_sweep(tiny_config(), run=TINY_RUN, mpls=[2],
                           algorithms=["blocking"], retries=1,
                           stall_timeout=60.0, replications=3)
-        retry_seed = point_seed(TINY_RUN.seed, "blocking", 2, 1)
+        retry_seed = point_seed(TINY_RUN.seed, ("blocking", 2), 1)
         assert seeds == [TINY_RUN.seed, retry_seed]
         reference = original(
             tiny_config().params_for(2), "blocking",
@@ -353,3 +354,43 @@ class TestSeedValidationAndReplicationKeys:
             assert sweep.replicate("blocking", 2, rep).totals == (
                 reference[rep].totals
             )
+
+    def test_arms_sharing_algorithm_and_mpl_keep_their_own_seeds(
+            self, monkeypatch, tmp_path):
+        # Two arms of one fixed grid run the same algorithm at the same
+        # mpl on the same params; only their keys tell them apart.
+        keys = [("first", "blocking"), ("second", "blocking")]
+        grid = FixedGrid("pair", tuple(
+            GridPoint(key, tiny_params(), "blocking") for key in keys
+        ))
+        fastlane = runner_module.fastlane
+        original = fastlane.run_point_replications
+        seeds = []
+
+        def flaky(params, algorithm, run, replications, **kwargs):
+            seeds.append(run.seed)
+            if run.seed == TINY_RUN.seed:
+                raise SimulationStalledError(1.0, 1.0, 0)
+            return original(params, algorithm, run, replications,
+                            **kwargs)
+
+        monkeypatch.setattr(fastlane, "run_point_replications", flaky)
+        monkeypatch.setattr(runner_module, "_sleep", lambda seconds: None)
+        path = str(tmp_path / "pair.ckpt.jsonl")
+        sweep = run_sweep(grid, run=TINY_RUN, retries=1,
+                          stall_timeout=60.0, checkpoint=path)
+        retry_seeds = [point_seed(TINY_RUN.seed, key, 1) for key in keys]
+        assert retry_seeds[0] != retry_seeds[1]
+        assert seeds == [
+            TINY_RUN.seed, retry_seeds[0], TINY_RUN.seed, retry_seeds[1],
+        ]
+        assert sorted(sweep.results) == keys
+        assert all(status.attempts == 2
+                   for status in sweep.statuses.values())
+        with open(path) as f:
+            header, *lines = [
+                decode_checkpoint_line(raw) for raw in f.read().splitlines()
+            ]
+        assert len(header["fingerprints"]) == 1
+        assert [tuple(line["key"]) for line in lines] == keys
+        assert lines[0]["totals"] != lines[1]["totals"]

@@ -7,6 +7,7 @@ import pytest
 from repro.chaos import garble_tail, truncate_tail
 from repro.core import RunConfig
 from repro.experiments import (
+    CheckpointMismatchError,
     PointStatus,
     SweepCheckpoint,
     SweepResult,
@@ -131,7 +132,7 @@ class TestOneFileFormat:
         for (algorithm, mpl, rep), status in sorted(
                 sweep.replicate_statuses.items()):
             checkpoint.record(
-                algorithm, mpl, sweep.replicate(algorithm, mpl, rep),
+                (algorithm, mpl), sweep.replicate(algorithm, mpl, rep),
                 status, rep=rep,
             )
         saved_lines = saved.read_text().splitlines(keepends=True)
@@ -203,6 +204,24 @@ class TestErrors:
         with pytest.raises(ValueError, match="older checkpoint format"):
             load_sweep(path)
 
+    def test_v3_file_refused(self, sweep, tmp_path):
+        # A v3 header bound one params set, not every grid point's, and
+        # its lines named points by (algorithm, mpl) only.
+        path = tmp_path / "sweep.ckpt.jsonl"
+        save_sweep(sweep, path)
+        edit_header(path, format="repro-sweep-checkpoint-v3")
+        with pytest.raises(ValueError, match="older checkpoint format"):
+            load_sweep(path)
+        checkpoint = SweepCheckpoint(str(path), sweep.config, TINY_RUN)
+        with pytest.raises(CheckpointMismatchError,
+                           match="older checkpoint format"):
+            checkpoint.load_into(
+                SweepResult(config=sweep.config, run=TINY_RUN)
+            )
+        assert "older checkpoint format" in (
+            verify_checkpoint(str(path))["detail"]
+        )
+
     def test_empty_file_refused(self, tmp_path):
         path = tmp_path / "empty.ckpt.jsonl"
         path.write_text("")
@@ -217,15 +236,15 @@ class TestOneReplicationLayout:
         layout = SweepResult(config=sweep.config, run=TINY_RUN)
         # Recorded out of grid order; the file sorts them.
         layout.record_replicate(
-            "blocking", 25, 0, sweep.result("blocking", 25),
+            ("blocking", 25), 0, sweep.result("blocking", 25),
             PointStatus("ok"),
         )
         layout.record_replicate(
-            "blocking", 10, 0, None,
+            ("blocking", 10), 0, None,
             PointStatus("failed", error="SimulationStalledError: stuck"),
         )
         layout.record_replicate(
-            "blocking", 5, 0, sweep.result("blocking", 5),
+            ("blocking", 5), 0, sweep.result("blocking", 5),
             PointStatus("ok"),
         )
         path = tmp_path / "sweep.ckpt.jsonl"
@@ -233,11 +252,11 @@ class TestOneReplicationLayout:
         header, *points = read_lines(path)
         assert list(header) == [
             "format", "experiment_id", "run", "replications", "params",
-            "wall_seconds",
+            "fingerprints", "wall_seconds",
         ]
         assert header["replications"] == 1
         assert [
-            (p["algorithm"], p["mpl"], p["status"]["status"])
+            (*p["key"], p["status"]["status"])
             for p in points
         ] == [
             ("blocking", 5, "ok"),
@@ -245,9 +264,9 @@ class TestOneReplicationLayout:
             ("blocking", 25, "ok"),
         ]
         assert [list(p) for p in points] == [
-            ["algorithm", "mpl", "status", "series", "totals"],
-            ["algorithm", "mpl", "status"],
-            ["algorithm", "mpl", "status", "series", "totals"],
+            ["key", "status", "algorithm", "series", "totals"],
+            ["key", "status"],
+            ["key", "status", "algorithm", "series", "totals"],
         ]
         for point in points:
             assert list(point["status"]) == [

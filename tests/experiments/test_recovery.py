@@ -74,7 +74,7 @@ def tiny_config(**overrides):
 
 
 def checkpoint_points(path):
-    """{(algorithm, mpl): payload} with measured wall-clock stripped."""
+    """{key: payload} with measured wall-clock stripped."""
     points = {}
     with open(path) as f:
         lines = f.read().splitlines()
@@ -84,7 +84,7 @@ def checkpoint_points(path):
             k: v for k, v in line["status"].items()
             if k != "wall_seconds"
         }
-        points[(line["algorithm"], line["mpl"])] = line
+        points[tuple(line["key"])] = line
     return points
 
 
@@ -338,25 +338,25 @@ class TestWorkloadModelBinding:
 
 class TestRetryBackoff:
     def test_deterministic_pure_function(self):
-        assert retry_backoff(11, "blocking", 2, 1) == retry_backoff(
-            11, "blocking", 2, 1
+        assert retry_backoff(11, ("blocking", 2), 1) == retry_backoff(
+            11, ("blocking", 2), 1
         )
-        assert retry_backoff(11, "blocking", 2, 1) != retry_backoff(
-            11, "optimistic", 2, 1
+        assert retry_backoff(11, ("blocking", 2), 1) != retry_backoff(
+            11, ("optimistic", 2), 1
         )
 
     def test_first_attempt_never_waits(self):
-        assert retry_backoff(11, "blocking", 2, 0) == 0.0
+        assert retry_backoff(11, ("blocking", 2), 0) == 0.0
 
     def test_jittered_exponential_growth_with_cap(self):
         base = runner_module.BACKOFF_BASE
         for attempt in range(1, 8):
-            delay = retry_backoff(11, "blocking", 2, attempt)
+            delay = retry_backoff(11, ("blocking", 2), attempt)
             nominal = base * (2 ** (attempt - 1))
             assert 0.5 * nominal <= delay
             assert delay < min(runner_module.BACKOFF_CAP,
                                1.5 * nominal) + 1e-9
-        assert retry_backoff(11, "blocking", 2, 60) <= (
+        assert retry_backoff(11, ("blocking", 2), 60) <= (
             runner_module.BACKOFF_CAP
         )
 
@@ -380,7 +380,7 @@ class TestRetryBackoff:
                           algorithms=["blocking"], retries=2,
                           stall_timeout=60.0)
         assert sweep.status("blocking", 2).attempts == 2
-        assert sleeps == [retry_backoff(TINY_RUN.seed, "blocking", 2, 1)]
+        assert sleeps == [retry_backoff(TINY_RUN.seed, ("blocking", 2), 1)]
 
 
 class TestSeverityTaxonomy:
@@ -508,7 +508,7 @@ class TestChaosParity:
         # restarted it and re-ran only the unrecorded points.
         assert any("restarting" in line for line in lines)
         assert os.path.exists(
-            spec.marker_path("kill", "optimistic", 2)
+            spec.marker_path("kill", ("optimistic", 2))
         )
         assert all(s.status == STATUS_OK
                    for s in sweep.statuses.values())

@@ -5,10 +5,13 @@ point marked ``failed`` after deadline+retries and all other points
 ``ok``; a killed-then-resumed sweep re-runs only the missing points.
 """
 
+import multiprocessing
 import os
+import signal
 
 import pytest
 
+from repro.chaos import ChaosSpec
 from repro.cc import ConcurrencyControl, register_algorithm
 from repro.core import RunConfig, SimulationParameters
 from repro.experiments import (
@@ -17,6 +20,7 @@ from repro.experiments import (
     STATUS_RETRIED,
     CheckpointMismatchError,
     ExperimentConfig,
+    FigureBuilder,
     PointDeadlineExceeded,
     SimulationStalledError,
     SweepCheckpoint,
@@ -27,10 +31,16 @@ from repro.experiments import (
     sweep_report,
 )
 from repro.experiments import runner as runner_module
+from repro.experiments.cli import main as cli_main
+from repro.experiments.configs import FixedGrid, GridPoint
 from repro.experiments.persistence import decode_checkpoint_line
 from repro.experiments.runner import _PointWatchdog
 
 TINY_RUN = RunConfig(batches=2, batch_time=5.0, warmup_batches=0, seed=11)
+
+RESULTS_DIR = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "results"
+)
 
 
 class StallForeverCC(ConcurrencyControl):
@@ -286,7 +296,7 @@ class TestCheckpointResume:
         with open(path) as f:
             lines = f.read().splitlines()
         points = [decode_checkpoint_line(line) for line in lines[1:]]
-        assert [p["mpl"] for p in points] == [5]
+        assert [p["key"] for p in points] == [["blocking", 5]]
 
     def test_mismatched_run_config_rejected(self, tmp_path):
         path = str(tmp_path / "tiny.ckpt.jsonl")
@@ -371,6 +381,87 @@ class TestCheckpointResume:
             assert resumed.result("blocking", 2).totals == (
                 first.result("blocking", 2).totals
             )
+
+
+def checkpoint_keys(text):
+    """The grid keys of a sweep file's point lines, in file order."""
+    return [
+        tuple(decode_checkpoint_line(raw)["key"])
+        for raw in text.splitlines() if '"key"' in raw
+    ]
+
+
+class TestFindingResume:
+    """A finding's arms are a sweep: checkpointed, killed, resumed."""
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method(allow_none=False) != "fork",
+        reason="the kill lands in a forked child",
+    )
+    def test_killed_finding_resumes_to_the_pinned_table(
+            self, tmp_path, capsys):
+        name = "victim_policy"
+        arms = [
+            (policy, f"blocking(victim_policy={policy})")
+            for policy in ("youngest", "oldest", "requester")
+        ]
+        checkpoint_dir = str(tmp_path / "ckpt")
+        path = os.path.join(checkpoint_dir, f"{name}.ckpt.jsonl")
+        spec = ChaosSpec(
+            state_dir=str(tmp_path / "chaos"), kill_point=arms[1]
+        )
+        pid = os.fork()
+        if pid == 0:  # child: dies by SIGKILL inside the second arm
+            try:
+                FigureBuilder(
+                    checkpoint_dir=checkpoint_dir, chaos=spec
+                ).reproduce(name)
+            finally:
+                os._exit(86)  # only reachable if the kill misfired
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status)
+        assert os.WTERMSIG(status) == signal.SIGKILL
+        with open(path) as f:
+            before = f.read()
+        assert checkpoint_keys(before) == arms[:1]
+
+        assert cli_main([
+            "--figure", name, "--checkpoint", checkpoint_dir, "--resume",
+        ]) == 0
+        captured = capsys.readouterr()
+        with open(os.path.join(RESULTS_DIR, f"{name}.txt")) as f:
+            assert captured.out == f.read()
+        assert f"{name}: resumed 1 point(s)" in captured.err
+        # Append-only: the recorded arm was not re-run; only the two
+        # unrecorded arms were simulated and added.
+        with open(path) as f:
+            after = f.read()
+        assert after.startswith(before)
+        assert checkpoint_keys(after[len(before):]) == arms[1:]
+
+    def test_fixed_grid_takes_no_restriction_and_no_trace(self, tmp_path):
+        grid = FixedGrid("pair", (
+            GridPoint(("only", "blocking"), tiny_params(), "blocking"),
+        ))
+        with pytest.raises(ValueError, match="no mpl or algorithm"):
+            run_sweep(grid, run=TINY_RUN, mpls=[2])
+        with pytest.raises(ValueError, match="trace"):
+            run_sweep(grid, run=TINY_RUN, trace=str(tmp_path))
+
+    def test_edited_arm_params_refuse_to_resume(self, tmp_path):
+        path = str(tmp_path / "pair.ckpt.jsonl")
+
+        def grid(write_prob):
+            return FixedGrid("pair", (
+                GridPoint(("only", "blocking"),
+                          tiny_params().with_changes(write_prob=write_prob),
+                          "blocking"),
+            ))
+
+        run_sweep(grid(0.25), run=TINY_RUN, checkpoint=path)
+        with pytest.raises(CheckpointMismatchError, match="fingerprints"):
+            run_sweep(grid(0.5), run=TINY_RUN, checkpoint=path,
+                      resume=True)
 
 
 class TestPersistedStatuses:

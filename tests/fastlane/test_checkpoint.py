@@ -46,7 +46,7 @@ class TestHeaderBinding:
         )
         points = [decode_checkpoint_line(raw) for raw in read_lines(path)[1:]]
         recorded = {
-            (p["algorithm"], p["mpl"], p.get("rep", 0)) for p in points
+            (*p["key"], p.get("rep", 0)) for p in points
         }
         config = grid_config()
         assert recorded == {

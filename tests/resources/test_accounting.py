@@ -187,8 +187,8 @@ class TestDistributedComposites:
         _, model, _ = build("distributed", **SHARDED)
         t = sharded_tx()
         assert model.home_node(t) == 0
-        assert model.read_node(REMOTE_OBJ, 0) == 1
-        assert model.replica_nodes(REMOTE_OBJ) == [1, 2]
+        assert model._read_from[0][REMOTE_OBJ] == 1
+        assert model._replicas[REMOTE_OBJ] == [1, 2]
 
     def test_abort_during_request_leg(self):
         (leg,) = leg_delays(1)

@@ -16,6 +16,7 @@ from repro.core.simulation import run_simulation
 from repro.core.transaction import Transaction
 from repro.des import Environment, StreamFactory
 from repro.resources import DistributedResourceModel
+from repro.resources.base import placement_table
 from tests.resources.test_golden_parity import (
     FINITE,
     GOLDEN,
@@ -32,6 +33,11 @@ def build(nodes=4, num_cpus=1, num_disks=2, **overrides):
     env = Environment()
     streams = StreamFactory(7)
     return DistributedResourceModel(env, params, streams)
+
+
+def primaries(model):
+    """The node holding each object's primary copy."""
+    return placement_table(model.nodes, model.params)
 
 
 def tx(tx_id=0, read_set=(1,), write_set=()):
@@ -77,7 +83,7 @@ class TestSharding:
         # db_size=1000 over 3 nodes: 1000 % 3 != 0; every node still
         # owns a non-empty contiguous range and the map is monotone.
         model = build(nodes=3)
-        seen = [model.node_of(obj) for obj in range(1000)]
+        seen = primaries(model)
         assert set(seen) == {0, 1, 2}
         assert seen == sorted(seen)
         counts = [seen.count(node) for node in range(3)]
@@ -86,16 +92,14 @@ class TestSharding:
 
     def test_striped_round_robin(self):
         model = build(nodes=4, disk_placement="striped")
-        assert [model.node_of(obj) for obj in range(8)] == [
-            0, 1, 2, 3, 0, 1, 2, 3,
-        ]
+        assert primaries(model)[:8] == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_hotspot_object_lands_on_one_node(self):
         # Contiguous placement: the low-id hot region is node 0's
         # shard, so a single-object hotspot hammers exactly one site.
         model = build(nodes=4)
-        assert model.node_of(0) == 0
-        assert model.node_of(model.params.db_size - 1) == 3
+        assert primaries(model)[0] == 0
+        assert primaries(model)[model.params.db_size - 1] == 3
 
     def test_home_node_is_deterministic(self):
         model = build(nodes=4)
@@ -107,19 +111,17 @@ class TestSharding:
 class TestReplicas:
     def test_replica_ring_successors(self):
         model = build(nodes=4, replication_factor=2)
-        primary = model.node_of(999)
-        assert model.replica_nodes(999) == [
-            primary, (primary + 1) % 4,
-        ]
+        primary = primaries(model)[999]
+        assert model._replicas[999] == [primary, (primary + 1) % 4]
 
     def test_read_prefers_local_copy(self):
         model = build(nodes=4, replication_factor=2)
         obj = 0  # primary on node 0, replica on node 1
-        assert model.replica_nodes(obj) == [0, 1]
-        assert model.read_node(obj, home=0) == 0
-        assert model.read_node(obj, home=1) == 1
+        assert model._replicas[obj] == [0, 1]
+        assert model._read_from[0][obj] == 0
+        assert model._read_from[1][obj] == 1
         # A node holding no copy goes to the nearest one on the ring.
-        assert model.read_node(obj, home=3) == 0
+        assert model._read_from[3][obj] == 0
 
     def test_participants_exclude_home_and_sort(self):
         model = build(nodes=4, replication_factor=2)
@@ -171,19 +173,13 @@ class TestPlacementTables:
         )
         striped = placement == "striped"
         for obj in range(ODD_DB):
-            assert model.replica_nodes(obj) == reference_replicas(
+            assert model._replicas[obj] == reference_replicas(
                 obj, nodes, rf, striped
             )
             for home in range(nodes):
-                assert model.read_node(obj, home) == reference_read_node(
+                assert model._read_from[home][obj] == reference_read_node(
                     obj, home, nodes, rf, striped
                 )
-        # obj=None is placed on node 0's ring, as node_of(None) says.
-        assert model.replica_nodes(None) == list(range(rf))
-        for home in range(nodes):
-            assert model.read_node(None, home) == min(
-                range(rf), key=lambda node: (node - home) % nodes
-            )
 
     @pytest.mark.parametrize("placement", ["contiguous", "striped"])
     @pytest.mark.parametrize("nodes,rf", TOPOLOGIES)

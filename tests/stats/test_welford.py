@@ -39,7 +39,6 @@ class TestBasics:
         w = make([2.0, 4.0, 6.0])
         assert w.mean == pytest.approx(4.0)
         assert w.variance == pytest.approx(4.0)
-        assert w.population_variance == pytest.approx(8.0 / 3.0)
         assert w.std == pytest.approx(2.0)
 
     def test_min_max(self):

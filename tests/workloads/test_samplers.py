@@ -1,4 +1,4 @@
-"""Heavy-tailed samplers: moments, degenerate cases, batched parity.
+"""Heavy-tailed samplers: moments and degenerate cases.
 
 The lognormal and Pareto samplers are parameterized by *mean* (and CV
 or shape), so the moment checks below pin the parameter translation —
@@ -17,6 +17,11 @@ def stream(name="s", seed=1234):
     return StreamFactory(seed).stream(name)
 
 
+def draws(sample, n):
+    """``n`` successive draws of ``sample()``."""
+    return [sample() for _ in range(n)]
+
+
 def mean_cv(values):
     n = len(values)
     mean = sum(values) / n
@@ -29,7 +34,8 @@ N = 100_000
 
 class TestLognormalMoments:
     def test_mean_and_cv_match_the_parameterization(self):
-        values = stream().lognormal_many(2.0, 2.0, N)
+        s = stream()
+        values = draws(lambda: s.lognormal(2.0, 2.0), N)
         mean, cv = mean_cv(values)
         assert mean == pytest.approx(2.0, rel=0.05)
         # The CV estimator converges slowly under a heavy tail; a
@@ -38,7 +44,8 @@ class TestLognormalMoments:
         assert cv == pytest.approx(2.0, rel=0.25)
 
     def test_mild_tail_is_tight(self):
-        values = stream().lognormal_many(10.0, 0.5, N)
+        s = stream()
+        values = draws(lambda: s.lognormal(10.0, 0.5), N)
         mean, cv = mean_cv(values)
         assert mean == pytest.approx(10.0, rel=0.02)
         assert cv == pytest.approx(0.5, rel=0.05)
@@ -50,14 +57,16 @@ class TestLognormalMoments:
         assert a.exponential(1.0) == b.exponential(1.0)
 
     def test_all_draws_positive(self):
-        assert all(v > 0 for v in stream().lognormal_many(1.0, 3.0, 1000))
+        s = stream()
+        assert all(v > 0 for v in draws(lambda: s.lognormal(1.0, 3.0), 1000))
 
 
 class TestParetoMoments:
     def test_mean_matches_the_parameterization(self):
         # alpha=2.5 keeps the variance finite, so the sample mean
         # converges at the usual rate.
-        values = stream().pareto_many(2.5, 1.0, N)
+        s = stream()
+        values = draws(lambda: s.pareto(2.5, 1.0), N)
         mean, cv = mean_cv(values)
         assert mean == pytest.approx(1.0, rel=0.05)
         # Theoretical CV = sqrt(alpha/(alpha-2))/alpha ~= 0.89; only
@@ -67,30 +76,12 @@ class TestParetoMoments:
 
     def test_draws_never_fall_below_the_scale(self):
         # x_m = mean*(alpha-1)/alpha is the distribution's lower bound.
-        values = stream().pareto_many(1.5, 3.0, 1000)
+        s = stream()
+        values = draws(lambda: s.pareto(1.5, 3.0), 1000)
         assert min(values) >= 3.0 * (1.5 - 1.0) / 1.5
 
     def test_shape_at_or_below_one_rejected(self):
         with pytest.raises(ValueError, match="> 1"):
             stream().pareto(1.0, 2.0)
         with pytest.raises(ValueError, match="> 1"):
-            stream().pareto_many(0.5, 2.0, 10)
-
-
-class TestBatchedParity:
-    """x_many(n) must equal n single draws, including the state left
-    behind — the batched fastlane and the classic lane share streams."""
-
-    def test_lognormal_many_matches_single_draws(self):
-        single, batched = stream(seed=42), stream(seed=42)
-        want = [single.lognormal(2.0, 1.5) for _ in range(257)]
-        got = batched.lognormal_many(2.0, 1.5, 257)
-        assert got == want
-        assert batched.exponential(1.0) == single.exponential(1.0)
-
-    def test_pareto_many_matches_single_draws(self):
-        single, batched = stream(seed=43), stream(seed=43)
-        want = [single.pareto(1.5, 2.0) for _ in range(257)]
-        got = batched.pareto_many(1.5, 2.0, 257)
-        assert got == want
-        assert batched.exponential(1.0) == single.exponential(1.0)
+            stream().pareto(0.5, 2.0)
