@@ -135,6 +135,7 @@ class SystemModel:
         self._same_instant_restarts = {}
         self._int_think_rng = self.streams.stream("int_think")
         self._restart_delay_rng = self.streams.stream("restart_delay")
+        self._closed = False
         self.workload_model.start(self)
 
     # -- EngineHooks protocol ------------------------------------------------
@@ -380,6 +381,11 @@ class SystemModel:
     ZERO_DELAY_RESTART_LIMIT = 1000
 
     def _handle_restart(self, tx, error):
+        # The error's traceback holds the frames it passed through, and
+        # one of them holds the error (a deadlock victim's failed wait
+        # event, the local it was raised from): drop it so the restart
+        # leaves no exception/frame cycle behind.
+        error.__traceback__ = None
         if self._protocol_active:
             self.commit_protocol.abort(tx)
         self.cc.abort(tx)
@@ -446,7 +452,42 @@ class SystemModel:
 
     def run_until(self, when):
         """Advance the simulation clock to ``when``."""
+        if self._closed:
+            raise RuntimeError(f"{self!r} is closed and cannot run")
         self.env.run(until=when)
+
+    # -- lifetime ---------------------------------------------------------------
+
+    def close(self):
+        """Free the finished trajectory now, not at the next collection.
+
+        A model that has run is one large reference cycle (suspended
+        generators, queued events, the algorithm's hooks), so without
+        this it lives until the cyclic collector finds it. Closing
+        detaches every bus subscriber first — closing a generator runs
+        its ``finally`` clauses, whose resource releases would
+        otherwise reach observers after the run's last event — then
+        closes the environment (every live process, every queued event)
+        and cuts the model's back-references. Results already read stay
+        valid, and so do the counters (``env.now``, ``metrics``,
+        ``physical``, ``workload``); the model cannot run again.
+        Idempotent; ``with SystemModel(...) as model:`` closes on exit.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.bus.detach_all()
+        self.env.close()
+        self.cc.hooks = None
+        self.commit_protocol.model = None
+        self.physical.faults = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close()
+        return False
 
     def __repr__(self):
         return (

@@ -261,25 +261,28 @@ def run_point_replications(params, algorithm, run, replications,
         for rep in range(replications)
     ]
     results = []
-    for index, values in enumerate(
-            _batch_values(model, run.batch_time), 1):
-        for analyzer in active:
-            analyzer.record(values)
-        if batch_callback is not None:
-            batch_callback(model)
-        rep = len(results)
-        if index < warmup + (rep + 1) * batches:
-            continue
-        results.append(_end_of_run(
-            model, params,
-            run if rep == 0 else run.with_changes(
-                warmup_batches=warmup + rep * batches
-            ),
-            active.pop(0), checker,
-            boundary_diagnostics() if boundary_diagnostics else None,
-        ))
-        if not active:
-            return results
+    try:
+        for index, values in enumerate(
+                _batch_values(model, run.batch_time), 1):
+            for analyzer in active:
+                analyzer.record(values)
+            if batch_callback is not None:
+                batch_callback(model)
+            rep = len(results)
+            if index < warmup + (rep + 1) * batches:
+                continue
+            results.append(_end_of_run(
+                model, params,
+                run if rep == 0 else run.with_changes(
+                    warmup_batches=warmup + rep * batches
+                ),
+                active.pop(0), checker,
+                boundary_diagnostics() if boundary_diagnostics else None,
+            ))
+            if not active:
+                return results
+    finally:
+        model.close()
 
 
 def run_simulation(params, algorithm="blocking", run=None, seed=None,
@@ -371,15 +374,18 @@ def run_until_precision(params, algorithm="blocking", run=None,
     analyzer = BatchMeansAnalyzer(
         warmup_batches=run.warmup_batches, confidence=run.confidence
     )
-    for values in _batch_values(model, run.batch_time):
-        analyzer.record(values)
-        retained = analyzer.batches_recorded
-        if retained >= max_batches or (
-                retained >= 3
-                and analyzer.interval(metric).relative_half_width
-                <= target_relative_hw):
-            break
-    return _end_of_run(
-        model, params, run.with_changes(batches=retained), analyzer,
-        checker,
-    )
+    try:
+        for values in _batch_values(model, run.batch_time):
+            analyzer.record(values)
+            retained = analyzer.batches_recorded
+            if retained >= max_batches or (
+                    retained >= 3
+                    and analyzer.interval(metric).relative_half_width
+                    <= target_relative_hw):
+                break
+        return _end_of_run(
+            model, params, run.with_changes(batches=retained), analyzer,
+            checker,
+        )
+    finally:
+        model.close()

@@ -17,14 +17,21 @@ class Environment:
     run loop pops an event scheduled later than ``now``. Events at the same
     time are processed in (priority, insertion order), which makes runs
     deterministic for a fixed seed.
+
+    ``_processes`` is the live-process registry: every
+    :class:`~repro.des.process.Process` enters it when started and
+    leaves it when its generator ends, in insertion order. It is what
+    :meth:`close` walks to free a finished simulation without the
+    cyclic garbage collector.
     """
 
-    __slots__ = ("_now", "_queue", "_eid")
+    __slots__ = ("_now", "_queue", "_eid", "_processes")
 
     def __init__(self, initial_time=0.0):
         self._now = initial_time
         self._queue = []
         self._eid = count().__next__
+        self._processes = {}
 
     @property
     def now(self):
@@ -144,3 +151,21 @@ class Environment:
         if deadline != _INF:
             self._now = deadline
         return None
+
+    def close(self):
+        """Abandon the simulation: close every live process, unhook events.
+
+        Each live process's generator is closed, oldest first, which
+        runs its ``finally`` clauses (a held resource is finished
+        there), and the process drops its own event links. Then every
+        queued event loses its ``callbacks`` and ``env``. The heap
+        entries stay, so ``now``, the event-id sequence and the queue
+        length read as they did when the run stopped; only the
+        references that made the finished simulation one big reference
+        cycle are gone. Idempotent; the environment must not run again.
+        """
+        live = self._processes
+        while live:
+            next(iter(live))._abandon()
+        for entry in self._queue:
+            entry[3]._unhook()

@@ -94,6 +94,11 @@ class Event:
         self.env.schedule(self, priority)
         return self
 
+    def _unhook(self):
+        # Environment.close: cut the links back into the simulation.
+        self.callbacks = None
+        self.env = None
+
     def __repr__(self):
         state = (
             "processed" if self.processed

@@ -5,6 +5,11 @@ fires, the process resumes with the event's value (``x = yield ev``), or the
 event's exception is thrown into it. A :class:`Process` is itself an event
 that fires when the generator returns, so processes can wait on each other
 (``result = yield env.process(child())``).
+
+A process is registered with its environment while its generator is
+live (one insert when it starts, one delete when the generator ends),
+so :meth:`~repro.des.environment.Environment.close` can close every
+generator still suspended when a simulation is abandoned.
 """
 
 from types import GeneratorType
@@ -53,6 +58,7 @@ class Process(Event):
         self._resume_cb = self._resume
         self._target = None
         self.name = name or generator.__name__
+        env._processes[self] = None
         Initialize(env, self)
 
     @property
@@ -103,15 +109,15 @@ class Process(Event):
                     event._defused = True
                     next_target = self._throw(event._value)
             except StopIteration as stop:
-                self._drop_bound_methods()
+                self._retire()
                 self.succeed(stop.value)
                 return
             except BaseException as error:
-                self._drop_bound_methods()
+                self._retire()
                 self.fail(error)
                 return
             if not isinstance(next_target, Event):
-                self._drop_bound_methods()
+                self._retire()
                 self.fail(
                     TypeError(
                         f"process {self.name!r} yielded a non-event: "
@@ -127,12 +133,28 @@ class Process(Event):
             self._target = next_target
             break
 
-    def _drop_bound_methods(self):
+    def _retire(self):
         # The generator has ended: without the caches a finished
         # process is no reference cycle (``_resume_cb`` is a bound
         # method of the process itself), so reference counting frees
-        # it instead of the cyclic collector.
+        # it instead of the cyclic collector. It leaves the live
+        # registry too.
         self._send = self._throw = self._resume_cb = None
+        del self.env._processes[self]
+
+    def _abandon(self):
+        """Close the suspended generator and cut this process's links.
+
+        Called by :meth:`~repro.des.environment.Environment.close`.
+        The event waited on and the process itself (an event too) lose
+        their callbacks and environment; the process never fires.
+        """
+        self._generator.close()
+        self._retire()
+        if self._target is not None:
+            self._target._unhook()
+            self._target = None
+        self._unhook()
 
     def __repr__(self):
         return f"<Process {self.name!r} at {id(self):#x}>"

@@ -43,6 +43,11 @@ class Service(Event):
 
     __slots__ = ("delay", "tracker", "watch", "start", "_closed")
 
+    def _unhook(self):
+        # The tracker and the watch lead back to the environment too.
+        Event._unhook(self)
+        self.tracker = self.watch = None
+
 
 def _backwards(now, last):
     return ValueError(f"time went backwards: {now} < {last}")

@@ -673,8 +673,16 @@ def _finish_point(sweep, config, point, outcomes, ckpt, progress,
     _, result, status = outcomes[0]
     tag = f" [{len(point.reps)} rep(s)]" if point.reps != (0,) else ""
     if result is not None:
+        # A result line names the algorithm and the mpl, which is an
+        # experiment point's whole key; a finding's arms can share
+        # both, so each leads with its own name.
+        arm = (
+            "" if isinstance(config, ExperimentConfig)
+            else f"{config.point_name(point.key)}: "
+        )
         progress(
-            f"  {counter}{config.experiment_id}: {result.describe()}{tag}"
+            f"  {counter}{config.experiment_id}: {arm}"
+            f"{result.describe()}{tag}"
         )
     else:
         progress(

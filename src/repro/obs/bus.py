@@ -98,6 +98,11 @@ class InstrumentationBus:
         self.subscribers.remove(subscriber)
         self._rebuild()
 
+    def detach_all(self):
+        """Unregister every subscriber: later emissions reach nobody."""
+        self.subscribers.clear()
+        self._rebuild()
+
     def _rebuild(self):
         table = {}
         for subscriber in self.subscribers:

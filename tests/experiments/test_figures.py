@@ -343,6 +343,20 @@ class TestFindingBuilder:
         ]
         assert len(lines) == 6 + len(data.arms)
 
+    def test_arms_print_distinct_progress_lines(self):
+        # victim_policy's three arms all run blocking at mpl 100, so
+        # their result lines alone read alike: each leads with its arm.
+        lines = []
+        data = FigureBuilder(run=TINY_RUN, progress=lines.append).finding(
+            "victim_policy"
+        )
+        arms = lines[:-1]
+        assert arms == [
+            f"  victim_policy: {label} [{algorithm}]: {result.describe()}"
+            for label, algorithm, result in data.arms
+        ]
+        assert len({line.split(": blocking ")[0] for line in arms}) == 3
+
     def test_overlays_apply_to_every_arm(self):
         data = FigureBuilder(run=TINY_RUN, nodes=2).finding("upgrade_policy")
         assert all(result.params.nodes == 2 for _, _, result in data.arms)

@@ -69,13 +69,16 @@ class TestRunSweep:
 
     def test_progress_callback_invoked(self):
         lines = []
-        run_sweep(
+        sweep = run_sweep(
             tiny_config(), run=TINY_RUN, mpls=[2],
             algorithms=["blocking"], progress=lines.append,
         )
-        # The point's line, then the sweep's wall-time line.
+        # The point's line, then the sweep's wall-time line. An
+        # experiment's result line names its point itself.
         assert len(lines) == 2
-        assert "tiny" in lines[0]
+        assert lines[0] == (
+            "  tiny: " + sweep.result("blocking", 2).describe()
+        )
         assert lines[1].startswith("  tiny: swept 1 configurations in ")
 
     def test_seed_override(self):
