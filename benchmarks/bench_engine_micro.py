@@ -118,13 +118,13 @@ def test_workload_generation_rate(benchmark):
 
 
 def test_full_model_bus_fast_path(benchmark):
-    """A complete SystemModel run with only the default subscribers.
+    """A complete SystemModel run with no subscriber attached.
 
     End-to-end guard of the instrumentation bus's near-zero-overhead
-    guarantee: every transaction lifecycle event flows through the bus
-    to the metrics subscriber, and the optional high-volume kinds
-    (commit points, CC grants, resource busy/idle) must be skipped
-    before their fields are built.  ``BENCH_engine.json`` at the repo
+    guarantee: the engine records its metrics in line, every lifecycle
+    emit returns after one dict lookup, and the optional high-volume
+    kinds (commit points, CC grants, resource busy/idle) must be
+    skipped before their fields are built.  ``BENCH_engine.json`` at the repo
     root pins a reference baseline; CI uploads each run's numbers as an
     artifact for cross-commit comparison, and
     ``check_bench_regression.py`` fails the build if this benchmark

@@ -150,9 +150,3 @@ class MultiversionTimestampOrderingCC(ConcurrencyControl):
     def reader_version_key(self, tx):
         """Reads select the latest committed version stamped <= ts."""
         return tx.cc_timestamp
-
-    # -- introspection ------------------------------------------------------------
-
-    def reads_from(self, tx):
-        """Mapping obj -> writer transaction id whose version tx read."""
-        return dict(tx.mv_reads_from)

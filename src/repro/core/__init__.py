@@ -25,7 +25,7 @@ from repro.core.simulation import (
     run_until_precision,
 )
 from repro.core.store import ObjectStore, Version
-from repro.core.transaction import ACTIVE_STATES, Transaction, TxState
+from repro.core.transaction import Transaction, TxState
 from repro.core.workload import WorkloadGenerator
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "SimulationResult",
     "Transaction",
     "TxState",
-    "ACTIVE_STATES",
     "WorkloadGenerator",
     "MetricsCollector",
     "RunningAverage",

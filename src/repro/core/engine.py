@@ -12,13 +12,14 @@ writes its deferred updates, and completes. A restarted transaction
 re-runs with the *same* read and write sets, re-entering the back of the
 ready queue after an optional restart delay.
 
-Every operational signal leaves the engine through one instrumentation
-bus (:mod:`repro.obs`): metrics, tracing, invariant checking (serial
-replay included) and any extra subscribers all consume the same event
-stream. With only
-the default metrics subscriber attached, optional high-volume kinds
-(commit points, CC grants, resource busy/idle) are skipped before their
-event fields are even built.
+The engine records the paper's output variables in its own
+:class:`~repro.core.metrics.MetricsCollector`, in line, just before it
+emits each lifecycle event on the instrumentation bus
+(:mod:`repro.obs`). The bus carries events only for observers: tracing,
+invariant checking (serial replay included) and any extra subscribers.
+With none attached, an emit returns after one dict lookup, and optional
+high-volume kinds (commit points, CC grants, resource busy/idle) are
+skipped before their event fields are even built.
 """
 
 from collections import deque
@@ -45,7 +46,7 @@ from repro.core.store import ObjectStore
 from repro.core.transaction import TxState
 from repro.des import Environment, Interrupt, StreamFactory
 from repro.faults import FaultInjector
-from repro.obs import InstrumentationBus, MetricsSubscriber
+from repro.obs import InstrumentationBus
 from repro.obs.events import (
     CC_GRANT,
     TX_ADMIT,
@@ -120,9 +121,8 @@ class SystemModel:
             self.env, params, self.physical,
             open_system=self.workload_model.open_system,
         )
-        # Subscriber attach order fixes dispatch order: metrics first
-        # (the default fast path), then caller extras.
-        self.bus.attach(MetricsSubscriber(self.metrics), model=self)
+        # The engine keeps the metrics itself, updating them just before
+        # each lifecycle emit; subscribers dispatch in attach order.
         for subscriber in subscribers:
             self.bus.attach(subscriber, model=self)
         self.store = ObjectStore()
@@ -141,6 +141,7 @@ class SystemModel:
     # -- EngineHooks protocol ------------------------------------------------
 
     def count_block(self, tx):
+        self.metrics.record_block(tx)
         self.bus.emit(TX_BLOCK, tx=tx)
 
     def abort_remote(self, tx, error):
@@ -181,7 +182,9 @@ class SystemModel:
         """Append to the back of the ready queue and admit if possible."""
         tx.state = TxState.READY
         self.ready_queue.append(tx)
+        self.metrics.ready_queue_level.add(1)
         if tx.attempts == 0:
+            self.metrics.record_submit(tx)
             self.bus.emit(TX_SUBMIT, tx=tx)
         else:
             self.bus.emit(TX_RESUBMIT, tx=tx)
@@ -196,6 +199,9 @@ class SystemModel:
         tx.begin_attempt(self.env.now, self.next_timestamp())
         self._assign_cc_units(tx)
         self.cc.begin(tx)
+        metrics = self.metrics
+        metrics.ready_queue_level.add(-1)
+        metrics.active_level.add(1)
         self.bus.emit(TX_ADMIT, tx=tx)
         tx.process = self.env.process(self._execute(tx))
 
@@ -369,6 +375,8 @@ class SystemModel:
         # A committed transaction's zero-delay restart streak is over;
         # without this the tracker grows without bound over a campaign.
         self._same_instant_restarts.pop(tx.id, None)
+        self.metrics.record_commit(tx)
+        self.metrics.active_level.add(-1)
         self.bus.emit(TX_COMPLETE, tx=tx)
         self.physical.charge_attempt(tx, useful=True)
         self._leave_active(tx)
@@ -390,6 +398,8 @@ class SystemModel:
             self.commit_protocol.abort(tx)
         self.cc.abort(tx)
         self.physical.charge_attempt(tx, useful=False)
+        self.metrics.record_restart(tx, error.reason)
+        self.metrics.active_level.add(-1)
         self.bus.emit(TX_RESTART, tx=tx, reason=error.reason)
         self._leave_active(tx)
         delay = self._sample_restart_delay()

@@ -456,11 +456,6 @@ class SimulationParameters:
     def has_hotspot(self):
         return self.hot_fraction is not None
 
-    @property
-    def infinite_resources(self):
-        """True when the run uses the infinite-resources assumption."""
-        return self.num_cpus is None and self.num_disks is None
-
     def expected_service_time(self):
         """No-contention, no-queueing time for an average transaction.
 
@@ -566,11 +561,6 @@ class RunConfig:
             raise ValueError(
                 f"confidence must be in (0,1), got {self.confidence}"
             )
-
-    @property
-    def total_time(self):
-        """Total simulated time including warmup."""
-        return (self.batches + self.warmup_batches) * self.batch_time
 
     def with_changes(self, **changes):
         return replace(self, **changes)

@@ -76,10 +76,6 @@ class ObjectStore:
         self.installs += 1
         return version
 
-    def latest_writer(self, obj):
-        chain = self._versions.get(obj)
-        return chain[-1].writer_id if chain else None
-
     def final_state(self):
         """obj -> writer id of the last version (by serial key)."""
         return {

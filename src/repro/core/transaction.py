@@ -22,12 +22,6 @@ class TxState(Enum):
     COMMITTED = "committed"          # done
 
 
-#: States in which a transaction counts against the multiprogramming level.
-ACTIVE_STATES = frozenset(
-    (TxState.RUNNING, TxState.BLOCKED, TxState.THINKING, TxState.COMMITTING)
-)
-
-
 class Transaction:
     """One transaction: fixed read/write sets plus mutable attempt state."""
 
@@ -124,17 +118,9 @@ class Transaction:
         self.state = TxState.RUNNING
 
     @property
-    def is_read_only(self):
-        return not self.write_set
-
-    @property
     def is_committing(self):
         """Past the commit point (used by wound-wait to spare finishers)."""
         return self.state is TxState.COMMITTING
-
-    @property
-    def is_active(self):
-        return self.state in ACTIVE_STATES
 
     @property
     def size(self):

@@ -60,15 +60,6 @@ class Environment:
             self._queue, (self._now + delay, priority, self._eid(), event)
         )
 
-    def peek(self):
-        """Time of the next scheduled event (inf if none)."""
-        queue = self._queue
-        while queue and queue[0][3].callbacks is None:
-            heappop(queue)  # withdrawn
-        if not queue:
-            return _INF
-        return queue[0][0]
-
     def step(self):
         """Process exactly one event.
 

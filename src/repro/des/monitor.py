@@ -20,9 +20,6 @@ class Counter:
     def increment(self, amount=1):
         self.total += amount
 
-    def delta_since(self, earlier_total):
-        return self.total - earlier_total
-
     def __repr__(self):
         return f"Counter({self.name!r}, total={self.total})"
 

@@ -281,10 +281,6 @@ class SweepResult:
         """The PointStatus of one attempted point (KeyError if never run)."""
         return self.statuses[(algorithm, mpl)]
 
-    def replicate(self, algorithm, mpl, rep=0):
-        """The SimulationResult of one replication of one point."""
-        return self.replicates[(algorithm, mpl)][rep]
-
     def replicate_means(self, metric, algorithm, mpl):
         """``metric``'s per-replication means, in replication order."""
         reps = self.replicates.get((algorithm, mpl), {})

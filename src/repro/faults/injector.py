@@ -6,12 +6,12 @@ It owns dedicated RNG streams (``faults.disk.<i>``, ``faults.cpu``,
 deterministic per seed and — because streams are independent — adding
 fault draws never perturbs the healthy model's random sequences.
 
-Fault occurrences are published on the run's instrumentation bus
-(:mod:`repro.obs`) as ``disk_fail``/``disk_repair``/``cpu_degrade``/
-``cpu_restore``/``access_fault`` events; the injector's own cumulative
-statistics are kept by a :class:`~repro.obs.FaultAccountingSubscriber`
-it attaches, so fault accounting, fault tracing and fault streaming all
-ride the same event stream.
+The injector keeps the run's cumulative fault statistics itself, as
+plain attributes updated just before each fault event is published on
+the run's instrumentation bus (:mod:`repro.obs`) as ``disk_fail``/
+``disk_repair``/``cpu_degrade``/``cpu_restore``/``access_fault``. The
+events exist only for observers (tracing, streaming), so the counts
+never depend on what is attached.
 
 Fault mechanics:
 
@@ -36,7 +36,6 @@ Fault mechanics:
 """
 
 from repro.cc.errors import REASON_ACCESS_FAULT, RestartTransaction
-from repro.obs.bus import InstrumentationBus
 from repro.obs.events import (
     FAULT_ACCESS,
     FAULT_CPU_DEGRADE,
@@ -44,7 +43,6 @@ from repro.obs.events import (
     FAULT_DISK_FAIL,
     FAULT_DISK_REPAIR,
 )
-from repro.obs.subscribers import FaultAccountingSubscriber
 
 #: Priority of a repair on a disk's queue: above every transaction leg
 #: (disk legs use the default priority 0; lower sorts first).
@@ -54,43 +52,57 @@ __all__ = ["FaultInjector", "REPAIR_PRIORITY"]
 
 
 class _RepairWatch:
-    """``disk_fail``/``disk_repair`` around one repair of one disk."""
+    """``disk_fail``/``disk_repair`` around one repair of one disk.
 
-    __slots__ = ("bus", "disk", "failed_at")
+    The failure is counted when the repair gets the disk; closing a
+    finished model never starts one, since it closes the lifecycles
+    (older than any transaction) first, withdrawing a queued repair
+    before a transaction frees its disk. The downtime is not counted
+    here: closing runs ``ended`` for a repair still in flight, so the
+    lifecycle counts it instead, where only a completed repair resumes.
+    """
 
-    def __init__(self, bus, disk):
-        self.bus = bus
+    __slots__ = ("injector", "disk", "failed_at")
+
+    def __init__(self, injector, disk):
+        self.injector = injector
         self.disk = disk
         self.failed_at = None
 
     def started(self):
-        self.failed_at = self.bus.env.now
-        self.bus.emit(FAULT_DISK_FAIL, disk=self.disk)
+        injector = self.injector
+        injector.disk_failures += 1
+        self.failed_at = injector.env.now
+        injector.bus.emit(FAULT_DISK_FAIL, disk=self.disk)
 
     def ended(self):
-        self.bus.emit(
+        bus = self.injector.bus
+        bus.emit(
             FAULT_DISK_REPAIR, disk=self.disk,
-            downtime=self.bus.env.now - self.failed_at,
+            downtime=bus.env.now - self.failed_at,
         )
 
 
 class FaultInjector:
     """Drives the fault processes of one simulation run.
 
-    Construct with a non-null spec, then call :meth:`start` once to
-    attach to the physical model and launch the lifecycle processes.
-    ``bus`` is the run's instrumentation bus; standalone use (tests)
-    may omit it, in which case the injector creates a private one.
+    Construct with a non-null spec and the run's instrumentation
+    ``bus``, then call :meth:`start` once to attach to the physical
+    model and launch the lifecycle processes.
     """
 
-    def __init__(self, env, spec, physical, streams, bus=None):
+    def __init__(self, env, spec, physical, streams, bus):
         self.env = env
         self.spec = spec
         self.physical = physical
         self.streams = streams
-        self.bus = bus if bus is not None else InstrumentationBus(env)
-        #: Cumulative fault statistics, maintained off the event stream.
-        self.accounting = self.bus.attach(FaultAccountingSubscriber())
+        self.bus = bus
+        # Cumulative fault statistics, reported by summary().
+        self.disk_failures = 0
+        self.disk_downtime = 0.0
+        self.cpu_degradations = 0
+        self.cpu_degraded_time = 0.0
+        self.access_faults = 0
         #: Current CPU service-demand multiplier (1.0 = healthy).
         self.cpu_factor = 1.0
         self._access_rng = None
@@ -117,32 +129,6 @@ class FaultInjector:
             self.env.process(self._cpu_lifecycle())
         return self
 
-    # -- cumulative statistics (delegated to the accounting subscriber) ------
-
-    @property
-    def disk_failures(self):
-        return self.accounting.disk_failures
-
-    @property
-    def disk_downtime(self):
-        return self.accounting.disk_downtime
-
-    @property
-    def disks_down(self):
-        return self.accounting.disks_down
-
-    @property
-    def cpu_degradations(self):
-        return self.accounting.cpu_degradations
-
-    @property
-    def cpu_degraded_time(self):
-        return self.accounting.cpu_degraded_time
-
-    @property
-    def access_faults(self):
-        return self.accounting.access_faults
-
     # -- disk crash/repair ---------------------------------------------------
 
     def _disk_lifecycle(self, index, disk):
@@ -152,12 +138,14 @@ class FaultInjector:
             yield self.env.timeout(rng.exponential(spec.mttf))
             # The repair is a service on the disk's own queue: down from
             # the instant it gets the disk until the repair time is out.
+            watch = _RepairWatch(self, index)
             repair = disk.serve(
                 rng.exponential(spec.mttr), priority=REPAIR_PRIORITY,
-                watch=_RepairWatch(self.bus, index),
+                watch=watch,
             )
             try:
                 yield repair
+                self.disk_downtime += self.env.now - watch.failed_at
             finally:
                 disk.finish(repair)
 
@@ -170,12 +158,13 @@ class FaultInjector:
             yield self.env.timeout(rng.exponential(spec.mean_interval))
             self.cpu_factor = spec.factor
             degraded_at = self.env.now
+            self.cpu_degradations += 1
             self.bus.emit(FAULT_CPU_DEGRADE, factor=spec.factor)
             yield self.env.timeout(rng.exponential(spec.mean_duration))
             self.cpu_factor = 1.0
-            self.bus.emit(
-                FAULT_CPU_RESTORE, duration=self.env.now - degraded_at
-            )
+            duration = self.env.now - degraded_at
+            self.cpu_degraded_time += duration
+            self.bus.emit(FAULT_CPU_RESTORE, duration=duration)
 
     # -- transient access faults ---------------------------------------------
 
@@ -189,6 +178,7 @@ class FaultInjector:
         if self._access_rng is None:
             return
         if self._access_rng.bernoulli(self.spec.access.prob):
+            self.access_faults += 1
             self.bus.emit(FAULT_ACCESS, tx=tx.id, attempt=tx.attempts)
             raise RestartTransaction(
                 REASON_ACCESS_FAULT,
@@ -199,12 +189,11 @@ class FaultInjector:
 
     def summary(self):
         """Cumulative fault statistics for the run's totals."""
-        accounting = self.accounting
         return {
             "spec": self.spec.describe(),
-            "disk_failures": accounting.disk_failures,
-            "disk_downtime": accounting.disk_downtime,
-            "cpu_degradations": accounting.cpu_degradations,
-            "cpu_degraded_time": accounting.cpu_degraded_time,
-            "access_faults": accounting.access_faults,
+            "disk_failures": self.disk_failures,
+            "disk_downtime": self.disk_downtime,
+            "cpu_degradations": self.cpu_degradations,
+            "cpu_degraded_time": self.cpu_degraded_time,
+            "access_faults": self.access_faults,
         }

@@ -3,9 +3,11 @@
 One typed event stream (:class:`InstrumentationBus`) carries every
 operational signal out of the engine — transaction lifecycle,
 concurrency-control decisions, resource busy/idle, fault events — and
-pluggable subscribers turn it into metrics, traces, invariant checks
-(serial replay included), fault accounting, time-series samples, and
-streaming JSONL.
+pluggable subscribers turn it into traces, invariant checks (serial
+replay included), time-series samples and streaming JSONL. The stream
+is for observers only: the metrics and fault counts that reports read
+are kept by the engine, the resource model and the fault injector
+themselves.
 
 See DESIGN.md §11 for the architecture, the event taxonomy, the
 subscriber protocol, and the overhead guarantees.
@@ -28,12 +30,7 @@ from repro.obs.events import (
     RESOURCE_KINDS,
 )
 from repro.obs.jsonl import JsonlSink, read_jsonl
-from repro.obs.subscribers import (
-    FaultAccountingSubscriber,
-    MetricsSubscriber,
-    Subscriber,
-    scalar_fields,
-)
+from repro.obs.subscribers import Subscriber, scalar_fields
 from repro.obs.timeseries import SAMPLE_FIELDS, TimeSeriesSampler
 
 __all__ = [
@@ -44,8 +41,6 @@ __all__ = [
     "INVARIANT_MODES",
     "resolve_invariant_mode",
     "Subscriber",
-    "MetricsSubscriber",
-    "FaultAccountingSubscriber",
     "TimeSeriesSampler",
     "JsonlSink",
     "read_jsonl",

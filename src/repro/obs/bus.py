@@ -1,10 +1,11 @@
 """The instrumentation bus: one emission point, pluggable consumers.
 
 The engine (and the physical model and fault injector behind it) emits
-every operational event exactly once, through one bus; metrics, traces,
-invariant checking, fault accounting, time-series sampling and JSONL
-streaming are all *subscribers*. New measurement needs plug into
-the bus instead of threading yet another collector through the engine.
+every operational event exactly once, through one bus; traces,
+invariant checking, time-series sampling and JSONL streaming are all
+*subscribers*. The bus carries events only for observers: every counter
+a report reads (the metrics, the cache and fault counts) is kept by the
+object that owns it, so a bare model attaches no subscriber at all.
 
 Design constraints, in order:
 

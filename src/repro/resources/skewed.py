@@ -42,10 +42,6 @@ class SkewedDisksResourceModel(ResourceModel):
         super().__init__(env, params, streams, bus=bus)
         self._disk_of = placement_table(params.num_disks, params)
 
-    def disk_for(self, obj):
-        """The disk holding ``obj`` (None → uniform fallback draw)."""
-        return self._disk_at(0, obj)
-
     def describe_resources(self):
         labels = super().describe_resources()
         labels["placement"] = self.params.disk_placement

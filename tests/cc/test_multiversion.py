@@ -32,7 +32,7 @@ class TestReads:
         t = stamped(make_tx, 1)
         cc.begin(t)
         cc.read_request(t, 1)
-        assert cc.reads_from(t) == {1: None}
+        assert t.mv_reads_from == {1: None}
 
     def test_read_selects_version_by_timestamp(self, cc, make_tx):
         w1 = stamped(make_tx, 10, writes={1})
@@ -49,12 +49,12 @@ class TestReads:
         r = stamped(make_tx, 15)
         cc.begin(r)
         cc.read_request(r, 1)
-        assert cc.reads_from(r) == {1: w1.id}
+        assert r.mv_reads_from == {1: w1.id}
         # A reader after both sees w2's.
         r2 = stamped(make_tx, 25)
         cc.begin(r2)
         cc.read_request(r2, 1)
-        assert cc.reads_from(r2) == {1: w2.id}
+        assert r2.mv_reads_from == {1: w2.id}
 
     def test_old_reader_not_aborted_by_newer_committed_write(self, cc, make_tx):
         w = stamped(make_tx, 10, writes={1})
@@ -67,7 +67,7 @@ class TestReads:
         r = stamped(make_tx, 5)
         cc.begin(r)
         assert cc.read_request(r, 1) is None
-        assert cc.reads_from(r) == {1: None}
+        assert r.mv_reads_from == {1: None}
 
 
 class TestWrites:
@@ -146,4 +146,4 @@ class TestPruning:
             cc.finalize_commit(w)
         # The version the old reader needs (the initial one) must survive.
         assert cc.read_request(old_reader, 1) is None
-        assert cc.reads_from(old_reader)[1] is None
+        assert old_reader.mv_reads_from[1] is None

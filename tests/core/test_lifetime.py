@@ -229,6 +229,39 @@ class TestClose:
         with pytest.raises(RuntimeError, match="is closed"):
             model.run_until(6.0)
 
+    def test_closing_mid_repair_leaves_the_fault_counts_alone(self):
+        # Closing runs the in-flight repair's ``finally``, which ends
+        # the repair's service; its downtime was never completed, so
+        # the counts must read as the open twin's.
+        def counters(model):
+            metrics = model.metrics
+            return (
+                model.fault_injector.summary(),
+                metrics.blocks.total, metrics.restarts.total,
+                metrics.submissions.total,
+                metrics.active_level.area(),
+                metrics.ready_queue_level.area(),
+            )
+
+        faulted = params(faults=FaultSpec(
+            disk=DiskFaultSpec(mttf=3.0, mttr=0.5),
+            cpu=CpuDegradationSpec(
+                mean_interval=2.0, mean_duration=1.0, factor=2.0,
+            ),
+            access=AccessFaultSpec(prob=0.05),
+        ))
+        recorder = Recorder()
+        twin = SystemModel(faulted, "wound_wait", seed=1,
+                           subscribers=(recorder,))
+        twin.run_until(4.0)
+        kinds = [kind for _, kind in recorder.events]
+        assert kinds.count("disk_fail") == kinds.count("disk_repair") + 1
+        with SystemModel(faulted, "wound_wait", seed=1) as model:
+            model.run_until(4.0)
+        summary = model.fault_injector.summary()
+        assert summary["cpu_degradations"] and summary["access_faults"]
+        assert counters(model) == counters(twin)
+
 
 class TestObserversGoSilent:
     def test_no_event_after_the_last_batch_boundary(self):

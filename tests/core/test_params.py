@@ -79,12 +79,6 @@ class TestValidation:
 
 
 class TestDerived:
-    def test_infinite_resources_flag(self):
-        p = SimulationParameters(num_cpus=None, num_disks=None)
-        assert p.infinite_resources
-        assert not SimulationParameters().infinite_resources
-        assert not SimulationParameters(num_cpus=None).infinite_resources
-
     def test_expected_service_time(self):
         p = SimulationParameters.table2()
         # 8 * (0.035 + 0.015) + 8 * 0.25 * (0.015 + 0.035) = 0.4 + 0.1
@@ -105,10 +99,6 @@ class TestRunConfig:
         run = RunConfig()
         assert run.batches == 20
         assert run.confidence == 0.90
-
-    def test_total_time(self):
-        run = RunConfig(batches=20, batch_time=30.0, warmup_batches=2)
-        assert run.total_time == pytest.approx(660.0)
 
     @pytest.mark.parametrize(
         "field,value",

@@ -62,7 +62,7 @@ class TestRunSimulation:
         params, run = quick_run()
         result = run_simulation(params, "blocking", run)
         assert result.totals["simulated_time"] == pytest.approx(
-            run.total_time
+            (run.batches + run.warmup_batches) * run.batch_time
         )
         assert result.totals["commits"] > 0
         assert result.totals["commits"] <= (

@@ -36,6 +36,4 @@ class TestObjectStore:
         store.install(2, (2.0, 0), writer_id=20, now=2.0)
         store.install(1, (3.0, 0), writer_id=30, now=3.0)
         assert store.final_state() == {1: 30, 2: 20}
-        assert store.latest_writer(1) == 30
-        assert store.latest_writer(9) is None
         assert store.installs == 3

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import Transaction, TxState
-from repro.core.transaction import ACTIVE_STATES
 
 
 def make(reads=(1, 2, 3), writes=(2,)):
@@ -22,10 +21,6 @@ class TestConstruction:
     def test_write_set_must_be_subset(self):
         with pytest.raises(ValueError):
             Transaction(1, 0, read_set=(1, 2), write_set=(3,))
-
-    def test_read_only(self):
-        assert make(writes=()).is_read_only
-        assert not make().is_read_only
 
 
 class TestAttemptLifecycle:
@@ -49,16 +44,6 @@ class TestAttemptLifecycle:
         assert not tx.is_committing
         tx.state = TxState.COMMITTING
         assert tx.is_committing
-
-    def test_active_states(self):
-        tx = make()
-        tx.state = TxState.READY
-        assert not tx.is_active
-        for state in ACTIVE_STATES:
-            tx.state = state
-            assert tx.is_active
-        tx.state = TxState.RESTART_DELAY
-        assert not tx.is_active
 
     def test_response_time(self):
         tx = make()

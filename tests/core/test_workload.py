@@ -50,7 +50,7 @@ class TestWorkloadGenerator:
     def test_zero_write_prob_all_read_only(self):
         gen, _ = generator(write_prob=0.0)
         assert all(
-            gen.new_transaction(0).is_read_only for _ in range(100)
+            not gen.new_transaction(0).write_set for _ in range(100)
         )
 
     def test_write_prob_one_writes_everything(self):

@@ -183,12 +183,6 @@ class TestRunModes:
             assert stepped.now == boundary
         assert stepped_log == single_log
 
-    def test_peek(self):
-        env = Environment()
-        assert env.peek() == float("inf")
-        env.timeout(4.0)
-        assert env.peek() == 4.0
-
     def test_unwaited_failure_surfaces_at_run_loop(self):
         env = Environment()
         ev = env.event()

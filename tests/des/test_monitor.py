@@ -13,7 +13,7 @@ class TestCounter:
         assert c.total == 5
         snap = c.total
         c.increment(2)
-        assert c.delta_since(snap) == 2
+        assert c.total - snap == 2
 
     def test_delta_across_successive_snapshots(self):
         # The batch-means idiom: snapshot the total at each batch
@@ -23,11 +23,10 @@ class TestCounter:
         start = c.total
         c.increment(3)
         boundary = c.total
-        assert c.delta_since(start) == 3
+        assert c.total - start == 3
         c.increment(7)
-        assert c.delta_since(boundary) == 7
-        assert c.delta_since(start) == 10
-        assert c.delta_since(c.total) == 0
+        assert c.total - boundary == 7
+        assert c.total - start == 10
 
 
 class TestLevelMonitor:

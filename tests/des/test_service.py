@@ -278,17 +278,15 @@ class TestService:
         assert tracker.busy_area() == 2.5
         assert pool.in_use == 0
 
-    def test_withdrawn_completion_is_skipped_by_step_and_peek(self):
+    def test_withdrawn_completion_is_skipped_by_step(self):
         env = Environment()
         pool = Resource(env, capacity=1)
         service = pool.serve(4.0)
         env.timeout(1.0)
         assert pool.finish(service) == 0.0
         assert service.processed  # withdrawn: it will never fire
-        assert env.peek() == 1.0
         env.step()
         assert env.now == 1.0
-        assert env.peek() == float("inf")
         with pytest.raises(EmptySchedule):
             env.step()
         assert env.now == 1.0

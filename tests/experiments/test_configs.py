@@ -74,11 +74,11 @@ class TestConfigs:
         configs = experiment_configs()
         exp1 = configs["exp1_low_conflict_infinite"]
         assert exp1.params.db_size == 10_000
-        assert exp1.params.infinite_resources
+        assert exp1.params.num_cpus is None and exp1.params.num_disks is None
 
         exp2 = configs["exp2_infinite"]
         assert exp2.params.db_size == 1000
-        assert exp2.params.infinite_resources
+        assert exp2.params.num_cpus is None and exp2.params.num_disks is None
 
         exp3 = configs["exp3_finite"]
         assert exp3.params.num_cpus == 1

@@ -351,7 +351,7 @@ class TestSeedValidationAndReplicationKeys:
         for rep in range(3):
             status = sweep.replicate_statuses[("blocking", 2, rep)]
             assert status.attempts == 2
-            assert sweep.replicate("blocking", 2, rep).totals == (
+            assert sweep.replicates[("blocking", 2)][rep].totals == (
                 reference[rep].totals
             )
 

@@ -132,7 +132,7 @@ class TestOneFileFormat:
         for (algorithm, mpl, rep), status in sorted(
                 sweep.replicate_statuses.items()):
             checkpoint.record(
-                (algorithm, mpl), sweep.replicate(algorithm, mpl, rep),
+                (algorithm, mpl), sweep.replicates[(algorithm, mpl)][rep],
                 status, rep=rep,
             )
         saved_lines = saved.read_text().splitlines(keepends=True)

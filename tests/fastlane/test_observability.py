@@ -59,7 +59,7 @@ def test_replications_observe_prefixes_of_one_trajectory(
                 lines = f.read().splitlines()
             counts = []
             for rep in range(REPLICATIONS):
-                diagnostics = sweep.replicate(algorithm, mpl, rep).diagnostics
+                diagnostics = sweep.replicates[(algorithm, mpl)][rep].diagnostics
                 series, reference_lines = standalone(
                     config.params_for(mpl), algorithm, rep,
                     tmp_path / f"reference-{algorithm}-{mpl}-{rep}.jsonl",

@@ -10,7 +10,7 @@ from repro.core import SystemModel
 from repro.des import Environment
 from repro.obs import InstrumentationBus, JsonlSink, read_jsonl
 
-from tests.obs.test_subscribers import small_params
+from tests.obs.test_subscribers import faulted_params, small_params
 
 
 class TestRoundTrip:
@@ -126,6 +126,39 @@ class TestTraceLayout:
         assert counts["block"] == model.metrics.blocks.total
         assert counts["restart"] == model.metrics.restarts.total
         assert counts["commit_point"] == model.metrics.commits.total
+
+    def test_fault_and_submit_counts_match_the_stream(self):
+        # The injector and the engine count without reading the stream;
+        # the stream is a second derivation of the same counts.
+        buffer = io.StringIO()
+        sink = JsonlSink(buffer)
+        model = SystemModel(faulted_params(), "blocking", seed=9,
+                            subscribers=(sink,))
+        model.run_until(20.0)
+        sink.close()
+        buffer.seek(0)
+        events = read_jsonl(buffer)
+        counts = Counter(e["kind"] for e in events)
+        injector = model.fault_injector
+        assert counts["disk_fail"] == injector.disk_failures > 0
+        assert counts["cpu_degrade"] == injector.cpu_degradations > 0
+        assert counts["access_fault"] == injector.access_faults > 0
+        downtime = degraded = 0.0
+        for event in events:
+            if event["kind"] == "disk_repair":
+                downtime += event["downtime"]
+            elif event["kind"] == "cpu_restore":
+                degraded += event["duration"]
+        assert downtime == injector.disk_downtime > 0.0
+        assert degraded == injector.cpu_degraded_time > 0.0
+        assert counts["submit"] == model.metrics.submissions.total
+
+    def test_restart_reasons_match_the_stream(self, traced):
+        model, events, counts = traced
+        reasons = Counter(
+            e["reason"] for e in events if e["kind"] == "restart"
+        )
+        assert reasons == model.metrics.restart_reasons
 
     def test_resource_events_pair_up_to_the_busy_servers(self, traced):
         model, events, counts = traced

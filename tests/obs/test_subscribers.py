@@ -1,11 +1,20 @@
-"""Tests for the built-in bus subscribers."""
+"""Tests for the subscriber layer, and for the counters kept beside it.
+
+Reported counters are kept by the objects that own them, so a run
+yields them with no subscriber attached.
+"""
 
 import pytest
 
 from repro.core import SimulationParameters, SystemModel
 from repro.core.transaction import Transaction
-from repro.des import Environment
-from repro.obs import FaultAccountingSubscriber, InstrumentationBus, scalar_fields
+from repro.faults import (
+    AccessFaultSpec,
+    CpuDegradationSpec,
+    DiskFaultSpec,
+    FaultSpec,
+)
+from repro.obs import Subscriber, scalar_fields
 
 
 def small_params(**overrides):
@@ -16,6 +25,20 @@ def small_params(**overrides):
     )
     defaults.update(overrides)
     return SimulationParameters(**defaults)
+
+
+def faulted_params():
+    """Finite resources with disk, CPU and access faults."""
+    return small_params(
+        num_cpus=1, num_disks=2,
+        faults=FaultSpec(
+            disk=DiskFaultSpec(mttf=4.0, mttr=1.0),
+            cpu=CpuDegradationSpec(
+                mean_interval=3.0, mean_duration=1.0, factor=2.0,
+            ),
+            access=AccessFaultSpec(prob=0.02),
+        ),
+    )
 
 
 class TestScalarFields:
@@ -60,16 +83,19 @@ class TestScalarFields:
         }
 
 
-class TestMetricsSubscriber:
-    """The engine attaches this by default; its output *is* the
-    MetricsCollector the rest of the system reads, so the strongest
-    check is cross-consistency on a real run."""
+class TestEngineMetrics:
+    """The engine keeps its MetricsCollector itself; no subscriber is
+    attached, so the strongest check is cross-consistency on a real
+    run."""
 
     @pytest.fixture(scope="class")
     def model(self):
         model = SystemModel(small_params(), "blocking", seed=9)
         model.run_until(20.0)
         return model
+
+    def test_a_bare_model_attaches_no_subscriber(self, model):
+        assert model.bus.subscribers == []
 
     def test_levels_reflect_admission_state(self, model):
         assert model.metrics.active_level.value == model.active_count
@@ -81,28 +107,83 @@ class TestMetricsSubscriber:
         assert model.metrics.commits.total > 0
         assert model.metrics.blocks.total > 0
 
+    def test_observers_see_the_metrics_already_updated(self):
+        # The engine records each lifecycle event just before it emits
+        # it, so an observer's view includes the event it is handed.
+        probe = MetricsProbe()
+        model = SystemModel(small_params(), "blocking", seed=9,
+                            subscribers=(probe,))
+        model.run_until(20.0)
+        assert probe.mismatches == []
+        assert {"submit", "admit", "block", "restart", "commit"} <= set(
+            probe.seen
+        )
 
-class TestFaultAccountingSubscriber:
-    def test_accumulates_from_events(self):
-        bus = InstrumentationBus(Environment())
-        accounting = bus.attach(FaultAccountingSubscriber())
-        bus.emit("disk_fail", disk=0)
-        assert accounting.disk_failures == 1
-        assert accounting.disks_down == 1
-        bus.emit("disk_repair", disk=0, downtime=2.5)
-        assert accounting.disks_down == 0
-        assert accounting.disk_downtime == pytest.approx(2.5)
-        bus.emit("cpu_degrade", factor=2.0)
-        bus.emit("cpu_restore", duration=1.5)
-        assert accounting.cpu_degradations == 1
-        assert accounting.cpu_degraded_time == pytest.approx(1.5)
-        bus.emit("access_fault", tx=3, attempt=1)
-        assert accounting.access_faults == 1
 
-    def test_ignores_non_fault_kinds(self):
-        bus = InstrumentationBus(Environment())
-        accounting = bus.attach(FaultAccountingSubscriber())
-        bus.emit("commit", tx=1)
-        bus.emit("submit", tx=2)
-        assert accounting.disk_failures == 0
-        assert accounting.access_faults == 0
+class MetricsProbe(Subscriber):
+    """Checks the model's metrics against the lifecycle events so far."""
+
+    kinds = ("submit", "resubmit", "admit", "block", "restart", "commit")
+
+    def __init__(self):
+        self.seen = dict.fromkeys(self.kinds, 0)
+        self.mismatches = []
+
+    def on_attach(self, bus, model):
+        self.metrics = model.metrics
+
+    def on_event(self, time, kind, fields):
+        seen = self.seen
+        seen[kind] += 1
+        metrics = self.metrics
+        view = (
+            metrics.submissions.total, metrics.blocks.total,
+            metrics.restarts.total, metrics.commits.total,
+            metrics.ready_queue_level.value, metrics.active_level.value,
+        )
+        expected = (
+            seen["submit"], seen["block"], seen["restart"], seen["commit"],
+            seen["submit"] + seen["resubmit"] - seen["admit"],
+            seen["admit"] - seen["restart"] - seen["commit"],
+        )
+        if view != expected:
+            self.mismatches.append((time, kind, view, expected))
+
+
+class Recorder(Subscriber):
+    """Records the kind of every event."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_event(self, time, kind, fields):
+        self.seen.append(kind)
+
+
+class TestFaultCounters:
+    """The fault injector keeps its own counts, with or without
+    observers."""
+
+    def run(self, subscribers=()):
+        model = SystemModel(faulted_params(), "blocking", seed=9,
+                            subscribers=subscribers)
+        model.run_until(20.0)
+        return model.fault_injector
+
+    def test_accumulates_without_a_subscriber(self):
+        injector = self.run()
+        assert injector.bus.subscribers == []
+        assert injector.disk_failures > 0
+        assert injector.disk_downtime > 0.0
+        assert injector.cpu_degradations > 0
+        assert injector.cpu_degraded_time > 0.0
+        assert injector.access_faults > 0
+        summary = injector.summary()
+        assert summary["disk_failures"] == injector.disk_failures
+        assert summary["access_faults"] == injector.access_faults
+
+    def test_observers_leave_the_counts_alone(self):
+        recorder = Recorder()
+        observed = self.run(subscribers=(recorder,))
+        assert "disk_repair" in recorder.seen
+        assert observed.summary() == self.run().summary()

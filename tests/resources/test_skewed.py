@@ -19,6 +19,11 @@ def build(**overrides):
     return env, model, params
 
 
+def disk_for(model, obj):
+    """The disk the model placed ``obj`` on."""
+    return model._disk_of[obj]
+
+
 def tx():
     return Transaction(1, 0, read_set=(1,), write_set=())
 
@@ -26,14 +31,14 @@ def tx():
 class TestPlacement:
     def test_contiguous_maps_id_runs_to_disks(self):
         _, model, params = build(num_disks=4)  # db_size=1000 -> runs of 250
-        assert model.disk_for(0) == 0
-        assert model.disk_for(249) == 0
-        assert model.disk_for(250) == 1
-        assert model.disk_for(999) == 3
+        assert disk_for(model, 0) == 0
+        assert disk_for(model, 249) == 0
+        assert disk_for(model, 250) == 1
+        assert disk_for(model, 999) == 3
 
     def test_striped_is_round_robin(self):
         _, model, _ = build(num_disks=4, disk_placement="striped")
-        assert [model.disk_for(obj) for obj in range(6)] == [
+        assert [disk_for(model, obj) for obj in range(6)] == [
             0, 1, 2, 3, 0, 1,
         ]
 
@@ -55,7 +60,7 @@ class TestPlacement:
             "skewed_disks", Environment(), params, StreamFactory(2)
         )
         for obj in range(0, 1000, 97):
-            assert a.disk_for(obj) == b.disk_for(obj)
+            assert disk_for(a, obj) == disk_for(b, obj)
 
     def test_read_access_queues_on_the_placed_disk(self):
         env, model, params = build(num_disks=2)
