@@ -80,7 +80,13 @@ class SystemModel:
         self.env = Environment()
         #: The unified instrumentation bus all events flow through.
         self.bus = InstrumentationBus(self.env)
-        self.streams = StreamFactory(seed)
+        # A taped source (repro.fastlane) also records the seed-only
+        # draw sequences — think times, disk picks — that every model
+        # replaying the tape reads; any other source leaves the model
+        # drawing its own.
+        self.streams = StreamFactory(
+            seed, recorder=getattr(workload, "tape", None)
+        )
         if isinstance(algorithm, ConcurrencyControl):
             self.cc = algorithm
         else:

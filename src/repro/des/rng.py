@@ -160,18 +160,60 @@ class RandomStream:
         return f"RandomStream(name={self.name!r}, seed={self.seed!r})"
 
 
+class DrawSequence:
+    """One named stream's draws, handed out in chunks.
+
+    ``draw_chunk(rng)`` returns the next chunk of draws from the stream
+    (a list); a reader keeps its own cursor, a chunk index and an
+    offset into that chunk, and asks for chunk ``k + 1`` when chunk
+    ``k`` runs out. Chunk boundaries never change the values: the
+    stream feeds nothing else, so its *n*-th draw is the same whether
+    it was drawn one at a time or in any batch.
+
+    A *recorded* sequence keeps every chunk it drew, so any number of
+    readers, each at its own cursor, read the same values; a sweep
+    shares one across its grid points (:mod:`repro.fastlane.tapes`).
+    An unrecorded sequence has one reader, which asks for its chunks
+    in order; it keeps nothing, so a long run holds one chunk at a
+    time.
+    """
+
+    __slots__ = ("chunks", "_rng", "_draw_chunk")
+
+    def __init__(self, rng, draw_chunk, recorded=False):
+        self.chunks = [] if recorded else None
+        self._rng = rng
+        self._draw_chunk = draw_chunk
+
+    def chunk(self, index):
+        """The ``index``-th chunk of draws (a list, never empty)."""
+        chunks = self.chunks
+        if chunks is None:
+            return self._draw_chunk(self._rng)
+        while index >= len(chunks):
+            chunks.append(self._draw_chunk(self._rng))
+        return chunks[index]
+
+
 class StreamFactory:
     """Derives independent named :class:`RandomStream`s from one root seed.
 
     Derivation hashes (root_seed, name) with SHA-256, so streams are stable
     across runs and machines and independent of creation order.
+
+    ``recorder``, when given, supplies :meth:`sequence`: an object with
+    the same ``sequence(name, draw_chunk)`` method that hands out
+    recorded sequences of the same root seed (a
+    :class:`~repro.fastlane.WorkloadTape`). Streams themselves are
+    always this factory's own.
     """
 
-    __slots__ = ("root_seed", "_created")
+    __slots__ = ("root_seed", "_created", "_recorder")
 
-    def __init__(self, root_seed):
+    def __init__(self, root_seed, recorder=None):
         self.root_seed = root_seed
         self._created = {}
+        self._recorder = recorder
 
     def stream(self, name):
         """The stream for ``name`` (created on first use, then cached)."""
@@ -184,6 +226,18 @@ class StreamFactory:
         stream = RandomStream(seed, name)
         self._created[name] = stream
         return stream
+
+    def sequence(self, name, draw_chunk):
+        """The :class:`DrawSequence` of stream ``name``.
+
+        From the recorder when there is one (shared, recorded), else a
+        private unrecorded sequence over this factory's stream. Each
+        name has one ``draw_chunk`` for a given parameter set, so a
+        recorded sequence serves every reader of that name.
+        """
+        if self._recorder is not None:
+            return self._recorder.sequence(name, draw_chunk)
+        return DrawSequence(self.stream(name), draw_chunk)
 
     def __repr__(self):
         return f"StreamFactory(root_seed={self.root_seed!r})"

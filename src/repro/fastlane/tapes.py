@@ -17,10 +17,20 @@ The specs are shareable because a Transaction's ``read_set`` (tuple)
 and ``write_set`` (frozenset) are immutable: the engine assigns
 per-attempt state on the Transaction, never mutates the sets, so every
 simulation replaying a tape can alias the same tuples.
+
+The other seed-only draws ride on the same tape. Each terminal's think
+times (``terminal.<id>``) and the uniform disk picks
+(``physical.disk_choice``) are also pure functions of the seed and the
+parameters, and :func:`tape_key` covers every field they read. A model
+built on a :class:`TapeWorkload` gets them through its stream factory
+(``SystemModel`` hands it the tape as recorder), so the tape records
+each sequence once (:class:`~repro.des.rng.DrawSequence`) and every point
+reads it through a cursor of its own, instead of seeding 200 terminal
+streams and re-drawing both sequences per point.
 """
 
 from repro.core.transaction import Transaction
-from repro.des import StreamFactory
+from repro.des.rng import DrawSequence, StreamFactory
 from repro.workloads import create_workload_model
 
 __all__ = ["TapeStore", "TapeWorkload", "WorkloadTape", "tape_key"]
@@ -52,12 +62,17 @@ class WorkloadTape:
     :data:`TAPE_CHUNK`-sized chunks; the drawing generator keeps its
     stream state between extensions, so tape contents are independent
     of the chunk boundaries and of how many consumers pulled on it.
+
+    ``sequences`` holds the tape's recorded draw sequences by stream
+    name (see :meth:`sequence`).
     """
 
-    __slots__ = ("specs", "_generator")
+    __slots__ = ("specs", "sequences", "_generator", "_streams")
 
     def __init__(self, params, seed):
         self.specs = []
+        self.sequences = {}
+        self._streams = StreamFactory(seed)
         # The tape's private generator over a private stream factory:
         # same seed derivation, same draw code, therefore the same
         # sequence every model-owned generator would produce. Built
@@ -71,7 +86,7 @@ class WorkloadTape:
                 f"source instead"
             )
         self._generator = workload_model.build_generator(
-            params, StreamFactory(seed)
+            params, self._streams
         )
 
     def __len__(self):
@@ -83,6 +98,21 @@ class WorkloadTape:
         while index >= len(specs):
             self._extend(TAPE_CHUNK)
         return specs[index]
+
+    def sequence(self, name, draw_chunk):
+        """The recorded draw sequence of stream ``name``, shared.
+
+        Drawn from the tape's private stream of that name by the first
+        reader's ``draw_chunk``; one parameter set gives each name one
+        drawer, so later readers' drawers would draw the same values.
+        """
+        sequence = self.sequences.get(name)
+        if sequence is None:
+            sequence = DrawSequence(
+                self._streams.stream(name), draw_chunk, recorded=True
+            )
+            self.sequences[name] = sequence
+        return sequence
 
     def _extend(self, n):
         generator = self._generator
@@ -135,8 +165,10 @@ class TapeStore:
     The sweep runner asks the store for a workload per (params,
     seed); points whose keys coincide — every mpl of one experiment —
     replay one tape instead of re-drawing
-    ``points × transactions`` specs.  ``hits``/``misses`` make the
-    sharing observable for tests and logs.
+    ``points × transactions`` specs, think times and disk picks.
+    ``hits``/``misses`` make the sharing observable for tests and
+    logs. A tape lives as long as its store: one sweep, or one worker
+    process.
     """
 
     __slots__ = ("tapes", "hits", "misses")

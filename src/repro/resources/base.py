@@ -122,7 +122,7 @@ from repro.obs.events import (
 CC_PRIORITY = 0
 OBJECT_PRIORITY = 1
 
-#: Disk selections drawn from the disk stream per refill. Batching only
+#: Disk selections drawn from the disk stream per chunk. Chunking only
 #: amortizes call overhead; the value sequence is unchanged.
 _DISK_PICK_BATCH = 256
 
@@ -149,6 +149,20 @@ def placement_table(count, params):
     if params.disk_placement == DISK_PLACEMENT_STRIPED:
         return [obj % count for obj in range(db_size)]
     return [obj * count // db_size for obj in range(db_size)]
+
+
+def _disk_pick_chunks(count):
+    """Chunk drawer of uniform picks among ``count`` disks of a node.
+
+    A plain closure over ``count``: a recorded sequence keeps its
+    drawer, which must not keep the model that first asked alive.
+    """
+    high = count - 1
+
+    def draw(rng):
+        return rng.uniform_int_many(0, high, _DISK_PICK_BATCH)
+
+    return draw
 
 
 def _pools(env, count, capacity):
@@ -193,9 +207,6 @@ class ResourceModel:
         #: unobserved case costs one attribute load per service.
         self.bus = bus
         self._streams = streams
-        self._disk_rng = streams.stream("physical.disk_choice")
-        self._disk_picks = []
-        self._disk_pick_at = 0
         #: Optional repro.faults.FaultInjector; set by its start().
         #: None (the default) is the always-healthy physical model.
         self.faults = None
@@ -229,6 +240,19 @@ class ResourceModel:
         self._network_draws = []
         self._network_draw_at = 0
         self._build_resources()
+        #: Uniform disk picks: the ``physical.disk_choice`` sequence
+        #: (None with one disk per node: nothing to choose, so nothing
+        #: is drawn), read through this model's cursor — the chunk
+        #: index, the chunk and the offset into it.
+        self._disk_sequence = None
+        if self.disks_per_node > 1:
+            self._disk_sequence = streams.sequence(
+                "physical.disk_choice",
+                _disk_pick_chunks(self.disks_per_node),
+            )
+        self._disk_chunk = -1
+        self._disk_picks = ()
+        self._disk_pick_at = 0
 
     # -- construction hooks --------------------------------------------------
 
@@ -377,10 +401,12 @@ class ResourceModel:
     def _disk_at(self, node, obj):
         """Index in ``self.disks`` of the disk serving ``obj`` at ``node``.
 
-        The placed spindle when ``_disk_of`` is set, else a uniform
-        draw among the node's disks (batched draws from the disk
-        stream). One disk per node leaves nothing to choose: the
-        stream, which feeds nothing else, is not drawn.
+        The placed spindle when ``_disk_of`` is set, else the next
+        uniform pick among the node's disks from the disk sequence
+        (shared across a sweep's points when the model replays a
+        workload tape, else the model's own). One disk per node leaves
+        nothing to choose: the stream, which feeds nothing else, is
+        not drawn.
         """
         count = self.disks_per_node
         disk_of = self._disk_of
@@ -390,10 +416,9 @@ class ResourceModel:
             return node
         at = self._disk_pick_at
         picks = self._disk_picks
-        if at >= len(picks):
-            self._disk_picks = picks = self._disk_rng.uniform_int_many(
-                0, count - 1, _DISK_PICK_BATCH
-            )
+        if at == len(picks):
+            self._disk_chunk = chunk = self._disk_chunk + 1
+            self._disk_picks = picks = self._disk_sequence.chunk(chunk)
             at = 0
         self._disk_pick_at = at + 1
         return node * count + picks[at]

@@ -17,7 +17,14 @@ The engine's side of the contract is small:
   built by :meth:`WorkloadModel.build_generator` (or a caller-supplied
   replacement such as a fastlane tape);
 * ``model.streams`` / ``model.env`` — named seeded streams and the
-  event loop, for think/arrival timing processes.
+  event loop, for think/arrival timing processes;
+* ``model.streams.sequence(name, draw_chunk)`` — a stream's draws in
+  chunks (:class:`~repro.des.rng.DrawSequence`), read through a cursor the
+  model keeps. When the model replays a fastlane tape this is the
+  sweep's recorded sequence, shared by every grid point, so a model may
+  use it only for draws that are a pure function of the seed and the
+  parameters, on a stream it draws from nowhere else
+  (``closed_classic``'s think times are the example).
 """
 
 from repro.core.workload import WorkloadGenerator

@@ -26,10 +26,17 @@ is unbounded):
   huge ones" shape of payment workloads.
 
 Any preset field can be overridden by an explicit spec key.
+
+Seeding note: the terminals run ``closed_classic``'s one loop
+(:class:`~repro.workloads.closed.ClosedPopulationWorkload`); only
+:meth:`HeavyTailedWorkload.draw_think` differs. Each terminal's thinks,
+the initial stagger first, are the draws of its ``terminal.<id>``
+stream, read as a draw sequence — recorded once per sweep on the
+workload tape, like the exponential thinks.
 """
 
 from repro.core.workload import WorkloadGenerator
-from repro.workloads.base import WorkloadModel
+from repro.workloads.closed import ClosedPopulationWorkload
 
 __all__ = ["HeavyTailedGenerator", "HeavyTailedWorkload"]
 
@@ -54,7 +61,7 @@ _DEFAULTS = {
 }
 
 
-class HeavyTailedWorkload(WorkloadModel):
+class HeavyTailedWorkload(ClosedPopulationWorkload):
     """Closed terminal pool with lognormal/Pareto think and service."""
 
     name = "heavy_tailed"
@@ -122,26 +129,6 @@ class HeavyTailedWorkload(WorkloadModel):
         if self.size_dist == "lognormal":
             return rng.lognormal(mean, self.size_cv)
         return rng.pareto(self.size_alpha, mean)
-
-    def start(self, model):
-        for terminal_id in range(model.params.num_terms):
-            model.env.process(self._terminal(model, terminal_id))
-
-    def _terminal(self, model, terminal_id):
-        """Closed-loop terminal with heavy-tailed think times.
-
-        Same loop shape and ``terminal.<id>`` stream naming as
-        ``closed_classic`` (including the initial stagger draw); only
-        the think distribution differs.
-        """
-        rng = model.streams.stream(f"terminal.{terminal_id}")
-        mean = model.params.ext_think_time
-        yield model.env.timeout(self.draw_think(rng, mean))
-        while True:
-            tx = model.workload.new_transaction(terminal_id)
-            model.submit(tx)
-            yield tx.done_event
-            yield model.env.timeout(self.draw_think(rng, mean))
 
 
 class HeavyTailedGenerator(WorkloadGenerator):

@@ -11,7 +11,9 @@ These tests pin that claim three ways:
 * per replication against that definition for multi-replication
   points;
 * at the ``run_sweep`` level, sequential and multiprocess, replicate
-  for replicate.
+  for replicate — on the classic grid and on the heavy-tailed and
+  sharded tiers, whose think times and disk picks the sweep reads
+  from its workload tape.
 """
 
 import pytest
@@ -23,6 +25,7 @@ from repro.fastlane import TapeStore, run_point_replications
 from tests.fastlane.grid import (
     GRID_RUN,
     grid_config,
+    grid_params,
     result_fingerprint,
     sweep_fingerprints,
 )
@@ -159,6 +162,34 @@ class TestSweepParity:
             assert result_fingerprint(result) == (
                 reference[(algorithm, mpl, 0)]
             )
+
+
+#: Tiers whose think times or disk picks the sweep's tape records
+#: beyond the classic grid: lognormal thinks, and uniform picks among
+#: several disks on every node of a replicated sharded tier.
+TAPED_TIERS = {
+    "heavy_tailed": grid_params().with_changes(
+        workload_model="heavy_tailed",
+        workload_spec={"preset": "web_sessions"},
+    ),
+    "distributed": grid_params().with_changes(
+        resource_model="distributed", nodes=4, replication_factor=2,
+        network_delay=0.002,
+    ),
+}
+
+
+class TestTapedTierParity:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("tier", sorted(TAPED_TIERS))
+    def test_sweep_matches_stand_alone_runs(self, tier, workers):
+        config = grid_config(params=TAPED_TIERS[tier])
+        sweep = run_sweep(
+            config, run=GRID_RUN, replications=2, workers=workers
+        )
+        assert sweep_fingerprints(sweep) == (
+            reference_fingerprints(config, GRID_RUN, 2)
+        )
 
 
 class TestBackendValidation:
