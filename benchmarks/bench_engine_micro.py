@@ -105,14 +105,14 @@ def test_deadlock_detection_cost(benchmark):
 
 
 def test_workload_generation_rate(benchmark):
-    """Generate 1,000 transactions with Table 2 parameters."""
+    """Draw 1,000 transaction specs with Table 2 parameters."""
     gen = WorkloadGenerator(
         SimulationParameters.table2(), StreamFactory(1)
     )
 
     def run():
         for _ in range(1000):
-            gen.new_transaction(0)
+            gen.spec()
 
     benchmark(run)
 

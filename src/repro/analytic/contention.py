@@ -193,9 +193,6 @@ class SurrogatePrediction:
             score = max(score, 2.0)
         return score
 
-    def uncertain(self, max_index=None, threshold=1.0):
-        return self.uncertainty(max_index) > threshold
-
 
 def _contention_terms(algorithm, m_eff, k, k_w, db, alpha, beta):
     """Conflict probability and mean attempts at a fixed ``m_eff``.

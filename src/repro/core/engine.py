@@ -69,23 +69,27 @@ class SystemModel:
     Implements the :class:`repro.cc.EngineHooks` protocol (block counting
     and remote aborts) for the attached algorithm.
 
+    ``tapes`` is a :class:`~repro.fastlane.TapeStore` or None: with a
+    store, the model reads the draw sequences recorded on
+    ``tapes.tape(params, seed)``, as every sweep point does.
     ``subscribers`` attaches additional instrumentation-bus consumers
     (e.g. :class:`repro.obs.TimeSeriesSampler`,
     :class:`repro.obs.JsonlSink`, :class:`repro.obs.InvariantChecker`).
     """
 
     def __init__(self, params, algorithm="blocking", seed=42,
-                 workload=None, subscribers=()):
+                 tapes=None, subscribers=()):
         self.params = params
         self.env = Environment()
         #: The unified instrumentation bus all events flow through.
         self.bus = InstrumentationBus(self.env)
-        # A taped source (repro.fastlane) also records the seed-only
-        # draw sequences — think times, disk picks — that every model
-        # replaying the tape reads; any other source leaves the model
-        # drawing its own.
+        # With a tape store (repro.fastlane), the seed-only draw
+        # sequences — transaction content, think times, disk picks —
+        # are the ones recorded on the tape of this model's own params
+        # and seed; without one, the model draws its own.
         self.streams = StreamFactory(
-            seed, recorder=getattr(workload, "tape", None)
+            seed,
+            recorder=None if tapes is None else tapes.tape(params, seed),
         )
         if isinstance(algorithm, ConcurrencyControl):
             self.cc = algorithm
@@ -95,11 +99,9 @@ class SystemModel:
         #: The origination layer, constructed from the workload-model
         #: registry (repro.workloads) per params.workload_model.
         self.workload_model = create_workload_model(params)
-        # Anything with a new_transaction(terminal_id) method works as a
-        # workload source; the fastlane substitutes tape replays here.
-        self.workload = workload or self.workload_model.build_generator(
-            params, self.streams
-        )
+        #: The content source: ``new_transaction(terminal_id)`` and
+        #: the ``generated`` count of transactions handed out.
+        self.workload = self.workload_model.build_generator(self.streams)
         #: The commit-protocol seam around the commit point (repro.cc):
         #: the paper's atomic ``single_site`` point by default, or 2PC
         #: for multi-site runs. A null protocol keeps the commit path

@@ -33,12 +33,6 @@ _DELAY_MODES = (
     DELAY_MODE_FIXED_ALL,
 )
 
-# Buffer-pool probe policies (the ``buffered`` resource model).
-BUFFER_POLICY_LRU = "lru"      # exact LRU directory over object ids
-BUFFER_POLICY_FIXED = "fixed"  # every probe hits with buffer_hit_ratio
-
-_BUFFER_POLICIES = (BUFFER_POLICY_LRU, BUFFER_POLICY_FIXED)
-
 # Object→disk placements (the ``skewed_disks`` resource model; the
 # ``distributed`` model reuses the same machinery for object→node
 # sharding).
@@ -213,14 +207,13 @@ class SimulationParameters:
     #: Validated lazily at model construction so plugin-registered
     #: models are usable without touching this module.
     resource_model: str = "classic"
-    #: Buffer-pool pages for ``resource_model="buffered"`` with the LRU
-    #: policy (None = db_size // 10).
+    #: Buffer-pool pages of the exact LRU directory under
+    #: ``resource_model="buffered"`` (None = db_size // 10).
     buffer_capacity: Optional[int] = None
-    #: Buffer probe policy for the buffered model: ``"lru"`` (exact LRU
-    #: directory, deterministic) or ``"fixed"`` (every probe hits with
-    #: ``buffer_hit_ratio``, drawn from a dedicated stream).
-    buffer_policy: str = BUFFER_POLICY_LRU
-    #: Hit probability for ``buffer_policy="fixed"`` (required then).
+    #: Fixed hit probability of every buffer probe under
+    #: ``resource_model="buffered"``, drawn from a dedicated stream, in
+    #: place of the LRU directory; None keeps LRU. Exclusive with
+    #: ``buffer_capacity``.
     buffer_hit_ratio: Optional[float] = None
     #: Object→disk placement for ``resource_model="skewed_disks"``:
     #: ``"contiguous"`` (hot data ⇒ hot spindles) or ``"striped"``.
@@ -344,11 +337,6 @@ class SimulationParameters:
                 f"resource_model must be a non-empty registry name, "
                 f"got {self.resource_model!r}"
             )
-        if self.buffer_policy not in _BUFFER_POLICIES:
-            raise ValueError(
-                f"buffer_policy must be one of {_BUFFER_POLICIES}, "
-                f"got {self.buffer_policy!r}"
-            )
         if self.buffer_capacity is not None and self.buffer_capacity < 1:
             raise ValueError(
                 f"buffer_capacity must be >= 1 or None, "
@@ -360,6 +348,12 @@ class SimulationParameters:
             raise ValueError(
                 f"buffer_hit_ratio must be in [0, 1], "
                 f"got {self.buffer_hit_ratio}"
+            )
+        if (self.buffer_capacity is not None
+                and self.buffer_hit_ratio is not None):
+            raise ValueError(
+                "buffer_capacity (an LRU pool) and buffer_hit_ratio (a "
+                "fixed hit ratio) are exclusive; set one"
             )
         if self.disk_placement not in _DISK_PLACEMENTS:
             raise ValueError(

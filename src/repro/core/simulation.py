@@ -145,7 +145,7 @@ class SimulationResult:
         return line
 
 
-def _open_trajectory(params, algorithm, run, workload, subscribers,
+def _open_trajectory(params, algorithm, run, tapes, subscribers,
                      invariants):
     """``(model, checker)``: one seeded trajectory, observers attached.
 
@@ -164,7 +164,7 @@ def _open_trajectory(params, algorithm, run, workload, subscribers,
         params,
         algorithm=algorithm,
         seed=run.seed,
-        workload=workload,
+        tapes=tapes,
         subscribers=subscribers,
     )
     return model, checker
@@ -212,7 +212,7 @@ def _end_of_run(model, params, run, analyzer, checker, extra=None):
 
 
 def run_point_replications(params, algorithm, run, replications,
-                           workload=None, batch_callback=None,
+                           tapes=None, batch_callback=None,
                            invariants=None, subscribers=(),
                            boundary_diagnostics=None):
     """One fused trajectory; all ``replications`` results carved from it.
@@ -234,8 +234,11 @@ def run_point_replications(params, algorithm, run, replications,
     the model after every batch boundary (warmup included); it exists
     for run supervision — the sweep runner's stall watchdog and
     wall-clock deadline live there — and may raise to abort the run,
-    the exception propagating unchanged. ``workload`` is forwarded to
-    the model (the sweep runner passes a tape-backed source).
+    the exception propagating unchanged. ``tapes`` (a
+    :class:`~repro.fastlane.TapeStore` or None) is forwarded to the
+    model: the sweep runner passes its store, so the point reads the
+    draw sequences recorded on the tape of its own params and seed,
+    and every result is bit-identical to a run without one.
 
     ``subscribers`` observe the whole trajectory.
     ``boundary_diagnostics`` (a zero-argument callable returning a dict
@@ -247,7 +250,7 @@ def run_point_replications(params, algorithm, run, replications,
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     model, checker = _open_trajectory(
-        params, algorithm, run, workload, subscribers, invariants
+        params, algorithm, run, tapes, subscribers, invariants
     )
     warmup, batches = run.warmup_batches, run.batches
     # Analyzer r retires at replication r's end boundary: the
@@ -286,8 +289,7 @@ def run_point_replications(params, algorithm, run, replications,
 
 
 def run_simulation(params, algorithm="blocking", run=None, seed=None,
-                   batch_callback=None, subscribers=(), invariants=None,
-                   workload=None):
+                   batch_callback=None, subscribers=(), invariants=None):
     """Run one configuration to completion using modified batch means.
 
     ``run.warmup_batches`` initial batches are simulated but discarded;
@@ -297,13 +299,10 @@ def run_simulation(params, algorithm="blocking", run=None, seed=None,
     every sweep point runs on, so a stand-alone run and a sweep point
     share one code path.
 
-    ``workload`` substitutes the model's transaction source (anything
-    with a ``new_transaction(terminal_id)`` method and a ``generated``
-    counter); None builds the default seeded
-    :class:`~repro.core.workload.WorkloadGenerator`. Sweeps pass a
-    :class:`~repro.fastlane.TapeWorkload` to the model, which replays
-    the byte-identical transaction sequence from a shared precomputed
-    tape.
+    The model draws its transactions, think times and disk picks
+    itself, each as a private draw sequence; a sweep point reads the
+    same values from its sweep's workload tape
+    (:mod:`repro.fastlane.tapes`).
 
     ``subscribers`` (extra :mod:`repro.obs` consumers, e.g. a
     :class:`~repro.obs.TimeSeriesSampler` or :class:`~repro.obs.JsonlSink`)
@@ -331,7 +330,6 @@ def run_simulation(params, algorithm="blocking", run=None, seed=None,
         run = run.with_changes(seed=seed)
     return run_point_replications(
         params, algorithm, run, 1,
-        workload=workload,
         batch_callback=batch_callback,
         invariants=invariants,
         subscribers=subscribers,

@@ -1,27 +1,52 @@
-"""Transaction generation per the paper's workload model.
+"""Transaction content per the paper's workload model.
 
 A transaction reads ``N ~ Uniform[min_size, max_size]`` distinct objects
 chosen uniformly without replacement from the ``db_size`` objects; each
 read object is also written with probability ``write_prob``.
+
+Content is a pure function of the seed and the parameters: the
+``workload.*`` streams feed nothing else. :class:`WorkloadGenerator`
+draws it as immutable specs, :data:`CONTENT_CHUNK` at a time, into the
+``workload`` draw sequence (:class:`~repro.des.rng.DrawSequence`); a
+model reads that sequence through its own :class:`ContentCursor`, which
+mints each :class:`~repro.core.transaction.Transaction`. A sweep
+records the sequence once on its workload tape and every grid point
+reads it (:mod:`repro.fastlane.tapes`); a stand-alone model draws its
+own, holding one chunk at a time.
 """
 
 from bisect import bisect_right
-from itertools import count
 
 from repro.core.transaction import Transaction
+from repro.des.rng import RandomStream
+
+__all__ = ["CONTENT_CHUNK", "ContentCursor", "WorkloadGenerator"]
+
+#: Transaction specs drawn per chunk of the content sequence. Small,
+#: so a stand-alone model that stops mid-chunk draws few specs it never
+#: hands out; chunking changes no value.
+CONTENT_CHUNK = 32
 
 
 class WorkloadGenerator:
-    """Draws new transactions from seeded random streams."""
+    """Draws transaction specs from seeded random streams.
 
-    def __init__(self, params, streams):
+    A spec is ``(read_set, write_set, class_name)``: a tuple, a
+    frozenset and the class's name (None without a workload mix) — the
+    immutable forms a Transaction keeps, so every model reading a
+    recorded sequence can alias them. ``draw_size(rng, min_size,
+    max_size)`` draws the read-set size from the ``workload.size``
+    stream (the paper's uniform draw by default; the workload model's
+    :meth:`~repro.workloads.base.WorkloadModel.draw_size`).
+    """
+
+    def __init__(self, params, streams, draw_size=RandomStream.uniform_int):
         self.params = params
+        self._draw_size = draw_size
         self._size_rng = streams.stream("workload.size")
         self._objects_rng = streams.stream("workload.objects")
         self._write_rng = streams.stream("workload.writes")
         self._class_rng = streams.stream("workload.class")
-        self._ids = count(1)
-        self.generated = 0
         if params.workload_mix is not None:
             # Cumulative weights, summed once here in class order; the
             # same left-to-right additions the per-draw loop used to
@@ -47,17 +72,8 @@ class WorkloadGenerator:
         mix = self.params.workload_mix
         return mix[index] if index < len(mix) else mix[-1]
 
-    def _draw_size(self, min_size, max_size):
-        """Read-set size draw; the paper's Uniform[min_size, max_size].
-
-        The single hook subclasses override (see
-        ``repro.workloads.heavy_tailed.HeavyTailedGenerator``) to swap
-        the size distribution without touching the object/write draws.
-        """
-        return self._size_rng.uniform_int(min_size, max_size)
-
-    def new_transaction(self, terminal_id):
-        """A fresh transaction for ``terminal_id``."""
+    def spec(self):
+        """The next transaction spec ``(read_set, write_set, class)``."""
         params = self.params
         tx_class = self._draw_class()
         if tx_class is None:
@@ -66,7 +82,7 @@ class WorkloadGenerator:
         else:
             min_size, max_size = tx_class.min_size, tx_class.max_size
             write_prob = tx_class.write_prob
-        size = self._draw_size(min_size, max_size)
+        size = self._draw_size(self._size_rng, min_size, max_size)
         if params.has_hotspot:
             read_set = self._skewed_read_set(size)
         else:
@@ -77,18 +93,18 @@ class WorkloadGenerator:
         # object; the flags come out in read-set order, exactly as the
         # per-object loop drew them.
         write_flags = self._write_rng.bernoulli_many(write_prob, size)
-        write_set = [
+        write_set = frozenset(
             obj for obj, write in zip(read_set, write_flags) if write
-        ]
-        self.generated += 1
-        tx = Transaction(
-            tx_id=next(self._ids),
-            terminal_id=terminal_id,
-            read_set=read_set,
-            write_set=write_set,
         )
-        tx.tx_class = tx_class.name if tx_class is not None else None
-        return tx
+        return (
+            tuple(read_set), write_set,
+            None if tx_class is None else tx_class.name,
+        )
+
+    def chunk(self):
+        """The next :data:`CONTENT_CHUNK` specs (a content-sequence drawer)."""
+        spec = self.spec
+        return [spec() for _ in range(CONTENT_CHUNK)]
 
     def _skewed_read_set(self, size):
         """Draw ``size`` distinct objects under the hotspot skew.
@@ -122,3 +138,43 @@ class WorkloadGenerator:
         read_set = hot_objects + cold_objects
         self._objects_rng.shuffle(read_set)
         return read_set
+
+
+class ContentCursor:
+    """A model's transaction source: one reader of a content sequence.
+
+    The *k*-th call of :meth:`new_transaction` returns a Transaction
+    with id ``k``, the sequence's *k*-th spec, and the caller's
+    terminal. ``generated`` counts the transactions handed out, not
+    the specs drawn ahead of them. One cursor per model; the sequence
+    is the model's own or the sweep's recorded one.
+    """
+
+    __slots__ = ("sequence", "generated", "_chunk_index", "_chunk", "_at")
+
+    def __init__(self, sequence):
+        self.sequence = sequence
+        self.generated = 0
+        self._chunk_index = -1
+        self._chunk = ()
+        self._at = 0
+
+    def new_transaction(self, terminal_id):
+        """The next transaction, bound to ``terminal_id``."""
+        at = self._at
+        chunk = self._chunk
+        if at == len(chunk):
+            self._chunk_index += 1
+            self._chunk = chunk = self.sequence.chunk(self._chunk_index)
+            at = 0
+        read_set, write_set, tx_class = chunk[at]
+        self._at = at + 1
+        self.generated = tx_id = self.generated + 1
+        tx = Transaction(
+            tx_id=tx_id,
+            terminal_id=terminal_id,
+            read_set=read_set,
+            write_set=write_set,
+        )
+        tx.tx_class = tx_class
+        return tx

@@ -76,8 +76,9 @@ class BusyTracker:
     up to ``_last``) and ``_last`` (the instant of the last change) —
     the arithmetic of :class:`~repro.stats.timeweighted.TimeWeighted`,
     held flat. A pool's ``serve`` and ``finish`` run once per CPU or
-    disk leg, the hottest calls of a simulation, so they update these
-    fields in line, exactly as :meth:`acquire`/:meth:`release` do.
+    disk leg, the hottest calls of a simulation, and they are the only
+    writers: each accrues ``_level * (now - _last)`` into ``_area``,
+    moves ``_last`` to now and shifts ``_level`` by one server.
     """
 
     __slots__ = (
@@ -94,23 +95,6 @@ class BusyTracker:
         self._last = env.now
         self.useful_time = 0.0
         self.wasted_time = 0.0
-
-    def acquire(self):
-        """One more server busy from now on."""
-        self._shift(1)
-
-    def release(self):
-        """One server fewer busy from now on."""
-        self._shift(-1)
-
-    def _shift(self, delta):
-        now = self.env._now
-        last = self._last
-        if now < last:
-            raise ValueError(f"time went backwards: {now} < {last}")
-        self._area += self._level * (now - last)
-        self._last = now
-        self._level += delta
 
     @property
     def busy_now(self):

@@ -66,11 +66,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    @property
-    def target(self):
-        """The event this process is currently waiting on (None if running)."""
-        return self._target
-
     def interrupt(self, cause=None):
         """Throw :class:`Interrupt` into the process as soon as possible.
 

@@ -6,6 +6,13 @@ deterministically from a root seed. This is standard simulation practice:
 it decorrelates variance across components and keeps runs reproducible —
 adding draws to one component does not perturb any other component's
 sequence.
+
+Draws that are a pure function of the seed and the parameters —
+transaction content, terminal think times, uniform disk picks — are
+read as :class:`DrawSequence`\\ s from :meth:`StreamFactory.sequence`,
+in chunks, through a cursor the reader keeps. A sweep records each
+sequence once and shares it across its grid points; a stand-alone
+model draws its own, unrecorded.
 """
 
 import hashlib
@@ -161,14 +168,15 @@ class RandomStream:
 
 
 class DrawSequence:
-    """One named stream's draws, handed out in chunks.
+    """One named sequence of draws, handed out in chunks.
 
-    ``draw_chunk(rng)`` returns the next chunk of draws from the stream
-    (a list); a reader keeps its own cursor, a chunk index and an
-    offset into that chunk, and asks for chunk ``k + 1`` when chunk
-    ``k`` runs out. Chunk boundaries never change the values: the
-    stream feeds nothing else, so its *n*-th draw is the same whether
-    it was drawn one at a time or in any batch.
+    ``draw_chunk()`` returns the next chunk of draws (a list); it
+    closes over the stream(s) it draws from. A reader keeps its own
+    cursor, a chunk index and an offset into that chunk, and asks for
+    chunk ``k + 1`` when chunk ``k`` runs out. Chunk boundaries never
+    change the values: the streams feed nothing else, so their *n*-th
+    draw is the same whether it was drawn one at a time or in any
+    batch.
 
     A *recorded* sequence keeps every chunk it drew, so any number of
     readers, each at its own cursor, read the same values; a sweep
@@ -178,20 +186,19 @@ class DrawSequence:
     time.
     """
 
-    __slots__ = ("chunks", "_rng", "_draw_chunk")
+    __slots__ = ("chunks", "_draw_chunk")
 
-    def __init__(self, rng, draw_chunk, recorded=False):
+    def __init__(self, draw_chunk, recorded=False):
         self.chunks = [] if recorded else None
-        self._rng = rng
         self._draw_chunk = draw_chunk
 
     def chunk(self, index):
         """The ``index``-th chunk of draws (a list, never empty)."""
         chunks = self.chunks
         if chunks is None:
-            return self._draw_chunk(self._rng)
+            return self._draw_chunk()
         while index >= len(chunks):
-            chunks.append(self._draw_chunk(self._rng))
+            chunks.append(self._draw_chunk())
         return chunks[index]
 
 
@@ -202,7 +209,7 @@ class StreamFactory:
     across runs and machines and independent of creation order.
 
     ``recorder``, when given, supplies :meth:`sequence`: an object with
-    the same ``sequence(name, draw_chunk)`` method that hands out
+    the same ``sequence(name, make_drawer)`` method that hands out
     recorded sequences of the same root seed (a
     :class:`~repro.fastlane.WorkloadTape`). Streams themselves are
     always this factory's own.
@@ -227,17 +234,20 @@ class StreamFactory:
         self._created[name] = stream
         return stream
 
-    def sequence(self, name, draw_chunk):
-        """The :class:`DrawSequence` of stream ``name``.
+    def sequence(self, name, make_drawer):
+        """The :class:`DrawSequence` named ``name``.
 
-        From the recorder when there is one (shared, recorded), else a
-        private unrecorded sequence over this factory's stream. Each
-        name has one ``draw_chunk`` for a given parameter set, so a
-        recorded sequence serves every reader of that name.
+        ``make_drawer(streams)`` is called once and returns the
+        sequence's zero-argument chunk drawer, drawing from streams of
+        ``streams``: the recorder's private factory when there is one
+        (the sequence is then the recorder's, shared and recorded),
+        else this factory (a private unrecorded sequence). Each name
+        has one drawer for a given parameter set, so a recorded
+        sequence serves every reader of that name.
         """
         if self._recorder is not None:
-            return self._recorder.sequence(name, draw_chunk)
-        return DrawSequence(self.stream(name), draw_chunk)
+            return self._recorder.sequence(name, make_drawer)
+        return DrawSequence(make_drawer(self))
 
     def __repr__(self):
         return f"StreamFactory(root_seed={self.root_seed!r})"

@@ -190,7 +190,7 @@ def _resource_model_line(sweep):
         return None
     detail = ""
     if model == "buffered":
-        if params.buffer_policy == "fixed":
+        if params.buffer_hit_ratio is not None:
             detail = f" (fixed hit ratio {params.buffer_hit_ratio})"
         else:
             capacity = (

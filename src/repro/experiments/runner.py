@@ -46,7 +46,6 @@ from repro.experiments.errors import (
 from repro.fastlane import backend as fastlane
 from repro.fastlane.tapes import TapeStore
 from repro.obs import JsonlSink, TimeSeriesSampler
-from repro.workloads import create_workload_model
 
 #: Run controls sized for a laptop. The paper used 20 batches with a
 #: "large batch time" on a VAX cluster; these defaults produce the same
@@ -250,8 +249,7 @@ class SweepResult:
     :func:`run_sweep`).  ``results`` holds each point's replication 0
     and ``statuses`` the aggregate over its replications, so reports
     and figures read every sweep the same way; every replication lives
-    in ``replicates``/``replicate_statuses`` and is summarized by
-    :meth:`cross_replication`.
+    in ``replicates``/``replicate_statuses``.
     """
 
     config: object
@@ -280,29 +278,6 @@ class SweepResult:
     def status(self, algorithm, mpl):
         """The PointStatus of one attempted point (KeyError if never run)."""
         return self.statuses[(algorithm, mpl)]
-
-    def replicate_means(self, metric, algorithm, mpl):
-        """``metric``'s per-replication means, in replication order."""
-        reps = self.replicates.get((algorithm, mpl), {})
-        return [reps[r].mean(metric) for r in sorted(reps)]
-
-    def cross_replication(self, metric, algorithm, mpl):
-        """``(n, mean, std)`` of ``metric`` across replications.
-
-        ``mean`` averages the per-replication means (each replication
-        is an equal-length batch segment, so this equals the pooled
-        batch mean); ``std`` is their sample standard deviation (0.0
-        for a single replication).
-        """
-        means = self.replicate_means(metric, algorithm, mpl)
-        if not means:
-            raise KeyError(f"no replications for {(algorithm, mpl)}")
-        n = len(means)
-        mean = sum(means) / n
-        if n < 2:
-            return n, mean, 0.0
-        variance = sum((m - mean) ** 2 for m in means) / (n - 1)
-        return n, mean, variance ** 0.5
 
     def record_replicate(self, key, rep, result, status):
         """Fold one finished replication into the sweep's containers.
@@ -524,7 +499,7 @@ def _run_point(plan, point, store, progress=None):
     (:func:`~repro.core.simulation.run_point_replications`, called
     through :mod:`repro.fastlane.backend`).
     ``store`` shares workload tapes between the points one process
-    runs.
+    runs; every attempt's model reads the tape of its own seed.
 
     A retry reseeds the *whole point* with
     ``point_seed(seed, key, attempt)``, after
@@ -548,10 +523,6 @@ def _run_point(plan, point, store, progress=None):
     """
     config, run = plan.config, plan.run
     key, params, algorithm, reps, invariants = point
-    # Non-tapeable workload models (trace playback) build their own
-    # content source inside the model; everything else replays a
-    # shared tape.
-    tapeable = create_workload_model(params).tapeable
     supervised = plan.deadline is not None or plan.stall_timeout is not None
     started = time.perf_counter()
     results = None
@@ -580,10 +551,7 @@ def _run_point(plan, point, store, progress=None):
                 params,
                 algorithm if isinstance(algorithm, str) else algorithm(),
                 attempt_run, reps[-1] + 1,
-                workload=(
-                    store.workload(params, attempt_run.seed)
-                    if tapeable else None
-                ),
+                tapes=store,
                 batch_callback=watchdog,
                 invariants=invariants,
                 subscribers=subscribers,
@@ -932,8 +900,9 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
     results carved from it
     (:func:`~repro.core.simulation.run_point_replications`, whose
     ``R = 1`` case is ``run_simulation``). Points run under the same seed
-    (every first attempt) share one precomputed transaction tape per
-    process (see :class:`repro.fastlane.TapeStore`).
+    (every first attempt) share one workload tape per process — its
+    recorded transaction content, think times and disk picks (see
+    :class:`repro.fastlane.TapeStore`).
 
     ``workers`` selects where the points run:
 

@@ -94,11 +94,6 @@ class InstrumentationBus:
             on_attach(self, model)
         return subscriber
 
-    def detach(self, subscriber):
-        """Unregister ``subscriber`` (ValueError if never attached)."""
-        self.subscribers.remove(subscriber)
-        self._rebuild()
-
     def detach_all(self):
         """Unregister every subscriber: later emissions reach nobody."""
         self.subscribers.clear()

@@ -25,9 +25,8 @@ released. The one exception is the network leg, a plain call:
 * ``cc_request_work(tx)`` — CPU work for one concurrency-control
   request (priority class; no-op unless ``cc_cpu`` is set — callers
   check ``has_cc_work`` and skip the generator entirely);
-* ``cpu_service(tx, amount, priority)`` / ``disk_service(tx, amount)``
-  — the raw legs (one CPU leg at the transaction's home node, one leg
-  on a uniformly chosen disk);
+* ``cpu_service(tx, amount, priority)`` — the raw CPU leg at the
+  transaction's home node;
 * ``network_leg(tx, src, dst)`` — one cross-node message: counts it,
   emits ``msg_send`` when observed and returns the leg's
   :class:`~repro.des.Timeout` (None for a zero delay or a local leg).
@@ -104,6 +103,7 @@ model; their ``buffer_*`` events are built only under the bus's
 """
 
 from collections import OrderedDict
+from functools import partial
 
 from repro.core.params import DISK_PLACEMENT_STRIPED
 from repro.des import BusyTracker, InfiniteResource, Resource
@@ -152,17 +152,18 @@ def placement_table(count, params):
 
 
 def _disk_pick_chunks(count):
-    """Chunk drawer of uniform picks among ``count`` disks of a node.
+    """Drawer maker of uniform picks among ``count`` disks of a node.
 
     A plain closure over ``count``: a recorded sequence keeps its
     drawer, which must not keep the model that first asked alive.
     """
     high = count - 1
 
-    def draw(rng):
-        return rng.uniform_int_many(0, high, _DISK_PICK_BATCH)
+    def make_drawer(streams):
+        draw = streams.stream("physical.disk_choice").uniform_int_many
+        return partial(draw, 0, high, _DISK_PICK_BATCH)
 
-    return draw
+    return make_drawer
 
 
 def _pools(env, count, capacity):
@@ -480,21 +481,6 @@ class ResourceModel:
             yield service
         finally:
             tx.attempt_cpu_time += cpu.finish(service)
-
-    def disk_service(self, tx, amount):
-        """Hold a uniformly chosen disk of node 0 for ``amount`` seconds."""
-        if amount <= 0.0:
-            return
-        bus = self.bus
-        disk_index = self._disk_at(0, None)
-        disk = self.disks[disk_index]
-        watch = bus is not None and bus.wants_resource and _Watch(
-            bus, tx, "disk", disk=disk_index)
-        service = disk.serve(amount, 0, self.disk_tracker, watch)
-        try:
-            yield service
-        finally:
-            tx.attempt_disk_time += disk.finish(service)
 
     # -- the pipeline ------------------------------------------------------------
 

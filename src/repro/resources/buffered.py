@@ -9,14 +9,14 @@ Deferred updates are written through at commit time (the write-back is
 charged as disk service at deferred-update time, never hidden), and the
 written page becomes resident.
 
-Two probe policies, selected by ``params.buffer_policy``:
+Two probe policies; ``params.buffer_hit_ratio`` picks one:
 
-* ``lru`` — an exact LRU directory over object ids with capacity
-  ``params.buffer_capacity`` pages (default: one tenth of the
+* ``lru`` (no hit ratio) — an exact LRU directory over object ids with
+  capacity ``params.buffer_capacity`` pages (default: one tenth of the
   database). Deterministic given the access sequence: no RNG draws, so
   the classic model's streams are untouched.
-* ``fixed`` — every probe hits with probability
-  ``params.buffer_hit_ratio`` (required), drawn from the dedicated
+* ``fixed`` (a hit ratio) — every probe hits with probability
+  ``params.buffer_hit_ratio``, drawn from the dedicated
   ``resources.buffer`` stream — the analytic-model convention when the
   miss process, not the reference pattern, is what's being studied.
 
@@ -31,7 +31,6 @@ bus events are built only for observers (the bus's ``wants_buffer``
 flag).
 """
 
-from repro.core.params import BUFFER_POLICY_FIXED
 from repro.resources.base import ResourceModel
 
 #: Default LRU capacity when ``buffer_capacity`` is unset: one tenth of
@@ -46,14 +45,11 @@ class BufferedResourceModel(ResourceModel):
 
     def __init__(self, env, params, streams, bus=None):
         super().__init__(env, params, streams, bus=bus)
-        self.policy = params.buffer_policy
-        if self.policy == BUFFER_POLICY_FIXED:
-            if params.buffer_hit_ratio is None:
-                raise ValueError(
-                    "buffer_policy='fixed' requires buffer_hit_ratio"
-                )
+        if params.buffer_hit_ratio is not None:
+            self.policy = "fixed"
             self._attach_buffer(hit_ratio=params.buffer_hit_ratio)
         else:
+            self.policy = "lru"
             self._attach_buffer(
                 params.buffer_capacity
                 if params.buffer_capacity is not None
@@ -71,7 +67,7 @@ class BufferedResourceModel(ResourceModel):
         labels = super().describe_resources()
         labels["buffer"] = (
             f"fixed:{self.params.buffer_hit_ratio}"
-            if self.policy == BUFFER_POLICY_FIXED
+            if self.policy == "fixed"
             else f"lru:{self.buffer_capacity}"
         )
         return labels

@@ -71,7 +71,6 @@ indices ``n*num_disks .. (n+1)*num_disks-1`` (labels in
 ``describe_resources``).
 """
 
-from repro.core.params import BUFFER_POLICY_LRU
 from repro.resources.base import ResourceModel, placement_table
 
 
@@ -89,13 +88,13 @@ class DistributedResourceModel(ResourceModel):
             )
         super().__init__(env, params, streams, bus=bus)
         self._build_placement()
+        if params.buffer_hit_ratio is not None:
+            raise ValueError(
+                "the distributed model's per-node buffer pools are "
+                "exact LRU; a fixed buffer_hit_ratio is not composable "
+                "with sharding (use resource_model='buffered')"
+            )
         if params.buffer_capacity is not None:
-            if params.buffer_policy != BUFFER_POLICY_LRU:
-                raise ValueError(
-                    "the distributed model's per-node buffer pools are "
-                    "exact LRU; buffer_policy='fixed' is not composable "
-                    "with sharding (use resource_model='buffered')"
-                )
             self._attach_buffer(params.buffer_capacity)
 
     # -- construction --------------------------------------------------------

@@ -133,9 +133,6 @@ class ConfidenceInterval:
             return math.inf if self.half_width else 0.0
         return abs(self.half_width / self.mean)
 
-    def contains(self, value):
-        return self.low <= value <= self.high
-
     def __str__(self):
         return (
             f"{self.mean:.4g} ± {self.half_width:.2g} "

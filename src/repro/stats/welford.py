@@ -40,25 +40,6 @@ class Welford:
         if value > self.max:
             self.max = value
 
-    def merge(self, other):
-        """Fold another accumulator into this one (parallel Welford merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     @property
     def mean(self):
         """Arithmetic mean of the observations (0.0 when empty)."""
@@ -90,9 +71,9 @@ class Welford:
         """Return a Welford holding observations added after ``earlier``.
 
         ``earlier`` must be a snapshot of this accumulator taken previously.
-        This inverts :meth:`merge`: given totals for [0, now) and a snapshot
-        for [0, then), it reconstructs the statistics of [then, now), which is
-        exactly what per-batch statistics need. Min/max cannot be inverted, so
+        This inverts the parallel Welford merge: given totals for [0, now)
+        and a snapshot for [0, then), it reconstructs the statistics of
+        [then, now), which is exactly what per-batch statistics need. Min/max cannot be inverted, so
         the delta's min/max are copied from the cumulative accumulator.
         """
         if earlier.count > self.count:

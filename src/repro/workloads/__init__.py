@@ -11,10 +11,7 @@ origination layer is untouched by a model swap.
 
 from repro.workloads.base import WorkloadModel
 from repro.workloads.closed import ClosedClassicWorkload
-from repro.workloads.heavy_tailed import (
-    HeavyTailedGenerator,
-    HeavyTailedWorkload,
-)
+from repro.workloads.heavy_tailed import HeavyTailedWorkload
 from repro.workloads.open_poisson import OpenPoissonWorkload
 from repro.workloads.registry import (
     create_workload_model,
@@ -32,7 +29,6 @@ from repro.workloads.trace import (
 
 __all__ = [
     "ClosedClassicWorkload",
-    "HeavyTailedGenerator",
     "HeavyTailedWorkload",
     "OpenPoissonWorkload",
     "TraceSource",

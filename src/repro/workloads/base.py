@@ -14,20 +14,24 @@ The engine's side of the contract is small:
   (the engine assigns ``done_event``, ``first_submit_time`` and the
   priority timestamp, then applies mpl admission);
 * ``model.workload.new_transaction(terminal_id)`` — the content source
-  built by :meth:`WorkloadModel.build_generator` (or a caller-supplied
-  replacement such as a fastlane tape);
+  :meth:`WorkloadModel.build_generator` built: by default a
+  :class:`~repro.core.workload.ContentCursor` over the ``workload``
+  draw sequence, for ``trace`` the model's own
+  :class:`~repro.workloads.trace.TraceSource`;
 * ``model.streams`` / ``model.env`` — named seeded streams and the
   event loop, for think/arrival timing processes;
-* ``model.streams.sequence(name, draw_chunk)`` — a stream's draws in
-  chunks (:class:`~repro.des.rng.DrawSequence`), read through a cursor the
-  model keeps. When the model replays a fastlane tape this is the
-  sweep's recorded sequence, shared by every grid point, so a model may
-  use it only for draws that are a pure function of the seed and the
-  parameters, on a stream it draws from nowhere else
-  (``closed_classic``'s think times are the example).
+* ``model.streams.sequence(name, make_drawer)`` — a named sequence of
+  draws in chunks (:class:`~repro.des.rng.DrawSequence`), read through
+  a cursor the model keeps. ``make_drawer(streams)`` returns the
+  zero-argument chunk drawer over streams of ``streams``. In a sweep
+  this is the sweep's recorded sequence, drawn from the tape's own
+  streams and shared by every grid point, so a model may use it only
+  for draws that are a pure function of the seed and the parameters,
+  on streams it draws from nowhere else (transaction content, and
+  ``closed_classic``'s think times, are the examples).
 """
 
-from repro.core.workload import WorkloadGenerator
+from repro.core.workload import ContentCursor, WorkloadGenerator
 
 __all__ = ["WorkloadModel"]
 
@@ -51,25 +55,26 @@ class WorkloadModel:
     #: saturation detector.
     open_system = False
 
-    #: False when the transaction *content* sequence is not a pure
-    #: function of (params, seed) drawn by a WorkloadGenerator — e.g.
-    #: trace playback. Non-tapeable models opt out of the fastlane's
-    #: shared workload tapes; the sweep runner then lets each model
-    #: build its own source.
-    tapeable = True
-
     def __init__(self, params):
         self.params = params
         self.options = params.workload_options()
 
-    def build_generator(self, params, streams):
-        """The content source drawing each transaction's sets.
+    def build_generator(self, streams):
+        """The content source: each transaction's read and write sets.
 
-        The default is the paper's :class:`WorkloadGenerator`;
-        models may return a subclass (heavy-tailed sizes) or a
-        different source entirely (trace playback).
+        The default reads the ``workload`` draw sequence, whose specs a
+        :class:`WorkloadGenerator` draws with this model's
+        :meth:`draw_size`, through a cursor of the model's own. Only
+        trace playback supplies a different source.
         """
-        return WorkloadGenerator(params, streams)
+        return ContentCursor(streams.sequence("workload", self._content))
+
+    def _content(self, streams):
+        return WorkloadGenerator(self.params, streams, self.draw_size).chunk
+
+    def draw_size(self, rng, min_size, max_size):
+        """One read-set size draw; the paper's Uniform[min, max]."""
+        return rng.uniform_int(min_size, max_size)
 
     def start(self, model):
         """Spawn this model's origination processes into ``model.env``."""

@@ -25,10 +25,12 @@ sequence (:class:`~repro.des.rng.DrawSequence`), :data:`THINK_CHUNK` draws
 at a time, through a cursor of its own. The *n*-th value is the
 stream's *n*-th ``draw_think`` draw however it was chunked, so the
 sequence depends only on the seed and the parameters: a sweep draws
-it once and every grid point replaying the sweep's workload tape reads
-the recorded values (:mod:`repro.fastlane.tapes`); any other model
-draws its own.
+it once, on its workload tape, and every grid point reads the recorded
+values (:mod:`repro.fastlane.tapes`); a stand-alone model draws its
+own.
 """
+
+from functools import partial
 
 from repro.workloads.base import WorkloadModel
 
@@ -53,10 +55,14 @@ class ClosedPopulationWorkload(WorkloadModel):
         mean = self.params.ext_think_time
         return [draw_think(rng, mean) for _ in range(THINK_CHUNK)]
 
+    def _thinks(self, name, streams):
+        return partial(self._draw_thinks, streams.stream(name))
+
     def start(self, model):
         sequence = model.streams.sequence
         for terminal_id in range(model.params.num_terms):
-            thinks = sequence(f"terminal.{terminal_id}", self._draw_thinks)
+            name = f"terminal.{terminal_id}"
+            thinks = sequence(name, partial(self._thinks, name))
             model.env.process(self._terminal(model, terminal_id, thinks))
 
     def _terminal(self, model, terminal_id, thinks):

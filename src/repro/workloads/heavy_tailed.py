@@ -28,17 +28,18 @@ is unbounded):
 Any preset field can be overridden by an explicit spec key.
 
 Seeding note: the terminals run ``closed_classic``'s one loop
-(:class:`~repro.workloads.closed.ClosedPopulationWorkload`); only
-:meth:`HeavyTailedWorkload.draw_think` differs. Each terminal's thinks,
-the initial stagger first, are the draws of its ``terminal.<id>``
-stream, read as a draw sequence — recorded once per sweep on the
-workload tape, like the exponential thinks.
+(:class:`~repro.workloads.closed.ClosedPopulationWorkload`) and the
+paper's content generator; only :meth:`HeavyTailedWorkload.draw_think`
+and :meth:`HeavyTailedWorkload.draw_size` differ. Each terminal's
+thinks, the initial stagger first, are the draws of its
+``terminal.<id>`` stream, and the sizes are the draws of the
+``workload.size`` stream, each read as a draw sequence — recorded once
+per sweep on the workload tape, like the paper's.
 """
 
-from repro.core.workload import WorkloadGenerator
 from repro.workloads.closed import ClosedPopulationWorkload
 
-__all__ = ["HeavyTailedGenerator", "HeavyTailedWorkload"]
+__all__ = ["HeavyTailedWorkload"]
 
 _DISTRIBUTIONS = ("lognormal", "pareto")
 
@@ -113,9 +114,6 @@ class HeavyTailedWorkload(ClosedPopulationWorkload):
                 f"size_cap must be in [1, db_size], got {self.size_cap}"
             )
 
-    def build_generator(self, params, streams):
-        return HeavyTailedGenerator(params, streams, self)
-
     def draw_think(self, rng, mean):
         """One think-time sample from the configured tail."""
         if mean == 0:
@@ -124,29 +122,19 @@ class HeavyTailedWorkload(ClosedPopulationWorkload):
             return rng.lognormal(mean, self.think_cv)
         return rng.pareto(self.think_alpha, mean)
 
-    def draw_service(self, rng, mean):
-        """One continuous service-size sample (pre-round, pre-clamp)."""
-        if self.size_dist == "lognormal":
-            return rng.lognormal(mean, self.size_cv)
-        return rng.pareto(self.size_alpha, mean)
+    def draw_size(self, rng, min_size, max_size):
+        """One read-set size from the configured tail.
 
-
-class HeavyTailedGenerator(WorkloadGenerator):
-    """WorkloadGenerator with a heavy-tailed read-set size draw.
-
-    Only ``_draw_size`` changes: the object and write-flag draws — and
-    their streams — are exactly the base generator's, so hotspot skew
-    and workload mixes compose unchanged. The continuous draw is
-    rounded to the nearest integer and clamped to ``[1, size_cap]``
-    (an untruncated Pareto would occasionally ask for more objects
-    than the database holds).
-    """
-
-    def __init__(self, params, streams, model):
-        super().__init__(params, streams)
-        self._model = model
-
-    def _draw_size(self, min_size, max_size):
+        The continuous draw, with mean ``(min_size + max_size) / 2``,
+        is rounded to the nearest integer and clamped to ``[1,
+        size_cap]`` (an untruncated Pareto would occasionally ask for
+        more objects than the database holds). The object and
+        write-flag draws are the paper's, so hotspot skew and workload
+        mixes compose unchanged.
+        """
         mean = (min_size + max_size) / 2.0
-        value = self._model.draw_service(self._size_rng, mean)
-        return max(1, min(int(round(value)), self._model.size_cap))
+        if self.size_dist == "lognormal":
+            value = rng.lognormal(mean, self.size_cv)
+        else:
+            value = rng.pareto(self.size_alpha, mean)
+        return max(1, min(int(round(value)), self.size_cap))

@@ -66,8 +66,9 @@ def trace_from_history(transactions):
     ``read_set`` and ``write_set``), collected by a ``commit_point``
     handler on the model's bus. Lets you re-run exactly the
     transactions one simulation committed (e.g. replay a blocking run's
-    workload under MVTO) by handing the records to a
-    :class:`TraceSource`.
+    workload under MVTO): write the records with
+    :func:`save_workload_trace` and run ``workload_model="trace"`` over
+    the file.
     """
     return [
         trace_record(tx.read_set, tx.write_set) for tx in transactions
@@ -135,10 +136,9 @@ class TraceSource:
     """The trace model's content source (the engine's ``workload``).
 
     Deals :func:`trace_record` records in order (cycling when
-    configured), satisfying the workload protocol (``new_transaction``
-    + ``generated``), so it also drives a model directly through
-    ``SystemModel(..., workload=TraceSource(records, cycle=True))``;
-    re-entries mint fresh transactions that inherit a parent's sets.
+    configured) through ``new_transaction``, counting them in
+    ``generated``; re-entries mint fresh transactions that inherit a
+    parent's sets, counted in ``reentries``.
     """
 
     def __init__(self, records, cycle):
@@ -188,9 +188,6 @@ class TraceWorkloadModel(WorkloadModel):
 
     name = "trace"
     open_system = True
-    #: Trace content comes from a file, not a (params, seed)-pure
-    #: generator: fastlane tapes must not try to share it.
-    tapeable = False
 
     _KNOWN_OPTIONS = ("path", "rate", "cycle", "feedback_prob",
                       "feedback_delay")
@@ -218,18 +215,16 @@ class TraceWorkloadModel(WorkloadModel):
             )
         self.records = load_workload_trace(self.path)
 
-    def build_generator(self, params, streams):
+    def build_generator(self, streams):
+        """The trace's records, not the ``workload`` draw sequence."""
         return TraceSource(self.records, self.cycle)
 
     def summary(self, model):
-        payload = {
+        return {
             "trace_records": len(self.records),
             "feedback_prob": self.feedback_prob,
+            "reentries": model.workload.reentries,
         }
-        reentries = getattr(model.workload, "reentries", None)
-        if reentries is not None:
-            payload["reentries"] = reentries
-        return payload
 
     def start(self, model):
         model.env.process(self._playback(model))
@@ -252,18 +247,12 @@ class TraceWorkloadModel(WorkloadModel):
         env = model.env
         source = model.workload
         gaps = self._arrival_gaps()
-        index = 0
-        while True:
-            if getattr(source, "exhausted", False):
-                return
-            if not self.cycle and index >= len(gaps):
-                return
-            gap = gaps[index % len(gaps)]
+        while not source.exhausted:
+            gap = gaps[source.generated % len(gaps)]
             if gap > 0:
                 yield env.timeout(gap)
             tx = source.new_transaction(terminal_id=0)
             self._submit_with_feedback(model, tx)
-            index += 1
 
     def _submit_with_feedback(self, model, tx):
         model.submit(tx)
@@ -279,10 +268,8 @@ class TraceWorkloadModel(WorkloadModel):
         delay = rng.exponential(self.feedback_delay)
         if delay > 0:
             yield model.env.timeout(delay)
-        source = model.workload
-        reentry = getattr(source, "reentry_transaction", None)
-        if reentry is None:
-            return
         # The re-entry is itself subject to further feedback — the
         # geometric visit count of a feedback queueing network.
-        self._submit_with_feedback(model, reentry(tx))
+        self._submit_with_feedback(
+            model, model.workload.reentry_transaction(tx)
+        )

@@ -55,9 +55,9 @@ class TestSkewedGeneration:
     def test_objects_distinct_and_in_range(self):
         gen = WorkloadGenerator(skewed_params(), StreamFactory(1))
         for _ in range(300):
-            tx = gen.new_transaction(0)
-            assert len(set(tx.read_set)) == len(tx.read_set)
-            assert all(0 <= obj < 1000 for obj in tx.read_set)
+            read_set, _, _ = gen.spec()
+            assert len(set(read_set)) == len(read_set)
+            assert all(0 <= obj < 1000 for obj in read_set)
 
     def test_hot_region_receives_requested_share(self):
         params = skewed_params()
@@ -65,9 +65,9 @@ class TestSkewedGeneration:
         hot_size = params.hot_object_count()
         hot = total = 0
         for _ in range(3000):
-            tx = gen.new_transaction(0)
-            total += tx.size
-            hot += sum(1 for obj in tx.read_set if obj < hot_size)
+            read_set, _, _ = gen.spec()
+            total += len(read_set)
+            hot += sum(1 for obj in read_set if obj < hot_size)
         assert hot / total == pytest.approx(0.8, abs=0.03)
 
     def test_extreme_skew_spills_into_cold(self):
@@ -79,8 +79,8 @@ class TestSkewedGeneration:
         )
         gen = WorkloadGenerator(params, StreamFactory(3))
         for _ in range(100):
-            tx = gen.new_transaction(0)
-            assert len(set(tx.read_set)) == 4
+            read_set, _, _ = gen.spec()
+            assert len(set(read_set)) == 4
 
     def test_skew_raises_conflict_rate(self):
         uniform = SimulationParameters(

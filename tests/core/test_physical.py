@@ -160,24 +160,25 @@ class TestQueueing:
         assert order == ["obj1", "cc", "obj2"]
 
     def test_disks_chosen_uniformly(self):
-        env, physical, _ = build(num_disks=2)
-        # Drive many disk services and confirm both disks get used by
-        # watching aggregate busy time equal the requested service time.
+        env, physical, params = build(num_disks=2, obj_cpu=0.0)
+        # Drive many reads and confirm both disks get used by watching
+        # aggregate busy time equal the requested service time.
         total = 0.0
 
         def proc(env):
             nonlocal total
             t = tx()
-            yield from physical.disk_service(t, 0.020)
+            yield from physical.read_access(t)
             total += t.attempt_disk_time
 
         for _ in range(40):
             env.process(proc(env))
         env.run()
-        assert total == pytest.approx(40 * 0.020)
-        # Two disks at 100%: 40 services of 20 ms over 2 disks -> >= 400 ms
-        # elapsed; with random assignment it is somewhat more.
-        assert env.now >= 0.400
+        assert total == pytest.approx(40 * params.obj_io)
+        # Two disks at 100%: 40 reads over 2 disks take at least 20
+        # services' time; with random assignment somewhat more, and
+        # less than all 40 on one disk.
+        assert 20 * params.obj_io <= env.now < 40 * params.obj_io
 
 
 class TestOutcomeAccounting:
@@ -186,18 +187,18 @@ class TestOutcomeAccounting:
         winner, loser = tx(), tx()
 
         def proc(env, t):
-            yield from physical.cpu_service(t, 0.010)
-            yield from physical.disk_service(t, 0.030)
+            yield from physical.read_access(t)
 
         env.process(proc(env, winner))
         env.process(proc(env, loser))
         env.run()
         physical.charge_attempt(winner, useful=True)
         physical.charge_attempt(loser, useful=False)
-        assert physical.cpu_tracker.useful_time == pytest.approx(0.010)
-        assert physical.cpu_tracker.wasted_time == pytest.approx(0.010)
-        assert physical.disk_tracker.useful_time == pytest.approx(0.030)
-        assert physical.disk_tracker.wasted_time == pytest.approx(0.030)
+        cpu, io = physical.params.obj_cpu, physical.params.obj_io
+        assert physical.cpu_tracker.useful_time == pytest.approx(cpu)
+        assert physical.cpu_tracker.wasted_time == pytest.approx(cpu)
+        assert physical.disk_tracker.useful_time == pytest.approx(io)
+        assert physical.disk_tracker.wasted_time == pytest.approx(io)
 
     def test_interrupted_service_charges_partial_time(self):
         env, physical, _ = build()

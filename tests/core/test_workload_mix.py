@@ -93,7 +93,7 @@ class TestGeneration:
         gen = WorkloadGenerator(mixed_params(), StreamFactory(1))
         counts = {"lookup": 0, "order": 0, "report": 0}
         for _ in range(4000):
-            counts[gen.new_transaction(0).tx_class] += 1
+            counts[gen.spec()[2]] += 1
         total = sum(counts.values())
         assert counts["lookup"] / total == pytest.approx(
             8.0 / 10.5, abs=0.03
@@ -126,21 +126,21 @@ class TestGeneration:
     def test_class_parameters_respected(self):
         gen = WorkloadGenerator(mixed_params(), StreamFactory(2))
         for _ in range(500):
-            tx = gen.new_transaction(0)
-            if tx.tx_class == "lookup":
-                assert 1 <= tx.size <= 2
-                assert not tx.write_set
-            elif tx.tx_class == "order":
-                assert 4 <= tx.size <= 12
+            read_set, write_set, tx_class = gen.spec()
+            if tx_class == "lookup":
+                assert 1 <= len(read_set) <= 2
+                assert not write_set
+            elif tx_class == "order":
+                assert 4 <= len(read_set) <= 12
             else:
-                assert 30 <= tx.size <= 50
-                assert not tx.write_set
+                assert 30 <= len(read_set) <= 50
+                assert not write_set
 
     def test_single_class_has_no_class_name(self):
         gen = WorkloadGenerator(
             SimulationParameters.table2(), StreamFactory(3)
         )
-        assert gen.new_transaction(0).tx_class is None
+        assert gen.spec()[2] is None
 
 
 class TestPerClassMetrics:

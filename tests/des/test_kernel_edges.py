@@ -20,21 +20,6 @@ class TestEventEdges:
 
 
 class TestProcessEdges:
-    def test_target_exposed_while_waiting(self):
-        env = Environment()
-        gate = env.event()
-
-        def proc(env):
-            yield gate
-
-        process = env.process(proc(env))
-        env.run(until=0.0)
-        env.step()  # run the initializer
-        assert process.target is gate
-        gate.succeed()
-        env.run()
-        assert process.target is None
-
     def test_interrupt_cause_none(self):
         env = Environment()
 

@@ -2,7 +2,23 @@
 
 import pytest
 
-from repro.des import BusyTracker, Counter, Environment, LevelMonitor
+from repro.des import (
+    BusyTracker,
+    Counter,
+    Environment,
+    InfiniteResource,
+    LevelMonitor,
+    Resource,
+)
+
+
+def busy(pool, tracker, seconds):
+    """One server of ``pool`` busy for ``seconds``, charged to ``tracker``."""
+    service = pool.serve(seconds, tracker=tracker)
+    try:
+        yield service
+    finally:
+        pool.finish(service)
 
 
 class TestCounter:
@@ -106,9 +122,7 @@ class TestBusyTracker:
         disk = BusyTracker(env, "disk", capacity=1)
 
         def proc(env):
-            disk.acquire()
-            yield env.timeout(3.0)
-            disk.release()
+            yield from busy(Resource(env, 1), disk, 3.0)
             yield env.timeout(1.0)
 
         env.process(proc(env))
@@ -119,16 +133,9 @@ class TestBusyTracker:
     def test_utilization_multi_server(self):
         env = Environment()
         cpu = BusyTracker(env, "cpu", capacity=2)
-
-        def proc(env):
-            cpu.acquire()
-            cpu.acquire()
-            yield env.timeout(1.0)
-            cpu.release()
-            yield env.timeout(1.0)
-            cpu.release()
-
-        env.process(proc(env))
+        pool = Resource(env, 2)
+        env.process(busy(pool, cpu, 1.0))
+        env.process(busy(pool, cpu, 2.0))
         env.run()
         # busy-server-seconds = 2*1 + 1*1 = 3 over 2 servers * 2 seconds
         assert cpu.utilization(0.0, 0.0) == pytest.approx(0.75)
@@ -138,9 +145,7 @@ class TestBusyTracker:
         disk = BusyTracker(env, "disk", capacity=1)
 
         def proc(env):
-            disk.acquire()
-            yield env.timeout(4.0)
-            disk.release()
+            yield from busy(Resource(env, 1), disk, 4.0)
             disk.record_outcome(3.0, useful=True)
             disk.record_outcome(1.0, useful=False)
 
@@ -153,13 +158,9 @@ class TestBusyTracker:
     def test_infinite_capacity_reports_zero_utilization(self):
         env = Environment()
         pool = BusyTracker(env, "cpu", capacity=float("inf"))
-        pool.acquire()
-
-        def proc(env):
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
+        env.process(busy(InfiniteResource(env), pool, 1.0))
         env.run()
+        assert pool.busy_area() == 1.0
         assert pool.utilization(0.0, 0.0) == 0.0
 
     def test_empty_window(self):

@@ -26,6 +26,7 @@ from repro.des import (
     Timeout,
 )
 from repro.faults import REPAIR_PRIORITY
+from repro.stats import TimeWeighted
 
 
 class Request(Event):
@@ -86,12 +87,12 @@ def request_leg(env, pool, tracker, amount, priority, spent):
     request = pool.request(priority=priority)
     try:
         yield request
-        tracker.acquire()
+        tracker.add(1, env._now)
         start = env._now
         try:
             yield Timeout(env, amount)
         finally:
-            tracker.release()
+            tracker.add(-1, env._now)
             spent[0] += env._now - start
     finally:
         pool.release(request)
@@ -106,19 +107,24 @@ def serve_leg(env, pool, tracker, amount, priority, spent):
 
 
 def serve_pool(env, infinite, capacity):
-    return InfiniteResource(env) if infinite else Resource(env, capacity)
+    """``(pool, tracker, busy)``; ``busy()`` is ``(servers, area)`` now."""
+    pool = InfiniteResource(env) if infinite else Resource(env, capacity)
+    tracker = BusyTracker(env, "pool", pool.capacity)
+    return pool, tracker, lambda: (tracker.busy_now, tracker.busy_area())
 
 
 def request_pool(env, infinite, capacity):
-    return RequestPool(env, float("inf") if infinite else capacity)
+    """The reference's pool; its busy count a plain time-weighted signal."""
+    tracker = TimeWeighted()
+    pool = RequestPool(env, float("inf") if infinite else capacity)
+    return pool, tracker, lambda: (tracker.value, tracker.area(env.now))
 
 
 def run_scenario(leg, make_pool, seed, infinite, capacity, equal):
     """Workers doing legs under random interrupts; the observable log."""
     rng = random.Random(seed)
     env = Environment()
-    pool = make_pool(env, infinite, capacity)
-    tracker = BusyTracker(env, "pool", pool.capacity)
+    pool, tracker, busy = make_pool(env, infinite, capacity)
     log = []
     workers = []
 
@@ -156,7 +162,7 @@ def run_scenario(leg, make_pool, seed, infinite, capacity, equal):
         for _ in range(15)
     ]))
     env.run()
-    return log, tracker.busy_area(), env.now, pool.in_use
+    return log, busy()[1], env.now, pool.in_use
 
 
 class TestParityWithRequestPattern:
@@ -498,17 +504,16 @@ class TestService:
         # it starts inside the first one's finish, so the tracker is
         # charged from that instant on, exactly as the request
         # reference charges it.
-        def legs(leg, pool):
+        def legs(leg, make_pool):
             env = Environment()
-            pool = pool(env, False, 1)
-            tracker = BusyTracker(env, "disk", 1)
+            pool, tracker, busy = make_pool(env, False, 1)
             spent = [0.0]
             env.process(leg(env, pool, tracker, 1.5, 0, spent))
             env.process(leg(env, pool, tracker, 0.75, 0, spent))
             env.run(until=2.0)
-            charged = (tracker.busy_now, tracker.busy_area())
+            charged = busy()
             env.run()
-            return charged, tracker.busy_area(), spent[0], env.now
+            return charged, busy()[1], spent[0], env.now
 
         served = legs(serve_leg, serve_pool)
         assert served[0] == (1, 2.0)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import RunConfig, SimulationParameters, TransactionClass
 from repro.core.params import DELAY_MODE_ADAPTIVE_ALL
+from repro.core.workload import CONTENT_CHUNK
 from repro.des import StreamFactory
 from repro.experiments import (
     CheckpointMismatchError,
@@ -22,7 +23,7 @@ from repro.experiments import (
     run_sweep,
 )
 from repro.experiments.runner import SweepResult
-from repro.fastlane.tapes import TAPE_CHUNK, tape_key
+from repro.fastlane.tapes import tape_key
 from repro.faults import DiskFaultSpec, FaultSpec
 from repro.workloads import create_workload_model
 
@@ -67,7 +68,6 @@ PERTURBATIONS = {
     "faults": FaultSpec(disk=DiskFaultSpec()),
     "resource_model": "buffered",
     "buffer_capacity": 20,
-    "buffer_policy": "fixed",
     "buffer_hit_ratio": 0.5,
     "disk_placement": "striped",
     "nodes": 3,
@@ -88,7 +88,7 @@ def config(params):
 
 def test_every_field_has_a_perturbation():
     assert sorted(PERTURBATIONS) == sorted(FIELDS)
-    assert len(FIELDS) == 32
+    assert len(FIELDS) == 31
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -124,13 +124,13 @@ def test_mpl_leaves_the_drawn_sequence_unchanged(workload_model):
     def draws(mpl):
         params = BASE.with_changes(workload_model=workload_model, mpl=mpl)
         generator = create_workload_model(params).build_generator(
-            params, StreamFactory(7)
+            StreamFactory(7)
         )
         return [
             (tx.read_set, tx.write_set, tx.tx_class)
             for tx in (
                 generator.new_transaction(terminal_id=0)
-                for _ in range(2 * TAPE_CHUNK + 10)
+                for _ in range(2 * CONTENT_CHUNK + 10)
             )
         ]
 

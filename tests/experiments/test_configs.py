@@ -56,7 +56,7 @@ class TestConfigs:
         configs = experiment_configs()
         exp7 = configs["exp7_buffered"]
         assert exp7.params.resource_model == "buffered"
-        assert exp7.params.buffer_policy == "lru"
+        assert exp7.params.buffer_hit_ratio is None
         assert exp7.params.buffer_capacity == 250
 
         exp8 = configs["exp8_skewed_disks"]

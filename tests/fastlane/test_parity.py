@@ -19,8 +19,10 @@ These tests pin that claim three ways:
 import pytest
 
 from repro.core.simulation import run_simulation
+from repro.des import StreamFactory
 from repro.experiments import run_sweep
 from repro.fastlane import TapeStore, run_point_replications
+from repro.workloads import save_workload_trace, trace_record
 
 from tests.fastlane.grid import (
     GRID_RUN,
@@ -73,14 +75,13 @@ class TestFusedTrajectoryParity:
             assert result.algorithm == classic.algorithm
 
     def test_tape_fed_classic_run_matches_golden(self):
-        # Tape injection alone changes nothing: the tape replays the
-        # very sequence the model-owned generator would draw.
+        # A tape store alone changes nothing: the tape records the very
+        # sequences a stand-alone model draws for itself.
         store = TapeStore()
         for algorithm in ALGORITHMS:
-            result = run_simulation(
-                FINITE, algorithm=algorithm, run=RUN,
-                workload=store.workload(FINITE, RUN.seed),
-            )
+            result = run_point_replications(
+                FINITE, algorithm, RUN, 1, tapes=store
+            )[0]
             assert _fingerprint(result) == GOLDEN[(algorithm, "finite")]
 
 
@@ -109,23 +110,11 @@ class TestSweepParity:
             assert result_fingerprint(result) == (
                 reference[(algorithm, mpl, 0)]
             )
-        # Every replication is a clean first-attempt success...
+        # Every replication is a clean first-attempt success.
         assert set(sweep.replicate_statuses) == set(reference)
         for status in sweep.replicate_statuses.values():
             assert status.status == "ok"
             assert status.attempts == 1
-        # ...and the cross-replication aggregate is over the references.
-        for algorithm, mpl in sweep.results:
-            means = [
-                classic_replication(
-                    config.params_for(mpl), algorithm, GRID_RUN, rep
-                ).mean("throughput")
-                for rep in range(3)
-            ]
-            n, mean, _ = sweep.cross_replication(
-                "throughput", algorithm, mpl
-            )
-            assert (n, mean) == (3, sum(means) / 3)
 
     def test_batched_matches_multiprocess_classic(self):
         config = grid_config()
@@ -184,6 +173,38 @@ class TestTapedTierParity:
     @pytest.mark.parametrize("tier", sorted(TAPED_TIERS))
     def test_sweep_matches_stand_alone_runs(self, tier, workers):
         config = grid_config(params=TAPED_TIERS[tier])
+        sweep = run_sweep(
+            config, run=GRID_RUN, replications=2, workers=workers
+        )
+        assert sweep_fingerprints(sweep) == (
+            reference_fingerprints(config, GRID_RUN, 2)
+        )
+
+
+def write_trace(path, records=120, seed=5):
+    """A cyclic-playback trace of ``records`` grid-timed transactions."""
+    draw = StreamFactory(seed).stream("trace-file")
+    save_workload_trace(path, [
+        trace_record(reads, reads[:1])
+        for reads in (
+            draw.sample_without_replacement(200, 4) for _ in range(records)
+        )
+    ])
+
+
+class TestTracePlaybackParity:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_matches_stand_alone_runs(self, tmp_path, workers):
+        # Trace content is the model's own, but the sweep's tape still
+        # records the disk picks among the 2 disks.
+        path = tmp_path / "trace.jsonl"
+        write_trace(path)
+        params = grid_params().with_changes(
+            workload_model="trace",
+            workload_spec={"path": str(path), "rate": 8.0, "cycle": True},
+        )
+        assert params.num_disks == 2
+        config = grid_config(params=params)
         sweep = run_sweep(
             config, run=GRID_RUN, replications=2, workers=workers
         )

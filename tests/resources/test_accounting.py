@@ -6,7 +6,7 @@ charged to the attempt, the server is released on unwind, and
 ``charge_attempt(useful=False)`` books exactly that partial time as
 wasted in the utilization trackers. These tests pin the contract for
 both legs (disk and CPU) of the one ``read_access`` pipeline, for the
-raw ``disk_service``/``cpu_service`` legs, for the buffered model's
+raw ``cpu_service`` leg, for the buffered model's
 miss path, and for the distributed configuration (network legs,
 remote disk, replicated deferred updates).
 """
@@ -92,17 +92,6 @@ class TestClassicReadAccess:
 
 
 class TestGenericLegs:
-    def test_abort_during_disk_service(self):
-        env, model, _ = build()
-        t = tx()
-        victim = env.process(model.disk_service(t, 1.0))
-        interrupt_at(env, victim, 0.25)
-
-        assert t.attempt_disk_time == pytest.approx(0.25)
-        assert_all_released(model)
-        model.charge_attempt(t, useful=False)
-        assert model.disk_tracker.wasted_time == pytest.approx(0.25)
-
     def test_abort_during_cpu_service(self):
         env, model, _ = build()
         t = tx()

@@ -89,13 +89,19 @@ class TestLruPolicy:
 
 
 class TestFixedPolicy:
-    def test_requires_hit_ratio(self):
-        with pytest.raises(ValueError, match="buffer_hit_ratio"):
-            build(buffer_policy="fixed")
+    def test_a_hit_ratio_selects_the_fixed_policy(self):
+        _, fixed, _ = build(buffer_hit_ratio=0.5)
+        _, lru, _ = build()
+        assert fixed.buffer_summary()["policy"] == "fixed"
+        assert lru.buffer_summary()["policy"] == "lru"
+
+    def test_a_hit_ratio_excludes_a_capacity(self):
+        with pytest.raises(ValueError, match="exclusive"):
+            build(buffer_capacity=10, buffer_hit_ratio=0.5)
 
     def test_realized_ratio_tracks_configured(self):
         env, model, _ = build(
-            buffer_policy="fixed", buffer_hit_ratio=0.7
+            buffer_hit_ratio=0.7
         )
         t = tx()
         for obj in range(500):
@@ -105,7 +111,7 @@ class TestFixedPolicy:
 
     def test_all_hits_consume_no_disk(self):
         env, model, _ = build(
-            buffer_policy="fixed", buffer_hit_ratio=1.0
+            buffer_hit_ratio=1.0
         )
         t = tx()
         for obj in range(20):
@@ -146,14 +152,14 @@ class TestReporting:
         """The point of the model: hits shed disk load end to end."""
         cached = run_simulation(
             self.PARAMS.with_changes(
-                buffer_policy="fixed", buffer_hit_ratio=0.9,
+                buffer_hit_ratio=0.9,
                 buffer_capacity=None,
             ),
             algorithm="blocking", run=self.RUN,
         )
         uncached = run_simulation(
             self.PARAMS.with_changes(
-                buffer_policy="fixed", buffer_hit_ratio=0.0,
+                buffer_hit_ratio=0.0,
                 buffer_capacity=None,
             ),
             algorithm="blocking", run=self.RUN,
@@ -178,7 +184,7 @@ class TestCountsKeptByTheModel:
 
     @pytest.mark.parametrize("policy", [
         dict(buffer_capacity=3),
-        dict(buffer_policy="fixed", buffer_hit_ratio=0.5),
+        dict(buffer_hit_ratio=0.5),
     ])
     def test_bus_free_model_reports_the_observed_summary(self, policy):
         env, bare, _ = build(**policy)

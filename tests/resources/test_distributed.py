@@ -248,10 +248,7 @@ class TestPerNodeBuffers:
 
     def test_fixed_policy_rejected(self):
         with pytest.raises(ValueError, match="LRU"):
-            build(
-                nodes=2, buffer_capacity=10, buffer_policy="fixed",
-                buffer_hit_ratio=0.5,
-            )
+            build(nodes=2, buffer_hit_ratio=0.5)
 
 
 class TestFaultTargetsAndLabels:

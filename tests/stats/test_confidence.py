@@ -172,8 +172,8 @@ class TestConfidenceInterval:
         ci = ConfidenceInterval(mean=10.0, half_width=2.0, confidence=0.9, n=20)
         assert ci.low == 8.0
         assert ci.high == 12.0
-        assert ci.contains(9.0)
-        assert not ci.contains(12.5)
+        assert ci.low <= 9.0 <= ci.high
+        assert not ci.low <= 12.5 <= ci.high
         assert ci.relative_half_width == pytest.approx(0.2)
 
     def test_zero_mean_relative_width(self):

@@ -50,36 +50,6 @@ class TestBasics:
         assert "count=2" in repr(make([1.0, 2.0]))
 
 
-class TestMerge:
-    def test_merge_empty_into_populated(self):
-        w = make([1.0, 2.0])
-        w.merge(Welford())
-        assert w.count == 2
-        assert w.mean == pytest.approx(1.5)
-
-    def test_merge_populated_into_empty(self):
-        w = Welford()
-        w.merge(make([1.0, 2.0]))
-        assert w.count == 2
-        assert w.mean == pytest.approx(1.5)
-
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=30),
-        st.lists(finite_floats, min_size=1, max_size=30),
-    )
-    def test_merge_equals_concatenation(self, xs, ys):
-        merged = make(xs)
-        merged.merge(make(ys))
-        direct = make(xs + ys)
-        assert merged.count == direct.count
-        assert merged.mean == pytest.approx(direct.mean, abs=1e-6)
-        assert merged.variance == pytest.approx(
-            direct.variance, rel=1e-6, abs=1e-6
-        )
-        assert merged.min == direct.min
-        assert merged.max == direct.max
-
-
 class TestAgainstNumpy:
     @given(st.lists(finite_floats, min_size=2, max_size=200))
     def test_matches_numpy(self, xs):

@@ -67,7 +67,7 @@ class TestSizeDraws:
     def _sizes(self, spec, n=2000, seed=9):
         params = heavy_params(workload_spec=spec)
         model = create_workload_model(params)
-        generator = model.build_generator(params, StreamFactory(seed))
+        generator = model.build_generator(StreamFactory(seed))
         return [
             len(generator.new_transaction(terminal_id=0).read_set)
             for _ in range(n)
@@ -92,11 +92,24 @@ class TestSizeDraws:
             StreamFactory(9),
         )
         heavy = self._sizes({"size_cv": 2.0}, n=64)
-        classic = [
-            len(uniform.new_transaction(terminal_id=0).read_set)
-            for _ in range(64)
-        ]
+        classic = [len(uniform.spec()[0]) for _ in range(64)]
         assert heavy != classic
+
+    def test_sizes_are_the_draw_size_hook_on_the_size_stream(self):
+        spec = {"size_dist": "pareto", "size_alpha": 1.5}
+        model = create_workload_model(heavy_params(workload_spec=spec))
+        rng = StreamFactory(9).stream("workload.size")
+        want = [model.draw_size(rng, 4, 12) for _ in range(200)]
+        assert self._sizes(spec, n=200) == want
+        # The paper's models keep the uniform draw on the same stream.
+        classic = create_workload_model(
+            heavy_params(workload_model="closed_classic")
+        )
+        rng = StreamFactory(9).stream("workload.size")
+        uniform = StreamFactory(9).stream("workload.size")
+        assert [classic.draw_size(rng, 4, 12) for _ in range(50)] == [
+            uniform.uniform_int(4, 12) for _ in range(50)
+        ]
 
     def test_object_draws_reuse_the_base_streams(self):
         # Only the size draw changes; hotspot skew composes unchanged.
@@ -104,7 +117,7 @@ class TestSizeDraws:
         params = heavy_params(hot_fraction=0.1, hot_access_prob=0.9,
                               workload_spec={"size_cv": 2.0})
         model = create_workload_model(params)
-        generator = model.build_generator(params, StreamFactory(9))
+        generator = model.build_generator(StreamFactory(9))
         hot_objects = params.db_size * 0.1
         hot = total = 0
         for _ in range(500):

@@ -289,24 +289,32 @@ class TestFeedback:
 
 
 class TestEngineIntegration:
-    def params(self):
-        return SimulationParameters(
+    def params(self, path=None):
+        """Closed terminals, or playback of the trace at ``path``."""
+        params = SimulationParameters(
             db_size=50, min_size=1, max_size=10, write_prob=0.5,
             num_terms=8, mpl=6, ext_think_time=0.1,
             obj_io=0.005, obj_cpu=0.002, num_cpus=None, num_disks=None,
         )
+        if path is None:
+            return params
+        return params.with_changes(
+            workload_model="trace",
+            workload_spec={"path": str(path), "rate": 10.0, "cycle": True},
+        )
 
-    def test_model_runs_on_a_trace_source(self):
+    def test_model_runs_on_a_saved_trace(self, tmp_path):
         records = [
             trace_record(range(start, start + 4),
                          (start,) if start % 2 == 0 else ())
             for start in range(0, 40, 4)
         ]
+        path = tmp_path / "trace.jsonl"
+        save_workload_trace(str(path), records)
         committed = CommitLog()
         checker = InvariantChecker(mode="strict")
         model = SystemModel(
-            self.params(), "blocking", seed=3,
-            workload=TraceSource(records, cycle=True),
+            self.params(path), "blocking", seed=3,
             subscribers=(committed, checker),
         )
         model.run_until(20.0)
@@ -319,7 +327,7 @@ class TestEngineIntegration:
         assert report["violations"] == []
         assert report["serializability"]["reads"] > 0
 
-    def test_replaying_a_history_under_another_algorithm(self):
+    def test_replaying_a_history_under_another_algorithm(self, tmp_path):
         committed = CommitLog()
         source = SystemModel(
             self.params(), "blocking", seed=5, subscribers=(committed,)
@@ -327,14 +335,20 @@ class TestEngineIntegration:
         source.run_until(15.0)
         records = trace_from_history(committed.transactions)
         assert records
+        path = tmp_path / "history.jsonl"
+        save_workload_trace(str(path), records)
+        replayed = CommitLog()
         checker = InvariantChecker(mode="strict")
         replay = SystemModel(
-            self.params(), "mvto", seed=5,
-            workload=TraceSource(records, cycle=True),
-            subscribers=(checker,),
+            self.params(path), "mvto", seed=5,
+            subscribers=(replayed, checker),
         )
         replay.run_until(15.0)
         assert replay.metrics.commits.total > 0
+        # Every replayed read set is one the blocking run committed.
+        history_reads = {reads for _, reads, _, _ in records}
+        for tx in replayed.transactions:
+            assert tx.read_set in history_reads
         report = checker.report()
         assert report["violations"] == []
         assert report["serializability"]["reads"] > 0
