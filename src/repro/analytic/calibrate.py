@@ -195,7 +195,7 @@ def _objective(samples, coeffs):
     total = 0.0
     for _, params, algorithm, mpl, simulated in samples:
         predicted = surrogate_prediction(
-            params.with_changes(mpl=mpl), algorithm, coeffs
+            params, algorithm, coeffs, mpl
         ).throughput
         if predicted <= 0.0:
             return float("inf")
@@ -267,8 +267,7 @@ def run_calibration(run=None, grid=None, fit=True, progress=None,
     max_index = 0.0
     for scenario, params, algorithm, mpl, simulated in samples:
         prediction = surrogate_prediction(
-            params.with_changes(mpl=mpl), algorithm,
-            coefficients[algorithm],
+            params, algorithm, coefficients[algorithm], mpl
         )
         max_index = max(max_index, prediction.contention_index)
         points.append(

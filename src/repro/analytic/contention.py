@@ -60,10 +60,11 @@ Illinois root find over that evaluator. Two regimes per prediction:
 
 The network is :func:`repro.analytic.bridge.network_for_params`, the
 same one exact MVA solves; its identical disks are one counted group,
-so the cost per prediction is independent of ``num_disks``: about
-63 us on a 2-vCPU Xeon host, cheap enough to sweep the 113,400
-evaluations of :func:`repro.analytic.explore.default_space` in about
-7 s. This fixed-``m_eff`` solve is the package's one approximate MVA.
+so the cost per prediction is independent of ``num_disks``, cheap
+enough to sweep the 113,400 evaluations of
+:func:`repro.analytic.explore.default_space` in about 4.8 s (42 us per
+evaluation, median of 3 runs on a 2-vCPU Xeon host). This
+fixed-``m_eff`` solve is the package's one approximate MVA.
 
 Every prediction carries an *uncertainty score*: its contention index
 ``m_eff * k^2 / db_size * w(2-w)`` relative to the largest index the
@@ -231,8 +232,8 @@ def _contention_terms(algorithm, m_eff, k, k_w, db, alpha, beta):
     return p, attempts, clamped
 
 
-def _residence_terms(center, inflation):
-    """``(d, s, fixed, share)`` of one center at this demand inflation.
+def _residence_split(d, servers, delay):
+    """``(fixed, share)`` of one center with (inflated) demand ``d``.
 
     Every center kind shares one residence formula,
     ``r = fixed + share * (1 + seen - 0.5 * busy)`` with
@@ -243,11 +244,9 @@ def _residence_terms(center, inflation):
     bit for bit (``0.0 + x``, ``x / 1`` and ``d + 0.0 * finite`` are
     exact).
     """
-    demand, servers, delay = center
-    d = demand * inflation
     if delay:
-        return d, servers, d, 0.0
-    return d, servers, d * (servers - 1.0) / servers, d / servers
+        return d, 0.0
+    return d * (servers - 1.0) / servers, d / servers
 
 
 def _solve_fixed_m(layout, n, z, m_eff, algorithm, k, k_w, db,
@@ -262,8 +261,10 @@ def _solve_fixed_m(layout, n, z, m_eff, algorithm, k, k_w, db,
 
     ``layout`` is the DBMS part of :func:`network_for_params` in its
     fixed shape, ``(think, cpu, disk, disk_count)``: the internal-think
-    demand (0.0 when there is none), then ``(demand, servers, delay)``
-    for the CPU pool and for one of the ``disk_count`` disks.
+    demand (0.0 when there is none), ``(demand, servers, delay)`` for
+    the CPU pool, and ``(demand, delay)`` for one of the
+    ``disk_count`` disks (each a single server, so its busy fraction
+    ``X * d`` needs no divisor).
     Everything that does not change between iterations is hoisted, so
     the loop is straight-line arithmetic over the two service centers.
     ``queues`` holds their queue lengths ``[cpu, disk]`` and is updated
@@ -282,14 +283,16 @@ def _solve_fixed_m(layout, n, z, m_eff, algorithm, k, k_w, db,
     )
     waste = 0.5 * beta if algorithm == "immediate_restart" else beta
     inflation = 1.0 + (attempts - 1.0) * waste
-    think, cpu, disk, disk_count = layout
+    think, (cpu_d, cpu_s, cpu_delay), (disk_d, disk_delay), disk_count = (
+        layout
+    )
     # The internal-think delay's residence does not depend on queue
     # lengths: it is the first addend of r_proc (0.0 adds exactly).
     think *= inflation
-    cpu_d, cpu_s, cpu_fixed, cpu_share = _residence_terms(cpu, inflation)
-    disk_d, disk_s, disk_fixed, disk_share = _residence_terms(
-        disk, inflation
-    )
+    cpu_d *= inflation
+    cpu_fixed, cpu_share = _residence_split(cpu_d, cpu_s, cpu_delay)
+    disk_d *= inflation
+    disk_fixed, disk_share = _residence_split(disk_d, 1.0, disk_delay)
     if algorithm == "blocking":
         # Wait-chain cascade: a conflicting request waits half the
         # blocker's processing time, but the blocker may itself be
@@ -337,7 +340,7 @@ def _solve_fixed_m(layout, n, z, m_eff, algorithm, k, k_w, db,
             busy = 1.0
         r_cpu = cpu_fixed + cpu_share * (1.0 + seen - 0.5 * busy)
         seen = q_disk * ratio
-        busy = throughput * disk_d / disk_s
+        busy = throughput * disk_d
         if busy > seen:
             busy = seen
         if busy > 1.0:
@@ -494,7 +497,8 @@ def _network_layout(params, accesses):
     """External think ``z`` and the DBMS centers in their fixed order.
 
     An optional internal-think delay, the CPU pool and the disks (one
-    counted center, so solver cost is independent of num_disks).
+    counted center, so solver cost is independent of num_disks; every
+    disk is a single server, so its entry carries no server count).
     """
     global _last_network
     key = (
@@ -507,7 +511,7 @@ def _network_layout(params, accesses):
         last = _last_network = key, (terminals.demand, (
             inner[0].demand if inner else 0.0,
             (cpu.demand, cpu.servers, cpu.kind == DELAY),
-            (disks.demand, disks.servers, disks.kind == DELAY),
+            (disks.demand, disks.kind == DELAY),
             disks.count,
         ))
     return last[1]
@@ -517,10 +521,12 @@ def _check_domain(params):
     """Refuse a configuration the surrogate has no calibrated terms for.
 
     The network and the contention terms model the paper's closed,
-    single-site, uniform-access system. A sharded tier, a buffer pool,
-    skewed disks, hotspot access or an open arrival process would get a
-    silent, wrong prediction (5.67 tps for a 4-node run that measures
-    16.77), so each raises ``ValueError`` naming the field instead.
+    single-site, uniform-access system with object-level, CPU-free
+    concurrency control. A sharded tier, a buffer pool, skewed disks,
+    hotspot access, coarser lock granules, a CPU cost per CC request
+    or an open arrival process would get a silent, wrong prediction
+    (5.67 tps for a 4-node run that measures 16.77), so each raises
+    ``ValueError`` naming the field instead.
     """
     if params.resource_model != "classic":
         raise ValueError(
@@ -536,6 +542,16 @@ def _check_domain(params):
             f"surrogate models uniform access, got hotspot skew "
             f"(hot_fraction={params.hot_fraction!r})"
         )
+    if params.lock_granules is not None:
+        raise ValueError(
+            f"surrogate models object-level concurrency control, got "
+            f"lock_granules={params.lock_granules}"
+        )
+    if params.cc_cpu > 0.0:
+        raise ValueError(
+            f"surrogate models free concurrency-control requests, got "
+            f"cc_cpu={params.cc_cpu!r}"
+        )
     if params.workload_model != "closed_classic":
         raise ValueError(
             f"surrogate models only workload_model='closed_classic', got "
@@ -543,21 +559,28 @@ def _check_domain(params):
         )
 
 
-def surrogate_prediction(params, algorithm, coeffs=None):
+def surrogate_prediction(params, algorithm, coeffs=None, mpl=None):
     """Contention-corrected throughput prediction for one grid point.
 
-    ``params`` supplies the physical configuration *and* the mpl;
-    ``coeffs`` is a :class:`CorrectionCoefficients` (None looks the
-    algorithm up in :data:`DEFAULT_COEFFS`). Unknown algorithms raise
-    ``ValueError`` — the surrogate only has correction terms for
-    :data:`SUPPORTED_ALGORITHMS` — and so does any configuration
-    outside the calibrated domain (see :func:`_check_domain`).
+    ``params`` supplies the physical configuration; ``mpl`` is the
+    multiprogramming level to predict at (None uses ``params.mpl``),
+    so a sweep over mpls shares one parameter set. ``coeffs`` is a
+    :class:`CorrectionCoefficients` (None looks the algorithm up in
+    :data:`DEFAULT_COEFFS`). Unknown algorithms raise ``ValueError``
+    — the surrogate only has correction terms for
+    :data:`SUPPORTED_ALGORITHMS` — and so do an mpl below 1 and any
+    configuration outside the calibrated domain (see
+    :func:`_check_domain`).
     """
     if algorithm not in SUPPORTED_ALGORITHMS:
         raise ValueError(
             f"surrogate has no contention terms for {algorithm!r}; "
             f"supported: {SUPPORTED_ALGORITHMS}"
         )
+    if mpl is None:
+        mpl = params.mpl
+    elif mpl < 1:
+        raise ValueError(f"mpl must be >= 1, got {mpl}")
     _check_domain(params)
     if coeffs is None:
         coeffs = DEFAULT_COEFFS[algorithm]
@@ -566,7 +589,6 @@ def surrogate_prediction(params, algorithm, coeffs=None):
     z, layout = _network_layout(params, k)
     db = float(params.db_size)
     population = params.num_terms
-    mpl = params.mpl
 
     closed = _solve_closed(
         layout, population, z, mpl, algorithm, k, k_w, db,

@@ -7,9 +7,9 @@ magnitude too big to simulate become sweepable. A
 :class:`ExplorationSpace` is a cross product over the paper's
 physical axes (database size, transaction size, disks, CPUs, write
 probability, think time) x mpl x algorithm; the explorer streams
-through it evaluating :func:`surrogate_prediction` (about 63 us per
-evaluation on a 2-vCPU Xeon host) and aggregates two artifacts the
-paper cares about:
+through it evaluating :func:`surrogate_prediction` (the default space
+in about 4.8 s, 42 us per evaluation on a 2-vCPU Xeon host) and
+aggregates two artifacts the paper cares about:
 
 * the **optimal-mpl surface** — for every configuration and
   algorithm, the multiprogramming level that maximizes predicted
@@ -61,9 +61,11 @@ class ExplorationSpace:
     """A cross product of configuration axes to sweep.
 
     ``size()`` counts (configuration, algorithm, mpl) evaluations.
-    Axis values land on :meth:`SimulationParameters.with_changes`;
-    ``min_size`` follows ``max_size`` down so the transaction-size
-    distribution stays valid at small sizes.
+    Configuration axis values land on
+    :meth:`SimulationParameters.with_changes`, one parameter set per
+    configuration; the mpls go to :func:`surrogate_prediction` as its
+    ``mpl`` argument. ``min_size`` follows ``max_size`` down so the
+    transaction-size distribution stays valid at small sizes.
     """
 
     db_sizes: Tuple[int, ...]
@@ -82,6 +84,9 @@ class ExplorationSpace:
         ):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
+        bad = [mpl for mpl in self.mpls if mpl < 1]
+        if bad:
+            raise ValueError(f"mpls must be >= 1, got {bad}")
 
     def config_count(self):
         return (
@@ -136,8 +141,8 @@ def default_space():
     5,400 configurations x 7 mpls x 3 algorithms — the full cross of
     the paper's contention and resource axes, impossibly expensive to
     simulate (a quick-profile simulation of every point would take
-    around four days; the surrogate does it in about 7 s on a 2-vCPU
-    Xeon host).
+    around four days; the surrogate does it in about 4.8 s on a 2-vCPU
+    Xeon host, median of 3 runs).
     """
     return ExplorationSpace(
         db_sizes=(250, 500, 1000, 2000, 4000, 8000),
@@ -278,17 +283,15 @@ def explore(space=None, coeffs=None, max_index=None, threshold=1.0,
     # retained point the next flagged one must beat.
     flagged = []
     for axes, params in space.configurations(base=base):
-        # One parameter set per mpl, shared by every algorithm.
-        points = [(mpl, params.with_changes(mpl=mpl)) for mpl in space.mpls]
         best = {}
         for algorithm in space.algorithms:
             coefficients = None if coeffs is None else coeffs[algorithm]
             best_mpl = None
             best_prediction = None
             worst_uncertainty = 0.0
-            for mpl, point in points:
+            for mpl in space.mpls:
                 prediction = surrogate_prediction(
-                    point, algorithm, coefficients
+                    params, algorithm, coefficients, mpl
                 )
                 evaluations += 1
                 uncertainty = prediction.uncertainty(max_index)

@@ -31,6 +31,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="no contention terms"):
             surrogate_prediction(BASE.with_changes(mpl=5), "certified")
 
+    @pytest.mark.parametrize("mpl", [0, -3])
+    def test_mpl_below_one_rejected(self, mpl):
+        with pytest.raises(ValueError, match=f"mpl must be >= 1, got {mpl}"):
+            surrogate_prediction(BASE, "blocking", mpl=mpl)
+
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             CorrectionCoefficients(-0.1, 1.0)
@@ -69,6 +74,16 @@ class TestDomain:
         with pytest.raises(ValueError, match="hot_fraction=0.02"):
             surrogate_prediction(params, "blocking")
 
+    def test_lock_granules_refused(self):
+        params = BASE.with_changes(mpl=5, lock_granules=10)
+        with pytest.raises(ValueError, match="lock_granules=10"):
+            surrogate_prediction(params, "blocking")
+
+    def test_cc_cpu_refused(self):
+        params = BASE.with_changes(mpl=5, cc_cpu=0.01)
+        with pytest.raises(ValueError, match="cc_cpu=0.01"):
+            surrogate_prediction(params, "optimistic")
+
     def test_open_workload_refused(self):
         params = BASE.with_changes(
             mpl=5, workload_model="open_poisson",
@@ -94,6 +109,13 @@ class TestSolverInvariants:
         assert surrogate_prediction(
             params, algorithm
         ) == surrogate_prediction(params, algorithm)
+
+    @pytest.mark.parametrize("algorithm", SUPPORTED_ALGORITHMS)
+    def test_mpl_argument_matches_params_mpl(self, algorithm):
+        for mpl in (1, 5, 25, 200):
+            assert surrogate_prediction(
+                HOT, algorithm, mpl=mpl
+            ) == surrogate_prediction(HOT.with_changes(mpl=mpl), algorithm)
 
     def test_mpl_at_population_binds_population(self):
         prediction = surrogate_prediction(

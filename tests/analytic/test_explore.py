@@ -48,6 +48,16 @@ class TestSpace:
                 algorithms=("blocking",),
             )
 
+    @pytest.mark.parametrize("mpl", [0, -5])
+    def test_non_positive_mpl_rejected(self, mpl):
+        with pytest.raises(ValueError, match="mpls must be >= 1"):
+            ExplorationSpace(
+                db_sizes=(1000,), max_sizes=(8,), num_disks=(1,),
+                num_cpus=(1,), write_probs=(0.25,),
+                ext_think_times=(1.0,), mpls=(5, mpl),
+                algorithms=("blocking",),
+            )
+
     def test_configurations_shrink_min_size(self):
         space = ExplorationSpace(
             db_sizes=(1000,), max_sizes=(2,), num_disks=(1,),
@@ -105,6 +115,89 @@ class TestExplore:
         assert first.optimal == second.optimal
         assert first.flagged == second.flagged
         assert first.flagged_count == second.flagged_count
+
+
+class TestExploreParity:
+    """``explore`` against a reference built one parameter set per mpl.
+
+    The reference predicts every point from
+    ``params.with_changes(mpl=m)``; the report must match it record for
+    record across clamped and unclamped points, both bindings, a
+    read-only write probability, pooled CPUs and several disks; the
+    space has crossovers and more flagged points than are retained.
+    """
+
+    SPACE = ExplorationSpace(
+        db_sizes=(100, 500, 1000),
+        max_sizes=(8, 24),
+        num_disks=(1, 8),
+        num_cpus=(1, 2, 10),
+        write_probs=(0.0, 0.75),
+        ext_think_times=(1.0,),
+        mpls=(5, 50, 200),
+        algorithms=("blocking", "immediate_restart", "optimistic"),
+    )
+
+    def reference(self):
+        """``(optimal, flagged, predictions)`` in evaluation order."""
+        optimal, flagged, predictions = [], [], []
+        for axes, params in self.SPACE.configurations():
+            best = {}
+            for algorithm in self.SPACE.algorithms:
+                points = []
+                for mpl in self.SPACE.mpls:
+                    prediction = surrogate_prediction(
+                        params.with_changes(mpl=mpl), algorithm
+                    )
+                    predictions.append(prediction)
+                    uncertainty = prediction.uncertainty()
+                    points.append((mpl, prediction, uncertainty))
+                    if uncertainty > 1.0:
+                        flagged.append({
+                            "axes": axes,
+                            "algorithm": algorithm,
+                            "mpl": mpl,
+                            "predicted": prediction.throughput,
+                            "uncertainty": uncertainty,
+                        })
+                # On a throughput tie the first mpl stays.
+                mpl, prediction, _ = max(
+                    points, key=lambda point: point[1].throughput
+                )
+                best[algorithm] = {
+                    "mpl": mpl,
+                    "throughput": prediction.throughput,
+                    "uncertainty": max(u for _, _, u in points),
+                }
+            record = dict(axes)
+            record["best"] = best
+            record["winner"] = max(
+                self.SPACE.algorithms, key=lambda a: best[a]["throughput"]
+            )
+            record["bo_winner"] = (
+                "blocking"
+                if best["blocking"]["throughput"]
+                >= best["optimistic"]["throughput"]
+                else "optimistic"
+            )
+            optimal.append(record)
+        return optimal, flagged, predictions
+
+    def test_report_matches_reference(self):
+        optimal, flagged, predictions = self.reference()
+        assert any(p.clamped for p in predictions)
+        assert any(not p.clamped for p in predictions)
+        assert {p.binding for p in predictions} == {
+            "admission", "population"
+        }
+        report = explore(space=self.SPACE)
+        assert report.evaluations == len(predictions) == self.SPACE.size()
+        assert report.optimal == optimal
+        assert report.crossovers == _crossovers(optimal)
+        assert report.crossovers
+        assert report.flagged_count == len(flagged) > MAX_FLAGGED_RETAINED
+        ranked = sorted(flagged, key=lambda f: -f["uncertainty"])
+        assert report.flagged == ranked[:MAX_FLAGGED_RETAINED]
 
 
 class TestFlaggedRetention:
