@@ -522,11 +522,12 @@ def _check_domain(params):
 
     The network and the contention terms model the paper's closed,
     single-site, uniform-access system with object-level, CPU-free
-    concurrency control. A sharded tier, a buffer pool, skewed disks,
-    hotspot access, coarser lock granules, a CPU cost per CC request
-    or an open arrival process would get a silent, wrong prediction
-    (5.67 tps for a 4-node run that measures 16.77), so each raises
-    ``ValueError`` naming the field instead.
+    concurrency control on fault-free hardware. A sharded tier, a
+    buffer pool, skewed disks, hotspot access, coarser lock granules,
+    a CPU cost per CC request, injected faults or an open arrival
+    process would get a silent, wrong prediction (5.67 tps for a
+    4-node run that measures 16.77), so each raises ``ValueError``
+    naming the field instead.
     """
     if params.resource_model != "classic":
         raise ValueError(
@@ -551,6 +552,11 @@ def _check_domain(params):
         raise ValueError(
             f"surrogate models free concurrency-control requests, got "
             f"cc_cpu={params.cc_cpu!r}"
+        )
+    if params.faults is not None and not params.faults.is_null:
+        raise ValueError(
+            f"surrogate models fault-free hardware, got "
+            f"faults={params.faults.describe()!r}"
         )
     if params.workload_model != "closed_classic":
         raise ValueError(

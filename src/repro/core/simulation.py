@@ -150,8 +150,7 @@ def _open_trajectory(params, algorithm, run, tapes, subscribers,
     """``(model, checker)``: one seeded trajectory, observers attached.
 
     ``invariants`` is ``"strict"``/``"warn"``/``"off"``/None (None
-    defers to the ``REPRO_INVARIANTS`` environment variable, default
-    off). The checker joins the subscribers, so it rides the same
+    means off). The checker joins the subscribers, so it rides the same
     attach path as every other observer; ``"off"`` attaches nothing at
     all, which keeps the bus's fast-path flags down and the hot loops
     allocation-free.
@@ -321,8 +320,7 @@ def run_simulation(params, algorithm="blocking", run=None, seed=None,
     raises :class:`~repro.obs.InvariantViolationError` at the violating
     event, ``"warn"`` records violations into
     ``result.diagnostics["invariants"]``, ``"off"`` attaches nothing.
-    ``None`` (the default) defers to the ``REPRO_INVARIANTS``
-    environment variable, then ``"off"``.
+    ``None`` (the default) means ``"off"``.
     """
     if run is None:
         run = RunConfig()

@@ -216,8 +216,7 @@ def build_parser():
             "event, warn records violations in the diagnostics, off "
             "disables it; spot (sweeps only) audits the first point "
             "of each algorithm strictly and leaves the rest "
-            "unchecked (default: the REPRO_INVARIANTS "
-            "environment variable, else off); the checker replays "
+            "unchecked (default: off); the checker replays "
             "committed transactions serially, so noop fails strict "
             "and spot by design"
         ),

@@ -53,7 +53,7 @@ from repro.obs import JsonlSink, TimeSeriesSampler
 #: batch_time=120.0)`` (or larger) for publication-grade intervals.
 DEFAULT_RUN = RunConfig(batches=6, batch_time=25.0, warmup_batches=1)
 
-#: An even quicker profile for smoke tests and pytest-benchmark runs.
+#: An even quicker profile for smoke tests (the CLI's ``--quick``).
 QUICK_RUN = RunConfig(batches=3, batch_time=12.0, warmup_batches=1)
 
 # Per-point outcomes (stable strings; they appear in checkpoints).
@@ -958,9 +958,9 @@ def run_sweep(config, run=None, mpls=None, algorithms=None, seed=None,
 
     * ``invariants`` — ``"strict"``/``"warn"``/``"off"``/None; every
       point attaches an :class:`~repro.obs.InvariantChecker` auditing
-      the engine's event stream (None defers to ``REPRO_INVARIANTS``,
-      then off). Strict violations raise — they are AssertionErrors,
-      exempt from retry/degradation by design. ``"spot"`` audits the
+      the engine's event stream (None means off). Strict violations
+      raise — they are AssertionErrors, exempt from retry/degradation
+      by design. ``"spot"`` audits the
       first point of each algorithm strictly and leaves the rest
       unchecked. The checker includes serial replay, so ``noop`` (the
       calibration baseline with no concurrency control) fails strict

@@ -88,7 +88,12 @@ class InstrumentationBus:
         start their own processes.
         """
         self.subscribers.append(subscriber)
-        self._rebuild()
+        try:
+            self._rebuild()
+        except ValueError:
+            # A refused subscription leaves the bus as it was.
+            self.subscribers.pop()
+            raise
         on_attach = getattr(subscriber, "on_attach", None)
         if on_attach is not None:
             on_attach(self, model)

@@ -96,12 +96,8 @@ __all__ = [
     "resolve_invariant_mode",
 ]
 
-#: Accepted values of every ``invariants=`` knob (CLI, env, API).
+#: Accepted values of every ``invariants=`` knob (CLI and API).
 INVARIANT_MODES = ("strict", "warn", "off")
-
-#: Environment variable consulted when no explicit mode is passed —
-#: lets CI run an unmodified test suite with checking enabled.
-INVARIANTS_ENV = "REPRO_INVARIANTS"
 
 #: ``warn`` mode stops recording after this many violations so a
 #: systematically broken run cannot exhaust memory with records.
@@ -155,18 +151,13 @@ class InvariantViolationError(AssertionError):
         self.violation = violation
 
 
-def resolve_invariant_mode(mode=None, environ=None):
-    """Normalize an ``invariants=`` knob to one of :data:`INVARIANT_MODES`.
+def resolve_invariant_mode(mode=None):
+    """Validate an ``invariants=`` knob: one of :data:`INVARIANT_MODES`.
 
-    ``None`` falls back to the ``REPRO_INVARIANTS`` environment
-    variable, then to ``"off"`` — so exporting the variable turns
-    checking on for an unmodified test suite or script.
+    ``None`` means ``"off"``; the mode is only ever set explicitly.
     """
     if mode is None:
-        import os
-
-        source = environ if environ is not None else os.environ
-        mode = source.get(INVARIANTS_ENV) or "off"
+        return "off"
     if mode not in INVARIANT_MODES:
         raise ValueError(
             f"invariants mode must be one of {INVARIANT_MODES}, "

@@ -52,13 +52,23 @@ class Subscriber:
     means every kind in :data:`~repro.obs.events.ALL_KINDS`) and
     implement ``on_event(time, kind, fields)``, or override
     :meth:`handlers` entirely for per-kind dispatch without the extra
-    indirection.
+    indirection. ``kinds`` may be set per instance (``JsonlSink`` does),
+    so a subscription that names no kind, or a kind outside
+    ``ALL_KINDS``, raises ``ValueError`` at attach rather than
+    silently receiving nothing.
     """
 
     kinds = None
 
     def handlers(self):
-        kinds = ALL_KINDS if self.kinds is None else self.kinds
+        kinds = ALL_KINDS if self.kinds is None else frozenset(self.kinds)
+        unknown = kinds - ALL_KINDS
+        if not kinds or unknown:
+            raise ValueError(
+                f"{type(self).__name__}.kinds must name event kinds of "
+                f"ALL_KINDS, got {self.kinds!r}"
+                + (f" (unknown: {sorted(unknown)})" if unknown else "")
+            )
         on_event = self.on_event
         table = {}
         for kind in kinds:

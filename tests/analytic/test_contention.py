@@ -21,6 +21,7 @@ from repro.analytic.contention import (
 from repro.analytic import network_for_params
 from repro.analytic.mva import DELAY, QUEUEING
 from repro.core import RunConfig, SimulationParameters, run_simulation
+from repro.faults import CpuDegradationSpec, DiskFaultSpec, FaultSpec
 
 BASE = SimulationParameters.table2()
 HOT = BASE.with_changes(db_size=300)
@@ -83,6 +84,26 @@ class TestDomain:
         params = BASE.with_changes(mpl=5, cc_cpu=0.01)
         with pytest.raises(ValueError, match="cc_cpu=0.01"):
             surrogate_prediction(params, "optimistic")
+
+    @pytest.mark.parametrize("faults, shown", [
+        (FaultSpec(disk=DiskFaultSpec(mttf=10, mttr=5)),
+         "disk mttf=10s mttr=5s"),
+        (FaultSpec(cpu=CpuDegradationSpec(
+            mean_interval=10, mean_duration=10, factor=3)),
+         "cpu x3 every ~10s for ~10s"),
+    ])
+    def test_faults_refused(self, faults, shown):
+        # At Table 2, mpl 25, disk faults (mttf 10 s, mttr 5 s) measure
+        # 2.283 tps for blocking where the fault-free answer is 5.663.
+        params = BASE.with_changes(mpl=5, faults=faults)
+        with pytest.raises(ValueError, match=f"faults='{shown}'"):
+            surrogate_prediction(params, "blocking")
+
+    def test_null_faults_allowed(self):
+        params = BASE.with_changes(mpl=5)
+        assert surrogate_prediction(
+            params.with_changes(faults=FaultSpec()), "blocking"
+        ) == surrogate_prediction(params, "blocking")
 
     def test_open_workload_refused(self):
         params = BASE.with_changes(

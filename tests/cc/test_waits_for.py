@@ -33,6 +33,17 @@ class TestBuildWaitsFor:
         graph = build_waits_for(lm)
         assert graph == {waiter: {holder}}
 
+    def test_loaded_table_one_edge_per_waiter(self, make_tx):
+        # 50 exclusive holders, each with one queued exclusive waiter.
+        lm = LockManager(Environment())
+        holders = [make_tx() for _ in range(50)]
+        waiters = [make_tx() for _ in range(50)]
+        for obj, tx in enumerate(holders + waiters):
+            lm.acquire(tx, obj % 50, LockMode.EXCLUSIVE)
+        graph = build_waits_for(lm)
+        assert len(graph) == 50
+        assert graph == {w: {h} for h, w in zip(holders, waiters)}
+
     def test_upgrade_deadlock_shape(self, make_tx):
         # Two readers both upgrading: the classic upgrade-upgrade deadlock.
         lm = LockManager(Environment())

@@ -1,9 +1,11 @@
 """Tests for the InstrumentationBus dispatch machinery."""
 
+import io
+
 import pytest
 
 from repro.des import Environment
-from repro.obs import InstrumentationBus, Subscriber
+from repro.obs import InstrumentationBus, JsonlSink, Subscriber
 from repro.obs.events import (
     ALL_KINDS,
     BUFFER_KINDS,
@@ -40,15 +42,15 @@ class TestDispatch:
     def test_handlers_receive_environment_time(self):
         env = Environment()
         bus = InstrumentationBus(env)
-        sub = bus.attach(Recording(kinds=("tick",)))
+        sub = bus.attach(Recording(kinds=("commit",)))
 
         def proc(env):
             yield env.timeout(3.5)
-            bus.emit("tick")
+            bus.emit("commit")
 
         env.process(proc(env))
         env.run()
-        assert sub.seen == [(3.5, "tick", {})]
+        assert sub.seen == [(3.5, "commit", {})]
 
     def test_dispatch_order_is_attach_order(self):
         bus = InstrumentationBus(Environment())
@@ -91,8 +93,36 @@ class TestSubscription:
                 calls.append((bus, model))
 
         marker = object()
-        bus.attach(Hooked(kinds=()), model=marker)
+        bus.attach(Hooked(kinds=("commit",)), model=marker)
         assert calls == [(bus, marker)]
+
+    def test_recorder_storing_its_own_kinds_is_refused(self):
+        # A recorder that collects the kinds it sees in ``self.kinds``
+        # replaces its subscription with an empty list: it would be
+        # subscribed to nothing and see no event, with nothing said.
+        class KindRecorder(Subscriber):
+            def __init__(self):
+                self.kinds = []
+
+            def on_event(self, time, kind, fields):
+                self.kinds.append(kind)
+
+        bus = InstrumentationBus(Environment())
+        with pytest.raises(ValueError, match=r"KindRecorder\.kinds .* \[\]"):
+            bus.attach(KindRecorder())
+        assert bus.subscribers == []
+        assert bus.attach(Recording(kinds=("commit",))).kinds == ("commit",)
+
+    @pytest.mark.parametrize("kinds", [(), ("commit", "tick")])
+    def test_empty_or_unknown_kinds_are_refused(self, kinds):
+        with pytest.raises(ValueError, match="Recording.kinds"):
+            Recording(kinds=kinds).handlers()
+
+    def test_per_instance_kinds_are_allowed(self):
+        sink = JsonlSink(io.StringIO(), kinds=("commit",))
+        assert set(sink.handlers()) == {"commit"}
+        with pytest.raises(ValueError, match="JsonlSink.kinds"):
+            JsonlSink(io.StringIO(), kinds=()).handlers()
 
     def test_detach_all_stops_delivery(self):
         bus = InstrumentationBus(Environment())

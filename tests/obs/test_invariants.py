@@ -548,29 +548,28 @@ class TestSerialReplay:
 
 class TestModeResolution:
     def test_explicit_mode_wins(self):
-        assert resolve_invariant_mode("warn", environ={}) == "warn"
-
-    def test_env_fallback(self):
-        env = {"REPRO_INVARIANTS": "strict"}
-        assert resolve_invariant_mode(None, environ=env) == "strict"
+        assert resolve_invariant_mode("warn") == "warn"
 
     def test_default_is_off(self):
-        assert resolve_invariant_mode(None, environ={}) == "off"
+        assert resolve_invariant_mode(None) == "off"
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="invariants mode"):
-            resolve_invariant_mode("loud", environ={})
+            resolve_invariant_mode("loud")
         with pytest.raises(ValueError):
             InvariantChecker(mode="off")  # off means "don't build one"
 
     def test_modes_are_closed_set(self):
         assert INVARIANT_MODES == ("strict", "warn", "off")
 
-    def test_env_variable_reaches_run_simulation(self, monkeypatch):
+    def test_environment_does_not_set_the_mode(self, monkeypatch):
+        # The mode is an explicit argument only: an exported variable
+        # of the old name attaches no checker.
         monkeypatch.setenv("REPRO_INVARIANTS", "warn")
+        run = RunConfig(batches=1, batch_time=2.0, warmup_batches=0, seed=7)
+        result = run_simulation(INFINITE, algorithm="blocking", run=run)
+        assert "invariants" not in (result.diagnostics or {})
         result = run_simulation(
-            INFINITE, algorithm="blocking",
-            run=RunConfig(batches=1, batch_time=2.0, warmup_batches=0,
-                          seed=7),
+            INFINITE, algorithm="blocking", run=run, invariants="warn",
         )
         assert result.diagnostics["invariants"]["mode"] == "warn"
